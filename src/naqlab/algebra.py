@@ -16,7 +16,7 @@ power and m^{2j} the accumulated coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 __all__ = [

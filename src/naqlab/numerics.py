@@ -1,19 +1,21 @@
 """Deterministic numerical kernels shared by the rest of the package.
 
-Provides globally adaptive Gauss-Kronrod quadrature, explicit Runge-Kutta
-integration (fixed-step classic RK4 or the adaptive Dormand-Prince 5(4)
-embedded pair), bracketing bisection on a two-way classifier, and
-second-order finite differences on possibly non-uniform sample points.
+Provides globally adaptive Gauss-Kronrod quadrature, adaptive explicit
+Runge-Kutta integration with the Dormand-Prince 5(4) embedded pair,
+bracketing bisection on a two-way classifier, and second-order finite
+differences on possibly non-uniform sample points.
 
 Everything here is a pure function of its inputs; all arithmetic is
-64-bit IEEE-754.
+64-bit IEEE-754.  The integrator works on plain Python floats: the state
+goes to the right-hand side as a tuple, which for the small states of the
+shooting problem costs far less than numpy's per-call overhead.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -173,17 +175,21 @@ class OdeState:
 
 @dataclass(frozen=True)
 class StepControls:
-    """Integration controls.
+    """Controls of the adaptive Dormand-Prince 5(4) integration.
 
-    ``step`` fixed selects classic RK4 with that stride; otherwise the
-    adaptive Dormand-Prince 5(4) pair is used with the given tolerances.
+    A step is accepted when the RMS of its embedded error estimate, scaled
+    by ``atol + rtol * max(|y|, |y_new|)`` per component, is at most 1.
+    ``h_max`` caps the stride; ``max_steps`` caps the attempted steps.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    step: float | None = None
     h_max: float | None = None
     max_steps: int = 1_000_000
+
+    def __post_init__(self):
+        if not (self.atol > 0 and self.rtol >= 0):
+            raise ValueError("need atol > 0 and rtol >= 0: the error scale must stay positive")
 
 
 @dataclass
@@ -205,39 +211,20 @@ class IntegrationBlowUp(RuntimeError):
         self.partial = partial
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-
-def _rk4_step(rhs, r, y, h):
-    k1 = rhs(r, y)
-    k2 = rhs(r + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(r + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(r + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def rk_integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, tuple], Sequence[float]],
     state0: OdeState,
     r_end: float,
     controls: StepControls = StepControls(),
-    stop_condition: Callable[[float, np.ndarray], bool] | None = None,
+    stop_condition: Callable[[float, tuple], bool] | None = None,
 ) -> RkSolution:
-    """Integrate y' = rhs(r, y) from ``state0`` to ``r_end``.
+    """Integrate y' = rhs(r, y) from ``state0`` to ``r_end`` with adaptive DP5.
 
-    Samples are retained at every accepted step.  ``stop_condition`` is
+    ``rhs`` receives the state as a tuple of floats and may return any
+    sequence of ``len(y)`` floats.  The Dormand-Prince 5(4) pair reuses the
+    last stage of an accepted step as the first of the next (FSAL), so an
+    integration costs 1 + 6 x (attempted steps) RHS evaluations.  Samples
+    are retained at every accepted step.  ``stop_condition(r, y)`` is
     checked after each accepted step and halts the integration early when
     it returns True (the triggering sample is retained).
 
@@ -248,76 +235,89 @@ def rk_integrate(
         the last valid state and the partial trajectory.
     """
     r = float(state0.r)
-    y = np.asarray(state0.y, dtype=float)
+    y = tuple(float(v) for v in state0.y)
     if r_end <= r:
         raise ValueError("r_end must exceed the initial radius")
     rs = [r]
-    ys = [y.copy()]
+    ys = [y]
 
     def _blowup(msg):
         sol = RkSolution(np.array(rs), np.array(ys))
-        raise IntegrationBlowUp(msg, OdeState(rs[-1], tuple(ys[-1])), sol)
+        raise IntegrationBlowUp(msg, OdeState(rs[-1], ys[-1]), sol)
 
-    if controls.step is not None:
-        h = float(controls.step)
-        if h <= 0:
-            raise ValueError("fixed step must be positive")
-        nsteps = 0
+    rtol, atol, h_max = controls.rtol, controls.atol, controls.h_max
+    dim = len(y)
+    span = r_end - r
+    h = min(span / 100.0, h_max or span)
+    k1 = rhs(r, y)
+    nsteps = 0
+    # An ndarray-returning rhs makes the stage values numpy scalars; their
+    # inf/nan in rejected trial stages near a blow-up is expected and
+    # handled below, so numpy's warnings carry no information.
+    with np.errstate(invalid="ignore", over="ignore"):
         while r < r_end:
-            hh = min(h, r_end - r)
-            y = _rk4_step(rhs, r, y, hh)
-            r += hh
-            if not np.all(np.isfinite(y)):
-                _blowup("non-finite state at r = %g" % r)
-            rs.append(r)
-            ys.append(y.copy())
+            h = min(h, r_end - r)
+            if h < 1e-14 * max(abs(r), 1.0):
+                _blowup("step underflow at r = %g" % r)
+            # The Dormand-Prince tableau, unrolled.  Each weighted sum starts
+            # from 0.0 and adds every term, zero weights included, in tableau
+            # order: that order fixes the rounding of every result, and a
+            # non-finite stage still turns a zero-weight term into nan.
+            k2 = rhs(r + 1 / 5 * h, tuple(
+                yj + h * (0.0 + 1 / 5 * k1j)
+                for yj, k1j in zip(y, k1)))
+            k3 = rhs(r + 3 / 10 * h, tuple(
+                yj + h * (0.0 + 3 / 40 * k1j + 9 / 40 * k2j)
+                for yj, k1j, k2j in zip(y, k1, k2)))
+            k4 = rhs(r + 4 / 5 * h, tuple(
+                yj + h * (0.0 + 44 / 45 * k1j + -56 / 15 * k2j + 32 / 9 * k3j)
+                for yj, k1j, k2j, k3j in zip(y, k1, k2, k3)))
+            k5 = rhs(r + 8 / 9 * h, tuple(
+                yj + h * (0.0 + 19372 / 6561 * k1j + -25360 / 2187 * k2j
+                          + 64448 / 6561 * k3j + -212 / 729 * k4j)
+                for yj, k1j, k2j, k3j, k4j in zip(y, k1, k2, k3, k4)))
+            k6 = rhs(r + h, tuple(
+                yj + h * (0.0 + 9017 / 3168 * k1j + -355 / 33 * k2j + 46732 / 5247 * k3j
+                          + 49 / 176 * k4j + -5103 / 18656 * k5j)
+                for yj, k1j, k2j, k3j, k4j, k5j in zip(y, k1, k2, k3, k4, k5)))
+            k7 = rhs(r + h, tuple(
+                yj + h * (0.0 + 35 / 384 * k1j + 0.0 * k2j + 500 / 1113 * k3j
+                          + 125 / 192 * k4j + -2187 / 6784 * k5j + 11 / 84 * k6j)
+                for yj, k1j, k2j, k3j, k4j, k5j, k6j in zip(y, k1, k2, k3, k4, k5, k6)))
+            ks = tuple(zip(y, k1, k2, k3, k4, k5, k6, k7))
+            y5 = tuple(
+                yj + h * (0.0 + 35 / 384 * k1j + 0.0 * k2j + 500 / 1113 * k3j + 125 / 192 * k4j
+                          + -2187 / 6784 * k5j + 11 / 84 * k6j + 0.0 * k7j)
+                for yj, k1j, k2j, k3j, k4j, k5j, k6j, k7j in ks)
+            y4 = tuple(
+                yj + h * (0.0 + 5179 / 57600 * k1j + 0.0 * k2j + 7571 / 16695 * k3j
+                          + 393 / 640 * k4j + -92097 / 339200 * k5j + 187 / 2100 * k6j
+                          + 1 / 40 * k7j)
+                for yj, k1j, k2j, k3j, k4j, k5j, k6j, k7j in ks)
+            errsq = 0.0
+            for yj, y5j, y4j in zip(y, y5, y4):
+                e = (y5j - y4j) / (atol + rtol * max(abs(yj), abs(y5j)))
+                errsq += e * e
+            errnorm = math.sqrt(errsq / dim)
+            if errnorm != errnorm:
+                # A non-finite trial stage gives nan: reject and retry with a
+                # smaller stride; a diverging solution ends in step underflow.
+                errnorm = math.inf
+            if errnorm <= 1.0:
+                r += h
+                y = y5
+                k1 = k7  # FSAL: k7 equals k1 of the next step
+                rs.append(r)
+                ys.append(y)
+                if stop_condition is not None and stop_condition(r, y):
+                    break
+            factor = 0.9 * (errnorm ** -0.2) if errnorm > 0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+            if h_max is not None:
+                h = min(h, h_max)
             nsteps += 1
-            if stop_condition is not None and stop_condition(r, y):
-                break
             if nsteps > controls.max_steps:
                 _blowup("step budget exceeded")
-        return RkSolution(np.array(rs), np.array(ys))
-
-    # Adaptive Dormand-Prince with FSAL reuse.
-    span = r_end - r
-    h = min(span / 100.0, controls.h_max or span)
-    k_first = rhs(r, y)
-    nsteps = 0
-    while r < r_end:
-        h = min(h, r_end - r)
-        if h < 1e-14 * max(abs(r), 1.0):
-            _blowup("step underflow at r = %g" % r)
-        # inf/nan in rejected trial stages is expected near a blow-up and
-        # handled below, so the numpy warnings carry no information
-        with np.errstate(invalid="ignore", over="ignore"):
-            k = [k_first]
-            for i in range(1, 7):
-                yi = y + h * sum(aij * kj for aij, kj in zip(_DP_A[i], k))
-                k.append(rhs(r + _DP_C[i] * h, yi))
-            y5 = y + h * sum(b * kj for b, kj in zip(_DP_B5, k))
-            y4 = y + h * sum(b * kj for b, kj in zip(_DP_B4, k))
-        if np.all(np.isfinite(y5)) and np.all(np.isfinite(y4)):
-            scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(y5))
-            errnorm = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
-        else:
-            # Non-finite trial step: reject and retry with a smaller stride;
-            # a genuinely diverging solution ends in step underflow above.
-            errnorm = math.inf
-        if errnorm <= 1.0:
-            r += h
-            y = y5
-            k_first = k[6]  # FSAL: k7 equals k1 of the next step
-            rs.append(r)
-            ys.append(y.copy())
-            if stop_condition is not None and stop_condition(r, y):
-                break
-        factor = 0.9 * (errnorm ** -0.2) if errnorm > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if controls.h_max is not None:
-            h = min(h, controls.h_max)
-        nsteps += 1
-        if nsteps > controls.max_steps:
-            _blowup("step budget exceeded")
     return RkSolution(np.array(rs), np.array(ys))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def integrate_profile(
     state0 = series_start(eta0, p, eps)
 
     def rhs(r, y):
-        return np.array([y[1], ode_rhs(r, y[0], y[1], p)])
+        return (y[1], ode_rhs(r, y[0], y[1], p))
 
     outcome = {"reason": TerminationReason.REACHED_RMAX}
     prev_deta = [state0.y[1]]
@@ -214,14 +214,14 @@ def integrate_profile(
     )
 
 
-def _classify(eta0, p, r_max, controls, eps) -> tuple[str, Trajectory]:
+def _classify(eta0, p, r_max, controls, eps) -> str:
     traj = integrate_profile(eta0, p, r_max, controls, eps)
     if traj.reason == TerminationReason.OVERSHOOT:
-        return "high", traj
+        return "high"
     if traj.reason == TerminationReason.UNDERSHOOT:
-        return "low", traj
+        return "low"
     if traj.reason == TerminationReason.BLOW_UP and traj.eta[-1] < 0:
-        return "high", traj
+        return "high"
     if traj.reason == TerminationReason.REACHED_RMAX:
         # Near-critical trajectories can still be hugging the false vacuum
         # at r_max.  There the linearization eta'' + (2/r) eta' = mu^2 eta
@@ -234,9 +234,9 @@ def _classify(eta0, p, r_max, controls, eps) -> tuple[str, Trajectory]:
         if abs(eta_f) < 0.5 * p.eta_vacuum:
             growing = r_f * deta_f + eta_f + mu * r_f * eta_f
             if growing > 0:
-                return "low", traj
+                return "low"
             if growing < 0:
-                return "high", traj
+                return "high"
     raise ClassifierAmbiguityError(
         "eta0 = %g reached r_max = %g unclassified; enlarge r_max so the "
         "overshoot/undershoot separation can develop" % (eta0, r_max)
@@ -257,14 +257,7 @@ def find_regular_eta0(
     overshoot).  The returned trajectory is the integration at the
     converged value.
     """
-    cache: dict[float, Trajectory] = {}
-
-    def predicate(eta0: float) -> str:
-        label, traj = _classify(eta0, p, r_max, controls, eps)
-        cache[eta0] = traj
-        return label
-
-    eta_star = bisect(predicate, bracket, tol)
+    eta_star = bisect(lambda eta0: _classify(eta0, p, r_max, controls, eps), bracket, tol)
     trajectory = integrate_profile(eta_star, p, r_max, controls, eps)
     return ShootingResult(eta0=eta_star, trajectory=trajectory, bracket=bracket, tol=tol)
 

@@ -116,10 +116,53 @@ class TestIntegrateProfile:
         with pytest.raises(ValueError):
             integrate_profile(0.9, params_m01, r_max=1e-8)
 
+    def test_matches_independent_dop853(self, params_m01):
+        # second integrator as oracle, compared at the trajectory's own radii
+        pytest.importorskip("scipy")
+        from scipy.integrate import solve_ivp
+
+        traj = integrate_profile(0.9083, params_m01)
+        ref = solve_ivp(
+            lambda r, y: (y[1], ode_rhs(r, y[0], y[1], params_m01)),
+            (traj.r[0], traj.r[-1]),
+            (traj.eta[0], traj.deta[0]),
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-14,
+            dense_output=True,
+        )
+        assert ref.success
+        eta, deta = ref.sol(traj.r)
+        assert np.abs(eta - traj.eta).max() < 1e-7
+        assert np.abs(deta - traj.deta).max() < 1e-7
+
 
 class TestFindRegularEta0:
     def test_reference_value(self, shot_m01_default):
         assert shot_m01_default.eta0 == pytest.approx(0.9083, abs=5e-4)
+
+    def test_reference_work_and_bits(self, params_m01, monkeypatch):
+        # 2 bracket ends + 18 halvings + the final solve, each costing
+        # 1 + 6 x (attempted DP5 steps) RHS calls; the floats are pinned bit
+        # for bit so a change of arithmetic order shows up here
+        calls = {"integrate_profile": 0, "ode_rhs": 0}
+
+        def counting(name):
+            original = getattr(shooting, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(shooting, name, wrapper)
+
+        counting("integrate_profile")
+        counting("ode_rhs")
+        res = find_regular_eta0(params_m01)
+        assert calls == {"integrate_profile": 21, "ode_rhs": 29193}
+        assert res.eta0 == 0.908340072631836
+        assert res.trajectory.r.size == 283
+        assert res.trajectory.r[-1] == 73.86545444668809
 
     def test_refines_with_tolerance(self, shot_m01_default, shot_m01_tight):
         assert abs(shot_m01_default.eta0 - shot_m01_tight.eta0) < 2e-5
