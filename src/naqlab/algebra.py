@@ -26,7 +26,6 @@ __all__ = [
     "Expression",
     "SeriesTerm",
     "CorrectionSeries",
-    "AssociatorConstant",
     "VacuumPolynomial",
     "GaugeMassTerm",
     "ExpressionError",
@@ -68,18 +67,6 @@ class Product:
 
 
 Expression = Union[Constituent, State, Product]
-
-
-@dataclass(frozen=True)
-class AssociatorConstant:
-    """The reassociation constant m^2, carried symbolically.
-
-    ``value`` may hold an optional numeric substitution; it is only used
-    when a series is evaluated, never during rewriting.
-    """
-
-    symbol: str = "m^2"
-    value: float | None = None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ E_r and rho vanish at the origin, the field energy integral is finite with
 closed form q c^2 / (2 sqrt(G)), and the self-interaction integral of
 rho*phi/2 diverges as the lower cutoff r_min -> 0 like
 (q^2 / 2 alpha)(U - tanh U) with U = alpha/r_min.
+
+The closed forms are evaluated as written, with no asymptotic branch: all
+three are finite for |alpha/r| up to about 710.47, where cosh overflows;
+beyond it phi is +/-inf and E_r, rho are exactly 0.
 """
 
 from __future__ import annotations
@@ -34,12 +38,6 @@ __all__ = [
     "induced_charge_density",
     "energy_report",
 ]
-
-# Beyond this value of alpha/r the hyperbolic closed forms are replaced by
-# their exponential asymptotics (relative error < 1e-26 at the switch, far
-# below the e^{+/-x} overflow limit of float64).
-_ASYMPTOTIC_SWITCH = 30.0
-
 
 @dataclass(frozen=True)
 class UnitsConfig:
@@ -81,54 +79,31 @@ class EnergyReport:
 
 
 def exact_solution(r: float, model: ChargeModel) -> FieldSample:
-    """Evaluate the closed-form fields at radius r > 0."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    u = model.units
-    q = model.q
-    if q == 0.0:
-        return FieldSample(r=r, phi=0.0, E_r=0.0, rho=0.0)
-    x = model.alpha / r
-    ax = abs(x)
-    if ax <= _ASYMPTOTIC_SWITCH:
-        cosh = math.cosh(x)
-        phi = (u.c**2 / math.sqrt(u.G)) * math.sinh(x)
-        e_r = q / (r * r * cosh)
-        rho = (
-            math.sqrt(u.G)
-            / (4.0 * math.pi * u.c**2)
-            * math.tanh(x)
-            / cosh
-            * q * q
-            / r**4
-        )
-    else:
-        # cosh x, sinh x -> e^|x|/2; tanh x -> sign(x)
-        sgn = 1.0 if x > 0 else -1.0
-        damp = 2.0 * math.exp(-ax) if ax < 700.0 else 0.0
-        phi_mag = (u.c**2 / math.sqrt(u.G)) * (math.exp(ax) / 2.0 if ax < 700.0 else math.inf)
-        phi = sgn * phi_mag
-        e_r = q * damp / (r * r)
-        rho = (
-            math.sqrt(u.G)
-            / (4.0 * math.pi * u.c**2)
-            * sgn * damp
-            * q * q
-            / r**4
-        )
-    return FieldSample(r=r, phi=phi, E_r=e_r, rho=rho)
+    """Evaluate the closed-form fields at radius r > 0, as Python floats."""
+    return FieldSample(**{k: float(v) for k, v in exact_fields(r, model).items()})
 
 
 def exact_fields(r: np.ndarray, model: ChargeModel) -> dict[str, np.ndarray]:
-    """Vectorized closed forms on an array of radii."""
+    """Vectorized closed forms on an array of radii, all of them > 0.
+
+    With x = alpha/r: float64 cosh overflows past |x| ~ 710.47, and there
+    phi = +/-inf and E_r = rho = 0 come out of the formulas themselves;
+    q = 0 gives x = 0 and exact zeros.
+    """
     r = np.asarray(r, dtype=float)
-    samples = [exact_solution(float(ri), model) for ri in r]
-    return {
-        "r": r,
-        "phi": np.array([s.phi for s in samples]),
-        "E_r": np.array([s.E_r for s in samples]),
-        "rho": np.array([s.rho for s in samples]),
-    }
+    if np.any(r <= 0):
+        raise ValueError("radius must be positive")
+    u = model.units
+    q = model.q
+    x = model.alpha / r
+    with np.errstate(over="ignore"):
+        cosh = np.cosh(x)
+        return {
+            "r": r,
+            "phi": u.c**2 / math.sqrt(u.G) * np.sinh(x),
+            "E_r": q / (r * r * cosh),
+            "rho": math.sqrt(u.G) / (4.0 * math.pi * u.c**2) * np.tanh(x) / cosh * q * q / r**4,
+        }
 
 
 def gauss_residual(model: ChargeModel, grid) -> float:

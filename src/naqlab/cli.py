@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -70,9 +69,12 @@ def _grid_points(bounds: tuple[float, float, int], scale: str) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal form that round-trips the 64-bit value."""
-    return repr(float(x))
+def _csv(config: dict, header: str, columns: tuple[np.ndarray, ...]) -> str:
+    """``# config:`` line, header and one row per radius; each value in the
+    shortest decimal form that round-trips its 64-bit float."""
+    rows = ["# config: " + json.dumps(config, sort_keys=True), header]
+    rows += (",".join(map(repr, row)) for row in zip(*(col.tolist() for col in columns)))
+    return "\n".join(rows) + "\n"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -185,15 +187,8 @@ def _run_exact(args) -> int:
     if args.format == "csv":
         rs = _grid_points(args.grid, args.grid_scale)
         fields = exact_fields(rs, model)
-        rows = ["# config: " + json.dumps(config, sort_keys=True), "r,phi,E_r,rho"]
-        for i in range(rs.size):
-            rows.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (fields["r"][i], fields["phi"][i], fields["E_r"][i], fields["rho"][i])
-                )
-            )
-        _emit("\n".join(rows) + "\n", args.output)
+        columns = (fields["r"], fields["phi"], fields["E_r"], fields["rho"])
+        _emit(_csv(config, "r,phi,E_r,rho", columns), args.output)
         return EXIT_OK
     try:
         report = energy_report(model, r_min=args.rmin, tol=args.tol)
@@ -269,19 +264,8 @@ def _run_profile(args) -> int:
         eta0=args.eta0, params=params, epsilon=traj.epsilon,
     )
     prof = shooting.derive_fields(resampled)
-    rows = ["# config: " + json.dumps(config, sort_keys=True),
-            "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled"]
-    for i in range(rs.size):
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    prof.r[i], prof.eta[i], prof.deta[i],
-                    prof.phi_scaled[i], prof.E_scaled[i], prof.rho_scaled[i],
-                )
-            )
-        )
-    _emit("\n".join(rows) + "\n", args.output)
+    columns = (prof.r, prof.eta, prof.deta, prof.phi_scaled, prof.E_scaled, prof.rho_scaled)
+    _emit(_csv(config, "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns), args.output)
     return EXIT_OK
 
 

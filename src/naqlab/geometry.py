@@ -75,9 +75,6 @@ class Grid:
     def interior(self) -> "Grid":
         return Grid(tuple(ax[1:-1] if ax.size > 1 else ax for ax in self.axes))
 
-    def meshgrid(self) -> tuple[np.ndarray, ...]:
-        return np.meshgrid(*self.axes, indexing="ij", sparse=False)
-
 
 def _partials(values: np.ndarray, grid: Grid, min_points: int) -> np.ndarray:
     """Stack of coordinate derivatives; last axis indexes the direction.

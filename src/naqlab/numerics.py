@@ -197,10 +197,6 @@ class RkSolution:
     r: np.ndarray
     y: np.ndarray  # shape (len(r), dim)
 
-    @property
-    def final(self) -> OdeState:
-        return OdeState(float(self.r[-1]), tuple(self.y[-1]))
-
 
 class IntegrationBlowUp(RuntimeError):
     """Step underflow or a non-finite state; carries the last valid state."""

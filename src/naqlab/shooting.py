@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charge import UnitsConfig
 from .numerics import (
     IntegrationBlowUp,
     InvalidBracketError,
@@ -262,7 +261,7 @@ def find_regular_eta0(
     return ShootingResult(eta0=eta_star, trajectory=trajectory, bracket=bracket, tol=tol)
 
 
-def derive_fields(traj: Trajectory, units: UnitsConfig = UnitsConfig()) -> Profile:
+def derive_fields(traj: Trajectory) -> Profile:
     """Physical profiles in the scalings used for plotting.
 
     phi_scaled = sinh(eta/2); E_scaled = -eta'/(2 cosh(eta/2)) (the torsion

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from naqlab.charge import (
 )
 
 UNIT_MODEL = ChargeModel(q=1.0)
+EPS = np.finfo(float).eps
 
 
 class TestExactSolution:
@@ -45,12 +47,28 @@ class TestExactSolution:
         assert abs(s.rho) < 1e-12
 
     def test_asymptotic_branch_continuity(self):
-        # the two evaluation branches agree where they meet
+        # one formula everywhere; this pins the point where an exponential
+        # asymptotic branch used to take over (alpha/r = 30)
         for x in (29.999, 30.001):
             r = UNIT_MODEL.alpha / x
             s = exact_solution(r, UNIT_MODEL)
             expected = 1.0 / (r**2 * math.cosh(x))
             assert s.E_r == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_overflow_edge(self, sign):
+        # all three fields are finite up to |alpha/r| ~ 710.47, where cosh
+        # overflows, and neither side of that edge warns
+        model = ChargeModel(q=sign)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near = exact_solution(1.0 / 705.0, model)
+            far = exact_solution(1.0 / 800.0, model)
+        assert near.phi == pytest.approx(sign * math.sinh(705.0), rel=1e-14)
+        assert sign * near.E_r > 0
+        assert near.E_r == pytest.approx(sign * 705.0**2 / math.cosh(705.0), rel=1e-13)
+        assert far.phi == sign * math.inf
+        assert far.E_r == far.rho == 0.0
 
     def test_negative_charge_parity(self):
         plus = exact_solution(0.7, ChargeModel(q=1.0))
@@ -66,6 +84,28 @@ class TestExactSolution:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
             exact_solution(0.0, UNIT_MODEL)
+
+    @pytest.mark.parametrize("bad", (0.0, -1.0))
+    def test_nonpositive_radius_rejected_in_array(self, bad):
+        rs = np.array([0.5, 1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="radius must be positive"):
+            exact_fields(rs, UNIT_MODEL)
+
+    @pytest.mark.parametrize("q", (1.7, -1.7))
+    def test_matches_per_radius_math_reference(self, q):
+        # numpy's sinh/cosh/tanh against libm's, same formulas per radius;
+        # the bound is 16 ulp of float64
+        model = ChargeModel(q=q, units=UnitsConfig(G=1.3, c=0.9))
+        rs = abs(model.alpha) / np.geomspace(1e-3, 700.0, 400)
+        fields = exact_fields(rs, model)
+        k = math.sqrt(1.3) / (4.0 * math.pi * 0.9**2)
+        for i, r in enumerate(rs.tolist()):
+            x = model.alpha / r
+            assert fields["phi"][i] == pytest.approx(0.9**2 / math.sqrt(1.3) * math.sinh(x), rel=16 * EPS)
+            assert fields["E_r"][i] == pytest.approx(q / (r * r * math.cosh(x)), rel=16 * EPS)
+            assert fields["rho"][i] == pytest.approx(
+                k * math.tanh(x) / math.cosh(x) * q * q / r**4, rel=16 * EPS
+            )
 
     def test_vectorized_matches_scalar(self):
         rs = np.geomspace(1e-2, 1e2, 20)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from naqlab import shooting
 from naqlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -92,6 +94,15 @@ class TestExact:
         first = [float(v) for v in lines[2].split(",")]
         assert first[0] == pytest.approx(0.1)
 
+    def test_nonpositive_radius_is_usage_error(self, capsys):
+        # "--grid -1:1:5" would be read as an option; the = form passes it
+        code, out, err = run(
+            capsys, "exact", "--format", "csv", "--grid=-1:1:5", "--grid-scale", "linear"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "radius must be positive" in err
+
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         code, out, _ = run(capsys, "exact", "--output", str(path))
@@ -123,6 +134,34 @@ class TestProfile:
         lines = out.strip().split("\n")
         assert lines[1] == "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled"
         assert len(lines) == 52
+
+    def test_csv_bytes_match_per_element_rows(self, capsys):
+        # the table the former row-by-row writer produced, rebuilt here
+        params = shooting.CouplingParams(lambda_tilde=1.0, m=0.1)
+        traj = shooting.integrate_profile(0.9083, params, r_max=40.0)
+        rs = np.geomspace(1e-2, 40.0, 50)
+        rs = rs[(rs >= traj.r[0]) & (rs <= traj.r[-1])]
+        prof = shooting.derive_fields(
+            shooting.Trajectory(
+                r=rs, eta=np.interp(rs, traj.r, traj.eta),
+                deta=np.interp(rs, traj.r, traj.deta), reason=traj.reason,
+                eta0=0.9083, params=params, epsilon=traj.epsilon,
+            )
+        )
+        config = {
+            "subcommand": "profile", "eta0": 0.9083, "lambda_tilde": 1.0,
+            "m": 0.1, "grid": [1e-2, 40.0, 50], "grid_scale": "log",
+        }
+        rows = ["# config: " + json.dumps(config, sort_keys=True),
+                "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled"]
+        for i in range(rs.size):
+            rows.append(",".join(repr(float(v)) for v in (
+                prof.r[i], prof.eta[i], prof.deta[i],
+                prof.phi_scaled[i], prof.E_scaled[i], prof.rho_scaled[i],
+            )))
+        code, out, _ = run(capsys, "profile", "--eta0", "0.9083", "--grid", "1e-2:40:50")
+        assert code == EXIT_OK
+        assert out == "\n".join(rows) + "\n"
 
     def test_short_trajectory_is_numerical_error(self, capsys):
         # a strongly overshooting start terminates long before the grid
