@@ -87,22 +87,28 @@ def exact_fields(r: np.ndarray, model: ChargeModel) -> dict[str, np.ndarray]:
     """Vectorized closed forms on an array of radii, all of them > 0.
 
     With x = alpha/r: float64 cosh overflows past |x| ~ 710.47, and there
-    phi = +/-inf and E_r = rho = 0 come out of the formulas themselves;
-    q = 0 gives x = 0 and exact zeros.
+    phi = +/-inf and E_r = rho = 0, down to the smallest subnormal radius;
+    q = 0 gives exact zeros.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("radius must be positive")
     u = model.units
     q = model.q
-    x = model.alpha / r
     with np.errstate(over="ignore"):
+        x = model.alpha / r
         cosh = np.cosh(x)
+        rho = math.sqrt(u.G) / (4.0 * math.pi * u.c**2) * np.tanh(x) / cosh * q * q
+        # E_r is a zero with the sign of q where cosh overflows or q = 0, and
+        # so is rho where its numerator is zero; there r**2 or r**4 may
+        # underflow to 0 (0 * inf or 0 / 0), so the radius is taken as 1.
+        rho /= np.where(rho == 0.0, 1.0, r) ** 4
+        r_e = np.where((cosh == np.inf) | (q == 0.0), 1.0, r)
         return {
             "r": r,
             "phi": u.c**2 / math.sqrt(u.G) * np.sinh(x),
-            "E_r": q / (r * r * cosh),
-            "rho": math.sqrt(u.G) / (4.0 * math.pi * u.c**2) * np.tanh(x) / cosh * q * q / r**4,
+            "E_r": q / (r_e * r_e * cosh),
+            "rho": rho,
         }
 
 

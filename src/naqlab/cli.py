@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--G", type=float, default=1.0, help="Newton constant (default %(default)s)")
     p.add_argument("--c", type=float, default=1.0, help="speed of light (default %(default)s)")
     p.add_argument("--rmin", type=float, default=1e-3, help="self-energy lower cutoff in length units (default %(default)s)")
-    p.add_argument("--grid", type=_parse_grid, default=(1e-2, 1e2, 200), metavar="A:B:N", help="radial grid for csv output (default 1e-2:1e2:200)")
+    p.add_argument("--grid", type=_parse_grid, default=(1e-2, 1e2, 200), metavar="A:B:N", help="radial grid for csv output (default 1e-2:1e2:200); a negative A needs the --grid=A:B:N form")
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
     p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="json", help="csv: field samples; json: energy report (default %(default)s)")
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta0", type=float, required=True, help="starting value eta(0)")
     p.add_argument("--lambda", dest="lambda_tilde", type=float, default=1.0, help="scaled quartic coupling (default %(default)s)")
     p.add_argument("--m", type=float, default=0.1, help="mass parameter (default %(default)s)")
-    p.add_argument("--grid", type=_parse_grid, default=(1e-3, shooting.DEFAULT_R_MAX, 2000), metavar="A:B:N", help="output radial grid (default 1e-3:80:2000)")
+    p.add_argument("--grid", type=_parse_grid, default=(1e-3, shooting.DEFAULT_R_MAX, 2000), metavar="A:B:N", help="output radial grid (default 1e-3:80:2000); a negative A needs the --grid=A:B:N form")
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
     p.add_argument("--output", default=None)
 

@@ -70,6 +70,22 @@ class TestExactSolution:
         assert far.phi == sign * math.inf
         assert far.E_r == far.rho == 0.0
 
+    @pytest.mark.parametrize("r", (1e-100, 5e-324))
+    @pytest.mark.parametrize("q", (1.0, -1.0, 0.0))
+    def test_tiny_radius(self, r, q):
+        # r**4 (and at 5e-324 also r**2) underflows to 0 here, and cosh
+        # overflows unless q = 0; E_r and rho are still zeros with the sign
+        # of q rather than 0 / 0, and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = exact_solution(r, ChargeModel(q=q))
+            fields = exact_fields(np.array([r, 1.0]), ChargeModel(q=q))
+        assert s.phi == (q * math.inf if q else 0.0)
+        for value in (s.E_r, s.rho, fields["E_r"][0], fields["rho"][0]):
+            assert value == 0.0
+            assert math.copysign(1.0, value) == math.copysign(1.0, q)
+        assert fields["E_r"][1] == exact_solution(1.0, ChargeModel(q=q)).E_r
+
     def test_negative_charge_parity(self):
         plus = exact_solution(0.7, ChargeModel(q=1.0))
         minus = exact_solution(0.7, ChargeModel(q=-1.0))

@@ -34,6 +34,21 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "shoot", "--bracket", "2.0:0.2")
         assert code == EXIT_USAGE
 
+    def test_bad_value_names_its_reason(self, capsys):
+        code, out, err = run(capsys, "shoot", "--m", "abc")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage: naqlab shoot ")
+        assert err.endswith("naqlab shoot: error: argument --m: invalid float value: 'abc'\n")
+
+    def test_negative_grid_bound_names_its_reason(self, capsys):
+        # without "=" argparse reads -1:1:5 as an option, not as the value
+        code, out, err = run(capsys, "exact", "--grid", "-1:1:5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage: naqlab exact ")
+        assert err.endswith("naqlab exact: error: argument --grid: expected one argument\n")
+
     def test_assoc_power_zero(self, capsys):
         code, _, _ = run(capsys, "assoc", "--power", "0")
         assert code == EXIT_USAGE
@@ -71,6 +86,13 @@ class TestTorsionCheck:
         assert payload["max_residual"] <= 1e-10
         assert payload["config"]["trials"] == 50
         assert len(payload["residuals"]) == 4
+
+    @pytest.mark.parametrize("trials", ("0", "-5"))
+    def test_nonpositive_trials_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "torsion-check", "--trials", trials)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "naqlab: trials must be >= 1\n"
 
 
 class TestExact:

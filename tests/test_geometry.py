@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from naqlab import geometry
 from naqlab.geometry import (
     ContorsionTensor,
     Grid,
@@ -291,3 +292,64 @@ class TestRandomIdentitySuite:
 
     def test_deterministic_for_fixed_seed(self):
         assert random_identity_suite(7, 50) == random_identity_suite(7, 50)
+
+    def test_reference_bits(self):
+        # the CLI default run's residuals, pinned bit for bit
+        assert random_identity_suite(20240901, 1000) == {
+            "split_reconstruction": 0.0,
+            "assemble_roundtrip": 1.1102230246251565e-15,
+            "contorsion_antisym_pair": 4.440892098500626e-16,
+            "contorsion_lower_antisym": 4.440892098500626e-16,
+        }
+
+    @pytest.mark.parametrize("seed", (7, 123, 20240901))
+    def test_blocks_match_per_trial_loop(self, seed, monkeypatch):
+        # 50 trials in blocks of 7: seven full blocks and a partial one
+        monkeypatch.setattr(geometry, "_SUITE_BLOCK", 7)
+        assert random_identity_suite(seed, 50) == per_trial_identity_suite(seed, 50)
+
+    @pytest.mark.parametrize("trials", (0, -5))
+    def test_rejects_nonpositive_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            random_identity_suite(1, trials)
+
+
+def per_trial_identity_suite(seed, trials):
+    """The suite as a loop of one trial per pass with three rng.uniform
+    draws each; the reference for the block-wise evaluation."""
+    rng = np.random.default_rng(seed)
+    residuals = {
+        "split_reconstruction": 0.0,
+        "assemble_roundtrip": 0.0,
+        "contorsion_antisym_pair": 0.0,
+        "contorsion_lower_antisym": 0.0,
+    }
+    eye = np.eye(4)
+    for _ in range(trials):
+        a = rng.uniform(-0.2, 0.2, size=(4, 4))
+        g = eye + 0.5 * (a + a.T)
+        conn = rng.uniform(-1.0, 1.0, size=(4, 4, 4))
+        t_raw = rng.uniform(-1.0, 1.0, size=(4, 4, 4))
+        torsion = t_raw - np.swapaxes(t_raw, 0, 1)
+
+        sym, antisym = split_connection(conn)
+        residuals["split_reconstruction"] = max(
+            residuals["split_reconstruction"], float(np.max(np.abs(sym + antisym - conn)))
+        )
+
+        k = contorsion_from_torsion(torsion, g)
+        full = assemble_connection(sym, k.mixed)
+        residuals["assemble_roundtrip"] = max(
+            residuals["assemble_roundtrip"],
+            float(np.max(np.abs(torsion_from_connection(full) - torsion))),
+        )
+        k_anti = 0.5 * (k.mixed - np.swapaxes(k.mixed, 0, 1))
+        residuals["contorsion_antisym_pair"] = max(
+            residuals["contorsion_antisym_pair"],
+            float(np.max(np.abs(k_anti + 0.5 * torsion))),
+        )
+        residuals["contorsion_lower_antisym"] = max(
+            residuals["contorsion_lower_antisym"],
+            float(np.max(np.abs(k.lower + np.swapaxes(k.lower, 1, 2)))),
+        )
+    return residuals
