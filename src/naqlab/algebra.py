@@ -214,7 +214,7 @@ class VacuumPolynomial:
     """
 
     power: int
-    terms: tuple[SeriesTerm | tuple[int, int], ...]
+    terms: tuple[tuple[int, int], ...]
 
     def render(self) -> str:
         parts = []

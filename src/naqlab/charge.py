@@ -47,7 +47,7 @@ class UnitsConfig:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.G <= 0 or self.c <= 0:
+        if not (self.G > 0 and self.c > 0):
             raise ValueError("G and c must be strictly positive")
 
 
@@ -55,6 +55,18 @@ class UnitsConfig:
 class ChargeModel:
     q: float
     units: UnitsConfig = field(default_factory=UnitsConfig)
+
+    def __post_init__(self):
+        # c**2 raises OverflowError past c ~ 1.3e154 and is 0 below c ~ 1.5e-162;
+        # the scales c^2/sqrt(G) of phi and sqrt(G)/c^2 of rho must be finite,
+        # and alpha may underflow to 0 only when q is 0.
+        root_g, c2 = math.sqrt(self.units.G), self.units.c * self.units.c
+        if not (0.0 < c2 < math.inf and c2 / root_g < math.inf and root_g / c2 < math.inf):
+            raise ValueError("G = %r, c = %r: c^2 or c^2/sqrt(G) is out of float64 range"
+                             % (self.units.G, self.units.c))
+        if not math.isfinite(self.alpha) or (self.alpha == 0.0) != (self.q == 0.0):
+            raise ValueError("q = %r: alpha = q sqrt(G)/c^2 = %r is out of float64 range"
+                             % (self.q, self.alpha))
 
     @property
     def alpha(self) -> float:
@@ -160,7 +172,7 @@ def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> Energ
     Closed forms (q c^2 / 2 sqrt(G) and (q^2/2 alpha)(U - tanh U)) are
     reported alongside for cross-checking.
     """
-    if r_min <= 0:
+    if not r_min > 0:
         raise ValueError("r_min must be positive")
     u = model.units
     q = model.q

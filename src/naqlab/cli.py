@@ -8,16 +8,17 @@ exact         closed-form point-charge fields (csv) or energy report (json)
 shoot         bisect for the regular starting value eta_0*
 profile       integrate one trajectory and emit the derived field profiles
 
-Exit codes: 0 success, 1 usage error, 2 numerical ambiguity or
-non-convergence.  Every output embeds the resolved configuration (a JSON
-``config`` entry, or a ``# config: ...`` comment line above the CSV header)
-so runs are self-describing and byte-reproducible.
+Exit codes: 0 success, 1 usage error (a nan or inf value included), 2
+numerical ambiguity or non-convergence.  Every output embeds the resolved
+configuration (a JSON ``config`` entry, or a ``# config: ...`` comment line
+above the CSV header) so runs are self-describing and byte-reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,11 +41,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("not a finite number: %r" % text)
+    return value
+
+
 def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be a:b:n")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    a, b, n = _finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])
     if not (a < b and n >= 2):
         raise argparse.ArgumentTypeError("grid needs a < b and n >= 2")
     return a, b, n
@@ -54,7 +66,7 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("bracket must be lo:hi")
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
     if not lo < hi:
         raise argparse.ArgumentTypeError("bracket needs lo < hi")
     return lo, hi
@@ -67,6 +79,11 @@ def _grid_points(bounds: tuple[float, float, int], scale: str) -> np.ndarray:
             raise ValueError("log-spaced grids need a > 0")
         return np.geomspace(a, b, n)
     return np.linspace(a, b, n)
+
+
+def _config(args) -> dict:
+    """The resolved options of a run, as its output embeds them."""
+    return {k: v for k, v in vars(args).items() if k != "output"}
 
 
 def _csv(config: dict, header: str, columns: tuple[np.ndarray, ...]) -> str:
@@ -104,28 +121,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("exact", help="closed-form point-charge solution")
-    p.add_argument("--q", type=float, default=1.0, help="total charge (default %(default)s)")
-    p.add_argument("--G", type=float, default=1.0, help="Newton constant (default %(default)s)")
-    p.add_argument("--c", type=float, default=1.0, help="speed of light (default %(default)s)")
-    p.add_argument("--rmin", type=float, default=1e-3, help="self-energy lower cutoff in length units (default %(default)s)")
+    p.add_argument("--q", type=_finite_float, default=1.0, help="total charge (default %(default)s)")
+    p.add_argument("--G", type=_finite_float, default=1.0, help="Newton constant (default %(default)s)")
+    p.add_argument("--c", type=_finite_float, default=1.0, help="speed of light (default %(default)s)")
+    p.add_argument("--rmin", type=_finite_float, default=1e-3, help="self-energy lower cutoff in length units (default %(default)s)")
     p.add_argument("--grid", type=_parse_grid, default=(1e-2, 1e2, 200), metavar="A:B:N", help="radial grid for csv output (default 1e-2:1e2:200); a negative A needs the --grid=A:B:N form")
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
-    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance (default %(default)s)")
+    p.add_argument("--tol", type=_finite_float, default=1e-10, help="quadrature tolerance (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="json", help="csv: field samples; json: energy report (default %(default)s)")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("shoot", help="find the regular starting value")
-    p.add_argument("--lambda", dest="lambda_tilde", type=float, default=1.0, help="scaled quartic coupling (default %(default)s)")
-    p.add_argument("--m", type=float, default=0.1, help="mass parameter (default %(default)s)")
+    p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
+    p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
     p.add_argument("--bracket", type=_parse_bracket, default=shooting.DEFAULT_BRACKET, metavar="LO:HI", help="starting-value bracket (default 0.2:2.0)")
-    p.add_argument("--tol", type=float, default=1e-5, help="bisection tolerance (default %(default)s)")
-    p.add_argument("--rmax", type=float, default=shooting.DEFAULT_R_MAX, help="integration horizon (default %(default)s)")
+    p.add_argument("--tol", type=_finite_float, default=1e-5, help="bisection tolerance (default %(default)s)")
+    p.add_argument("--rmax", type=_finite_float, default=shooting.DEFAULT_R_MAX, help="integration horizon (default %(default)s)")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("profile", help="field profiles of one trajectory")
-    p.add_argument("--eta0", type=float, required=True, help="starting value eta(0)")
-    p.add_argument("--lambda", dest="lambda_tilde", type=float, default=1.0, help="scaled quartic coupling (default %(default)s)")
-    p.add_argument("--m", type=float, default=0.1, help="mass parameter (default %(default)s)")
+    p.add_argument("--eta0", type=_finite_float, required=True, help="starting value eta(0)")
+    p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
+    p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
     p.add_argument("--grid", type=_parse_grid, default=(1e-3, shooting.DEFAULT_R_MAX, 2000), metavar="A:B:N", help="output radial grid (default 1e-3:80:2000); a negative A needs the --grid=A:B:N form")
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
     p.add_argument("--output", default=None)
@@ -139,9 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_assoc(args) -> int:
-    if args.power < 1:
-        sys.stderr.write("assoc: --power must be >= 1\n")
-        return EXIT_USAGE
     lines = []
     if args.vacuum:
         poly = algebra.vacuum_expectation_corrections(args.power)
@@ -163,32 +177,20 @@ def _run_assoc(args) -> int:
 
 
 def _run_torsion_check(args) -> int:
-    config = {"subcommand": "torsion-check", "seed": args.seed, "trials": args.trials}
     residuals = geometry.random_identity_suite(args.seed, args.trials)
     worst = max(residuals.values())
-    payload = {"config": config, "residuals": residuals, "max_residual": worst}
+    payload = {"config": _config(args), "residuals": residuals, "max_residual": worst}
     _emit(_json_dumps(payload), args.output)
     return EXIT_OK if worst <= 1e-10 else EXIT_NUMERICAL
 
 
 def _run_exact(args) -> int:
-    config = {
-        "subcommand": "exact",
-        "q": args.q,
-        "G": args.G,
-        "c": args.c,
-        "rmin": args.rmin,
-        "grid": list(args.grid),
-        "grid_scale": args.grid_scale,
-        "tol": args.tol,
-        "format": args.format,
-    }
     model = ChargeModel(q=args.q, units=UnitsConfig(G=args.G, c=args.c))
     if args.format == "csv":
         rs = _grid_points(args.grid, args.grid_scale)
         fields = exact_fields(rs, model)
         columns = (fields["r"], fields["phi"], fields["E_r"], fields["rho"])
-        _emit(_csv(config, "r,phi,E_r,rho", columns), args.output)
+        _emit(_csv(_config(args), "r,phi,E_r,rho", columns), args.output)
         return EXIT_OK
     try:
         report = energy_report(model, r_min=args.rmin, tol=args.tol)
@@ -196,7 +198,7 @@ def _run_exact(args) -> int:
         sys.stderr.write(str(exc) + "\n")
         return EXIT_NUMERICAL
     payload = {
-        "config": config,
+        "config": _config(args),
         "field_energy": report.field_energy,
         "self_energy": report.self_energy,
         "closed_form_field_energy": report.closed_form_field_energy,
@@ -207,14 +209,6 @@ def _run_exact(args) -> int:
 
 
 def _run_shoot(args) -> int:
-    config = {
-        "subcommand": "shoot",
-        "lambda_tilde": args.lambda_tilde,
-        "m": args.m,
-        "bracket": list(args.bracket),
-        "tol": args.tol,
-        "rmax": args.rmax,
-    }
     params = shooting.CouplingParams(lambda_tilde=args.lambda_tilde, m=args.m)
     try:
         result = shooting.find_regular_eta0(
@@ -225,7 +219,7 @@ def _run_shoot(args) -> int:
         return EXIT_NUMERICAL
     traj = result.trajectory
     payload = {
-        "config": config,
+        "config": _config(args),
         "eta0_star": result.eta0,
         "eta_vacuum": params.eta_vacuum,
         "termination": traj.reason.value,
@@ -238,17 +232,8 @@ def _run_shoot(args) -> int:
 
 
 def _run_profile(args) -> int:
-    config = {
-        "subcommand": "profile",
-        "eta0": args.eta0,
-        "lambda_tilde": args.lambda_tilde,
-        "m": args.m,
-        "grid": list(args.grid),
-        "grid_scale": args.grid_scale,
-    }
     params = shooting.CouplingParams(lambda_tilde=args.lambda_tilde, m=args.m)
-    a, b, _ = args.grid
-    traj = shooting.integrate_profile(args.eta0, params, r_max=b)
+    traj = shooting.integrate_profile(args.eta0, params, r_max=args.grid[1])
     rs = _grid_points(args.grid, args.grid_scale)
     rs = rs[(rs >= traj.r[0]) & (rs <= traj.r[-1])]
     if rs.size < 5:
@@ -259,13 +244,9 @@ def _run_profile(args) -> int:
         return EXIT_NUMERICAL
     eta = np.interp(rs, traj.r, traj.eta)
     deta = np.interp(rs, traj.r, traj.deta)
-    resampled = shooting.Trajectory(
-        r=rs, eta=eta, deta=deta, reason=traj.reason,
-        eta0=args.eta0, params=params, epsilon=traj.epsilon,
-    )
-    prof = shooting.derive_fields(resampled)
+    prof = shooting.derive_fields(shooting.Trajectory(rs, eta, deta, traj.reason))
     columns = (prof.r, prof.eta, prof.deta, prof.phi_scaled, prof.E_scaled, prof.rho_scaled)
-    _emit(_csv(config, "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns), args.output)
+    _emit(_csv(_config(args), "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns), args.output)
     return EXIT_OK
 
 

@@ -5,6 +5,9 @@ Runge-Kutta integration with the Dormand-Prince 5(4) embedded pair,
 bracketing bisection on a two-way classifier, and second-order finite
 differences on possibly non-uniform sample points.
 
+The integrator's settings are fixed: steps are accepted at
+``rtol = 1e-10`` and ``atol = 1e-12``, and at most 10^6 are attempted.
+
 Everything here is a pure function of its inputs; all arithmetic is
 64-bit IEEE-754.  The integrator works on plain Python floats: the state
 goes to the right-hand side as a tuple, which for the small states of the
@@ -25,7 +28,6 @@ __all__ = [
     "QuadratureBudgetError",
     "quad_adaptive",
     "OdeState",
-    "StepControls",
     "RkSolution",
     "IntegrationBlowUp",
     "rk_integrate",
@@ -121,7 +123,7 @@ def quad_adaptive(
     of variable u = 1/r (requires ``a > 0``); the Kronrod nodes are interior
     so the u = 0 endpoint is never evaluated.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if math.isinf(b):
         if a <= 0:
@@ -173,23 +175,10 @@ class OdeState:
             raise ValueError("radial coordinate must be positive (r = %r)" % (self.r,))
 
 
-@dataclass(frozen=True)
-class StepControls:
-    """Controls of the adaptive Dormand-Prince 5(4) integration.
-
-    A step is accepted when the RMS of its embedded error estimate, scaled
-    by ``atol + rtol * max(|y|, |y_new|)`` per component, is at most 1.
-    ``h_max`` caps the stride; ``max_steps`` caps the attempted steps.
-    """
-
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    h_max: float | None = None
-    max_steps: int = 1_000_000
-
-    def __post_init__(self):
-        if not (self.atol > 0 and self.rtol >= 0):
-            raise ValueError("need atol > 0 and rtol >= 0: the error scale must stay positive")
+# Error scale atol + rtol * |y| of a DP5 step, and the attempted-step budget.
+_RTOL = 1e-10
+_ATOL = 1e-12
+_MAX_STEPS = 1_000_000
 
 
 @dataclass
@@ -211,7 +200,6 @@ def rk_integrate(
     rhs: Callable[[float, tuple], Sequence[float]],
     state0: OdeState,
     r_end: float,
-    controls: StepControls = StepControls(),
     stop_condition: Callable[[float, tuple], bool] | None = None,
 ) -> RkSolution:
     """Integrate y' = rhs(r, y) from ``state0`` to ``r_end`` with adaptive DP5.
@@ -219,10 +207,13 @@ def rk_integrate(
     ``rhs`` receives the state as a tuple of floats and may return any
     sequence of ``len(y)`` floats.  The Dormand-Prince 5(4) pair reuses the
     last stage of an accepted step as the first of the next (FSAL), so an
-    integration costs 1 + 6 x (attempted steps) RHS evaluations.  Samples
-    are retained at every accepted step.  ``stop_condition(r, y)`` is
-    checked after each accepted step and halts the integration early when
-    it returns True (the triggering sample is retained).
+    integration costs 1 + 6 x (attempted steps) RHS evaluations.  A step is
+    accepted when the RMS of its embedded error estimate, scaled by
+    ``1e-12 + 1e-10 * max(|y|, |y_new|)`` per component, is at most 1; the
+    first stride is 1/100 of the span, and at most 10^6 steps are attempted.
+    Samples are retained at every accepted step.  ``stop_condition(r, y)``
+    is checked after each accepted step and halts the integration early
+    when it returns True (the triggering sample is retained).
 
     Raises
     ------
@@ -241,10 +232,8 @@ def rk_integrate(
         sol = RkSolution(np.array(rs), np.array(ys))
         raise IntegrationBlowUp(msg, OdeState(rs[-1], ys[-1]), sol)
 
-    rtol, atol, h_max = controls.rtol, controls.atol, controls.h_max
     dim = len(y)
-    span = r_end - r
-    h = min(span / 100.0, h_max or span)
+    h = (r_end - r) / 100.0
     k1 = rhs(r, y)
     nsteps = 0
     # An ndarray-returning rhs makes the stage values numpy scalars; their
@@ -292,7 +281,7 @@ def rk_integrate(
                 for yj, k1j, k2j, k3j, k4j, k5j, k6j, k7j in ks)
             errsq = 0.0
             for yj, y5j, y4j in zip(y, y5, y4):
-                e = (y5j - y4j) / (atol + rtol * max(abs(yj), abs(y5j)))
+                e = (y5j - y4j) / (_ATOL + _RTOL * max(abs(yj), abs(y5j)))
                 errsq += e * e
             errnorm = math.sqrt(errsq / dim)
             if errnorm != errnorm:
@@ -309,10 +298,8 @@ def rk_integrate(
                     break
             factor = 0.9 * (errnorm ** -0.2) if errnorm > 0 else 5.0
             h *= min(5.0, max(0.2, factor))
-            if h_max is not None:
-                h = min(h, h_max)
             nsteps += 1
-            if nsteps > controls.max_steps:
+            if nsteps > _MAX_STEPS:
                 _blowup("step budget exceeded")
     return RkSolution(np.array(rs), np.array(ys))
 
@@ -340,7 +327,7 @@ def bisect(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must be ordered (lo, hi)")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     p_lo = predicate(lo)
     p_hi = predicate(hi)

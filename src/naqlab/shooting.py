@@ -27,7 +27,6 @@ from .numerics import (
     IntegrationBlowUp,
     InvalidBracketError,
     OdeState,
-    StepControls,
     bisect,
     centered_derivative,
     rk_integrate,
@@ -66,7 +65,7 @@ class CouplingParams:
     m: float
 
     def __post_init__(self):
-        if self.lambda_tilde <= 0 or self.m <= 0:
+        if not (self.lambda_tilde > 0 and self.m > 0):
             raise ValueError("lambda_tilde and m must be strictly positive")
 
     @property
@@ -92,9 +91,6 @@ class Trajectory:
     eta: np.ndarray
     deta: np.ndarray
     reason: TerminationReason
-    eta0: float
-    params: CouplingParams
-    epsilon: float
 
 
 @dataclass
@@ -113,8 +109,6 @@ class Profile:
 class ShootingResult:
     eta0: float
     trajectory: Trajectory
-    bracket: tuple[float, float]
-    tol: float
 
 
 class ClassifierAmbiguityError(RuntimeError):
@@ -153,7 +147,7 @@ def series_start(eta0: float, p: CouplingParams, eps: float = DEFAULT_EPSILON) -
     The coefficient a = -slope(eta0)/6 balances the (2/r) eta' friction
     against the source term, removing the coordinate singularity at r = 0.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     a = -quantum_potential_slope(eta0, p) / 6.0
     return OdeState(r=eps, y=(eta0 + a * eps * eps, 2.0 * a * eps))
@@ -163,7 +157,6 @@ def integrate_profile(
     eta0: float,
     p: CouplingParams,
     r_max: float = DEFAULT_R_MAX,
-    controls: StepControls | None = None,
     eps: float = DEFAULT_EPSILON,
 ) -> Trajectory:
     """Integrate from the series start and classify the outcome.
@@ -173,9 +166,8 @@ def integrate_profile(
     quadratic start cannot masquerade as a turning point).  Blow-up is a
     classification, not a failure.
     """
-    if r_max <= eps:
+    if not r_max > eps:
         raise ValueError("r_max must exceed the start radius")
-    controls = controls or StepControls()
     state0 = series_start(eta0, p, eps)
 
     def rhs(r, y):
@@ -196,25 +188,17 @@ def integrate_profile(
         return False
 
     try:
-        sol = rk_integrate(rhs, state0, r_max, controls, stop_condition=stop)
+        sol = rk_integrate(rhs, state0, r_max, stop_condition=stop)
         rr, yy = sol.r, sol.y
         reason = outcome["reason"]
     except IntegrationBlowUp as exc:
         rr, yy = exc.partial.r, exc.partial.y
         reason = TerminationReason.BLOW_UP
-    return Trajectory(
-        r=rr,
-        eta=yy[:, 0],
-        deta=yy[:, 1],
-        reason=reason,
-        eta0=eta0,
-        params=p,
-        epsilon=eps,
-    )
+    return Trajectory(r=rr, eta=yy[:, 0], deta=yy[:, 1], reason=reason)
 
 
-def _classify(eta0, p, r_max, controls, eps) -> str:
-    traj = integrate_profile(eta0, p, r_max, controls, eps)
+def _classify(eta0, p, r_max, eps) -> str:
+    traj = integrate_profile(eta0, p, r_max, eps)
     if traj.reason == TerminationReason.OVERSHOOT:
         return "high"
     if traj.reason == TerminationReason.UNDERSHOOT:
@@ -247,7 +231,6 @@ def find_regular_eta0(
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     tol: float = 1e-5,
     r_max: float = DEFAULT_R_MAX,
-    controls: StepControls | None = None,
     eps: float = DEFAULT_EPSILON,
 ) -> ShootingResult:
     """Bisect the overshoot/undershoot classifier to the regular eta_0*.
@@ -256,9 +239,8 @@ def find_regular_eta0(
     overshoot).  The returned trajectory is the integration at the
     converged value.
     """
-    eta_star = bisect(lambda eta0: _classify(eta0, p, r_max, controls, eps), bracket, tol)
-    trajectory = integrate_profile(eta_star, p, r_max, controls, eps)
-    return ShootingResult(eta0=eta_star, trajectory=trajectory, bracket=bracket, tol=tol)
+    eta_star = bisect(lambda eta0: _classify(eta0, p, r_max, eps), bracket, tol)
+    return ShootingResult(eta0=eta_star, trajectory=integrate_profile(eta_star, p, r_max, eps))
 
 
 def derive_fields(traj: Trajectory) -> Profile:

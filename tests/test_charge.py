@@ -19,6 +19,30 @@ UNIT_MODEL = ChargeModel(q=1.0)
 EPS = np.finfo(float).eps
 
 
+class TestChargeModel:
+    @pytest.mark.parametrize("G, c", ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)))
+    def test_units_must_be_positive(self, G, c):
+        with pytest.raises(ValueError, match="G and c must be strictly positive"):
+            UnitsConfig(G=G, c=c)
+
+    @pytest.mark.parametrize(
+        "q, G, c",
+        (
+            (1.0, 1.0, 1e200),  # c**2 overflows
+            (0.0, 1.0, 1e200),
+            (1.0, 1.0, 1e-200),  # c**2 is 0
+            (0.0, 1e-320, 1e150),  # c^2/sqrt(G) overflows
+            (1e-300, 1.0, 1e100),  # alpha underflows to 0
+            (1e300, 1.0, 1e-10),  # alpha overflows
+            (math.inf, 1.0, 1.0),
+            (math.nan, 1.0, 1.0),
+        ),
+    )
+    def test_scales_out_of_float64_range_rejected(self, q, G, c):
+        with pytest.raises(ValueError, match="out of float64 range"):
+            ChargeModel(q=q, units=UnitsConfig(G=G, c=c))
+
+
 class TestExactSolution:
     def test_alpha_scale(self):
         model = ChargeModel(q=2.0, units=UnitsConfig(G=4.0, c=2.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from naqlab import shooting
-from naqlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from naqlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -50,8 +50,32 @@ class TestUsageErrors:
         assert err.endswith("naqlab exact: error: argument --grid: expected one argument\n")
 
     def test_assoc_power_zero(self, capsys):
-        code, _, _ = run(capsys, "assoc", "--power", "0")
+        for extra in ((), ("--vacuum",)):
+            code, out, err = run(capsys, "assoc", "--power", "0", *extra)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err == "naqlab: empty product: power must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("shoot", "--tol", "nan"),
+            ("shoot", "--m", "inf"),
+            ("shoot", "--bracket", "0.2:nan"),
+            ("exact", "--tol", "nan"),
+            ("exact", "--c", "inf"),
+            ("exact", "--format", "csv", "--grid", "1:inf:5"),
+            ("profile", "--eta0", "1", "--m", "nan"),
+        ),
+        ids=" ".join,
+    )
+    def test_non_finite_value_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
+        assert out == ""
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("naqlab %s: error: argument %s: not a finite number: " % (argv[0], argv[-2]))
 
 
 class TestAssoc:
@@ -130,7 +154,37 @@ class TestExact:
         code, out, _ = run(capsys, "exact", "--output", str(path))
         assert code == EXIT_OK
         assert out == ""
-        assert json.loads(path.read_text())["closed_form_field_energy"] == 0.5
+        assert path.read_text() == run(capsys, "exact")[1]
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    @pytest.mark.parametrize(
+        "units, reason",
+        (
+            (("--c", "1e200"), "naqlab: G = 1.0, c = 1e+200: c^2 or c^2/sqrt(G) is out of float64 range\n"),
+            (("--c", "1e-200"), "naqlab: G = 1.0, c = 1e-200: c^2 or c^2/sqrt(G) is out of float64 range\n"),
+            (
+                ("--q", "1e-300", "--c", "1e100"),
+                "naqlab: q = 1e-300: alpha = q sqrt(G)/c^2 = 0.0 is out of float64 range\n",
+            ),
+        ),
+        ids=("c-overflow", "c-underflow", "alpha-underflow"),
+    )
+    def test_extreme_units_are_usage_errors(self, capsys, fmt, units, reason):
+        code, out, err = run(capsys, "exact", "--format", fmt, *units)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == reason
+
+    def test_zero_charge_in_extreme_units_gives_zeros(self, capsys):
+        code, out, _ = run(capsys, "exact", "--q", "0", "--c", "1e100")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert [payload[k] for k in ("field_energy", "self_energy")] == [0.0, 0.0]
+        code, out, _ = run(capsys, "exact", "--q", "0", "--c", "1e100", "--format", "csv")
+        assert code == EXIT_OK
+        rows = [line.split(",")[1:] for line in out.splitlines()[2:]]
+        assert len(rows) == 200
+        assert all(row == ["0.0", "0.0", "0.0"] for row in rows)
 
 
 class TestShoot:
@@ -167,7 +221,6 @@ class TestProfile:
             shooting.Trajectory(
                 r=rs, eta=np.interp(rs, traj.r, traj.eta),
                 deta=np.interp(rs, traj.r, traj.deta), reason=traj.reason,
-                eta0=0.9083, params=params, epsilon=traj.epsilon,
             )
         )
         config = {
@@ -192,6 +245,53 @@ class TestProfile:
         )
         assert code == EXIT_NUMERICAL
         assert "grid too short" in err
+
+
+class TestConfigBlock:
+    # every option of each subcommand set away from its default
+    CASES = (
+        (
+            ("shoot", "--lambda", "2.5", "--m", "0.12", "--bracket", "0.5:2.5",
+             "--tol", "1e-4", "--rmax", "60"),
+            {"lambda_tilde": 2.5, "m": 0.12, "bracket": [0.5, 2.5], "tol": 1e-4, "rmax": 60.0},
+        ),
+        (
+            ("profile", "--eta0", "0.95", "--lambda", "2", "--m", "0.12",
+             "--grid", "0.01:30:40", "--grid-scale", "linear"),
+            {"eta0": 0.95, "lambda_tilde": 2.0, "m": 0.12, "grid": [0.01, 30.0, 40],
+             "grid_scale": "linear"},
+        ),
+        (
+            ("exact", "--q", "2", "--G", "0.5", "--c", "1.5", "--rmin", "0.01",
+             "--grid", "0.1:10:7", "--grid-scale", "linear", "--tol", "1e-9",
+             "--format", "csv"),
+            {"q": 2.0, "G": 0.5, "c": 1.5, "rmin": 0.01, "grid": [0.1, 10.0, 7],
+             "grid_scale": "linear", "tol": 1e-9, "format": "csv"},
+        ),
+        (
+            ("torsion-check", "--seed", "7", "--trials", "20"),
+            {"seed": 7, "trials": 20},
+        ),
+    )
+    REQUIRED = {"profile": ("--eta0", "0")}
+
+    @pytest.mark.parametrize("argv, expected", CASES, ids=[argv[0] for argv, _ in CASES])
+    def test_config_holds_exactly_the_options(self, capsys, tmp_path, argv, expected):
+        parser = build_parser()
+        defaults = vars(parser.parse_args(argv[:1] + self.REQUIRED.get(argv[0], ())))
+        assert set(defaults) == set(expected) | {"subcommand", "output"}
+        assert all(json.dumps(defaults[k]) != json.dumps(expected[k]) for k in expected)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        if out.startswith("# config: "):
+            config = json.loads(out.split("\n")[0][len("# config: "):])
+        else:
+            config = json.loads(out)["config"]
+        assert config == dict(expected, subcommand=argv[0])
+        path = tmp_path / "out"
+        code, written, _ = run(capsys, *argv, "--output", str(path))
+        assert (code, written) == (EXIT_OK, "")
+        assert path.read_text() == out
 
 
 class TestDeterminism:

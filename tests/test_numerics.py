@@ -8,7 +8,6 @@ from naqlab.numerics import (
     InvalidBracketError,
     OdeState,
     QuadratureBudgetError,
-    StepControls,
     bisect,
     centered_derivative,
     quad_adaptive,
@@ -83,13 +82,6 @@ class TestRkIntegrate:
         assert last.r < 2.0001
         assert all(math.isfinite(v) for v in last.y)
 
-    def test_error_scale_must_stay_positive(self):
-        # a zero scale would divide the error of a zero component by zero
-        with pytest.raises(ValueError):
-            StepControls(atol=0.0)
-        with pytest.raises(ValueError):
-            StepControls(rtol=-1e-10)
-
     def test_positive_radius_enforced(self):
         with pytest.raises(ValueError):
             OdeState(0.0, (1.0,))
@@ -108,6 +100,14 @@ class TestBisect:
     def test_invalid_bracket(self):
         with pytest.raises(InvalidBracketError):
             bisect(lambda x: True, (0.0, 1.0), 1e-6)
+
+    @pytest.mark.parametrize("tol", (0.0, -1e-6, math.nan))
+    def test_tolerance_must_be_positive(self, tol):
+        # a nan tolerance would end the loop at once and return the midpoint
+        with pytest.raises(ValueError, match="tol must be positive"):
+            bisect(lambda x: x < 1.0, (0.0, 2.0), tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            quad_adaptive(lambda x: x, 0.0, 1.0, tol)
 
     def test_iteration_count_is_logarithmic(self):
         calls = {"n": 0}

@@ -54,6 +54,10 @@ class TestPotentialSlope:
             CouplingParams(lambda_tilde=0.0, m=0.1)
         with pytest.raises(ValueError):
             CouplingParams(lambda_tilde=1.0, m=-0.1)
+        with pytest.raises(ValueError):
+            CouplingParams(lambda_tilde=math.nan, m=0.1)
+        with pytest.raises(ValueError):
+            CouplingParams(lambda_tilde=1.0, m=math.nan)
 
     def test_radius_must_be_positive(self, params_m01):
         with pytest.raises(ValueError):
@@ -167,8 +171,8 @@ class TestFindRegularEta0:
     def test_refines_with_tolerance(self, shot_m01_default, shot_m01_tight):
         assert abs(shot_m01_default.eta0 - shot_m01_tight.eta0) < 2e-5
 
-    def test_bracket_labels_disagree(self, params_m01, shot_m01_default):
-        lo, hi = shot_m01_default.bracket
+    def test_bracket_labels_disagree(self, params_m01):
+        lo, hi = shooting.DEFAULT_BRACKET
         assert integrate_profile(lo, params_m01).reason == TerminationReason.UNDERSHOOT
         assert integrate_profile(hi, params_m01).reason == TerminationReason.OVERSHOOT
 
@@ -207,13 +211,12 @@ class TestFindRegularEta0:
 
 
 class TestDecayRate:
-    def test_synthetic_yukawa_tail(self, params_m01):
+    def test_synthetic_yukawa_tail(self):
         r = np.linspace(20.0, 60.0, 400)
         eta = 3.0 * np.exp(-0.1 * r) / r
         traj = Trajectory(
             r=r, eta=eta, deta=np.gradient(eta, r),
             reason=TerminationReason.REACHED_RMAX,
-            eta0=1.0, params=params_m01, epsilon=1e-6,
         )
         assert decay_rate(traj, (25.0, 55.0)) == pytest.approx(0.1, abs=1e-6)
 
@@ -223,35 +226,32 @@ class TestDecayRate:
         assert mu == pytest.approx(expected, abs=5e-3)
         assert 0.095 <= mu <= 0.105
 
-    def test_rejects_non_exponential_window(self, params_m01):
+    def test_rejects_non_exponential_window(self):
         r = np.linspace(1.0, 10.0, 100)
         eta = np.full_like(r, 0.5)  # constant field: ln(r eta) is not linear
         traj = Trajectory(
             r=r, eta=eta, deta=np.zeros_like(r),
             reason=TerminationReason.REACHED_RMAX,
-            eta0=0.5, params=params_m01, epsilon=1e-6,
         )
         with pytest.raises(DecayFitError):
             decay_rate(traj, (2.0, 9.0))
 
-    def test_rejects_window_beyond_trajectory(self, params_m01):
+    def test_rejects_window_beyond_trajectory(self):
         r = np.linspace(1.0, 5.0, 50)
         traj = Trajectory(
             r=r, eta=np.exp(-r) / r, deta=np.zeros_like(r),
             reason=TerminationReason.REACHED_RMAX,
-            eta0=1.0, params=params_m01, epsilon=1e-6,
         )
         with pytest.raises(ValueError):
             decay_rate(traj, (2.0, 50.0))
 
 
 class TestDeriveFields:
-    def test_zero_trajectory_gives_zero_fields(self, params_m01):
+    def test_zero_trajectory_gives_zero_fields(self):
         r = np.linspace(1.0, 2.0, 11)
         traj = Trajectory(
             r=r, eta=np.zeros_like(r), deta=np.zeros_like(r),
             reason=TerminationReason.REACHED_RMAX,
-            eta0=0.0, params=params_m01, epsilon=1e-6,
         )
         prof = derive_fields(traj)
         assert np.abs(prof.phi_scaled).max() == 0.0
@@ -279,12 +279,11 @@ class TestDeriveFields:
         prof = derive_fields(shot_m01_tight.trajectory)
         assert np.allclose(prof.phi_scaled, np.sinh(prof.eta / 2.0), atol=1e-15)
 
-    def test_too_few_samples_rejected(self, params_m01):
+    def test_too_few_samples_rejected(self):
         r = np.linspace(1.0, 2.0, 4)
         traj = Trajectory(
             r=r, eta=np.zeros_like(r), deta=np.zeros_like(r),
             reason=TerminationReason.REACHED_RMAX,
-            eta0=0.0, params=params_m01, epsilon=1e-6,
         )
         with pytest.raises(ValueError):
             derive_fields(traj)
