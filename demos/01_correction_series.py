@@ -15,7 +15,7 @@ for n in (2, 3, 4, 6):
     print("  input :", algebra.render(expr))
     print("  core  :", algebra.render(core))
     for term in series.terms:
-        print(f"  term  : m^{2 * term.m2_exponent} x residual power {term.residual_power}")
+        print("  term  :", term.render())
     print("  vacuum:", algebra.vacuum_expectation_corrections(n).render())
     print()
 

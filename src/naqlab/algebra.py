@@ -11,13 +11,15 @@ a constant, m^2, which turns the n-th power into a fully right-nested
 
 with the expansion stopping once the residual power drops below 2.  Every
 term satisfies the length balance k + 2j = n, where k is the residual
-power and m^{2j} the accumulated coefficient.
+power and m^{2j} the accumulated coefficient.  The vacuum expectation of
+the power is the same kind of series: the j = 0 core term and the
+corrections, without the residual power-1 terms (<phi> = 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import ClassVar, Iterator, NamedTuple, Union
 
 __all__ = [
     "Constituent",
@@ -26,7 +28,6 @@ __all__ = [
     "Expression",
     "SeriesTerm",
     "CorrectionSeries",
-    "VacuumPolynomial",
     "GaugeMassTerm",
     "ExpressionError",
     "build_power_expression",
@@ -35,6 +36,7 @@ __all__ = [
     "vacuum_expectation_corrections",
     "gauge_quartic_correction",
     "render",
+    "render_power",
 ]
 
 
@@ -48,7 +50,6 @@ class Constituent:
 
     kind: str
     constituent_index: str = "i"
-    outer_index: str = ""
 
     def __post_init__(self):
         if self.kind not in ("F", "B"):
@@ -69,24 +70,36 @@ class Product:
 Expression = Union[Constituent, State, Product]
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
-    """One correction term m^{2j} * (residual power k), with k + 2j = n."""
+class SeriesTerm(NamedTuple):
+    """One term m^{2j} core_k of an n-th power, with k + 2j = n.
+
+    k = 1 is the bare field phi and k = 0 a pure number m^{2j}.
+    """
 
     residual_power: int
     m2_exponent: int
 
-    def __post_init__(self):
-        if self.residual_power < 0 or self.m2_exponent < 1:
-            raise ExpressionError("correction terms need k >= 0 and j >= 1")
+    def render(self, expectation: bool = False) -> str:
+        """``m^2 core_2``, ``m^4``, ``m^2 phi``; as an expectation the field
+        factor is ``<core_k>`` and the j = 0 core term ``<core_n>``."""
+        k, j = self
+        factors = [] if j == 0 else ["m^2" if j == 1 else f"m^{2 * j}"]
+        if k >= 1:
+            field = "phi" if k == 1 else f"core_{k}"
+            factors.append(f"<{field}>" if expectation else field)
+        return " ".join(factors)
 
 
 @dataclass(frozen=True)
 class CorrectionSeries:
-    """Correction terms produced by normalizing an n-th power expression."""
+    """Terms of an n-th power: its corrections, or its vacuum expectation."""
 
-    power: int
     terms: tuple[SeriesTerm, ...]
+
+    def render(self) -> str:
+        """The terms as a sum of vacuum expectations, e.g.
+        ``<core_4> + m^2 <core_2> + m^4``; ``0`` when there are none."""
+        return " + ".join(t.render(expectation=True) for t in self.terms) or "0"
 
     def evaluate_coefficients(self, m_squared: float) -> list[tuple[int, float]]:
         """Numeric (residual_power, coefficient) pairs; zero terms dropped.
@@ -106,20 +119,22 @@ class CorrectionSeries:
 # ---------------------------------------------------------------------------
 
 
+def _constituents(n: int) -> list[Constituent]:
+    """f^{i1}, b_{i1}, ..., f^{in}, b_{in}: the leaves of an n-th power."""
+    if n < 1:
+        raise ExpressionError("empty product: power must be >= 1")
+    return [Constituent(kind, f"i{k}") for k in range(1, n + 1) for kind in "FB"]
+
+
 def build_power_expression(n: int) -> Expression:
     """Left-to-right product of n internally bracketed factors on a state.
 
     n = 2 gives ((f.b).(f.b)) |psi>; factor k carries summation index i_k.
     """
-    if n < 1:
-        raise ExpressionError("empty product: power must be >= 1")
-    factors = [
-        Product(Constituent("F", f"i{k}", "alpha"), Constituent("B", f"i{k}", "beta"))
-        for k in range(1, n + 1)
-    ]
-    chain = factors[0]
-    for f in factors[1:]:
-        chain = Product(chain, f)
+    ops = _constituents(n)
+    chain = Product(ops[0], ops[1])
+    for k in range(2, len(ops), 2):
+        chain = Product(chain, Product(ops[k], ops[k + 1]))
     return Product(chain, State())
 
 
@@ -157,28 +172,27 @@ def _paired_constituents(ops: list[Constituent]) -> int:
     return len(ops) // 2
 
 
+def _core_from_leaves(ops: list[Constituent]) -> Expression:
+    """The fully right-nested product of ``ops`` on the state."""
+    expr: Expression = State()
+    for op in reversed(ops):
+        expr = Product(op, expr)
+    return expr
+
+
 def core_expression(n: int) -> Expression:
     """The fully right-nested alternating product f(b(f(b(...|psi>))))."""
-    if n < 1:
-        raise ExpressionError("empty product: power must be >= 1")
-    expr: Expression = State()
-    for k in range(n, 0, -1):
-        expr = Product(Constituent("B", f"i{k}", "beta"), expr)
-        expr = Product(Constituent("F", f"i{k}", "alpha"), expr)
-    return expr
-
-
-def _core_from_leaves(ops: list[Constituent]) -> Expression:
-    expr: Expression = State()
-    for k in range(len(ops) - 1, -1, -2):
-        expr = Product(ops[k], expr)
-        expr = Product(ops[k - 1], expr)
-    return expr
+    return _core_from_leaves(_constituents(n))
 
 
 # ---------------------------------------------------------------------------
-# Normalization
+# Correction series and vacuum expectation values
 # ---------------------------------------------------------------------------
+
+
+def _correction_terms(n: int) -> tuple[SeriesTerm, ...]:
+    """m^{2j} core_{n-2j} for j = 1 .. n/2."""
+    return tuple(SeriesTerm(n - 2 * j, j) for j in range(1, n // 2 + 1))
 
 
 def normalize(expr: Expression) -> tuple[Expression, CorrectionSeries]:
@@ -191,60 +205,20 @@ def normalize(expr: Expression) -> tuple[Expression, CorrectionSeries]:
     ops = _operator_leaves(expr)
     n = _paired_constituents(ops)
     core = _core_from_leaves(ops)
-    if expr == core:
-        return core, CorrectionSeries(power=n, terms=())
-    terms = tuple(
-        SeriesTerm(residual_power=n - 2 * j, m2_exponent=j) for j in range(1, n // 2 + 1)
-    )
-    return core, CorrectionSeries(power=n, terms=terms)
+    return core, CorrectionSeries(() if expr == core else _correction_terms(n))
 
 
-# ---------------------------------------------------------------------------
-# Vacuum expectation values
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VacuumPolynomial:
-    """Correction polynomial with core expectations left opaque.
-
-    Terms are (residual core length k, m^2 exponent j); k = 0 terms are pure
-    numbers m^{2j}, and k = 1 terms have been dropped (a vacuum one-point
-    expectation vanishes).
-    """
-
-    power: int
-    terms: tuple[tuple[int, int], ...]
-
-    def render(self) -> str:
-        parts = []
-        for k, j in self.terms:
-            factors = []
-            if j == 1:
-                factors.append("m^2")
-            elif j > 1:
-                factors.append(f"m^{2 * j}")
-            if k >= 2:
-                factors.append(f"<core_{k}>")
-            parts.append(" ".join(factors))
-        return " + ".join(parts) if parts else "0"
-
-
-def vacuum_expectation_corrections(n: int) -> VacuumPolynomial:
+def vacuum_expectation_corrections(n: int) -> CorrectionSeries:
     """Expectation of the n-th power in the vacuum.
 
-    Residual power-1 terms vanish; the pure-number term m^n survives only
-    for even n.
+    The j = 0 core term followed by the correction terms; residual power-1
+    terms vanish (<phi> = 0), so the pure-number term m^n survives only for
+    even n.
     """
     if n < 1:
         raise ExpressionError("empty product: power must be >= 1")
-    terms = []
-    for j in range(0, n // 2 + 1):
-        k = n - 2 * j
-        if k == 1:
-            continue  # <phi> = 0 in the vacuum
-        terms.append((k, j))
-    return VacuumPolynomial(power=n, terms=tuple(terms))
+    terms = (SeriesTerm(n, 0),) + _correction_terms(n)
+    return CorrectionSeries(tuple(t for t in terms if t.residual_power != 1))
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +236,10 @@ class GaugeMassTerm:
     """
 
     group_rank: int
-    m2_exponent: int = 1
+    m2_exponent: ClassVar[int] = 1
 
     def render(self) -> str:
-        return "m^2 A^a_mu A^a_mu"
+        return SeriesTerm(0, self.m2_exponent).render() + " A^a_mu A^a_mu"
 
     def interaction_radius(self, m: float) -> float:
         if m <= 0:
@@ -301,3 +275,13 @@ def render(expr: Expression) -> str:
     left = render(expr.left)
     right = render(expr.right)
     return f"({left}.{right})"
+
+
+def render_power(n: int, vacuum: bool) -> str:
+    """Text of the n-th power: ``core: ...`` and one line per correction term,
+    or with ``vacuum`` its expectation polynomial on one line."""
+    if vacuum:
+        return vacuum_expectation_corrections(n).render() + "\n"
+    core, series = normalize(build_power_expression(n))
+    lines = ["core: " + render(core)] + [t.render() for t in series.terms]
+    return "\n".join(lines) + "\n"

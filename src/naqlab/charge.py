@@ -100,28 +100,32 @@ def exact_fields(r: np.ndarray, model: ChargeModel) -> dict[str, np.ndarray]:
 
     With x = alpha/r: float64 cosh overflows past |x| ~ 710.47, and there
     phi = +/-inf and E_r = rho = 0, down to the smallest subnormal radius;
-    q = 0 gives exact zeros.
+    q = 0 gives exact zeros.  Huge or tiny |q| and r give no nan.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("radius must be positive")
     u = model.units
     q = model.q
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = model.alpha / r
-        cosh = np.cosh(x)
-        rho = math.sqrt(u.G) / (4.0 * math.pi * u.c**2) * np.tanh(x) / cosh * q * q
-        # E_r is a zero with the sign of q where cosh overflows or q = 0, and
-        # so is rho where its numerator is zero; there r**2 or r**4 may
-        # underflow to 0 (0 * inf or 0 / 0), so the radius is taken as 1.
-        rho /= np.where(rho == 0.0, 1.0, r) ** 4
+        cosh, tanh = np.cosh(x), np.tanh(x)
+        # E_r and rho are zeros with the sign of q where cosh overflows or
+        # q = 0; there r**2 or r**4 may underflow to 0 (0 * inf or 0 / 0), so
+        # the radius is taken as 1.
         r_e = np.where((cosh == np.inf) | (q == 0.0), 1.0, r)
-        return {
-            "r": r,
-            "phi": u.c**2 / math.sqrt(u.G) * np.sinh(x),
-            "E_r": q / (r_e * r_e * cosh),
-            "rho": rho,
-        }
+        k = math.sqrt(u.G) / (4.0 * math.pi * u.c**2)
+        e_r = q / (r_e * r_e * cosh)
+        rho = k * tanh / cosh * q * q / r_e**4
+        # Where r*r, r**4 or q*q leave the float64 range, E_r is 0 or inf and
+        # rho 0 or nan; only there (every other value keeps the bits of the
+        # order above) are both taken through q/r instead.
+        fine_e, fine_rho = np.isfinite(e_r) & (e_r != 0.0), np.isfinite(rho) & (rho != 0.0)
+        if not (fine_e.all() and fine_rho.all()):
+            e_alt = q / r_e / (r_e * cosh)
+            e_r = np.where(fine_e, e_r, e_alt)
+            rho = np.where(fine_rho, rho, k * tanh * e_alt * (q / r_e / r_e))
+        return {"r": r, "phi": u.c**2 / math.sqrt(u.G) * np.sinh(x), "E_r": e_r, "rho": rho}
 
 
 def gauss_residual(model: ChargeModel, grid) -> float:

@@ -52,24 +52,29 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be a:b:n")
-    a, b, n = _finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])
-    if not (a < b and n >= 2):
-        raise argparse.ArgumentTypeError("grid needs a < b and n >= 2")
-    return a, b, n
+def _colon_list(form: str):
+    """argparse type for ``LO:HI`` or ``A:B:N``: two finite floats in
+    increasing order, then, in a three-field form, an integer count >= 2."""
+    fields = form.split(":")
 
+    def parse(text: str) -> tuple:
+        parts = text.split(":")
+        if len(parts) != len(fields):
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (form, text))
+        lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
+        if not lo < hi:
+            raise argparse.ArgumentTypeError("needs %s < %s" % tuple(fields[:2]))
+        if len(parts) == 2:
+            return lo, hi
+        try:
+            n = int(parts[2])
+        except ValueError:
+            raise argparse.ArgumentTypeError("%s is not an integer: %r" % (fields[2], parts[2])) from None
+        if n < 2:
+            raise argparse.ArgumentTypeError("needs %s >= 2" % fields[2])
+        return lo, hi, n
 
-def _parse_bracket(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("bracket must be lo:hi")
-    lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
-    if not lo < hi:
-        raise argparse.ArgumentTypeError("bracket needs lo < hi")
-    return lo, hi
+    return parse
 
 
 def _grid_points(bounds: tuple[float, float, int], scale: str) -> np.ndarray:
@@ -125,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--G", type=_finite_float, default=1.0, help="Newton constant (default %(default)s)")
     p.add_argument("--c", type=_finite_float, default=1.0, help="speed of light (default %(default)s)")
     p.add_argument("--rmin", type=_finite_float, default=1e-3, help="self-energy lower cutoff in length units (default %(default)s)")
-    p.add_argument("--grid", type=_parse_grid, default=(1e-2, 1e2, 200), metavar="A:B:N", help="radial grid for csv output (default 1e-2:1e2:200); a negative A needs the --grid=A:B:N form")
+    p.add_argument("--grid", type=_colon_list("A:B:N"), default=(1e-2, 1e2, 200), metavar="A:B:N", help="radial grid for csv output (default 1e-2:1e2:200); a negative A needs the --grid=A:B:N form")
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
     p.add_argument("--tol", type=_finite_float, default=1e-10, help="quadrature tolerance (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="json", help="csv: field samples; json: energy report (default %(default)s)")
@@ -134,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shoot", help="find the regular starting value")
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
     p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
-    p.add_argument("--bracket", type=_parse_bracket, default=shooting.DEFAULT_BRACKET, metavar="LO:HI", help="starting-value bracket (default 0.2:2.0)")
+    p.add_argument("--bracket", type=_colon_list("LO:HI"), default=shooting.DEFAULT_BRACKET, metavar="LO:HI", help="starting-value bracket (default 0.2:2.0)")
     p.add_argument("--tol", type=_finite_float, default=1e-5, help="bisection tolerance (default %(default)s)")
     p.add_argument("--rmax", type=_finite_float, default=shooting.DEFAULT_R_MAX, help="integration horizon (default %(default)s)")
     p.add_argument("--output", default=None)
@@ -143,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta0", type=_finite_float, required=True, help="starting value eta(0)")
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
     p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
-    p.add_argument("--grid", type=_parse_grid, default=(1e-3, shooting.DEFAULT_R_MAX, 2000), metavar="A:B:N", help="output radial grid (default 1e-3:80:2000); a negative A needs the --grid=A:B:N form")
+    p.add_argument("--grid", type=_colon_list("A:B:N"), default=(1e-3, shooting.DEFAULT_R_MAX, 2000), metavar="A:B:N", help="output radial grid (default 1e-3:80:2000); a negative A needs the --grid=A:B:N form")
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
     p.add_argument("--output", default=None)
 
@@ -156,23 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_assoc(args) -> int:
-    lines = []
-    if args.vacuum:
-        poly = algebra.vacuum_expectation_corrections(args.power)
-        lines.append(poly.render())
-    else:
-        expr = algebra.build_power_expression(args.power)
-        core, series = algebra.normalize(expr)
-        lines.append("core: " + algebra.render(core))
-        for term in series.terms:
-            coeff = "m^2" if term.m2_exponent == 1 else f"m^{2 * term.m2_exponent}"
-            if term.residual_power == 0:
-                lines.append(coeff)
-            elif term.residual_power == 1:
-                lines.append(f"{coeff} phi")
-            else:
-                lines.append(f"{coeff} core_{term.residual_power}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(algebra.render_power(args.power, args.vacuum), args.output)
     return EXIT_OK
 
 

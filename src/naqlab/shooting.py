@@ -198,13 +198,12 @@ def integrate_profile(
 
 
 def _classify(eta0, p, r_max, eps) -> str:
+    """The fate of the trajectory from eta0: "overshoot" or "undershoot"."""
     traj = integrate_profile(eta0, p, r_max, eps)
-    if traj.reason == TerminationReason.OVERSHOOT:
-        return "high"
-    if traj.reason == TerminationReason.UNDERSHOOT:
-        return "low"
+    if traj.reason in (TerminationReason.OVERSHOOT, TerminationReason.UNDERSHOOT):
+        return traj.reason.value
     if traj.reason == TerminationReason.BLOW_UP and traj.eta[-1] < 0:
-        return "high"
+        return TerminationReason.OVERSHOOT.value
     if traj.reason == TerminationReason.REACHED_RMAX:
         # Near-critical trajectories can still be hugging the false vacuum
         # at r_max.  There the linearization eta'' + (2/r) eta' = mu^2 eta
@@ -217,9 +216,9 @@ def _classify(eta0, p, r_max, eps) -> str:
         if abs(eta_f) < 0.5 * p.eta_vacuum:
             growing = r_f * deta_f + eta_f + mu * r_f * eta_f
             if growing > 0:
-                return "low"
+                return TerminationReason.UNDERSHOOT.value
             if growing < 0:
-                return "high"
+                return TerminationReason.OVERSHOOT.value
     raise ClassifierAmbiguityError(
         "eta0 = %g reached r_max = %g unclassified; enlarge r_max so the "
         "overshoot/undershoot separation can develop" % (eta0, r_max)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +110,35 @@ class TestExactSolution:
             assert value == 0.0
             assert math.copysign(1.0, value) == math.copysign(1.0, q)
         assert fields["E_r"][1] == exact_solution(1.0, ChargeModel(q=q)).E_r
+
+    @pytest.mark.parametrize(
+        "q, rs",
+        (
+            (1e200, (1e250, 1e275, 1e300)),  # r*r, r**4 and q*q overflow
+            (-1e200, (1e199, 1e200, 1e201)),
+            (1e160, (1e159, 1e160, 1e161)),  # rho is subnormal
+            (1e-170, (1e-171, 1e-170, 1e-169)),  # r*r underflows; rho overflows
+        ),
+    )
+    def test_extreme_charge_and_radius(self, q, rs):
+        # reference: the closed forms in exact rational arithmetic around
+        # libm's cosh and tanh, rounded once; no value is nan and nothing warns
+        def rounded(value):
+            try:
+                return float(value)
+            except OverflowError:
+                return math.inf if value > 0 else -math.inf
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fields = exact_fields(np.array(rs), ChargeModel(q=q))
+        for i, r in enumerate(rs):
+            x = q / r
+            cosh, tanh = Fraction(math.cosh(x)), Fraction(math.tanh(x))
+            e_ref = rounded(Fraction(q) / (Fraction(r) ** 2 * cosh))
+            rho_ref = rounded(tanh / cosh * Fraction(q) ** 2 / Fraction(r) ** 4 / Fraction(4 * math.pi))
+            assert fields["E_r"][i] == pytest.approx(e_ref, rel=4 * EPS, abs=0.0)
+            assert fields["rho"][i] == pytest.approx(rho_ref, rel=8 * EPS, abs=4e-323)
 
     def test_negative_charge_parity(self):
         plus = exact_solution(0.7, ChargeModel(q=1.0))

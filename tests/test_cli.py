@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from naqlab import shooting
+from naqlab import algebra, shooting
 from naqlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
@@ -29,6 +29,12 @@ class TestUsageErrors:
     def test_malformed_grid(self, capsys):
         code, _, _ = run(capsys, "exact", "--format", "csv", "--grid", "1:2")
         assert code == EXIT_USAGE
+
+    def test_non_integer_point_count_names_its_reason(self, capsys):
+        code, out, err = run(capsys, "exact", "--format", "csv", "--grid", "1:2:x")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.endswith("naqlab exact: error: argument --grid: N is not an integer: 'x'\n")
 
     def test_malformed_bracket(self, capsys):
         code, _, _ = run(capsys, "shoot", "--bracket", "2.0:0.2")
@@ -100,6 +106,45 @@ class TestAssoc:
         code, out, _ = run(capsys, "assoc", "--power", "3")
         assert code == EXIT_OK
         assert out.strip().split("\n")[1:] == ["m^2 phi"]
+
+
+    @pytest.mark.parametrize("vacuum", (False, True), ids=("series", "vacuum"))
+    def test_bytes_match_former_renderer(self, capsys, vacuum):
+        for n in range(1, 41):
+            code, out, _ = run(capsys, "assoc", "--power", str(n), *(("--vacuum",) if vacuum else ()))
+            assert code == EXIT_OK
+            assert out == former_assoc_text(n, vacuum)
+
+
+def former_assoc_text(n, vacuum):
+    """The assoc output as the CLI's own per-term branches and the former
+    VacuumPolynomial.render wrote it; the reference for algebra.render_power."""
+    if not vacuum:
+        core, series = algebra.normalize(algebra.build_power_expression(n))
+        lines = ["core: " + algebra.render(core)]
+        for term in series.terms:
+            coeff = "m^2" if term.m2_exponent == 1 else f"m^{2 * term.m2_exponent}"
+            if term.residual_power == 0:
+                lines.append(coeff)
+            elif term.residual_power == 1:
+                lines.append(f"{coeff} phi")
+            else:
+                lines.append(f"{coeff} core_{term.residual_power}")
+        return "\n".join(lines) + "\n"
+    parts = []
+    for j in range(0, n // 2 + 1):
+        k = n - 2 * j
+        if k == 1:
+            continue
+        factors = []
+        if j == 1:
+            factors.append("m^2")
+        elif j > 1:
+            factors.append(f"m^{2 * j}")
+        if k >= 2:
+            factors.append(f"<core_{k}>")
+        parts.append(" ".join(factors))
+    return (" + ".join(parts) if parts else "0") + "\n"
 
 
 class TestTorsionCheck:
@@ -196,9 +241,10 @@ class TestShoot:
         assert payload["config"]["m"] == 0.1
 
     def test_bad_bracket_is_numerical_error(self, capsys):
-        code, _, err = run(capsys, "shoot", "--bracket", "0.2:0.3")
+        code, out, err = run(capsys, "shoot", "--bracket", "0.2:0.3")
         assert code == EXIT_NUMERICAL
-        assert err != ""
+        assert out == ""
+        assert err == "invalid bracket: both ends classify as 'undershoot'\n"
 
 
 class TestProfile:
