@@ -1,8 +1,10 @@
 """Shooting-method solution of the nonlinear radial profile equation.
 
-Starts from rest at eta(0) = eta_0 and bisects on the overshoot /
-undershoot classifier until the single regular starting value is pinned
-down; then inspects the Yukawa tail and the derived field profiles.
+Starts from rest at eta(0) = eta_0, classifies each trajectory as an
+overshoot or an undershoot and reads the amplitude of its growing mode, and
+runs Brent's method on that signed residual until the single regular
+starting value is pinned down; then inspects the Yukawa tail and the
+derived field profiles.
 """
 
 import math

@@ -12,14 +12,16 @@ closed form q c^2 / (2 sqrt(G)), and the self-interaction integral of
 rho*phi/2 diverges as the lower cutoff r_min -> 0 like
 (q^2 / 2 alpha)(U - tanh U) with U = alpha/r_min.
 
-The closed forms are evaluated as written, with no asymptotic branch: all
-three are finite for |alpha/r| up to about 710.47, where cosh overflows;
-beyond it phi is +/-inf and E_r, rho are exactly 0.
+The closed forms are evaluated as written, with no asymptotic branch, for
+|alpha/r| up to about 710.47, where cosh overflows.  Beyond it phi is
++/-inf, and E_r and rho are taken through exp(-|alpha/r|) in log space, so
+they are 0 only where their values underflow.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +73,13 @@ class ChargeModel:
     @property
     def alpha(self) -> float:
         """Length scale q sqrt(G)/c^2; zero iff the charge vanishes."""
-        return self.q * math.sqrt(self.units.G) / self.units.c**2
+        root_g, c2 = math.sqrt(self.units.G), self.units.c**2
+        q_root_g = self.q * root_g
+        if 0.0 < abs(q_root_g) < sys.float_info.min:
+            # A subnormal q sqrt(G) has lost bits; then c^2 < 1 for a normal
+            # alpha, so sqrt(G)/c^2 is normal and the product rounds once more.
+            return self.q * (root_g / c2)
+        return q_root_g / c2
 
 
 @dataclass(frozen=True)
@@ -99,8 +107,9 @@ def exact_fields(r: np.ndarray, model: ChargeModel) -> dict[str, np.ndarray]:
     """Vectorized closed forms on an array of radii, all of them > 0.
 
     With x = alpha/r: float64 cosh overflows past |x| ~ 710.47, and there
-    phi = +/-inf and E_r = rho = 0, down to the smallest subnormal radius;
-    q = 0 gives exact zeros.  Huge or tiny |q| and r give no nan.
+    phi = +/-inf while E_r and rho go through exp(-|x|) in log space, down to
+    the smallest subnormal radius; q = 0 gives exact zeros.  Huge or tiny |q|
+    and r give no nan.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
@@ -125,6 +134,16 @@ def exact_fields(r: np.ndarray, model: ChargeModel) -> dict[str, np.ndarray]:
             e_alt = q / r_e / (r_e * cosh)
             e_r = np.where(fine_e, e_r, e_alt)
             rho = np.where(fine_rho, rho, k * tanh * e_alt * (q / r_e / r_e))
+            # Past the cosh overflow 1/cosh(x) = 2 exp(-|x|) to float64
+            # precision; in log space E_r and rho underflow to zeros with
+            # the sign of q only where their values do.
+            tail = (cosh == np.inf) & (q != 0.0)
+            if tail.any():
+                log_qr2 = np.log(abs(q)) - 2.0 * np.log(r)
+                log_e = np.log(2.0) + log_qr2 - np.abs(x)
+                sign = math.copysign(1.0, q)
+                e_r = np.where(tail, sign * np.exp(log_e), e_r)
+                rho = np.where(tail, sign * np.exp(np.log(k) + log_qr2 + log_e), rho)
         return {"r": r, "phi": u.c**2 / math.sqrt(u.G) * np.sinh(x), "E_r": e_r, "rho": rho}
 
 

@@ -5,7 +5,7 @@ Subcommands
 assoc         print the right-nested core and correction polynomial of a power
 torsion-check run the randomized torsion/contorsion identity suite
 exact         closed-form point-charge fields (csv) or energy report (json)
-shoot         bisect for the regular starting value eta_0*
+shoot         solve for the regular starting value eta_0* (Brent's method)
 profile       integrate one trajectory and emit the derived field profiles
 
 Exit codes: 0 success, 1 usage error (a nan or inf value included), 2
@@ -17,6 +17,7 @@ above the CSV header) so runs are self-describing and byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -111,7 +112,10 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process and shared by every ``main``
+    call: parsing reads it and never changes it."""
     parser = _Parser(prog="naqlab", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
@@ -140,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
     p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
     p.add_argument("--bracket", type=_colon_list("LO:HI"), default=shooting.DEFAULT_BRACKET, metavar="LO:HI", help="starting-value bracket (default 0.2:2.0)")
-    p.add_argument("--tol", type=_finite_float, default=1e-5, help="bisection tolerance (default %(default)s)")
+    p.add_argument("--tol", type=_finite_float, default=1e-5, help="root tolerance (default %(default)s)")
     p.add_argument("--rmax", type=_finite_float, default=shooting.DEFAULT_R_MAX, help="integration horizon (default %(default)s)")
     p.add_argument("--output", default=None)
 

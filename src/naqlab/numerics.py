@@ -2,8 +2,9 @@
 
 Provides globally adaptive Gauss-Kronrod quadrature, adaptive explicit
 Runge-Kutta integration with the Dormand-Prince 5(4) embedded pair,
-bracketing bisection on a two-way classifier, and second-order finite
-differences on possibly non-uniform sample points.
+bracketing root-finders on a two-way classifier (bisection, and Brent's
+method when each probe also gives a signed residual), and second-order
+finite differences on possibly non-uniform sample points.
 
 The integrator's settings are fixed: steps are accepted at
 ``rtol = 1e-10`` and ``atol = 1e-12``, and at most 10^6 are attempted.
@@ -19,9 +20,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
+
+_Record = TypeVar("_Record")
 
 __all__ = [
     "QuadResult",
@@ -33,6 +36,7 @@ __all__ = [
     "rk_integrate",
     "InvalidBracketError",
     "bisect",
+    "brent",
     "centered_derivative",
 ]
 
@@ -305,12 +309,21 @@ def rk_integrate(
 
 
 # ---------------------------------------------------------------------------
-# Bisection on a two-way classifier
+# Root bracketing on a two-way classifier: bisection and Brent's method
 # ---------------------------------------------------------------------------
 
 
 class InvalidBracketError(ValueError):
     """Both bracket ends classify the same way."""
+
+
+def _check_bracket(bracket, tol) -> tuple[float, float]:
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError("bracket must be ordered (lo, hi)")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    return lo, hi
 
 
 def bisect(
@@ -324,11 +337,7 @@ def bisect(
     classify differently.  Returns the midpoint of the final bracket, so the
     answer is within tol/2 of the true crossover.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError("bracket must be ordered (lo, hi)")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    lo, hi = _check_bracket(bracket, tol)
     p_lo = predicate(lo)
     p_hi = predicate(hi)
     if p_lo == p_hi:
@@ -344,6 +353,76 @@ def bisect(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def brent(
+    probe: Callable[[float], _Record],
+    bracket: tuple[float, float],
+    tol: float,
+) -> _Record:
+    """Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4) on a labelled, signed residual.
+
+    ``probe(x)`` returns a record with a ``label``, one of two distinct
+    values as for ``bisect``, and a ``residual`` whose sign follows the
+    label and whose size shrinks toward the crossover.  The labels keep the
+    bracket; the residuals only steer it.  Each step is inverse-quadratic
+    (or secant) interpolation, replaced by a bisection whenever it would
+    leave the bracket or shrink it too slowly, and is at least tol/2 (and
+    one float) long.  Stops once the bracket is no wider than ``tol``, or
+    when float64 has no point left inside it, and returns the record of
+    whichever end of that bracket has the smaller |residual|.
+    """
+    lo, hi = _check_bracket(bracket, tol)
+    a, pa = lo, probe(lo)
+    b, pb = hi, probe(hi)
+    if pa.label == pb.label:
+        raise InvalidBracketError(
+            "invalid bracket: both ends classify as %r" % (pa.label,)
+        )
+    # b is the best end so far, c the other end of the bracket (its label
+    # differs from b's), a the previous b; d is the last step, e the one
+    # before it.
+    c, pc = a, pa
+    d = e = b - a
+    while True:
+        if abs(pc.residual) < abs(pb.residual):
+            a, pa = b, pb
+            b, pb, c, pc = c, pc, b, pb
+        half = 0.5 * (c - b)
+        if abs(c - b) <= tol:
+            return pb
+        fa, fb, fc = pa.residual, pb.residual, pc.residual
+        if abs(e) >= 0.5 * tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                qa, r = fa / fc, fb / fc
+                p = s * (2.0 * half * qa * (qa - r) - (b - a) * (r - 1.0))
+                q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            # Accept the interpolated step only if it stays well inside the
+            # bracket and is less than half the step before last.
+            if 2.0 * p < min(3.0 * half * q - abs(0.5 * tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = half
+        else:
+            e = d = half
+        x = b + (d if abs(d) > 0.5 * tol else math.copysign(0.5 * tol, half))
+        if x == b or x == c:
+            # The step rounds onto an end: take the next float from b.
+            x = math.nextafter(b, c)
+            if x == c:
+                return pb  # float64 exhausted
+        a, pa = b, pb
+        b, pb = x, probe(x)
+        if pb.label == pc.label:
+            c, pc = a, pa
+            e = d = b - a
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ The reduced radial equation for the scaled potential eta(r) is
 with regularity conditions eta(0) = eta_0, eta'(0) = 0.  In the mechanical
 analogue eta = 0 is a false vacuum and eta = +/- arccosh(1 + 2 m^2) the
 true vacua; a trajectory started at rest either overshoots through zero or
-turns back (undershoots), and bisection on that classifier isolates the
-single starting value eta_0* whose trajectory decays monotonically to zero.
-For lambda_tilde = 1, m = 0.1 the regular value is eta_0* = 0.9083.
+turns back (undershoots).  The single starting value eta_0* whose trajectory
+decays monotonically to zero separates the two.  Each probe also reads the
+amplitude of the growing mode at its last sample, a signed residual close to
+linear in eta_0 - eta_0*, and Brent's method on it isolates eta_0* in about
+9 trajectories.  For lambda_tilde = 1, m = 0.1 the regular value is
+eta_0* = 0.9083.
 
 The coordinate singularity of the friction term at r = 0 is removed with a
 quadratic series start at a small radius epsilon.
@@ -27,7 +30,7 @@ from .numerics import (
     IntegrationBlowUp,
     InvalidBracketError,
     OdeState,
-    bisect,
+    brent,
     centered_derivative,
     rk_integrate,
 )
@@ -37,6 +40,7 @@ __all__ = [
     "TerminationReason",
     "Trajectory",
     "Profile",
+    "Probe",
     "ShootingResult",
     "ClassifierAmbiguityError",
     "DecayFitError",
@@ -103,6 +107,23 @@ class Profile:
     phi_scaled: np.ndarray  # (sqrt(G)/c^2) phi = sinh(eta/2)
     E_scaled: np.ndarray  # (sqrt(G)/c^2) E_r
     rho_scaled: np.ndarray  # 16 pi (sqrt(G)/c^2) rho
+
+
+@dataclass(frozen=True)
+class Probe:
+    """One classified trajectory from eta0.
+
+    ``label`` is "overshoot" or "undershoot".  ``residual`` is
+    +/-|g| exp(-mu r_f), with g = r eta' + eta + mu r eta at the last sample
+    r_f and the sign of the label (+ for overshoot); in the linear tail it
+    is -2 mu B, the amplitude B of the growing mode, which is close to
+    linear in eta0 - eta_0*.  It is never exactly zero.
+    """
+
+    eta0: float
+    label: str
+    residual: float
+    trajectory: Trajectory
 
 
 @dataclass
@@ -197,32 +218,39 @@ def integrate_profile(
     return Trajectory(r=rr, eta=yy[:, 0], deta=yy[:, 1], reason=reason)
 
 
-def _classify(eta0, p, r_max, eps) -> str:
-    """The fate of the trajectory from eta0: "overshoot" or "undershoot"."""
+def _probe(eta0, p, r_max, eps) -> Probe:
+    """Integrate from eta0 and classify its fate, with a signed residual."""
     traj = integrate_profile(eta0, p, r_max, eps)
+    r_f, eta_f, deta_f = float(traj.r[-1]), float(traj.eta[-1]), float(traj.deta[-1])
+    # Near-critical trajectories can still be hugging the false vacuum at
+    # r_max.  There the linearization eta'' + (2/r) eta' = mu^2 eta
+    # (mu = m sqrt(lambda_tilde)) has solutions (A e^{-mu r} + B e^{mu r})/r,
+    # and g = r eta' + eta + mu r eta = 2 mu B e^{mu r}: sign(B) decides the
+    # eventual fate, a positive growing mode turns the field back up
+    # (undershoot), a negative one drives it through zero (overshoot).
+    mu = p.m * math.sqrt(p.lambda_tilde)
+    growing = r_f * deta_f + eta_f + mu * r_f * eta_f
+    label = None
     if traj.reason in (TerminationReason.OVERSHOOT, TerminationReason.UNDERSHOOT):
-        return traj.reason.value
-    if traj.reason == TerminationReason.BLOW_UP and traj.eta[-1] < 0:
-        return TerminationReason.OVERSHOOT.value
-    if traj.reason == TerminationReason.REACHED_RMAX:
-        # Near-critical trajectories can still be hugging the false vacuum
-        # at r_max.  There the linearization eta'' + (2/r) eta' = mu^2 eta
-        # (mu = m sqrt(lambda_tilde)) has solutions (A e^{-mu r} + B e^{mu r})/r,
-        # and sign(B) = sign(r eta' + eta + mu r eta) decides the eventual
-        # fate: a positive growing mode turns the field back up (undershoot),
-        # a negative one drives it through zero (overshoot).
-        r_f, eta_f, deta_f = traj.r[-1], traj.eta[-1], traj.deta[-1]
-        mu = p.m * math.sqrt(p.lambda_tilde)
-        if abs(eta_f) < 0.5 * p.eta_vacuum:
-            growing = r_f * deta_f + eta_f + mu * r_f * eta_f
-            if growing > 0:
-                return TerminationReason.UNDERSHOOT.value
-            if growing < 0:
-                return TerminationReason.OVERSHOOT.value
-    raise ClassifierAmbiguityError(
-        "eta0 = %g reached r_max = %g unclassified; enlarge r_max so the "
-        "overshoot/undershoot separation can develop" % (eta0, r_max)
-    )
+        label = traj.reason.value
+    elif traj.reason == TerminationReason.BLOW_UP and eta_f < 0:
+        label = TerminationReason.OVERSHOOT.value
+    elif traj.reason == TerminationReason.REACHED_RMAX and abs(eta_f) < 0.5 * p.eta_vacuum:
+        if growing > 0:
+            label = TerminationReason.UNDERSHOOT.value
+        elif growing < 0:
+            label = TerminationReason.OVERSHOOT.value
+    if label is None:
+        raise ClassifierAmbiguityError(
+            "eta0 = %g reached r_max = %g unclassified; enlarge r_max so the "
+            "overshoot/undershoot separation can develop" % (eta0, r_max)
+        )
+    # The smallest positive float keeps an underflowed residual from
+    # reading as an exact root.
+    size = max(abs(growing) * math.exp(-mu * r_f), math.ulp(0.0))
+    if label == TerminationReason.UNDERSHOOT.value:
+        size = -size
+    return Probe(eta0=eta0, label=label, residual=size, trajectory=traj)
 
 
 def find_regular_eta0(
@@ -232,14 +260,17 @@ def find_regular_eta0(
     r_max: float = DEFAULT_R_MAX,
     eps: float = DEFAULT_EPSILON,
 ) -> ShootingResult:
-    """Bisect the overshoot/undershoot classifier to the regular eta_0*.
+    """Brent's method on the probes' growing-mode residual, to the regular eta_0*.
 
     The bracket ends must classify differently (one undershoot, one
-    overshoot).  The returned trajectory is the integration at the
-    converged value.
+    overshoot).  The answer is one end of a final bracket no wider than
+    ``tol`` whose ends classify differently, so it lies within ``tol`` of
+    eta_0*: the end with the smaller |residual|, returned with the
+    trajectory already integrated from it.  At m = 0.1 a solve takes 9
+    trajectories at tol 1e-5 and 11 at tol 1e-12.
     """
-    eta_star = bisect(lambda eta0: _classify(eta0, p, r_max, eps), bracket, tol)
-    return ShootingResult(eta0=eta_star, trajectory=integrate_profile(eta_star, p, r_max, eps))
+    best = brent(lambda eta0: _probe(eta0, p, r_max, eps), bracket, tol)
+    return ShootingResult(eta0=best.eta0, trajectory=best.trajectory)
 
 
 def derive_fields(traj: Trajectory) -> Profile:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -44,10 +45,45 @@ class TestChargeModel:
             ChargeModel(q=q, units=UnitsConfig(G=G, c=c))
 
 
+def decimal_closed_forms(q, G, c, r=None):
+    """alpha, and at radius ``r`` E_r and rho, of the closed forms in 50-digit
+    decimal arithmetic from the exact values of the float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q, G, c = map(Decimal, (q, G, c))
+        alpha = q * G.sqrt() / (c * c)
+        if r is None:
+            return float(alpha)
+        x = alpha / Decimal(r)
+        cosh = (x.exp() + (-x).exp()) / 2
+        tanh = ((2 * x).exp() - 1) / ((2 * x).exp() + 1)
+        pi = Decimal("3.14159265358979323846264338327950288419716939937511")
+        e_r = q / (Decimal(r) ** 2 * cosh)
+        rho = G.sqrt() / (4 * pi * c * c) * tanh / cosh * q * q / Decimal(r) ** 4
+        return float(e_r), float(rho)
+
+
 class TestExactSolution:
     def test_alpha_scale(self):
         model = ChargeModel(q=2.0, units=UnitsConfig(G=4.0, c=2.0))
         assert model.alpha == pytest.approx(2.0 * 2.0 / 4.0)
+
+    @pytest.mark.parametrize(
+        "q, G, c",
+        (
+            (1e-300, 1e-30, 1e-5),  # q sqrt(G) is subnormal
+            (-1e-300, 1e-30, 1e-5),
+            (1.7, 1.3, 0.9),
+            (1e-297, 1.0, 1.0),
+            (1e300, 1e-30, 1e-5),
+        ),
+    )
+    def test_alpha_to_one_rounding(self, q, G, c):
+        # where q sqrt(G) is normal alpha keeps the bits of q sqrt(G) / c^2
+        model = ChargeModel(q=q, units=UnitsConfig(G=G, c=c))
+        assert model.alpha == pytest.approx(decimal_closed_forms(q, G, c), rel=2 * EPS, abs=0.0)
+        if abs(q * math.sqrt(G)) >= 2.2250738585072014e-308:
+            assert model.alpha == q * math.sqrt(G) / c**2
 
     def test_values_at_alpha(self):
         # at r = alpha the argument is exactly 1
@@ -94,6 +130,32 @@ class TestExactSolution:
         assert near.E_r == pytest.approx(sign * 705.0**2 / math.cosh(705.0), rel=1e-13)
         assert far.phi == sign * math.inf
         assert far.E_r == far.rho == 0.0
+
+    @pytest.mark.parametrize(
+        "q, G, c, r",
+        (
+            (1e-297, 1.0, 1.0, 1e-300),  # |x| = 1000
+            (-1e-297, 1.0, 1.0, 1e-300),
+            (1.0, 1.0, 1.0, 1.0 / 711.0),  # just past the overflow
+            (1.0, 1.0, 1.0, 1.0 / 740.0),  # E_r subnormal
+            (-2.5e-200, 0.7, 1.9, 7e-204),
+            (1e-300, 1e-30, 1e-5, 1e-308),  # subnormal q sqrt(G), huge rho
+        ),
+    )
+    def test_tail_past_cosh_overflow(self, q, G, c, r):
+        # 1/cosh(x) = 2 exp(-|x|) there; the bound is a few ulp of the
+        # exponent, whose rounding in x and log r is amplified by exp
+        model = ChargeModel(q=q, units=UnitsConfig(G=G, c=c))
+        e_ref, rho_ref = decimal_closed_forms(q, G, c, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fields = exact_fields(np.array([r, 1.0]), model)
+        assert abs(model.alpha / r) > 710.5
+        assert e_ref != 0.0 and math.isfinite(rho_ref)
+        rel = 8 * EPS * max(abs(model.alpha / r), abs(math.log(r)))
+        assert fields["E_r"][0] == pytest.approx(e_ref, rel=rel, abs=5e-324)
+        assert fields["rho"][0] == pytest.approx(rho_ref, rel=rel, abs=5e-324)
+        assert fields["E_r"][1] == exact_solution(1.0, model).E_r
 
     @pytest.mark.parametrize("r", (1e-100, 5e-324))
     @pytest.mark.parametrize("q", (1.0, -1.0, 0.0))

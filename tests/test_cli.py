@@ -357,3 +357,26 @@ class TestDeterminism:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
         assert out1 != ""
+
+    def test_shared_parser_gives_identical_rounds(self, capsys):
+        # build_parser() is built once per process; a round of runs and
+        # usage errors on a fresh tree and the same round on the reused one
+        # print the same bytes and return the same codes
+        argvs = (
+            ("assoc", "--power", "3"),
+            (),
+            ("assoc", "--power", "x"),
+            ("exact", "--format", "csv", "--grid", "0.1:10:5"),
+            ("exact", "--q", "nan"),
+            ("shoot", "--bracket", "0.2:0.3"),
+            ("profile", "--eta0", "0.9", "--grid", "1e-2:5:5"),
+            ("profile", "--m", "0.1"),
+            ("torsion-check", "--trials", "3"),
+            ("shoot", "--help"),
+            ("frobnicate",),
+        )
+        build_parser.cache_clear()
+        rounds = [[run(capsys, *argv) for argv in argvs] for _ in range(2)]
+        assert build_parser.cache_info().misses == 1
+        assert rounds[0] == rounds[1]
+        assert {code for code, _, _ in rounds[0]} == {EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL}

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from naqlab.numerics import (
     OdeState,
     QuadratureBudgetError,
     bisect,
+    brent,
     centered_derivative,
     quad_adaptive,
     rk_integrate,
@@ -108,6 +110,8 @@ class TestBisect:
             bisect(lambda x: x < 1.0, (0.0, 2.0), tol)
         with pytest.raises(ValueError, match="tol must be positive"):
             quad_adaptive(lambda x: x, 0.0, 1.0, tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            brent(labelled(lambda x: x - 1.0, 1.0, []), (0.0, 2.0), tol)
 
     def test_iteration_count_is_logarithmic(self):
         calls = {"n": 0}
@@ -120,6 +124,69 @@ class TestBisect:
         # 2 bracket-end calls plus one call per halving
         expected = math.ceil(math.log2(8.0 / 1e-6))
         assert calls["n"] == expected + 2
+
+
+Probe = namedtuple("Probe", "x label residual")
+
+
+def labelled(residual, root, probes):
+    """A probe for ``brent``: label "high" above ``root``, else "low"; each
+    record is appended to ``probes``."""
+
+    def probe(x):
+        record = Probe(x, "high" if x > root else "low", residual(x))
+        probes.append(record)
+        return record
+
+    return probe
+
+
+class TestBrent:
+    ROOT = 1.0 / 3.0
+
+    def solve(self, residual, bracket, tol):
+        """The answer, the other end of its final bracket, and the probe count.
+
+        Labels are monotone, so the other end is the nearest probe with
+        the other label: every probe lands inside the bracket of its time.
+        """
+        probes = []
+        best = brent(labelled(residual, self.ROOT, probes), bracket, tol)
+        assert best in probes
+        other = min((p for p in probes if p.label != best.label), key=lambda p: abs(p.x - best.x))
+        assert min(best.x, other.x) <= self.ROOT <= max(best.x, other.x)
+        assert abs(best.residual) <= abs(other.residual)
+        return best, other, len(probes)
+
+    @pytest.mark.parametrize("tol, max_probes", ((1e-5, 8), (1e-12, 9)))
+    def test_kinked_residual(self, tol, max_probes):
+        # different slopes on the two sides of the root stall a plain
+        # secant; bisection would need 21 and 44 probes
+        def residual(x):
+            return 0.08 * (x - self.ROOT) if x < self.ROOT else 0.14 * (x - self.ROOT)
+
+        best, other, n = self.solve(residual, (0.0, 4.0), tol)
+        assert abs(other.x - best.x) <= tol
+        assert n <= max_probes
+
+    @pytest.mark.parametrize("tol", (1e-5, 1e-12))
+    def test_saturating_residual(self, tol):
+        # flat far from the root, where interpolation steps are poor and the
+        # bisection safeguard has to take over
+        best, other, n = self.solve(lambda x: math.tanh(30.0 * (x - self.ROOT)), (-3.0, 5.0), tol)
+        assert abs(other.x - best.x) <= tol
+        assert n < math.ceil(math.log2(8.0 / tol)) + 2
+
+    def test_tol_below_float_spacing_terminates(self):
+        # the final bracket is two neighbouring floats
+        best, other, _ = self.solve(lambda x: x - self.ROOT, (0.0, 4.0), 1e-300)
+        assert math.nextafter(best.x, other.x) == other.x
+
+    def test_same_label_ends_raise(self):
+        with pytest.raises(InvalidBracketError, match="both ends classify as 'high'"):
+            brent(labelled(lambda x: x - self.ROOT, self.ROOT, []), (0.5, 1.0), 1e-6)
+        with pytest.raises(ValueError, match="bracket must be ordered"):
+            brent(labelled(lambda x: x - self.ROOT, self.ROOT, []), (1.0, 0.5), 1e-6)
 
 
 class TestCenteredDerivative:

@@ -146,9 +146,11 @@ class TestFindRegularEta0:
         assert shot_m01_default.eta0 == pytest.approx(0.9083, abs=5e-4)
 
     def test_reference_work_and_bits(self, params_m01, monkeypatch):
-        # 2 bracket ends + 18 halvings + the final solve, each costing
-        # 1 + 6 x (attempted DP5 steps) RHS calls; the floats are pinned bit
-        # for bit so a change of arithmetic order shows up here
+        # Brent's method needs 9 trajectories at tol 1e-5 and 11 at 1e-12
+        # (bisection needed 21 and 44); each costs 1 + 6 x (attempted DP5
+        # steps) RHS calls, and the answer's trajectory is one of them.  The
+        # floats are pinned bit for bit so a change of arithmetic order
+        # shows up here.
         calls = {"integrate_profile": 0, "ode_rhs": 0}
 
         def counting(name):
@@ -163,10 +165,17 @@ class TestFindRegularEta0:
         counting("integrate_profile")
         counting("ode_rhs")
         res = find_regular_eta0(params_m01)
-        assert calls == {"integrate_profile": 21, "ode_rhs": 29193}
-        assert res.eta0 == 0.908340072631836
-        assert res.trajectory.r.size == 283
-        assert res.trajectory.r[-1] == 73.86545444668809
+        assert calls == {"integrate_profile": 9, "ode_rhs": 10869}
+        assert res.eta0 == 0.9083350986947872
+        assert res.trajectory.r.size == 286
+        assert res.trajectory.r[-1] == 77.53548832553486
+
+        calls.update(integrate_profile=0, ode_rhs=0)
+        res = find_regular_eta0(params_m01, tol=1e-12)
+        assert calls == {"integrate_profile": 11, "ode_rhs": 14447}
+        assert res.eta0 == 0.9083371697571715
+        assert res.trajectory.r.size == 289
+        assert res.trajectory.r[-1] == 80.0
 
     def test_refines_with_tolerance(self, shot_m01_default, shot_m01_tight):
         assert abs(shot_m01_default.eta0 - shot_m01_tight.eta0) < 2e-5
@@ -196,6 +205,40 @@ class TestFindRegularEta0:
     def test_epsilon_insensitivity(self, params_m01, shot_m01_default):
         res = find_regular_eta0(params_m01, eps=1e-7)
         assert abs(res.eta0 - shot_m01_default.eta0) < 1e-6
+
+    # eta_0* does not depend on lambda_tilde (r -> r sqrt(lambda_tilde)
+    # removes it); the benchmark's scaling oracle allows this gap between a
+    # solve and its lambda_tilde = 1 partner at either tolerance.  At tol
+    # 1e-12 the gap is the horizon's doing: r_max = 80 is not rescaled.
+    SCALING_TOL = 1e-5
+
+    @pytest.mark.parametrize("tol", (1e-5, 1e-12))
+    @pytest.mark.parametrize("lambda_tilde, m", ((0.5, 0.06), (1.28775, 0.105158), (4.0, 0.14)))
+    def test_lambda_scaling(self, lambda_tilde, m, tol):
+        scaled = find_regular_eta0(CouplingParams(lambda_tilde=lambda_tilde, m=m), tol=tol)
+        partner = find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m), tol=tol)
+        assert abs(scaled.eta0 - partner.eta0) <= self.SCALING_TOL
+
+    def test_answer_is_a_probed_end(self, params_m01, monkeypatch):
+        # the answer and the nearest probe with the other label bracket
+        # eta_0* within tol; it is returned with its own trajectory and has
+        # the smaller |residual|, whose sign follows the label
+        probes = []
+        original = shooting._probe
+
+        def recording(*args):
+            probes.append(original(*args))
+            return probes[-1]
+
+        monkeypatch.setattr(shooting, "_probe", recording)
+        res = find_regular_eta0(params_m01, tol=1e-8)
+        best = next(p for p in probes if p.eta0 == res.eta0)
+        assert best.trajectory is res.trajectory
+        other = min((p for p in probes if p.label != best.label), key=lambda p: abs(p.eta0 - best.eta0))
+        assert abs(other.eta0 - best.eta0) <= 1e-8
+        assert abs(best.residual) <= abs(other.residual)
+        for p in probes:
+            assert (p.residual > 0) == (p.label == "overshoot")
 
     def test_invalid_bracket_both_undershoot(self, params_m01):
         from naqlab.numerics import InvalidBracketError
