@@ -139,11 +139,13 @@ def build_power_expression(n: int) -> Expression:
 
 
 def _leaves(expr: Expression) -> Iterator[Expression]:
-    if isinstance(expr, Product):
-        yield from _leaves(expr.left)
-        yield from _leaves(expr.right)
-    else:
-        yield expr
+    stack = [expr]  # no recursion: a power-n tree is about 2n levels deep
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Product):
+            stack += (node.right, node.left)
+        else:
+            yield node
 
 
 def _operator_leaves(expr: Expression) -> list[Constituent]:
@@ -204,8 +206,11 @@ def normalize(expr: Expression) -> tuple[Expression, CorrectionSeries]:
     """
     ops = _operator_leaves(expr)
     n = _paired_constituents(ops)
-    core = _core_from_leaves(ops)
-    return core, CorrectionSeries(() if expr == core else _correction_terms(n))
+    # Right-nested: no left factor down the right spine is itself a product.
+    spine = expr
+    while isinstance(spine, Product) and not isinstance(spine.left, Product):
+        spine = spine.right
+    return _core_from_leaves(ops), CorrectionSeries(_correction_terms(n) if isinstance(spine, Product) else ())
 
 
 def vacuum_expectation_corrections(n: int) -> CorrectionSeries:
@@ -266,15 +271,19 @@ def gauge_quartic_correction(group_rank: int) -> GaugeMassTerm:
 
 def render(expr: Expression) -> str:
     """Text form with explicit parentheses, e.g. ``((f.b).(f.b)) |psi>``."""
-    if isinstance(expr, Constituent):
-        return "f" if expr.kind == "F" else "b"
-    if isinstance(expr, State):
-        return "|psi>"
-    if isinstance(expr.right, State):
-        return f"{render(expr.left)} |psi>"
-    left = render(expr.left)
-    right = render(expr.right)
-    return f"({left}.{right})"
+    out, stack = [], [expr]  # nodes and literal text, walked as in _leaves
+    while stack:
+        item = stack.pop()
+        if type(item) is Product:
+            if type(item.right) is State:
+                stack += (" |psi>", item.left)
+            else:
+                stack += (")", item.right, ".", item.left, "(")
+        elif type(item) is Constituent:
+            out.append("f" if item.kind == "F" else "b")
+        else:
+            out.append(item if type(item) is str else "|psi>")
+    return "".join(out)
 
 
 def render_power(n: int, vacuum: bool) -> str:

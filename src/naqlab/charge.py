@@ -193,7 +193,7 @@ def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> Energ
       which grows without bound as r_min -> 0.
 
     Closed forms (q c^2 / 2 sqrt(G) and (q^2/2 alpha)(U - tanh U)) are
-    reported alongside for cross-checking.
+    reported alongside for cross-checking.  An energy past float64 range raises ValueError.
     """
     if not r_min > 0:
         raise ValueError("r_min must be positive")
@@ -202,7 +202,9 @@ def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> Energ
     if q == 0.0:
         return EnergyReport(0.0, 0.0, 0.0, 0.0)
     alpha = abs(model.alpha)
-    prefactor = q * q / (2.0 * alpha)
+    # Where q^2 has lost bits or overflowed, q/alpha = c^2/sqrt(G) keeps them.
+    q2 = q * q
+    prefactor = q2 / (2.0 * alpha) if sys.float_info.min <= q2 < math.inf else q * (q / (2.0 * alpha))
 
     sech2 = lambda x: 1.0 / math.cosh(x) ** 2 if abs(x) < 350 else 0.0
     # int_0^inf sech^2 = int_0^1 + int_1^inf (the second via the u = 1/r map)
@@ -221,10 +223,16 @@ def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> Energ
     self_energy = prefactor * self_value
 
     closed_field = abs(q) * u.c**2 / (2.0 * math.sqrt(u.G))
-    closed_self = prefactor * (cap - math.tanh(cap))
-    return EnergyReport(
-        field_energy=field_energy,
-        self_energy=self_energy,
-        closed_form_field_energy=closed_field,
-        closed_form_self_energy=closed_self,
-    )
+    if cap < 0.5:
+        # U - tanh U cancels most of its digits here; it is (U cosh U - sinh U)
+        # / cosh U, the numerator summed from its Taylor series, whose terms
+        # 2k U^(2k+1)/(2k+1)! are all positive.
+        closed_self = prefactor * (sum(2 * k * cap ** (2 * k + 1) / math.factorial(2 * k + 1)
+                                       for k in range(1, 9)) / math.cosh(cap))
+    else:
+        closed_self = prefactor * (cap - math.tanh(cap))
+    report = EnergyReport(field_energy, self_energy, closed_field, closed_self)
+    for name, value in vars(report).items():
+        if not math.isfinite(value):
+            raise ValueError("q = %r, r_min = %r: %s is out of float64 range" % (q, r_min, name))
+    return report

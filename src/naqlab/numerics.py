@@ -6,8 +6,9 @@ bracketing root-finders on a two-way classifier (bisection, and Brent's
 method when each probe also gives a signed residual), and second-order
 finite differences on possibly non-uniform sample points.
 
-The integrator's settings are fixed: steps are accepted at
-``rtol = 1e-10`` and ``atol = 1e-12``, and at most 10^6 are attempted.
+The integrator runs from ``(r0, y0)`` and returns the value that stopped it,
+if any.  Its settings are fixed: steps are accepted at ``rtol = 1e-10`` and
+``atol = 1e-12``, and at most 10^6 are attempted.
 
 Everything here is a pure function of its inputs; all arithmetic is
 64-bit IEEE-754.  The integrator works on plain Python floats: the state
@@ -30,7 +31,6 @@ __all__ = [
     "QuadResult",
     "QuadratureBudgetError",
     "quad_adaptive",
-    "OdeState",
     "RkSolution",
     "IntegrationBlowUp",
     "rk_integrate",
@@ -75,10 +75,6 @@ class QuadResult:
     error_estimate: float
     evaluations: int
 
-    def __post_init__(self):
-        if self.error_estimate < 0 or self.evaluations < 1:
-            raise ValueError("malformed quadrature result")
-
 
 class QuadratureBudgetError(RuntimeError):
     """Raised when the evaluation budget runs out before convergence.
@@ -106,19 +102,17 @@ def _gk15_panel(f, a, b):
         g7 += wg * fx
         k15 += wk * fx
     raw = abs(k15 - g7) * half
-    # QUADPACK-style sharpening of the raw G7/K15 discrepancy.
-    err = min(raw, (200.0 * raw) ** 1.5) if raw > 0 else 0.0
+    # QUADPACK-style sharpening of the raw G7/K15 discrepancy.  It can lower
+    # only an estimate below 1/200, and its power overflows for huge ones.
+    err = min(raw, (200.0 * raw) ** 1.5) if 0 < raw < 0.005 else raw if raw > 0 else 0.0
     return k15 * half, err, 15
 
 
-def quad_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    *,
-    max_evaluations: int = 500_000,
-) -> QuadResult:
+# Integrand evaluations one quad_adaptive call may spend.
+_MAX_EVALUATIONS = 500_000
+
+
+def quad_adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
     """Integrate ``f`` over [a, b] to within ``max(tol, tol*|value|)``.
 
     Globally adaptive: the subinterval with the largest error estimate is
@@ -148,7 +142,7 @@ def quad_adaptive(
         total_err = sum(item[5] for item in heap)
         if total_err <= max(tol, tol * abs(total)):
             return QuadResult(total, total_err, evals)
-        if evals + 30 > max_evaluations:
+        if evals + 30 > _MAX_EVALUATIONS:
             raise QuadratureBudgetError(QuadResult(total, total_err, evals))
         _, _, lo, hi, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -167,18 +161,6 @@ def quad_adaptive(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OdeState:
-    """A point on a radial trajectory: coordinate r > 0 and state vector y."""
-
-    r: float
-    y: tuple
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("radial coordinate must be positive (r = %r)" % (self.r,))
-
-
 # Error scale atol + rtol * |y| of a DP5 step, and the attempted-step budget.
 _RTOL = 1e-10
 _ATOL = 1e-12
@@ -189,24 +171,26 @@ _MAX_STEPS = 1_000_000
 class RkSolution:
     r: np.ndarray
     y: np.ndarray  # shape (len(r), dim)
+    stop: object  # what stop_condition returned to halt the run; None at r_end
 
 
 class IntegrationBlowUp(RuntimeError):
-    """Step underflow or a non-finite state; carries the last valid state."""
+    """Step underflow or a non-finite state; carries the partial trajectory,
+    whose last sample is the last valid state."""
 
-    def __init__(self, message: str, last_state: OdeState, partial: "RkSolution"):
+    def __init__(self, message: str, partial: RkSolution):
         super().__init__("integration blow-up: " + message)
-        self.last_state = last_state
         self.partial = partial
 
 
 def rk_integrate(
     rhs: Callable[[float, tuple], Sequence[float]],
-    state0: OdeState,
+    r0: float,
+    y0: Sequence[float],
     r_end: float,
-    stop_condition: Callable[[float, tuple], bool] | None = None,
+    stop_condition: Callable[[float, tuple], object] | None = None,
 ) -> RkSolution:
-    """Integrate y' = rhs(r, y) from ``state0`` to ``r_end`` with adaptive DP5.
+    """Integrate y' = rhs(r, y) from y(r0) = y0 to ``r_end`` with adaptive DP5.
 
     ``rhs`` receives the state as a tuple of floats and may return any
     sequence of ``len(y)`` floats.  The Dormand-Prince 5(4) pair reuses the
@@ -216,30 +200,31 @@ def rk_integrate(
     ``1e-12 + 1e-10 * max(|y|, |y_new|)`` per component, is at most 1; the
     first stride is 1/100 of the span, and at most 10^6 steps are attempted.
     Samples are retained at every accepted step.  ``stop_condition(r, y)``
-    is checked after each accepted step and halts the integration early
-    when it returns True (the triggering sample is retained).
+    is checked after each accepted step; a truthy value halts the
+    integration there (the triggering sample is retained) and is returned
+    as ``stop``, which is None when the run reaches ``r_end``.
 
     Raises
     ------
     IntegrationBlowUp
         on non-finite state or step-size underflow; the exception carries
-        the last valid state and the partial trajectory.
+        the partial trajectory, which ends at the last valid state.
     """
-    r = float(state0.r)
-    y = tuple(float(v) for v in state0.y)
-    if r_end <= r:
+    r = float(r0)
+    y = tuple(float(v) for v in y0)
+    if not r_end > r:
         raise ValueError("r_end must exceed the initial radius")
     rs = [r]
     ys = [y]
 
     def _blowup(msg):
-        sol = RkSolution(np.array(rs), np.array(ys))
-        raise IntegrationBlowUp(msg, OdeState(rs[-1], ys[-1]), sol)
+        raise IntegrationBlowUp(msg, RkSolution(np.array(rs), np.array(ys), None))
 
     dim = len(y)
     h = (r_end - r) / 100.0
     k1 = rhs(r, y)
     nsteps = 0
+    stop = None
     # An ndarray-returning rhs makes the stage values numpy scalars; their
     # inf/nan in rejected trial stages near a blow-up is expected and
     # handled below, so numpy's warnings carry no information.
@@ -298,14 +283,14 @@ def rk_integrate(
                 k1 = k7  # FSAL: k7 equals k1 of the next step
                 rs.append(r)
                 ys.append(y)
-                if stop_condition is not None and stop_condition(r, y):
+                if stop_condition is not None and (stop := stop_condition(r, y)):
                     break
             factor = 0.9 * (errnorm ** -0.2) if errnorm > 0 else 5.0
             h *= min(5.0, max(0.2, factor))
             nsteps += 1
             if nsteps > _MAX_STEPS:
                 _blowup("step budget exceeded")
-    return RkSolution(np.array(rs), np.array(ys))
+    return RkSolution(np.array(rs), np.array(ys), stop or None)
 
 
 # ---------------------------------------------------------------------------

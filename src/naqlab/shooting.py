@@ -29,7 +29,6 @@ import numpy as np
 from .numerics import (
     IntegrationBlowUp,
     InvalidBracketError,
-    OdeState,
     brent,
     centered_derivative,
     rk_integrate,
@@ -162,8 +161,9 @@ def quantum_potential_slope(eta: float, p: CouplingParams) -> float:
         return math.copysign(math.inf, eta)
 
 
-def series_start(eta0: float, p: CouplingParams, eps: float = DEFAULT_EPSILON) -> OdeState:
-    """Regular quadratic start eta(eps) = eta0 + a eps^2, eta'(eps) = 2 a eps.
+def series_start(eta0: float, p: CouplingParams, eps: float) -> tuple[float, tuple[float, float]]:
+    """Regular quadratic start eta(eps) = eta0 + a eps^2, eta'(eps) = 2 a eps,
+    as the pair (eps, (eta, eta')).
 
     The coefficient a = -slope(eta0)/6 balances the (2/r) eta' friction
     against the source term, removing the coordinate singularity at r = 0.
@@ -171,56 +171,45 @@ def series_start(eta0: float, p: CouplingParams, eps: float = DEFAULT_EPSILON) -
     if not eps > 0:
         raise ValueError("eps must be positive")
     a = -quantum_potential_slope(eta0, p) / 6.0
-    return OdeState(r=eps, y=(eta0 + a * eps * eps, 2.0 * a * eps))
+    return eps, (eta0 + a * eps * eps, 2.0 * a * eps)
 
 
-def integrate_profile(
-    eta0: float,
-    p: CouplingParams,
-    r_max: float = DEFAULT_R_MAX,
-    eps: float = DEFAULT_EPSILON,
-) -> Trajectory:
-    """Integrate from the series start and classify the outcome.
+def integrate_profile(eta0: float, p: CouplingParams, r_max: float = DEFAULT_R_MAX) -> Trajectory:
+    """Integrate from the series start at DEFAULT_EPSILON and classify the outcome.
 
     Overshoot: eta crosses zero heading negative.  Undershoot: eta' turns
     from negative to positive while eta > 0 (ignored for r <= 10 eps so the
     quadratic start cannot masquerade as a turning point).  Blow-up is a
     classification, not a failure.
     """
-    if not r_max > eps:
-        raise ValueError("r_max must exceed the start radius")
-    state0 = series_start(eta0, p, eps)
+    eps = DEFAULT_EPSILON
+    r0, y0 = series_start(eta0, p, eps)
 
     def rhs(r, y):
         return (y[1], ode_rhs(r, y[0], y[1], p))
 
-    outcome = {"reason": TerminationReason.REACHED_RMAX}
-    prev_deta = [state0.y[1]]
+    prev_deta = [y0[1]]
 
     def stop(r, y):
         eta, deta = y
         if eta < 0.0:
-            outcome["reason"] = TerminationReason.OVERSHOOT
-            return True
+            return TerminationReason.OVERSHOOT
         if r > 10.0 * eps and prev_deta[0] < 0.0 and deta > 0.0 and eta > 0.0:
-            outcome["reason"] = TerminationReason.UNDERSHOOT
-            return True
+            return TerminationReason.UNDERSHOOT
         prev_deta[0] = deta
-        return False
+        return None
 
     try:
-        sol = rk_integrate(rhs, state0, r_max, stop_condition=stop)
-        rr, yy = sol.r, sol.y
-        reason = outcome["reason"]
+        sol = rk_integrate(rhs, r0, y0, r_max, stop_condition=stop)
+        reason = sol.stop or TerminationReason.REACHED_RMAX
     except IntegrationBlowUp as exc:
-        rr, yy = exc.partial.r, exc.partial.y
-        reason = TerminationReason.BLOW_UP
-    return Trajectory(r=rr, eta=yy[:, 0], deta=yy[:, 1], reason=reason)
+        sol, reason = exc.partial, TerminationReason.BLOW_UP
+    return Trajectory(r=sol.r, eta=sol.y[:, 0], deta=sol.y[:, 1], reason=reason)
 
 
-def _probe(eta0, p, r_max, eps) -> Probe:
+def _probe(eta0, p, r_max) -> Probe:
     """Integrate from eta0 and classify its fate, with a signed residual."""
-    traj = integrate_profile(eta0, p, r_max, eps)
+    traj = integrate_profile(eta0, p, r_max)
     r_f, eta_f, deta_f = float(traj.r[-1]), float(traj.eta[-1]), float(traj.deta[-1])
     # Near-critical trajectories can still be hugging the false vacuum at
     # r_max.  There the linearization eta'' + (2/r) eta' = mu^2 eta
@@ -258,7 +247,6 @@ def find_regular_eta0(
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     tol: float = 1e-5,
     r_max: float = DEFAULT_R_MAX,
-    eps: float = DEFAULT_EPSILON,
 ) -> ShootingResult:
     """Brent's method on the probes' growing-mode residual, to the regular eta_0*.
 
@@ -269,7 +257,7 @@ def find_regular_eta0(
     trajectory already integrated from it.  At m = 0.1 a solve takes 9
     trajectories at tol 1e-5 and 11 at tol 1e-12.
     """
-    best = brent(lambda eta0: _probe(eta0, p, r_max, eps), bracket, tol)
+    best = brent(lambda eta0: _probe(eta0, p, r_max), bracket, tol)
     return ShootingResult(eta0=best.eta0, trajectory=best.trajectory)
 
 
@@ -299,15 +287,11 @@ def derive_fields(traj: Trajectory) -> Profile:
     )
 
 
-def decay_rate(
-    traj: Trajectory,
-    fit_window: tuple[float, float],
-    max_residual: float = 1e-3,
-) -> float:
+def decay_rate(traj: Trajectory, fit_window: tuple[float, float]) -> float:
     """Yukawa decay rate mu from a least-squares fit of ln(r eta) vs r.
 
     For a tail eta ~ exp(-mu r)/r the fit is exact; a window whose max
-    absolute fit residual exceeds ``max_residual`` is rejected because the
+    absolute fit residual exceeds 1e-3 is rejected because the
     samples do not follow the exponential-over-r model there.
     """
     lo, hi = fit_window
@@ -323,9 +307,8 @@ def decay_rate(
     z = np.log(r * eta)
     slope, intercept = np.polyfit(r, z, 1)
     resid = np.max(np.abs(z - (slope * r + intercept)))
-    if resid > max_residual:
+    if resid > 1e-3:
         raise DecayFitError(
-            "fit residual %.3e exceeds %.3e; window is not an exp(-mu r)/r tail"
-            % (resid, max_residual)
+            "fit residual %.3e exceeds 1.000e-03; window is not an exp(-mu r)/r tail" % resid
         )
     return float(-slope)

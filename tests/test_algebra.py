@@ -60,7 +60,7 @@ class TestNormalize:
             (0, 2),
         ]
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", (*range(1, 11), 1000))
     def test_length_conservation(self, n):
         _, series = normalize(build_power_expression(n))
         for t in series.terms:
@@ -70,6 +70,11 @@ class TestNormalize:
     def test_idempotence_on_core(self, n):
         core, series = normalize(core_expression(n))
         assert core == core_expression(n)
+        assert series.terms == ()
+
+    def test_deep_core_is_already_right_nested(self):
+        # 2001 levels, past Python's default recursion limit
+        _, series = normalize(core_expression(1000))
         assert series.terms == ()
 
     @pytest.mark.parametrize("n", (1, 2, 5, 8))

@@ -307,12 +307,28 @@ class TestEnergyReport:
         rep = energy_report(ChargeModel(q=3.0), r_min=1e-3)
         assert rep.field_energy == pytest.approx(1.5, rel=1e-10)
 
-    @pytest.mark.parametrize("r_min", (1e-2, 1e-3, 1e-4))
+    # at r_min = 1e-250 the quadrature's first panel estimate once
+    # overflowed in its (200 raw)^1.5 sharpening
+    @pytest.mark.parametrize("r_min", (1e-2, 1e-3, 1e-4, 1e-250))
     def test_self_energy_closed_form(self, r_min):
         rep = energy_report(UNIT_MODEL, r_min=r_min)
         assert rep.self_energy == pytest.approx(
             rep.closed_form_self_energy, rel=1e-6
         )
+
+    @pytest.mark.parametrize("q", (1e-9, 1e-6, 1e-3, 0.3, 0.4999, 0.5, 0.7, 3.0))
+    def test_closed_form_self_energy_digits(self, q):
+        # at r_min = 1 the cutoff U = alpha/r_min is q; U - tanh U cancels
+        # most of its digits for small U, where the series takes over
+        pytest.importorskip("mpmath")
+        import mpmath
+
+        with mpmath.workdps(50):
+            u = mpmath.mpf(q)
+            reference = float(u / 2 * (u - mpmath.tanh(u)))
+        rep = energy_report(ChargeModel(q=q), r_min=1.0)
+        assert rep.closed_form_self_energy == pytest.approx(reference, rel=4e-15, abs=0.0)
+        assert rep.self_energy == pytest.approx(reference, rel=1e-8, abs=0.0)
 
     def test_self_energy_diverges_with_cutoff(self):
         values = [

@@ -10,7 +10,14 @@ from naqlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):
+        # every JSON output parses strictly: no NaN or Infinity
+        json.loads(captured.out, parse_constant=reject_constant)
     return code, captured.out, captured.err
+
+
+def reject_constant(name):
+    raise ValueError("non-JSON constant %s" % name)
 
 
 class TestUsageErrors:
@@ -107,6 +114,20 @@ class TestAssoc:
         assert code == EXIT_OK
         assert out.strip().split("\n")[1:] == ["m^2 phi"]
 
+    @pytest.mark.parametrize("vacuum", (False, True), ids=("series", "vacuum"))
+    def test_power_past_recursion_limit(self, capsys, vacuum):
+        # a power-2000 tree is about 4000 levels deep
+        n = 2000
+        code, out, _ = run(capsys, "assoc", "--power", str(n), *(("--vacuum",) if vacuum else ()))
+        assert code == EXIT_OK
+        if vacuum:
+            terms = out.rstrip("\n").split(" + ")
+        else:
+            core, *terms = out.rstrip("\n").split("\n")
+            assert core.startswith("core: (f.(b.") and core.endswith("(f.b |psi>)" + ")" * (2 * n - 2))
+        powers = [term_powers(t) for t in terms]
+        assert all(k + 2 * j == n for k, j in powers)
+        assert [j for _, j in powers] == list(range(0 if vacuum else 1, n // 2 + 1))
 
     @pytest.mark.parametrize("vacuum", (False, True), ids=("series", "vacuum"))
     def test_bytes_match_former_renderer(self, capsys, vacuum):
@@ -114,6 +135,21 @@ class TestAssoc:
             code, out, _ = run(capsys, "assoc", "--power", str(n), *(("--vacuum",) if vacuum else ()))
             assert code == EXIT_OK
             assert out == former_assoc_text(n, vacuum)
+
+
+def term_powers(term):
+    """(k, j) of a rendered term m^{2j} core_k: ``m^4 core_2``, ``m^2 phi``,
+    ``m^6``, or as an expectation ``<core_4>``, ``m^2 <core_2>``."""
+    k = j = 0
+    for factor in term.split(" "):
+        factor = factor.strip("<>")
+        if factor.startswith("m^"):
+            j = int(factor[2:]) // 2
+        elif factor == "phi":
+            k = 1
+        else:
+            k = int(factor.removeprefix("core_"))
+    return k, j
 
 
 def former_assoc_text(n, vacuum):
@@ -216,6 +252,34 @@ class TestExact:
     )
     def test_extreme_units_are_usage_errors(self, capsys, fmt, units, reason):
         code, out, err = run(capsys, "exact", "--format", fmt, *units)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == reason
+
+    @pytest.mark.parametrize(
+        "argv, field_energy",
+        (
+            (("--q", "1e-160"), 5e-161),  # q^2 subnormal
+            (("--q", "1e-170"), 5e-171),  # q^2 underflows
+            (("--q", "1e200", "--rmin", "1e200"), 5e199),  # q^2 overflows
+        ),
+    )
+    def test_extreme_charge_field_energy(self, capsys, argv, field_energy):
+        code, out, _ = run(capsys, "exact", *argv)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["closed_form_field_energy"] == field_energy
+        assert payload["field_energy"] == pytest.approx(field_energy, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        (
+            (("--q", "1e200"), "naqlab: q = 1e+200, r_min = 0.001: self_energy is out of float64 range\n"),
+            (("--rmin", "1e-320"), "naqlab: q = 1.0, r_min = 1e-320: self_energy is out of float64 range\n"),
+        ),
+    )
+    def test_energy_overflow_is_usage_error(self, capsys, argv, reason):
+        code, out, err = run(capsys, "exact", *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err == reason

@@ -4,10 +4,10 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from naqlab import numerics
 from naqlab.numerics import (
     IntegrationBlowUp,
     InvalidBracketError,
-    OdeState,
     QuadratureBudgetError,
     bisect,
     brent,
@@ -50,11 +50,12 @@ class TestQuadAdaptive:
         with pytest.raises(ValueError):
             quad_adaptive(lambda r: 1.0, 0.0, math.inf, 1e-8)
 
-    def test_budget_exceeded_carries_partial(self):
+    def test_budget_exceeded_carries_partial(self, monkeypatch):
         # A needle the refinement cannot pin down inside the budget.
+        monkeypatch.setattr(numerics, "_MAX_EVALUATIONS", 300)
         needle = lambda x: 1.0 / (1e-12 + (x - 0.123456789) ** 2)
         with pytest.raises(QuadratureBudgetError) as err:
-            quad_adaptive(needle, 0.0, 1.0, 1e-14, max_evaluations=300)
+            quad_adaptive(needle, 0.0, 1.0, 1e-14)
         partial = err.value.partial
         assert partial.evaluations <= 300
         assert math.isfinite(partial.value)
@@ -63,30 +64,55 @@ class TestQuadAdaptive:
 class TestRkIntegrate:
     def test_harmonic_oscillator_period(self):
         rhs = lambda r, y: np.array([y[1], -y[0]])
-        sol = rk_integrate(rhs, OdeState(1.0, (0.0, 1.0)), 1.0 + 2 * math.pi)
+        sol = rk_integrate(rhs, 1.0, (0.0, 1.0), 1.0 + 2 * math.pi)
         assert np.allclose(sol.y[-1], [0.0, 1.0], atol=1e-8)
 
     def test_zero_rhs_constant_trajectory(self):
         rhs = lambda r, y: np.zeros_like(y)
-        sol = rk_integrate(rhs, OdeState(0.5, (3.0, -2.0)), 10.0)
+        sol = rk_integrate(rhs, 0.5, (3.0, -2.0), 10.0)
         assert np.allclose(sol.y, [3.0, -2.0])
 
     def test_exponential_growth(self):
-        sol = rk_integrate(lambda r, y: y, OdeState(1.0, (1.0,)), 2.0)
+        sol = rk_integrate(lambda r, y: y, 1.0, (1.0,), 2.0)
         assert sol.y[-1, 0] == pytest.approx(math.e, abs=1e-8)
+
+    def test_reaching_r_end_has_no_stop(self):
+        sol = rk_integrate(lambda r, y: y, 1.0, (1.0,), 2.0, stop_condition=lambda r, y: None)
+        assert sol.stop is None
+        assert sol.r[-1] == 2.0
+        assert rk_integrate(lambda r, y: y, 1.0, (1.0,), 2.0).stop is None
+
+    def test_stop_label_ends_run_on_triggering_sample(self):
+        # y = e^(r - 1) passes 2 at r = 1 + ln 2; the run ends on the first
+        # accepted sample past it, and the label comes back as ``stop``
+        seen = []
+
+        def stop(r, y):
+            seen.append(r)
+            return "past two" if y[0] > 2.0 else None
+
+        sol = rk_integrate(lambda r, y: y, 1.0, (1.0,), 3.0, stop_condition=stop)
+        assert sol.stop == "past two"
+        assert sol.r[-1] == seen[-1] < 3.0
+        assert sol.y[-1, 0] > 2.0 >= sol.y[-2, 0]
+        assert list(sol.r[1:]) == seen
+
+    @pytest.mark.parametrize("r_end", (1.0, 0.5, math.nan))
+    def test_r_end_must_exceed_r0(self, r_end):
+        with pytest.raises(ValueError, match="r_end must exceed the initial radius"):
+            rk_integrate(lambda r, y: y, 1.0, (1.0,), r_end)
 
     def test_blow_up_reports_last_state(self):
         # y' = y^2 from y(1) = 1 blows up at r = 2
         rhs = lambda r, y: (y[0] ** 2,)
         with pytest.raises(IntegrationBlowUp) as err:
-            rk_integrate(rhs, OdeState(1.0, (1.0,)), 3.0)
-        last = err.value.last_state
-        assert last.r < 2.0001
-        assert all(math.isfinite(v) for v in last.y)
-
-    def test_positive_radius_enforced(self):
-        with pytest.raises(ValueError):
-            OdeState(0.0, (1.0,))
+            rk_integrate(rhs, 1.0, (1.0,), 3.0)
+        partial = err.value.partial
+        assert partial.stop is None
+        assert partial.r[0] == 1.0
+        assert 1.9 < partial.r[-1] < 2.0001
+        assert np.all(np.isfinite(partial.y))
+        assert np.all(np.diff(partial.r) > 0)
 
 
 class TestBisect:

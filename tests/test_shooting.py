@@ -69,24 +69,23 @@ class TestSeriesStart:
         # a = -slope(eta0)/6 at eta0 = 0.9
         a = -quantum_potential_slope(0.9, params_m01) / 6.0
         assert a == pytest.approx(-0.03533667365212509, rel=1e-15)
-        state = series_start(0.9, params_m01, eps=1e-3)
-        assert state.r == 1e-3
-        assert state.y[0] == pytest.approx(0.9 + a * 1e-6, rel=1e-15)
-        assert state.y[1] == pytest.approx(2 * a * 1e-3, rel=1e-15)
+        r0, (eta, deta) = series_start(0.9, params_m01, eps=1e-3)
+        assert r0 == 1e-3
+        assert eta == pytest.approx(0.9 + a * 1e-6, rel=1e-15)
+        assert deta == pytest.approx(2 * a * 1e-3, rel=1e-15)
 
     def test_friction_balance(self, params_m01):
         # the quadratic start makes eta'' + (2/r) eta' + slope = O(eps^2)
         eps = 1e-4
-        state = series_start(1.1, params_m01, eps)
+        r0, (eta, deta) = series_start(1.1, params_m01, eps)
         residual = (
-            ode_rhs(state.r, state.y[0], state.y[1], params_m01)
+            ode_rhs(r0, eta, deta, params_m01)
             - 2.0 * (-quantum_potential_slope(1.1, params_m01) / 6.0)
         )
         assert abs(residual) < 1e-6
 
     def test_vacuum_start_is_static(self, params_m01):
-        state = series_start(0.0, params_m01, 1e-5)
-        assert state.y == (0.0, 0.0)
+        assert series_start(0.0, params_m01, 1e-5)[1] == (0.0, 0.0)
 
     def test_rejects_nonpositive_eps(self, params_m01):
         with pytest.raises(ValueError):
@@ -202,8 +201,9 @@ class TestFindRegularEta0:
         res = find_regular_eta0(p, bracket=(1.0, 2.5), tol=1e-10)
         assert res.eta0 == pytest.approx(1.4810965307, abs=1e-8)
 
-    def test_epsilon_insensitivity(self, params_m01, shot_m01_default):
-        res = find_regular_eta0(params_m01, eps=1e-7)
+    def test_epsilon_insensitivity(self, params_m01, shot_m01_default, monkeypatch):
+        monkeypatch.setattr(shooting, "DEFAULT_EPSILON", 1e-7)
+        res = find_regular_eta0(params_m01)
         assert abs(res.eta0 - shot_m01_default.eta0) < 1e-6
 
     # eta_0* does not depend on lambda_tilde (r -> r sqrt(lambda_tilde)
