@@ -7,8 +7,6 @@ bisection.
 
 import math
 
-import numpy as np
-
 from naqlab.numerics import bisect, quad_adaptive, rk_integrate
 
 res = quad_adaptive(lambda u: 1.0 / math.cosh(u) ** 2, 0.0, 50.0, 1e-12)
@@ -18,7 +16,7 @@ print(f"int_0^50 sech^2 = {res.value:.15f}  (tanh 50 = {math.tanh(50.0):.15f}, "
 res = quad_adaptive(lambda r: 1.0 / r**2, 1.0, math.inf, 1e-12)
 print(f"int_1^inf r^-2  = {res.value:.15f}")
 
-sol = rk_integrate(lambda r, y: np.array([y[1], -y[0]]), 1.0, (0.0, 1.0), 1.0 + 2 * math.pi)
+sol = rk_integrate(lambda r, y: (y[1], -y[0]), 1.0, (0.0, 1.0), 1.0 + 2 * math.pi)
 print(f"harmonic oscillator after one period: {sol.y[-1]}  ({sol.r.size} samples)")
 
 # a stop condition halts the run at the first accepted step where it

@@ -119,21 +119,17 @@ def exact_fields(r: np.ndarray, model: ChargeModel) -> dict[str, np.ndarray]:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = model.alpha / r
         cosh, tanh = np.cosh(x), np.tanh(x)
-        # E_r and rho are zeros with the sign of q where cosh overflows or
-        # q = 0; there r**2 or r**4 may underflow to 0 (0 * inf or 0 / 0), so
-        # the radius is taken as 1.
-        r_e = np.where((cosh == np.inf) | (q == 0.0), 1.0, r)
         k = math.sqrt(u.G) / (4.0 * math.pi * u.c**2)
-        e_r = q / (r_e * r_e * cosh)
-        rho = k * tanh / cosh * q * q / r_e**4
-        # Where r*r, r**4 or q*q leave the float64 range, E_r is 0 or inf and
-        # rho 0 or nan; only there (every other value keeps the bits of the
-        # order above) are both taken through q/r instead.
+        e_r = q / (r * r * cosh)
+        rho = k * tanh / cosh * q * q / r**4
+        # Where r*r, r**4, q*q or cosh leave the float64 range, or q = 0, E_r
+        # and rho are 0, inf or nan; only there (every other value keeps the
+        # bits of the order above) are both taken through q/r instead.
         fine_e, fine_rho = np.isfinite(e_r) & (e_r != 0.0), np.isfinite(rho) & (rho != 0.0)
         if not (fine_e.all() and fine_rho.all()):
-            e_alt = q / r_e / (r_e * cosh)
+            e_alt = q / r / (r * cosh)
             e_r = np.where(fine_e, e_r, e_alt)
-            rho = np.where(fine_rho, rho, k * tanh * e_alt * (q / r_e / r_e))
+            rho = np.where(fine_rho, rho, k * tanh * e_alt * (q / r / r))
             # Past the cosh overflow 1/cosh(x) = 2 exp(-|x|) to float64
             # precision; in log space E_r and rho underflow to zeros with
             # the sign of q only where their values do.
@@ -202,9 +198,9 @@ def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> Energ
     if q == 0.0:
         return EnergyReport(0.0, 0.0, 0.0, 0.0)
     alpha = abs(model.alpha)
-    # Where q^2 has lost bits or overflowed, q/alpha = c^2/sqrt(G) keeps them.
+    # q/alpha = c^2/sqrt(G) keeps the bits q^2 may lose; halve last, as 2 alpha may overflow.
     q2 = q * q
-    prefactor = q2 / (2.0 * alpha) if sys.float_info.min <= q2 < math.inf else q * (q / (2.0 * alpha))
+    prefactor = q2 / alpha / 2.0 if sys.float_info.min <= q2 < math.inf else q * (q / alpha) / 2.0
 
     sech2 = lambda x: 1.0 / math.cosh(x) ** 2 if abs(x) < 350 else 0.0
     # int_0^inf sech^2 = int_0^1 + int_1^inf (the second via the u = 1/r map)

@@ -12,8 +12,9 @@ if any.  Its settings are fixed: steps are accepted at ``rtol = 1e-10`` and
 
 Everything here is a pure function of its inputs; all arithmetic is
 64-bit IEEE-754.  The integrator works on plain Python floats: the state
-goes to the right-hand side as a tuple, which for the small states of the
-shooting problem costs far less than numpy's per-call overhead.
+goes to the right-hand side as a tuple and comes back as a sequence of
+Python floats, which for the small states of the shooting problem costs far
+less than numpy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -192,11 +193,11 @@ def rk_integrate(
 ) -> RkSolution:
     """Integrate y' = rhs(r, y) from y(r0) = y0 to ``r_end`` with adaptive DP5.
 
-    ``rhs`` receives the state as a tuple of floats and may return any
-    sequence of ``len(y)`` floats.  The Dormand-Prince 5(4) pair reuses the
-    last stage of an accepted step as the first of the next (FSAL), so an
-    integration costs 1 + 6 x (attempted steps) RHS evaluations.  A step is
-    accepted when the RMS of its embedded error estimate, scaled by
+    ``rhs`` receives the state as a tuple of floats and returns ``len(y)``
+    Python floats.  The Dormand-Prince 5(4) pair evaluates its last stage at
+    the 5th-order solution and reuses it as the first stage of the next step
+    (FSAL), so an integration costs 1 + 6 x (attempted steps) RHS evaluations.
+    A step is accepted when the RMS of its embedded error estimate, scaled by
     ``1e-12 + 1e-10 * max(|y|, |y_new|)`` per component, is at most 1; the
     first stride is 1/100 of the span, and at most 10^6 steps are attempted.
     Samples are retained at every accepted step.  ``stop_condition(r, y)``
@@ -213,7 +214,7 @@ def rk_integrate(
     r = float(r0)
     y = tuple(float(v) for v in y0)
     if not r_end > r:
-        raise ValueError("r_end must exceed the initial radius")
+        raise ValueError("r_end must exceed the initial radius %r, got %r" % (r, r_end))
     rs = [r]
     ys = [y]
 
@@ -225,71 +226,60 @@ def rk_integrate(
     k1 = rhs(r, y)
     nsteps = 0
     stop = None
-    # An ndarray-returning rhs makes the stage values numpy scalars; their
-    # inf/nan in rejected trial stages near a blow-up is expected and
-    # handled below, so numpy's warnings carry no information.
-    with np.errstate(invalid="ignore", over="ignore"):
-        while r < r_end:
-            h = min(h, r_end - r)
-            if h < 1e-14 * max(abs(r), 1.0):
-                _blowup("step underflow at r = %g" % r)
-            # The Dormand-Prince tableau, unrolled.  Each weighted sum starts
-            # from 0.0 and adds every term, zero weights included, in tableau
-            # order: that order fixes the rounding of every result, and a
-            # non-finite stage still turns a zero-weight term into nan.
-            k2 = rhs(r + 1 / 5 * h, tuple(
-                yj + h * (0.0 + 1 / 5 * k1j)
-                for yj, k1j in zip(y, k1)))
-            k3 = rhs(r + 3 / 10 * h, tuple(
-                yj + h * (0.0 + 3 / 40 * k1j + 9 / 40 * k2j)
-                for yj, k1j, k2j in zip(y, k1, k2)))
-            k4 = rhs(r + 4 / 5 * h, tuple(
-                yj + h * (0.0 + 44 / 45 * k1j + -56 / 15 * k2j + 32 / 9 * k3j)
-                for yj, k1j, k2j, k3j in zip(y, k1, k2, k3)))
-            k5 = rhs(r + 8 / 9 * h, tuple(
-                yj + h * (0.0 + 19372 / 6561 * k1j + -25360 / 2187 * k2j
-                          + 64448 / 6561 * k3j + -212 / 729 * k4j)
-                for yj, k1j, k2j, k3j, k4j in zip(y, k1, k2, k3, k4)))
-            k6 = rhs(r + h, tuple(
-                yj + h * (0.0 + 9017 / 3168 * k1j + -355 / 33 * k2j + 46732 / 5247 * k3j
-                          + 49 / 176 * k4j + -5103 / 18656 * k5j)
-                for yj, k1j, k2j, k3j, k4j, k5j in zip(y, k1, k2, k3, k4, k5)))
-            k7 = rhs(r + h, tuple(
-                yj + h * (0.0 + 35 / 384 * k1j + 0.0 * k2j + 500 / 1113 * k3j
-                          + 125 / 192 * k4j + -2187 / 6784 * k5j + 11 / 84 * k6j)
-                for yj, k1j, k2j, k3j, k4j, k5j, k6j in zip(y, k1, k2, k3, k4, k5, k6)))
-            ks = tuple(zip(y, k1, k2, k3, k4, k5, k6, k7))
-            y5 = tuple(
-                yj + h * (0.0 + 35 / 384 * k1j + 0.0 * k2j + 500 / 1113 * k3j + 125 / 192 * k4j
-                          + -2187 / 6784 * k5j + 11 / 84 * k6j + 0.0 * k7j)
-                for yj, k1j, k2j, k3j, k4j, k5j, k6j, k7j in ks)
-            y4 = tuple(
-                yj + h * (0.0 + 5179 / 57600 * k1j + 0.0 * k2j + 7571 / 16695 * k3j
-                          + 393 / 640 * k4j + -92097 / 339200 * k5j + 187 / 2100 * k6j
-                          + 1 / 40 * k7j)
-                for yj, k1j, k2j, k3j, k4j, k5j, k6j, k7j in ks)
-            errsq = 0.0
-            for yj, y5j, y4j in zip(y, y5, y4):
-                e = (y5j - y4j) / (_ATOL + _RTOL * max(abs(yj), abs(y5j)))
-                errsq += e * e
-            errnorm = math.sqrt(errsq / dim)
-            if errnorm != errnorm:
-                # A non-finite trial stage gives nan: reject and retry with a
-                # smaller stride; a diverging solution ends in step underflow.
-                errnorm = math.inf
-            if errnorm <= 1.0:
-                r += h
-                y = y5
-                k1 = k7  # FSAL: k7 equals k1 of the next step
-                rs.append(r)
-                ys.append(y)
-                if stop_condition is not None and (stop := stop_condition(r, y)):
-                    break
-            factor = 0.9 * (errnorm ** -0.2) if errnorm > 0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-            nsteps += 1
-            if nsteps > _MAX_STEPS:
-                _blowup("step budget exceeded")
+    while r < r_end:
+        h = min(h, r_end - r)
+        if h < 1e-14 * max(abs(r), 1.0):
+            _blowup("step underflow at r = %g" % r)
+        # The Dormand-Prince tableau, unrolled.  Each weighted sum adds its
+        # nonzero terms left to right in tableau order: that order fixes the
+        # rounding of every result.  The stage-7 row equals the 5th-order
+        # weights, so the last stage is evaluated at y5 itself.
+        k2 = rhs(r + 1 / 5 * h, tuple(
+            yj + h * (1 / 5 * k1j)
+            for yj, k1j in zip(y, k1)))
+        k3 = rhs(r + 3 / 10 * h, tuple(
+            yj + h * (3 / 40 * k1j + 9 / 40 * k2j)
+            for yj, k1j, k2j in zip(y, k1, k2)))
+        k4 = rhs(r + 4 / 5 * h, tuple(
+            yj + h * (44 / 45 * k1j + -56 / 15 * k2j + 32 / 9 * k3j)
+            for yj, k1j, k2j, k3j in zip(y, k1, k2, k3)))
+        k5 = rhs(r + 8 / 9 * h, tuple(
+            yj + h * (19372 / 6561 * k1j + -25360 / 2187 * k2j
+                      + 64448 / 6561 * k3j + -212 / 729 * k4j)
+            for yj, k1j, k2j, k3j, k4j in zip(y, k1, k2, k3, k4)))
+        k6 = rhs(r + h, tuple(
+            yj + h * (9017 / 3168 * k1j + -355 / 33 * k2j + 46732 / 5247 * k3j
+                      + 49 / 176 * k4j + -5103 / 18656 * k5j)
+            for yj, k1j, k2j, k3j, k4j, k5j in zip(y, k1, k2, k3, k4, k5)))
+        y5 = tuple(
+            yj + h * (35 / 384 * k1j + 500 / 1113 * k3j + 125 / 192 * k4j
+                      + -2187 / 6784 * k5j + 11 / 84 * k6j)
+            for yj, k1j, k3j, k4j, k5j, k6j in zip(y, k1, k3, k4, k5, k6))
+        k7 = rhs(r + h, y5)
+        errsq = 0.0
+        for yj, y5j, k1j, k3j, k4j, k5j, k6j, k7j in zip(y, y5, k1, k3, k4, k5, k6, k7):
+            y4j = yj + h * (5179 / 57600 * k1j + 7571 / 16695 * k3j + 393 / 640 * k4j
+                            + -92097 / 339200 * k5j + 187 / 2100 * k6j + 1 / 40 * k7j)
+            e = (y5j - y4j) / (_ATOL + _RTOL * max(abs(yj), abs(y5j)))
+            errsq += e * e
+        errnorm = math.sqrt(errsq / dim)
+        if errnorm != errnorm:
+            # A non-finite trial stage gives nan: reject and retry with a
+            # smaller stride; a diverging solution ends in step underflow.
+            errnorm = math.inf
+        if errnorm <= 1.0:
+            r += h
+            y = y5
+            k1 = k7  # FSAL: k7 equals k1 of the next step
+            rs.append(r)
+            ys.append(y)
+            if stop_condition is not None and (stop := stop_condition(r, y)):
+                break
+        factor = 0.9 * (errnorm ** -0.2) if errnorm > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+        nsteps += 1
+        if nsteps > _MAX_STEPS:
+            _blowup("step budget exceeded")
     return RkSolution(np.array(rs), np.array(ys), stop or None)
 
 

@@ -90,6 +90,20 @@ class TestUsageErrors:
         last = err.splitlines()[-1]
         assert last.startswith("naqlab %s: error: argument %s: not a finite number: " % (argv[0], argv[-2]))
 
+    @pytest.mark.parametrize(
+        "argv, r_end",
+        (
+            (("shoot", "--rmax", "1e-8"), "1e-08"),
+            (("profile", "--eta0", "0.9", "--grid=1e-9:1e-7:5"), "1e-07"),
+        ),
+        ids=("shoot", "profile"),
+    )
+    def test_end_below_start_radius_names_both(self, capsys, argv, r_end):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "naqlab: r_end must exceed the initial radius 1e-06, got %s\n" % r_end
+
 
 class TestAssoc:
     def test_vacuum_power_four(self, capsys):
@@ -270,6 +284,16 @@ class TestExact:
         payload = json.loads(out)
         assert payload["closed_form_field_energy"] == field_energy
         assert payload["field_energy"] == pytest.approx(field_energy, rel=1e-14, abs=0.0)
+
+    def test_energies_with_alpha_near_float64_top(self, capsys):
+        # alpha = 1e308: the prefactor q^2 / (2 alpha) must not form 2 alpha
+        code, out, _ = run(capsys, "exact", "--q", "1e154", "--G", "1e300", "--c", "1e-2", "--rmin", "1e300")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["closed_form_field_energy"] == 0.5000000000000001
+        assert payload["closed_form_self_energy"] == 49999999.5
+        for name in ("field_energy", "self_energy"):
+            assert payload[name] == pytest.approx(payload["closed_form_" + name], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "argv, reason",

@@ -4,7 +4,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from naqlab import numerics
+from naqlab import numerics, shooting
 from naqlab.numerics import (
     IntegrationBlowUp,
     InvalidBracketError,
@@ -63,7 +63,7 @@ class TestQuadAdaptive:
 
 class TestRkIntegrate:
     def test_harmonic_oscillator_period(self):
-        rhs = lambda r, y: np.array([y[1], -y[0]])
+        rhs = lambda r, y: (y[1], -y[0])
         sol = rk_integrate(rhs, 1.0, (0.0, 1.0), 1.0 + 2 * math.pi)
         assert np.allclose(sol.y[-1], [0.0, 1.0], atol=1e-8)
 
@@ -113,6 +113,82 @@ class TestRkIntegrate:
         assert 1.9 < partial.r[-1] < 2.0001
         assert np.all(np.isfinite(partial.y))
         assert np.all(np.diff(partial.r) > 0)
+
+
+# Dormand-Prince 5(4) kept as data: stage nodes, stage rows, and the 5th- and
+# 4th-order weights.  The stage-7 row equals the 5th-order weights.
+_DP5_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP5_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP5_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP5_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _dp5_combine(y, h, weights, ks):
+    """y + h * sum(w k): each component's nonzero terms added left to right
+    in an explicit loop (``sum()`` compensates float sums from Python 3.12)."""
+    out = []
+    for j, yj in enumerate(y):
+        acc = None
+        for w, k in zip(weights, ks):
+            if w != 0.0:
+                acc = w * k[j] if acc is None else acc + w * k[j]
+        out.append(yj + h * acc)
+    return tuple(out)
+
+
+def dp5_reference(rhs, r, y, r_end):
+    """The adaptive DP5 loop from its tableau: (r samples, y samples, rejections)."""
+    rs, ys, rejected = [r], [y], 0
+    h = (r_end - r) / 100.0
+    k1 = rhs(r, y)
+    while r < r_end:
+        h = min(h, r_end - r)
+        ks = [k1]
+        for c, row in zip(_DP5_C[1:], _DP5_A[1:]):
+            ks.append(rhs(r + c * h, _dp5_combine(y, h, row, ks)))
+        y5, y4 = _dp5_combine(y, h, _DP5_B, ks), _dp5_combine(y, h, _DP5_B4, ks)
+        errsq = 0.0
+        for yj, y5j, y4j in zip(y, y5, y4):
+            e = (y5j - y4j) / (numerics._ATOL + numerics._RTOL * max(abs(yj), abs(y5j)))
+            errsq += e * e
+        err = math.sqrt(errsq / len(y))
+        err = math.inf if err != err else err
+        if err <= 1.0:
+            r, y, k1 = r + h, y5, ks[6]
+            rs.append(r)
+            ys.append(y)
+        else:
+            rejected += 1
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+    return np.array(rs), np.array(ys), rejected
+
+
+class TestDp5Reference:
+    """The unrolled step of rk_integrate against the tableau as data, bit for bit."""
+
+    def test_lorenz_three_components(self):
+        rhs = lambda r, y: (10.0 * (y[1] - y[0]), y[0] * (28.0 - y[2]) - y[1], y[0] * y[1] - 8 / 3 * y[2])
+        ref_r, ref_y, rejected = dp5_reference(rhs, 0.0, (1.0, 1.0, 1.0), 1.0)
+        assert rejected > 0
+        sol = rk_integrate(rhs, 0.0, (1.0, 1.0, 1.0), 1.0)
+        assert np.array_equal(sol.r, ref_r)
+        assert np.array_equal(sol.y, ref_y)
+
+    def test_profile_rhs(self, params_m01):
+        rhs = lambda r, y: (y[1], shooting.ode_rhs(r, y[0], y[1], params_m01))
+        r0, y0 = shooting.series_start(0.9083, params_m01, shooting.DEFAULT_EPSILON)
+        ref_r, ref_y, _ = dp5_reference(rhs, r0, y0, 80.0)
+        sol = rk_integrate(rhs, r0, y0, 80.0)
+        assert np.array_equal(sol.r, ref_r)
+        assert np.array_equal(sol.y, ref_y)
 
 
 class TestBisect:
