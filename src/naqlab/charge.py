@@ -214,7 +214,10 @@ def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> Energ
     # flat stretch cannot hide the structure near u = 0 from the estimator.
     breakpoint_u = min(cap, 25.0)
     self_value = quad_adaptive(tanh2, 0.0, breakpoint_u, tol).value
-    if cap > breakpoint_u:
+    if cap == math.inf:
+        # alpha/r_min overflowed: tanh^2 -> 1, so the integral diverges
+        self_value = math.inf
+    elif cap > breakpoint_u:
         self_value += quad_adaptive(tanh2, breakpoint_u, cap, tol).value
     self_energy = prefactor * self_value
 

@@ -104,8 +104,9 @@ def _gk15_panel(f, a, b):
         k15 += wk * fx
     raw = abs(k15 - g7) * half
     # QUADPACK-style sharpening of the raw G7/K15 discrepancy.  It can lower
-    # only an estimate below 1/200, and its power overflows for huge ones.
-    err = min(raw, (200.0 * raw) ** 1.5) if 0 < raw < 0.005 else raw if raw > 0 else 0.0
+    # only an estimate below 1/200, and its power overflows for huge ones.  A
+    # nan discrepancy (a nan or infinite panel) is an infinite error.
+    err = min(raw, (200.0 * raw) ** 1.5) if 0 < raw < 0.005 else raw if raw == raw else math.inf
     return k15 * half, err, 15
 
 
@@ -141,7 +142,8 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -
     while True:
         total = sum(item[4] for item in heap)
         total_err = sum(item[5] for item in heap)
-        if total_err <= max(tol, tol * abs(total)):
+        # An infinite total gives an infinite tolerance; it never converges.
+        if total_err <= max(tol, tol * abs(total)) < math.inf:
             return QuadResult(total, total_err, evals)
         if evals + 30 > _MAX_EVALUATIONS:
             raise QuadratureBudgetError(QuadResult(total, total_err, evals))

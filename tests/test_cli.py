@@ -3,8 +3,29 @@ import json
 import numpy as np
 import pytest
 
-from naqlab import algebra, shooting
+from naqlab import algebra, cli, shooting
+from naqlab.charge import ChargeModel, UnitsConfig, exact_fields
 from naqlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
+
+# a table that spans two full CSV blocks and part of a third
+MULTI_BLOCK_ROWS = 2 * cli._CSV_BLOCK + 3
+
+
+def repr_table(config, header, columns):
+    """The CSV text of the former writer: one ``repr`` per value, row by row."""
+    rows = ["# config: " + json.dumps(config, sort_keys=True), header]
+    for row in zip(*(np.asarray(col).tolist() for col in columns)):
+        rows.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(rows) + "\n"
+
+
+def assert_same_text(got, expected):
+    """``got == expected``; on a mismatch pytest shows the first differing
+    line, not a diff of the whole (possibly megabyte) text."""
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    first = next(((i, g, e) for i, (g, e) in enumerate(zip(got_lines, expected_lines)) if g != e), None)
+    assert first is None
+    assert len(got_lines) == len(expected_lines)
 
 
 def run(capsys, *argv):
@@ -245,11 +266,57 @@ class TestExact:
         assert "radius must be positive" in err
 
     def test_output_file(self, tmp_path, capsys):
-        path = tmp_path / "report.json"
-        code, out, _ = run(capsys, "exact", "--output", str(path))
+        multi_block_csv = ("exact", "--format", "csv", "--grid", "1e-3:1e3:%d" % MULTI_BLOCK_ROWS)
+        for i, argv in enumerate((("exact",), multi_block_csv)):
+            path = tmp_path / ("out%d" % i)
+            code, out, _ = run(capsys, *argv, "--output", str(path))
+            assert code == EXIT_OK
+            assert out == ""
+            assert_same_text(path.read_text(), run(capsys, *argv)[1])
+
+    @pytest.mark.parametrize(
+        "units, grid",
+        (
+            # more rows than one block
+            (("--q", "1", "--G", "1", "--c", "1"), (1e-3, 1e3, MULTI_BLOCK_ROWS)),
+            # alpha/r past 710.47: phi = +-inf, E_r and rho down to subnormals and zeros
+            (("--q", "1", "--G", "1", "--c", "1"), (1e-4, 1e-2, 300)),
+            (("--q", "-1", "--G", "1", "--c", "1"), (1e-4, 1e-2, 300)),
+            # every field exactly zero
+            (("--q", "0", "--G", "1", "--c", "1"), (1e-2, 1e2, 50)),
+            # E_r in [1e-5, 1e-4) at large r, phi past 1e16 at small r
+            (("--q", "1", "--G", "1", "--c", "1"), (1e-2, 1e3, 400)),
+        ),
+        ids=("multi-block", "phi-plus-inf", "phi-minus-inf", "zero-charge", "exponent-layouts"),
+    )
+    def test_csv_bytes_match_repr_table(self, capsys, units, grid):
+        argv = ("exact", "--format", "csv", *units, "--grid", "%r:%r:%d" % grid)
+        code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        assert out == ""
-        assert path.read_text() == run(capsys, "exact")[1]
+        q, G, c = (float(v) for v in units[1::2])
+        fields = exact_fields(np.geomspace(*grid), ChargeModel(q=q, units=UnitsConfig(G=G, c=c)))
+        config = {
+            "subcommand": "exact", "q": q, "G": G, "c": c, "rmin": 1e-3, "grid": list(grid),
+            "grid_scale": "log", "tol": 1e-10, "format": "csv",
+        }
+        columns = [fields[k] for k in ("r", "phi", "E_r", "rho")]
+        assert_same_text(out, repr_table(config, "r,phi,E_r,rho", columns))
+
+    def test_csv_tables_reach_every_layout(self, capsys):
+        # the tables above hold each value class whose layout the writer
+        # rewrites or splices: +-inf, zeros, subnormals, exponents of one
+        # negative digit, the band [1e-5, 1e-4) and exponents of +16 and up
+        values = []
+        for argv in (("--grid", "1e-4:1e-2:300"), ("--q", "-1", "--grid", "1e-4:1e-2:300"),
+                     ("--grid", "1e-2:1e3:400")):
+            out = run(capsys, "exact", "--format", "csv", *argv)[1]
+            values += [float(v) for line in out.splitlines()[2:] for v in line.split(",")]
+        mag = np.abs(values)
+        assert np.isposinf(values).any() and np.isneginf(values).any()
+        assert (mag == 0.0).any() and ((0.0 < mag) & (mag < np.finfo(float).tiny)).any()
+        assert ((1e-9 <= mag) & (mag < 1e-5)).any()
+        assert ((1e-5 <= mag) & (mag < 1e-4)).any()
+        assert ((1e16 <= mag) & (mag < np.inf)).any()
 
     @pytest.mark.parametrize("fmt", ("json", "csv"))
     @pytest.mark.parametrize(
@@ -320,6 +387,30 @@ class TestExact:
         assert all(row == ["0.0", "0.0", "0.0"] for row in rows)
 
 
+class TestCsvWriter:
+    """``cli._csv`` against the repr writer, byte for byte, on float64 values
+    of every class; a change in orjson's number layout fails here."""
+
+    def test_random_bits(self):
+        rng = np.random.default_rng(20240901)
+        bits = rng.integers(0, 2**64, size=(5, MULTI_BLOCK_ROWS), dtype=np.uint64)
+        table = bits.view(np.float64)
+        table[:, :6] = (np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310)
+        assert np.isnan(table).sum() > 6
+        columns = tuple(table)
+        assert_same_text(cli._csv({"seed": 1}, "a,b,c,d,e", columns), repr_table({"seed": 1}, "a,b,c,d,e", columns))
+
+    def test_layout_boundaries(self):
+        # 200 float64 neighbours on each side of each point where the layout of
+        # repr or of orjson changes, with both signs
+        offsets = np.arange(-200, 201)
+        edges = [(np.float64(x).view(np.int64) + offsets).view(np.float64)
+                 for x in (1e-100, 1e-10, 1e-5, 1e-4, 1e16, 1e100)]
+        values = np.concatenate(edges + [-e for e in edges])
+        columns = (values, values[::-1], np.roll(values, 7))
+        assert_same_text(cli._csv({}, "x,y,z", columns), repr_table({}, "x,y,z", columns))
+
+
 class TestShoot:
     def test_default_run(self, capsys):
         code, out, _ = run(capsys, "shoot")
@@ -345,11 +436,12 @@ class TestProfile:
         assert lines[1] == "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled"
         assert len(lines) == 52
 
-    def test_csv_bytes_match_per_element_rows(self, capsys):
+    @staticmethod
+    def repr_profile(points):
         # the table the former row-by-row writer produced, rebuilt here
         params = shooting.CouplingParams(lambda_tilde=1.0, m=0.1)
         traj = shooting.integrate_profile(0.9083, params, r_max=40.0)
-        rs = np.geomspace(1e-2, 40.0, 50)
+        rs = np.geomspace(1e-2, 40.0, points)
         rs = rs[(rs >= traj.r[0]) & (rs <= traj.r[-1])]
         prof = shooting.derive_fields(
             shooting.Trajectory(
@@ -359,18 +451,16 @@ class TestProfile:
         )
         config = {
             "subcommand": "profile", "eta0": 0.9083, "lambda_tilde": 1.0,
-            "m": 0.1, "grid": [1e-2, 40.0, 50], "grid_scale": "log",
+            "m": 0.1, "grid": [1e-2, 40.0, points], "grid_scale": "log",
         }
-        rows = ["# config: " + json.dumps(config, sort_keys=True),
-                "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled"]
-        for i in range(rs.size):
-            rows.append(",".join(repr(float(v)) for v in (
-                prof.r[i], prof.eta[i], prof.deta[i],
-                prof.phi_scaled[i], prof.E_scaled[i], prof.rho_scaled[i],
-            )))
-        code, out, _ = run(capsys, "profile", "--eta0", "0.9083", "--grid", "1e-2:40:50")
-        assert code == EXIT_OK
-        assert out == "\n".join(rows) + "\n"
+        columns = (prof.r, prof.eta, prof.deta, prof.phi_scaled, prof.E_scaled, prof.rho_scaled)
+        return repr_table(config, "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns)
+
+    def test_csv_bytes_match_per_element_rows(self, capsys):
+        for points in (50, MULTI_BLOCK_ROWS):
+            code, out, _ = run(capsys, "profile", "--eta0", "0.9083", "--grid", "1e-2:40:%d" % points)
+            assert code == EXIT_OK
+            assert_same_text(out, self.repr_profile(points))
 
     def test_short_trajectory_is_numerical_error(self, capsys):
         # a strongly overshooting start terminates long before the grid

@@ -50,6 +50,22 @@ class TestQuadAdaptive:
         with pytest.raises(ValueError):
             quad_adaptive(lambda r: 1.0, 0.0, math.inf, 1e-8)
 
+    def test_nan_at_a_node_is_refined_away(self):
+        # nan only at x = 0.5, the centre node of the first panel; its halves
+        # never evaluate 0.5, so bisection recovers the integral
+        res = quad_adaptive(lambda x: math.nan if x == 0.5 else 1.0, 0.0, 1.0, 1e-10)
+        assert res.value == pytest.approx(1.0, abs=1e-14)
+        assert res.error_estimate < 1e-10
+        assert res.evaluations == 45
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    def test_non_finite_panel_never_converges(self, value):
+        # an interval of a few ulp runs out of bisections at once
+        b = 1.0 + 8 * math.ulp(1.0)
+        with pytest.raises(QuadratureBudgetError) as err:
+            quad_adaptive(lambda x: value, 1.0, b, 1e-10)
+        assert err.value.partial.error_estimate == math.inf
+
     def test_budget_exceeded_carries_partial(self, monkeypatch):
         # A needle the refinement cannot pin down inside the budget.
         monkeypatch.setattr(numerics, "_MAX_EVALUATIONS", 300)
