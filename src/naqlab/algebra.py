@@ -19,7 +19,7 @@ corrections, without the residual power-1 terms (<phi> = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 __all__ = [
     "Constituent",
@@ -28,13 +28,11 @@ __all__ = [
     "Expression",
     "SeriesTerm",
     "CorrectionSeries",
-    "GaugeMassTerm",
     "ExpressionError",
     "build_power_expression",
     "core_expression",
     "normalize",
     "vacuum_expectation_corrections",
-    "gauge_quartic_correction",
     "render",
     "render_power",
 ]
@@ -224,44 +222,6 @@ def vacuum_expectation_corrections(n: int) -> CorrectionSeries:
         raise ExpressionError("empty product: power must be >= 1")
     terms = (SeriesTerm(n, 0),) + _correction_terms(n)
     return CorrectionSeries(tuple(t for t in terms if t.residual_power != 1))
-
-
-# ---------------------------------------------------------------------------
-# Gauge-theory quartic reduction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaugeMassTerm:
-    """The mass term generated from the quartic gauge self-interaction.
-
-    The quartic color-traced term reduces exactly like the scalar fourth
-    power, leaving a single j = 1 correction quadratic in the potential.
-    The implied interaction radius is 1/m.
-    """
-
-    group_rank: int
-    m2_exponent: ClassVar[int] = 1
-
-    def render(self) -> str:
-        return SeriesTerm(0, self.m2_exponent).render() + " A^a_mu A^a_mu"
-
-    def interaction_radius(self, m: float) -> float:
-        if m <= 0:
-            raise ValueError("m must be positive for a finite radius")
-        return 1.0 / m
-
-    def evaluate(self, m_squared: float) -> tuple[tuple[str, float], ...]:
-        """Numeric correction terms; empty in the associative limit m^2 = 0."""
-        if m_squared == 0.0:
-            return ()
-        return (("A^a_mu A^a_mu", m_squared**self.m2_exponent),)
-
-
-def gauge_quartic_correction(group_rank: int) -> GaugeMassTerm:
-    if group_rank < 2:
-        raise ValueError("gauge group rank must be >= 2")
-    return GaugeMassTerm(group_rank=group_rank)
 
 
 # ---------------------------------------------------------------------------

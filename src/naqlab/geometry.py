@@ -4,8 +4,9 @@ Connection coefficients are stored as arrays indexed ``[..., mu, nu, rho]``
 for Gamma_{mu nu}^rho (two lower indices first, the upper index last); the
 leading axes, when present, range over a rectangular coordinate grid.
 Christoffel symbols and the Ricci tensor of a non-symmetric connection are
-built with centered finite differences and reported on interior grid points
-only (no one-sided stencils), so convergence is cleanly second order.
+built with centered finite differences on interior grid points only: no
+one-sided stencil is formed and no end point is inverted or contracted, so
+convergence is cleanly second order and a metric may be singular there.
 
 Sign conventions: torsion is minus twice the antisymmetric part of the
 connection, and the contorsion satisfies K_[mu nu]^rho = -T_{mu nu}^rho / 2
@@ -63,6 +64,8 @@ class Grid:
                 raise ValueError("axes must be non-empty 1-D arrays")
             if ax.size > 1:
                 d = np.diff(ax)
+                if d[0] == 0:
+                    raise ValueError("axes must not repeat a coordinate")
                 if not np.allclose(d, d[0], rtol=1e-12, atol=0):
                     raise ValueError("axes must be uniformly spaced")
 
@@ -75,20 +78,23 @@ class Grid:
         return float(ax[1] - ax[0]) if ax.size > 1 else 0.0
 
     def interior(self) -> "Grid":
-        return Grid(tuple(ax[1:-1] if ax.size > 1 else ax for ax in self.axes))
+        return Grid(tuple(ax[sl] for ax, sl in zip(self.axes, _core(self))))
+
+
+def _core(grid: Grid) -> tuple[slice, ...]:
+    """Index of the interior points: both ends dropped on each axis of size > 1."""
+    return tuple(slice(1, -1) if n > 1 else slice(None) for n in grid.shape)
 
 
 def _partials(values: np.ndarray, grid: Grid, min_points: int) -> np.ndarray:
-    """Stack of coordinate derivatives; last axis indexes the direction.
-
-    Differentiated axes need at least ``min_points`` samples; size-1 axes
-    contribute zero.  Interior points are centered differences (boundary
-    values come from np.gradient's one-sided formula and are discarded by
-    the callers' interior trim).
+    """Derivatives at the points ``values[_core(grid)]``; last axis indexes the
+    direction.  ``(v[i+1] - v[i-1]) / (2h)`` is np.gradient's interior formula,
+    bit for bit.  Differentiated axes need at least ``min_points`` samples;
+    size-1 axes contribute zero.
     """
-    out = np.zeros(values.shape + (4,))
-    for axis in range(4):
-        n = grid.axes[axis].size
+    core = _core(grid)
+    out = np.zeros(values[core].shape + (4,))
+    for axis, n in enumerate(grid.shape):
         if n == 1:
             continue
         if n < min_points:
@@ -96,23 +102,21 @@ def _partials(values: np.ndarray, grid: Grid, min_points: int) -> np.ndarray:
                 "axis %d has %d points; need >= %d for centered differences"
                 % (axis, n, min_points)
             )
-        out[..., axis] = np.gradient(values, grid.spacing(axis), axis=axis)
+        up = core[:axis] + (slice(2, None),) + core[axis + 1 :]
+        down = core[:axis] + (slice(None, -2),) + core[axis + 1 :]
+        out[..., axis] = (values[up] - values[down]) / (2.0 * grid.spacing(axis))
     return out
 
 
-def _trim_interior(values: np.ndarray, grid: Grid) -> np.ndarray:
-    sl = tuple(slice(1, -1) if ax.size > 1 else slice(None) for ax in grid.axes)
-    return values[sl]
-
-
-def _inverse_metric(g: np.ndarray) -> np.ndarray:
+def _inverse_metric(g: np.ndarray, offset=0) -> np.ndarray:
+    """Inverse of a stack of metrics; ``offset`` is added to a reported index."""
     det = np.linalg.det(g)
     bad = np.abs(det) < _DET_THRESHOLD
     if np.any(bad):
-        where = np.argwhere(bad)
+        point = np.argwhere(bad)[0] + offset
         raise MetricNotInvertibleError(
             "metric not invertible (|det| < %g) at grid point %s"
-            % (_DET_THRESHOLD, tuple(where[0]))
+            % (_DET_THRESHOLD, tuple(int(i) for i in point))
         )
     return np.linalg.inv(g)
 
@@ -122,14 +126,14 @@ def christoffel_from_metric(g: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid
 
     ``g`` has shape ``grid.shape + (4, 4)``.  Returns the coefficients,
     indexed ``[..., beta, gamma, alpha]`` and symmetric in (beta, gamma),
-    on the interior grid.
+    on the interior grid.  Only the metric at interior points is inverted.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != grid.shape + (4, 4):
         raise ValueError("metric shape %s does not match grid %s" % (g.shape, grid.shape))
     if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12):
         raise ValueError("metric must be symmetric")
-    ginv = _inverse_metric(g)
+    ginv = _inverse_metric(g[_core(grid)], offset=[int(n > 1) for n in grid.shape])
     dg = _partials(g, grid, min_points=3)  # dg[..., b, d, c] = d_c g_{bd}
     # Gamma_{bc}^a = 1/2 g^{ad} (d_c g_{bd} + d_b g_{cd} - d_d g_{bc})
     t1 = dg  # [..., b, d, c] = g_{bd,c}
@@ -137,7 +141,7 @@ def christoffel_from_metric(g: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid
     t3 = np.einsum("...bcd->...bdc", dg)  # g_{bc,d}
     bracket = t1 + t2 - t3  # [..., b, d, c]
     gamma = 0.5 * np.einsum("...ad,...bdc->...bca", ginv, bracket)
-    return _trim_interior(gamma, grid), grid.interior()
+    return gamma, grid.interior()
 
 
 def split_connection(conn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,16 +212,14 @@ def ricci_from_connection(conn: np.ndarray, grid: Grid) -> tuple[np.ndarray, Gri
         )
     dconn = _partials(conn, grid, min_points=5)  # [..., m, n, r, axis]
     term1 = np.einsum("...mnrr->...mn", dconn)  # d_rho Gamma_{mu nu}^rho
-    # d_nu (Gamma_{mu rho}^rho): trace over the connection's last two indices,
-    # then the derivative along nu.
-    conn_trace = np.einsum("...mrr->...m", conn)
-    dtrace = _partials(conn_trace, grid, min_points=5)  # [..., m, nu]
-    term2 = dtrace
-    tr = np.einsum("...rtt->...r", conn)  # Gamma_{rho tau}^tau
+    # Gamma_{mu rho}^rho: trace over the connection's last two indices.
+    tr = np.einsum("...mrr->...m", conn)
+    term2 = _partials(tr, grid, min_points=5)  # d_nu Gamma_{mu rho}^rho
+    core = _core(grid)
+    conn, tr = conn[core], tr[core]
     term3 = np.einsum("...mnr,...r->...mn", conn, tr)
     term4 = np.einsum("...mrt,...ntr->...mn", conn, conn)
-    ricci = term1 - term2 + term3 - term4
-    return _trim_interior(ricci, grid), grid.interior()
+    return term1 - term2 + term3 - term4, grid.interior()
 
 
 # ---------------------------------------------------------------------------

@@ -139,23 +139,31 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -
     # deterministically.
     counter = 0
     heap = [(-err, counter, a, b, value, err)]
+    # Whenever the re-summed total can pass its test, its tolerance is at most
+    # max(tol, tol * bound), bound being the sum of the finite |value| of
+    # every panel made (1e-6 covers rounding), and the summed error is at
+    # least the largest one.  So the heap is re-summed only when the largest
+    # error is within that, or to report a failure.
+    bound = abs(value) if math.isfinite(value) else 0.0
     while True:
-        total = sum(item[4] for item in heap)
-        total_err = sum(item[5] for item in heap)
-        # An infinite total gives an infinite tolerance; it never converges.
-        if total_err <= max(tol, tol * abs(total)) < math.inf:
-            return QuadResult(total, total_err, evals)
-        if evals + 30 > _MAX_EVALUATIONS:
-            raise QuadratureBudgetError(QuadResult(total, total_err, evals))
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        lo, hi = heap[0][2:4]
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Interval no longer splittable in float64; keep it as-is.
-            raise QuadratureBudgetError(QuadResult(total, total_err, evals))
+        # The budget, or an interval no longer splittable in float64, ends it.
+        stuck = evals + 30 > _MAX_EVALUATIONS or mid <= lo or mid >= hi
+        if stuck or -heap[0][0] <= max(tol, tol * bound * (1 + 1e-6)):
+            total = sum(item[4] for item in heap)
+            total_err = sum(item[5] for item in heap)
+            # An infinite total gives an infinite tolerance; it never converges.
+            if total_err <= max(tol, tol * abs(total)) < math.inf:
+                return QuadResult(total, total_err, evals)
+            if stuck:
+                raise QuadratureBudgetError(QuadResult(total, total_err, evals))
+        heapq.heappop(heap)
         for left, right in ((lo, mid), (mid, hi)):
             v, e, n = _gk15_panel(f, left, right)
             evals += n
             counter += 1
+            bound += abs(v) if math.isfinite(v) else 0.0
             heapq.heappush(heap, (-e, counter, left, right, v, e))
 
 

@@ -9,7 +9,6 @@ from naqlab.algebra import (
     State,
     build_power_expression,
     core_expression,
-    gauge_quartic_correction,
     normalize,
     render,
     vacuum_expectation_corrections,
@@ -136,19 +135,3 @@ class TestVacuumExpectation:
         poly = vacuum_expectation_corrections(n)
         assert all(k != 1 for k, _ in poly.terms)
 
-
-class TestGaugeQuarticCorrection:
-    def test_descriptor_is_quadratic_with_j_one(self):
-        term = gauge_quartic_correction(3)
-        assert term.m2_exponent == 1
-        assert term.render() == "m^2 A^a_mu A^a_mu"
-
-    def test_interaction_radius(self):
-        assert gauge_quartic_correction(2).interaction_radius(2.0) == 0.5
-
-    def test_associative_limit_empty(self):
-        assert gauge_quartic_correction(5).evaluate(0.0) == ()
-
-    def test_rank_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            gauge_quartic_correction(1)

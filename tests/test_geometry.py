@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,129 @@ class TestChristoffel:
         g = np.zeros(grid.shape + (4, 4))  # det == 0 everywhere
         with pytest.raises(MetricNotInvertibleError):
             christoffel_from_metric(g, grid)
+
+
+class TestPoleAndSingularPoints:
+    def test_theta_grid_ending_on_both_poles(self):
+        # sin^2 theta vanishes at theta = 0 and pi: singular only at the end
+        # points, which no output reads
+        errs = []
+        for n in (33, 65):
+            one = np.array([0.0])
+            grid = Grid((one, one, np.linspace(0.0, math.pi, n), one))
+            gamma, ig = christoffel_from_metric(sphere_metric(grid), grid)
+            assert np.isfinite(gamma).all()
+            th = ig.axes[2]
+            errs.append(np.abs(gamma[0, 0, :, 0, 3, 3, 2] + np.sin(th) * np.cos(th)).max())
+        assert errs[0] < 5e-3
+        assert 3.5 < errs[0] / errs[1] < 4.5  # O(h^2)
+
+    def test_singular_interior_point_named_in_callers_indices(self):
+        one = np.array([0.0])
+        grid = Grid((np.arange(3.0), one, 1.0 + 0.1 * np.arange(9), one))
+        g = sphere_metric(grid)
+        g[1, 0, 5, 0, 3, 3] = 0.0
+        with pytest.raises(MetricNotInvertibleError) as err:
+            christoffel_from_metric(g, grid)
+        assert str(err.value) == (
+            "metric not invertible (|det| < 1e-12) at grid point (1, 0, 5, 0)"
+        )
+
+    @pytest.mark.parametrize("axis", (np.zeros(5), np.full(3, 2.0)))
+    def test_grid_rejects_repeated_coordinates(self, axis):
+        one = np.array([0.0])
+        with pytest.raises(ValueError, match=re.escape("axes must not repeat a coordinate")):
+            Grid((one, one, axis, one))
+
+
+def reference_partials(values, grid, min_points):
+    """np.gradient over the whole grid, one-sided end points included."""
+    out = np.zeros(values.shape + (4,))
+    for axis, n in enumerate(grid.shape):
+        if n == 1:
+            continue
+        if n < min_points:
+            raise GridTooSmallError("axis %d too small" % axis)
+        out[..., axis] = np.gradient(values, grid.spacing(axis), axis=axis)
+    return out
+
+
+def trim_interior(values, grid):
+    return values[tuple(slice(1, -1) if n > 1 else slice(None) for n in grid.shape)]
+
+
+def reference_christoffel(g, grid):
+    """The whole-grid path: every point inverted and contracted, then trimmed."""
+    ginv = np.linalg.inv(g)
+    dg = reference_partials(g, grid, 3)
+    bracket = dg + np.einsum("...cdb->...bdc", dg) - np.einsum("...bcd->...bdc", dg)
+    return trim_interior(0.5 * np.einsum("...ad,...bdc->...bca", ginv, bracket), grid)
+
+
+def reference_ricci(conn, grid):
+    term1 = np.einsum("...mnrr->...mn", reference_partials(conn, grid, 5))
+    term2 = reference_partials(np.einsum("...mrr->...m", conn), grid, 5)
+    tr = np.einsum("...rtt->...r", conn)
+    term3 = np.einsum("...mnr,...r->...mn", conn, tr)
+    term4 = np.einsum("...mrt,...ntr->...mn", conn, conn)
+    return trim_interior(term1 - term2 + term3 - term4, grid)
+
+
+def random_grid(shape, rng):
+    # spacings of either sign and of different sizes on each axis
+    return Grid(tuple(
+        rng.uniform(-1, 1) + rng.choice((-1, 1)) * rng.uniform(0.01, 0.3) * np.arange(n)
+        for n in shape
+    ))
+
+
+def with_layout(a, layout):
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        buf = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+        buf[..., ::2] = a
+        return buf[..., ::2]
+    return a
+
+
+LAYOUTS = ("c", "fortran", "strided")
+
+
+class TestInteriorKernelsMatchWholeGridPath:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize(
+        "shape", ((1, 1, 1, 1), (1, 1, 3, 1), (3, 3, 3, 3), (5, 1, 4, 7), (1, 6, 1, 3))
+    )
+    def test_christoffel_on_random_metrics(self, shape, layout):
+        rng = np.random.default_rng(sum(shape))
+        grid = random_grid(shape, rng)
+        a = rng.uniform(-0.2, 0.2, size=shape + (4, 4))
+        g = with_layout(np.eye(4) + 0.5 * (a + np.swapaxes(a, -1, -2)), layout)
+        gamma, ig = christoffel_from_metric(g, grid)
+        assert np.array_equal(gamma, reference_christoffel(g, grid))
+        assert ig.shape == gamma.shape[:4]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize(
+        "shape", ((1, 1, 1, 1), (1, 1, 5, 1), (5, 5, 1, 5), (6, 1, 7, 1), (1, 9, 1, 6))
+    )
+    def test_ricci_on_random_connections(self, shape, layout):
+        rng = np.random.default_rng(sum(shape))
+        grid = random_grid(shape, rng)
+        conn = with_layout(rng.uniform(-1, 1, size=shape + (4, 4, 4)), layout)
+        ricci, ig = ricci_from_connection(conn, grid)
+        assert np.array_equal(ricci, reference_ricci(conn, grid))
+        assert ig.shape == ricci.shape[:4]
+
+    @pytest.mark.parametrize("n", (9, 17, 25))
+    def test_sphere_curvature_chain(self, n):
+        grid = theta_grid(n, 0.05)
+        g = sphere_metric(grid)
+        gamma, ig = christoffel_from_metric(g, grid)
+        assert np.array_equal(gamma, reference_christoffel(g, grid))
+        ricci, _ = ricci_from_connection(gamma, ig)
+        assert np.array_equal(ricci, reference_ricci(gamma, ig))
 
 
 class TestSplitAndTorsion:

@@ -1,13 +1,16 @@
+import heapq
 import math
+import time
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from naqlab import numerics, shooting
+from naqlab import charge, numerics, shooting
 from naqlab.numerics import (
     IntegrationBlowUp,
     InvalidBracketError,
+    QuadResult,
     QuadratureBudgetError,
     bisect,
     brent,
@@ -75,6 +78,101 @@ class TestQuadAdaptive:
         partial = err.value.partial
         assert partial.evaluations <= 300
         assert math.isfinite(partial.value)
+
+
+def quad_resum_every_split(f, a, b, tol):
+    """quad_adaptive with the whole heap re-summed after every split: the
+    reference for the loop that re-sums only once the tolerance is in reach."""
+    if math.isinf(b):
+        inner = f
+        f = lambda u: inner(1.0 / u) / (u * u)
+        a, b = 0.0, 1.0 / a
+    value, err, evals = numerics._gk15_panel(f, a, b)
+    counter = 0
+    heap = [(-err, counter, a, b, value, err)]
+    while True:
+        total = sum(item[4] for item in heap)
+        total_err = sum(item[5] for item in heap)
+        if total_err <= max(tol, tol * abs(total)) < math.inf:
+            return QuadResult(total, total_err, evals)
+        if evals + 30 > numerics._MAX_EVALUATIONS:
+            raise QuadratureBudgetError(QuadResult(total, total_err, evals))
+        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            raise QuadratureBudgetError(QuadResult(total, total_err, evals))
+        for left, right in ((lo, mid), (mid, hi)):
+            v, e, n = numerics._gk15_panel(f, left, right)
+            evals += n
+            counter += 1
+            heapq.heappush(heap, (-e, counter, left, right, v, e))
+
+
+def quad_outcome(quad, f, a, b, tol):
+    """The result, or the partial result of a budget failure, as a tuple
+    whose nan entries compare equal."""
+    try:
+        res, failed = quad(f, a, b, tol), False
+    except QuadratureBudgetError as err:
+        res, failed = err.partial, True
+    return failed, repr(res.value), repr(res.error_estimate), res.evaluations
+
+
+QUAD_CASES = {
+    "constant": (lambda x: 1.0, 0.0, 1.0),
+    "sech2": (lambda u: 1.0 / math.cosh(u) ** 2 if abs(u) < 350 else 0.0, 0.0, 50.0),
+    "tanh2_flat": (lambda u: math.tanh(u) ** 2, 25.0, 1e9),
+    "inverse_square_tail": (lambda r: 1.0 / r**2, 1.0, math.inf),
+    "sqrt_endpoint": (math.sqrt, 0.0, 1.0),
+    "log_endpoint": (lambda x: math.log(x), 0.0, 1.0),
+    "oscillating": (lambda x: math.sin(40.0 * x), 0.0, 2.0 * math.pi),
+    "cancelling_sign": (lambda x: x**3, -1.0, 1.0),
+    "needle": (lambda x: 1.0 / (1e-8 + (x - 0.3) ** 2), 0.0, 1.0),
+    # the first panel's nodes miss the spike, so its |value| is far below |total|
+    "hidden_spike": (lambda x: 1e4 * math.exp(-(((x - 0.3) / 1e-3) ** 2)), 0.0, 1.0),
+    "tiny_values": (lambda x: 1e-300 * math.exp(x), 0.0, 1.0),
+    "huge_values": (lambda x: 1e300 * x * x, 0.0, 10.0),
+    "nan_at_a_node": (lambda x: math.nan if x == 0.5 else 1.0, 0.0, 1.0),
+    "reciprocal": (lambda x: 1.0 / x, 0.0, 1.0),
+    "nan_everywhere": (lambda x: math.nan, 0.0, 1.0),
+}
+
+
+class TestQuadPreTest:
+    @pytest.mark.parametrize("tol", (1e-3, 1e-8, 1e-12, 1e-15, 1e-300))
+    @pytest.mark.parametrize("case", sorted(QUAD_CASES))
+    def test_same_result_as_resum_every_split(self, case, tol, monkeypatch):
+        # a small budget keeps the quadratic reference fast on the cases that
+        # never converge
+        monkeypatch.setattr(numerics, "_MAX_EVALUATIONS", 6000)
+        f, a, b = QUAD_CASES[case]
+        assert quad_outcome(quad_adaptive, f, a, b, tol) == quad_outcome(
+            quad_resum_every_split, f, a, b, tol
+        )
+
+    def test_energy_reports_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        models = [
+            (charge.ChargeModel(q=q, units=charge.UnitsConfig(G=G, c=c)), r_min, tol)
+            for q, G, c, r_min, tol in zip(
+                10.0 ** rng.uniform(-3, 3, 40),
+                10.0 ** rng.uniform(-2, 2, 40),
+                10.0 ** rng.uniform(-1, 1, 40),
+                10.0 ** rng.uniform(-6, 2, 40),
+                10.0 ** rng.uniform(-13, -4, 40),
+            )
+        ]
+        fast = [charge.energy_report(*args) for args in models]
+        monkeypatch.setattr(charge, "quad_adaptive", quad_resum_every_split)
+        assert fast == [charge.energy_report(*args) for args in models]
+
+    def test_budget_is_reached_quickly(self):
+        # re-summing the heap on every split took about 20 s on this call
+        start = time.perf_counter()
+        with pytest.raises(QuadratureBudgetError) as err:
+            quad_adaptive(lambda x: 1.0 / x, 0.0, 1.0, 1e-10)
+        assert time.perf_counter() - start < 5.0
+        assert err.value.partial.evaluations > numerics._MAX_EVALUATIONS - 30
 
 
 class TestRkIntegrate:
