@@ -7,6 +7,9 @@ Christoffel symbols and the Ricci tensor of a non-symmetric connection are
 built with centered finite differences on interior grid points only: no
 one-sided stencil is formed and no end point is inverted or contracted, so
 convergence is cleanly second order and a metric may be singular there.
+Every contraction is a batched ``matmul`` (einsum only permutes indices and
+takes traces), and every array returned is C-ordered, with bits that do not
+depend on the memory layout of the input.
 
 Sign conventions: torsion is minus twice the antisymmetric part of the
 connection, and the contorsion satisfies K_[mu nu]^rho = -T_{mu nu}^rho / 2
@@ -86,14 +89,11 @@ def _core(grid: Grid) -> tuple[slice, ...]:
     return tuple(slice(1, -1) if n > 1 else slice(None) for n in grid.shape)
 
 
-def _partials(values: np.ndarray, grid: Grid, min_points: int) -> np.ndarray:
-    """Derivatives at the points ``values[_core(grid)]``; last axis indexes the
-    direction.  ``(v[i+1] - v[i-1]) / (2h)`` is np.gradient's interior formula,
-    bit for bit.  Differentiated axes need at least ``min_points`` samples;
-    size-1 axes contribute zero.
-    """
+def _stencils(grid: Grid, min_points: int):
+    """``(axis, up, down, 2h)`` per axis of size > 1: ``(v[up] - v[down]) / 2h``
+    is np.gradient's interior formula at the points ``v[_core(grid)]``, bit for
+    bit.  Each such axis needs at least ``min_points`` samples."""
     core = _core(grid)
-    out = np.zeros(values[core].shape + (4,))
     for axis, n in enumerate(grid.shape):
         if n == 1:
             continue
@@ -104,7 +104,23 @@ def _partials(values: np.ndarray, grid: Grid, min_points: int) -> np.ndarray:
             )
         up = core[:axis] + (slice(2, None),) + core[axis + 1 :]
         down = core[:axis] + (slice(None, -2),) + core[axis + 1 :]
-        out[..., axis] = (values[up] - values[down]) / (2.0 * grid.spacing(axis))
+        yield axis, up, down, 2.0 * grid.spacing(axis)
+
+
+def _partials(values: np.ndarray, grid: Grid, min_points: int) -> np.ndarray:
+    """Derivatives at the points ``values[_core(grid)]``; last axis indexes the
+    direction, and size-1 axes contribute zero."""
+    out = np.zeros(values[_core(grid)].shape + (4,))
+    for axis, up, down, width in _stencils(grid, min_points):
+        out[..., axis] = (values[up] - values[down]) / width
+    return out
+
+
+def _divergence(values: np.ndarray, grid: Grid, min_points: int) -> np.ndarray:
+    """``sum_a d_a values[..., a]`` at the points ``values[_core(grid)]``."""
+    out = np.zeros(values[_core(grid)].shape[:-1])
+    for axis, up, down, width in _stencils(grid, min_points):
+        out += (values[up][..., axis] - values[down][..., axis]) / width
     return out
 
 
@@ -128,7 +144,7 @@ def christoffel_from_metric(g: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid
     indexed ``[..., beta, gamma, alpha]`` and symmetric in (beta, gamma),
     on the interior grid.  Only the metric at interior points is inverted.
     """
-    g = np.asarray(g, dtype=float)
+    g = np.ascontiguousarray(g, dtype=float)
     if g.shape != grid.shape + (4, 4):
         raise ValueError("metric shape %s does not match grid %s" % (g.shape, grid.shape))
     if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12):
@@ -140,7 +156,8 @@ def christoffel_from_metric(g: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid
     t2 = np.einsum("...cdb->...bdc", dg)  # g_{cd,b}
     t3 = np.einsum("...bcd->...bdc", dg)  # g_{bc,d}
     bracket = t1 + t2 - t3  # [..., b, d, c]
-    gamma = 0.5 * np.einsum("...ad,...bdc->...bca", ginv, bracket)
+    # [..., b, c, d] @ [..., d, a]: C-ordered [..., b, c, a]
+    gamma = 0.5 * (np.swapaxes(bracket, -1, -2) @ np.swapaxes(ginv, -1, -2)[..., None, :, :])
     return gamma, grid.interior()
 
 
@@ -173,19 +190,19 @@ def contorsion_from_torsion(torsion: np.ndarray, g: np.ndarray) -> ContorsionTen
     K_{mu nu}^rho = 1/2 g^{rho sigma} (T_{mu sigma nu} + T_{nu sigma mu}
     - T_{mu nu sigma}), all T indices lowered with ``g``.
     """
-    torsion = np.asarray(torsion, dtype=float)
-    g = np.asarray(g, dtype=float)
+    torsion = np.ascontiguousarray(torsion, dtype=float)
+    g = np.ascontiguousarray(g, dtype=float)
     if not np.allclose(torsion, -np.swapaxes(torsion, -3, -2), atol=1e-12):
         raise ValueError("torsion must be antisymmetric in its first two indices")
     ginv = _inverse_metric(g)
-    t_low = np.einsum("...mnr,...rs->...mns", torsion, g)  # T_{mu nu sigma}
+    t_low = torsion @ g[..., None, :, :]  # T_{mu nu sigma}
     bracket = (
         np.einsum("...msn->...mns", t_low)
         + np.einsum("...nsm->...mns", t_low)
         - t_low
     )
     lower = 0.5 * bracket  # K_{mu nu sigma}
-    mixed = np.einsum("...mns,...sr->...mnr", lower, ginv)
+    mixed = lower @ ginv[..., None, :, :]
     return ContorsionTensor(mixed=mixed, lower=lower)
 
 
@@ -205,20 +222,21 @@ def ricci_from_connection(conn: np.ndarray, grid: Grid) -> tuple[np.ndarray, Gri
     + Gamma_{mu nu}^rho Gamma_{rho tau}^tau - Gamma_{mu rho}^tau Gamma_{nu tau}^rho,
     derivatives by centered differences, values on interior points only.
     """
-    conn = np.asarray(conn, dtype=float)
+    conn = np.ascontiguousarray(conn, dtype=float)
     if conn.shape != grid.shape + (4, 4, 4):
         raise ValueError(
             "connection shape %s does not match grid %s" % (conn.shape, grid.shape)
         )
-    dconn = _partials(conn, grid, min_points=5)  # [..., m, n, r, axis]
-    term1 = np.einsum("...mnrr->...mn", dconn)  # d_rho Gamma_{mu nu}^rho
+    term1 = _divergence(conn, grid, min_points=5)  # d_rho Gamma_{mu nu}^rho
     # Gamma_{mu rho}^rho: trace over the connection's last two indices.
     tr = np.einsum("...mrr->...m", conn)
     term2 = _partials(tr, grid, min_points=5)  # d_nu Gamma_{mu rho}^rho
     core = _core(grid)
     conn, tr = conn[core], tr[core]
-    term3 = np.einsum("...mnr,...r->...mn", conn, tr)
-    term4 = np.einsum("...mrt,...ntr->...mn", conn, conn)
+    term3 = (conn @ tr[..., None, :, None])[..., 0]
+    # [m, (rho tau)] @ [(rho tau), n], the second factor Gamma_{n tau}^rho
+    rows = conn.shape[:-3] + (4, 16)
+    term4 = conn.reshape(rows) @ np.swapaxes(np.swapaxes(conn, -1, -2).reshape(rows), -1, -2)
     return term1 - term2 + term3 - term4, grid.interior()
 
 

@@ -159,21 +159,57 @@ def trim_interior(values, grid):
     return values[tuple(slice(1, -1) if n > 1 else slice(None) for n in grid.shape)]
 
 
-def reference_christoffel(g, grid):
-    """The whole-grid path: every point inverted and contracted, then trimmed."""
-    ginv = np.linalg.inv(g)
+def christoffel_matmul(ginv, bracket):
+    return 0.5 * (np.swapaxes(bracket, -1, -2) @ np.swapaxes(ginv, -1, -2)[..., None, :, :])
+
+
+def term4_matmul(a, b):
+    rows = a.shape[:-3] + (4, 16)
+    return a.reshape(rows) @ np.swapaxes(np.swapaxes(b, -1, -2).reshape(rows), -1, -2)
+
+
+# Each contraction of the kernels as the batched matmul they use and as the
+# einsum it replaced; DOT_LENGTH is the length of its dot products.
+MATMUL = {
+    "christoffel": christoffel_matmul,
+    "term3": lambda conn, tr: (conn @ tr[..., None, :, None])[..., 0],
+    "term4": term4_matmul,
+    "index": lambda t, m: t @ m[..., None, :, :],
+}
+EINSUM = {
+    "christoffel": lambda ginv, bracket: 0.5 * np.einsum("...ad,...bdc->...bca", ginv, bracket),
+    "term3": lambda conn, tr: np.einsum("...mnr,...r->...mn", conn, tr),
+    "term4": lambda a, b: np.einsum("...mrt,...ntr->...mn", a, b),
+    "index": lambda t, m: np.einsum("...mnr,...rs->...mns", t, m),
+}
+DOT_LENGTH = {"christoffel": 4, "term3": 4, "term4": 16, "index": 4}
+
+
+def christoffel_operands(g, grid):
+    """Inverse metric and bracket [..., b, d, c] of the whole-grid path."""
     dg = reference_partials(g, grid, 3)
     bracket = dg + np.einsum("...cdb->...bdc", dg) - np.einsum("...bcd->...bdc", dg)
-    return trim_interior(0.5 * np.einsum("...ad,...bdc->...bca", ginv, bracket), grid)
+    return np.linalg.inv(g), bracket
 
 
-def reference_ricci(conn, grid):
+def reference_christoffel(g, grid, forms=MATMUL):
+    """The whole-grid path: every point inverted and contracted, then trimmed."""
+    return trim_interior(forms["christoffel"](*christoffel_operands(g, grid)), grid)
+
+
+def reference_ricci(conn, grid, forms=MATMUL):
     term1 = np.einsum("...mnrr->...mn", reference_partials(conn, grid, 5))
     term2 = reference_partials(np.einsum("...mrr->...m", conn), grid, 5)
     tr = np.einsum("...rtt->...r", conn)
-    term3 = np.einsum("...mnr,...r->...mn", conn, tr)
-    term4 = np.einsum("...mrt,...ntr->...mn", conn, conn)
+    term3 = forms["term3"](conn, tr)
+    term4 = forms["term4"](conn, conn)
     return trim_interior(term1 - term2 + term3 - term4, grid)
+
+
+def reference_contorsion(torsion, g, forms=MATMUL):
+    t_low = forms["index"](torsion, g)
+    lower = 0.5 * (np.einsum("...msn->...mns", t_low) + np.einsum("...nsm->...mns", t_low) - t_low)
+    return ContorsionTensor(mixed=forms["index"](lower, np.linalg.inv(g)), lower=lower)
 
 
 def random_grid(shape, rng):
@@ -206,8 +242,8 @@ class TestInteriorKernelsMatchWholeGridPath:
         rng = np.random.default_rng(sum(shape))
         grid = random_grid(shape, rng)
         a = rng.uniform(-0.2, 0.2, size=shape + (4, 4))
-        g = with_layout(np.eye(4) + 0.5 * (a + np.swapaxes(a, -1, -2)), layout)
-        gamma, ig = christoffel_from_metric(g, grid)
+        g = np.eye(4) + 0.5 * (a + np.swapaxes(a, -1, -2))
+        gamma, ig = christoffel_from_metric(with_layout(g, layout), grid)
         assert np.array_equal(gamma, reference_christoffel(g, grid))
         assert ig.shape == gamma.shape[:4]
 
@@ -218,8 +254,8 @@ class TestInteriorKernelsMatchWholeGridPath:
     def test_ricci_on_random_connections(self, shape, layout):
         rng = np.random.default_rng(sum(shape))
         grid = random_grid(shape, rng)
-        conn = with_layout(rng.uniform(-1, 1, size=shape + (4, 4, 4)), layout)
-        ricci, ig = ricci_from_connection(conn, grid)
+        conn = rng.uniform(-1, 1, size=shape + (4, 4, 4))
+        ricci, ig = ricci_from_connection(with_layout(conn, layout), grid)
         assert np.array_equal(ricci, reference_ricci(conn, grid))
         assert ig.shape == ricci.shape[:4]
 
@@ -231,6 +267,168 @@ class TestInteriorKernelsMatchWholeGridPath:
         assert np.array_equal(gamma, reference_christoffel(g, grid))
         ricci, _ = ricci_from_connection(gamma, ig)
         assert np.array_equal(ricci, reference_ricci(gamma, ig))
+
+
+def random_stack(shape, rng):
+    """Random metrics and antisymmetric torsions over a stack of points."""
+    a = rng.uniform(-0.2, 0.2, size=shape + (4, 4))
+    t = rng.uniform(-1, 1, size=shape + (4, 4, 4))
+    return np.eye(4) + 0.5 * (a + np.swapaxes(a, -1, -2)), t - np.swapaxes(t, -3, -2)
+
+
+class TestLayoutIndependence:
+    # the same values as C-ordered, Fortran-ordered and strided input give
+    # the same bits, in a C-ordered output
+    SHAPE = (8, 8, 8, 8)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_christoffel(self, layout):
+        rng = np.random.default_rng(8)
+        grid = random_grid(self.SHAPE, rng)
+        g, _ = random_stack(self.SHAPE, rng)
+        gamma, _ = christoffel_from_metric(with_layout(g, layout), grid)
+        assert np.array_equal(gamma, christoffel_from_metric(g, grid)[0])
+        assert gamma.flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_ricci(self, layout):
+        rng = np.random.default_rng(8)
+        grid = random_grid(self.SHAPE, rng)
+        conn = rng.uniform(-1, 1, size=self.SHAPE + (4, 4, 4))
+        ricci, _ = ricci_from_connection(with_layout(conn, layout), grid)
+        assert np.array_equal(ricci, ricci_from_connection(conn, grid)[0])
+        assert ricci.flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_contorsion(self, layout):
+        g, torsion = random_stack(self.SHAPE[:2], np.random.default_rng(8))
+        k = contorsion_from_torsion(with_layout(torsion, layout), with_layout(g, layout))
+        want = contorsion_from_torsion(torsion, g)
+        assert np.array_equal(k.mixed, want.mixed) and np.array_equal(k.lower, want.lower)
+        assert k.mixed.flags.c_contiguous and k.lower.flags.c_contiguous
+
+
+def gamma_n(n):
+    u = 2.0**-53
+    return n * u / (1 - n * u)
+
+
+class TestMatmulFormsMatchEinsum:
+    """Each matmul contraction against the einsum it replaced.  The two sum
+    the same products in different orders, so both lie within
+    gamma_n sum|a_i b_i| of the exact dot product and within twice that of
+    each other."""
+
+    def check(self, name, a, b):
+        new, old = MATMUL[name](a, b), EINSUM[name](a, b)
+        bound = 2 * gamma_n(DOT_LENGTH[name]) * EINSUM[name](np.abs(a), np.abs(b))
+        assert new.shape == old.shape
+        assert np.all(np.abs(new - old) <= bound)
+
+    @pytest.mark.parametrize("shape", ((3, 3, 3, 3), (5, 1, 4, 7), (1, 6, 1, 3)))
+    def test_christoffel_on_random_metrics(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        g, _ = random_stack(shape, rng)
+        self.check("christoffel", *christoffel_operands(g, random_grid(shape, rng)))
+
+    @pytest.mark.parametrize("shape", ((5, 5, 1, 5), (6, 1, 7, 1)))
+    def test_ricci_on_random_connections(self, shape):
+        conn = np.random.default_rng(sum(shape)).uniform(-1, 1, size=shape + (4, 4, 4))
+        self.check("term3", conn, np.einsum("...rtt->...r", conn))
+        self.check("term4", conn, conn)
+
+    def test_contorsion_on_random_inputs(self):
+        g, torsion = random_stack((50,), np.random.default_rng(5))
+        self.check("index", torsion, g)
+        self.check("index", contorsion_from_torsion(torsion, g).lower, np.linalg.inv(g))
+
+    def test_contorsion_kernel_uses_the_matmul_form(self):
+        g, torsion = random_stack((50,), np.random.default_rng(5))
+        k, want = contorsion_from_torsion(torsion, g), reference_contorsion(torsion, g)
+        assert np.array_equal(k.mixed, want.mixed) and np.array_equal(k.lower, want.lower)
+
+
+def box_grids(rng):
+    """A grid at spacing h and at h/2 over the same box around a random point,
+    spacings of different size and sign on the four axes, with the index of
+    the shared interior points in the finer grid's interior."""
+    x0 = rng.uniform(-1, 1, 4)
+    step = 0.08 * np.array([1.0, -0.7, 1.3, 0.9])
+    grids = []
+    for n in (5, 9):
+        j = np.arange(n) - (n - 1) / 2
+        grids.append(Grid(tuple(x0[a] + step[a] * 4 / (n - 1) * j for a in range(4))))
+    return grids, (slice(1, None, 2),) * 4
+
+
+def plane_wave(grid, k, phi):
+    """The phase k.x + phi over the grid."""
+    x = np.meshgrid(*grid.axes, indexing="ij")
+    return phi + sum(k[a] * x[a] for a in range(4))
+
+
+class TestDenseAnalyticOracles:
+    """Non-diagonal fields varying along all four axes against closed forms;
+    the errors at the interior points both grids share fall as h^2."""
+
+    def test_christoffel_of_wave_metric(self):
+        # g = eta + eps S sin(k.x + phi), so d_c g_{bd} = eps S_{bd} k_c cos(k.x + phi)
+        rng = np.random.default_rng(11)
+        s = rng.uniform(-1, 1, (4, 4))
+        s = 0.1 * (s + s.T) / 2
+        k, phi = rng.uniform(-1.5, 1.5, 4), rng.uniform(0, 2 * math.pi)
+        eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+        (coarse, fine), shared = box_grids(rng)
+        errs = []
+        for grid in (coarse, fine):
+            g = eta + s * np.sin(plane_wave(grid, k, phi))[..., None, None]
+            gamma, ig = christoffel_from_metric(g, grid)
+            phase = plane_wave(ig, k, phi)[..., None, None, None]
+            dg = s[:, :, None] * k * np.cos(phase)  # [..., b, d, c]
+            ginv = np.linalg.inv(eta + s * np.sin(phase[..., 0]))
+            bracket = dg + np.einsum("...cdb->...bdc", dg) - np.einsum("...bcd->...bdc", dg)
+            exact = 0.5 * np.einsum("...ad,...bdc->...bca", ginv, bracket)
+            errs.append(np.abs(gamma - exact))
+        assert errs[0].max() < 1e-4
+        assert 3.5 < errs[0].max() / errs[1][shared].max() < 4.5
+
+    def test_ricci_of_wave_connection(self):
+        # Gamma = A + B sin(k.x + phi): d_rho Gamma_{mu nu}^rho and
+        # d_nu Gamma_{mu rho}^rho in closed form, the quadratic terms exact
+        rng = np.random.default_rng(12)
+        a, b = rng.uniform(-0.5, 0.5, (2, 4, 4, 4))
+        k, phi = rng.uniform(-1.5, 1.5, 4), rng.uniform(0, 2 * math.pi)
+        (coarse, fine), shared = box_grids(rng)
+        errs = []
+        for grid in (coarse, fine):
+            conn = a + b * np.sin(plane_wave(grid, k, phi))[..., None, None, None]
+            ricci, ig = ricci_from_connection(conn, grid)
+            phase = plane_wave(ig, k, phi)[..., None, None]
+            c = a + b * np.sin(phase[..., None])
+            term1 = np.einsum("mnr,r->mn", b, k) * np.cos(phase)
+            term2 = np.einsum("mrr,n->mn", b, k) * np.cos(phase)
+            quadratic = np.einsum("...mnr,...rtt->...mn", c, c) - np.einsum("...mrt,...ntr->...mn", c, c)
+            errs.append(np.abs(ricci - (term1 - term2 + quadratic)))
+        assert errs[0].max() < 1e-2
+        assert 3.5 < errs[0].max() / errs[1][shared].max() < 4.5
+
+
+class TestSphereBitGuard:
+    """The curvature chain on the (w, theta, phi) sphere grids of the
+    benchmark's geometry jobs keeps the bytes of the einsum contractions:
+    the metric is mostly zeros, so every sum it makes is exact."""
+
+    @pytest.mark.parametrize("span", (0.2, 0.6))
+    @pytest.mark.parametrize("n", (9, 17, 25))
+    def test_chain_bytes_unchanged(self, n, span):
+        h = span / (n - 1)
+        axis = h * np.arange(n)
+        grid = Grid((np.zeros(1), axis, 1.0 + h * (np.arange(n) - (n - 1) / 2), axis.copy()))
+        g = sphere_metric(grid)
+        gamma, ig = christoffel_from_metric(g, grid)
+        assert gamma.tobytes() == reference_christoffel(g, grid, EINSUM).tobytes()
+        ricci, _ = ricci_from_connection(gamma, ig)
+        assert ricci.tobytes() == reference_ricci(gamma, ig, EINSUM).tobytes()
 
 
 class TestSplitAndTorsion:
@@ -408,6 +606,19 @@ class TestRicci:
         with pytest.raises(GridTooSmallError):
             ricci_from_connection(np.zeros(grid.shape + (4, 4, 4)), grid)
 
+    @pytest.mark.parametrize("shape, axis", (((4, 1, 5, 1), 0), ((5, 5, 5, 4), 3)))
+    def test_four_point_axis_named(self, shape, axis):
+        grid = Grid(tuple(0.1 * np.arange(n) for n in shape))
+        conn = np.zeros(shape + (4, 4, 4))
+        text = "axis %d has 4 points; need >= 5 for centered differences" % axis
+        for call in (
+            lambda: ricci_from_connection(conn, grid),
+            lambda: geometry._partials(conn, grid, 5),
+            lambda: geometry._divergence(conn, grid, 5),
+        ):
+            with pytest.raises(GridTooSmallError, match=re.escape(text)):
+                call()
+
 
 class TestRandomIdentitySuite:
     def test_residuals_are_tiny(self):
@@ -418,11 +629,12 @@ class TestRandomIdentitySuite:
         assert random_identity_suite(7, 50) == random_identity_suite(7, 50)
 
     def test_reference_bits(self):
-        # the CLI default run's residuals, pinned bit for bit
+        # the CLI default run's residuals, pinned bit for bit; the contorsion's
+        # 4x4 products run in BLAS, and these are the bits of an FMA dgemm kernel
         assert random_identity_suite(20240901, 1000) == {
             "split_reconstruction": 0.0,
             "assemble_roundtrip": 1.1102230246251565e-15,
-            "contorsion_antisym_pair": 4.440892098500626e-16,
+            "contorsion_antisym_pair": 5.551115123125783e-16,
             "contorsion_lower_antisym": 4.440892098500626e-16,
         }
 
