@@ -11,10 +11,12 @@ if any.  Its settings are fixed: steps are accepted at ``rtol = 1e-10`` and
 ``atol = 1e-12``, and at most 10^6 are attempted.
 
 Everything here is a pure function of its inputs; all arithmetic is
-64-bit IEEE-754.  The integrator works on plain Python floats: the state
-goes to the right-hand side as a tuple and comes back as a sequence of
-Python floats, which for the small states of the shooting problem costs far
-less than numpy's per-call overhead.
+64-bit IEEE-754.  The integrator's state has two components, ``(y, y')``
+of a second-order radial equation such as the shooting problem's
+``(eta, eta')``.  It keeps them in scalar Python floats with every
+Dormand-Prince stage written out per component: the state goes to the
+right-hand side as a 2-tuple and comes back as two Python floats, which
+costs far less than numpy's per-call overhead or a loop over components.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ _MAX_STEPS = 1_000_000
 @dataclass
 class RkSolution:
     r: np.ndarray
-    y: np.ndarray  # shape (len(r), dim)
+    y: np.ndarray  # shape (len(r), 2)
     stop: object  # what stop_condition returned to halt the run; None at r_end
 
 
@@ -203,87 +205,100 @@ def rk_integrate(
 ) -> RkSolution:
     """Integrate y' = rhs(r, y) from y(r0) = y0 to ``r_end`` with adaptive DP5.
 
-    ``rhs`` receives the state as a tuple of floats and returns ``len(y)``
-    Python floats.  The Dormand-Prince 5(4) pair evaluates its last stage at
-    the 5th-order solution and reuses it as the first stage of the next step
-    (FSAL), so an integration costs 1 + 6 x (attempted steps) RHS evaluations.
-    A step is accepted when the RMS of its embedded error estimate, scaled by
+    The state has two components, as every second-order radial equation
+    written as a first-order system does.  ``rhs`` receives it as a tuple
+    ``(y0, y1)`` of floats and returns any sequence of two floats.  The
+    Dormand-Prince 5(4) pair evaluates its last stage at the 5th-order
+    solution and reuses it as the first stage of the next step (FSAL), so an
+    integration costs 1 + 6 x (attempted steps) RHS evaluations.  A step is
+    accepted when the RMS of its embedded error estimate, scaled by
     ``1e-12 + 1e-10 * max(|y|, |y_new|)`` per component, is at most 1; the
     first stride is 1/100 of the span, and at most 10^6 steps are attempted.
-    Samples are retained at every accepted step.  ``stop_condition(r, y)``
-    is checked after each accepted step; a truthy value halts the
-    integration there (the triggering sample is retained) and is returned
-    as ``stop``, which is None when the run reaches ``r_end``.
+    A step cut short to end on ``r_end`` lands on it exactly.  Samples are
+    retained at every accepted step.  ``stop_condition(r, y)`` is checked
+    after each accepted step; a truthy value halts the integration there
+    (the triggering sample is retained) and is returned as ``stop``, which
+    is None when the run reaches ``r_end``.
 
     Raises
     ------
+    ValueError
+        if ``y0`` does not have two components or ``r_end`` does not exceed
+        ``r0``.
     IntegrationBlowUp
         on non-finite state or step-size underflow; the exception carries
         the partial trajectory, which ends at the last valid state.
     """
-    r = float(r0)
-    y = tuple(float(v) for v in y0)
+    if len(y0) != 2:
+        raise ValueError("the state must have two components, got %d" % len(y0))
+    r, r_end = float(r0), float(r_end)
+    u, v = float(y0[0]), float(y0[1])
     if not r_end > r:
         raise ValueError("r_end must exceed the initial radius %r, got %r" % (r, r_end))
     rs = [r]
-    ys = [y]
+    ys = [(u, v)]
 
     def _blowup(msg):
         raise IntegrationBlowUp(msg, RkSolution(np.array(rs), np.array(ys), None))
 
-    dim = len(y)
     h = (r_end - r) / 100.0
-    k1 = rhs(r, y)
+    k1u, k1v = rhs(r, (u, v))
     nsteps = 0
     stop = None
     while r < r_end:
-        h = min(h, r_end - r)
+        last = h >= r_end - r
+        if last:
+            h = r_end - r
         if h < 1e-14 * max(abs(r), 1.0):
             _blowup("step underflow at r = %g" % r)
-        # The Dormand-Prince tableau, unrolled.  Each weighted sum adds its
-        # nonzero terms left to right in tableau order: that order fixes the
-        # rounding of every result.  The stage-7 row equals the 5th-order
-        # weights, so the last stage is evaluated at y5 itself.
-        k2 = rhs(r + 1 / 5 * h, tuple(
-            yj + h * (1 / 5 * k1j)
-            for yj, k1j in zip(y, k1)))
-        k3 = rhs(r + 3 / 10 * h, tuple(
-            yj + h * (3 / 40 * k1j + 9 / 40 * k2j)
-            for yj, k1j, k2j in zip(y, k1, k2)))
-        k4 = rhs(r + 4 / 5 * h, tuple(
-            yj + h * (44 / 45 * k1j + -56 / 15 * k2j + 32 / 9 * k3j)
-            for yj, k1j, k2j, k3j in zip(y, k1, k2, k3)))
-        k5 = rhs(r + 8 / 9 * h, tuple(
-            yj + h * (19372 / 6561 * k1j + -25360 / 2187 * k2j
-                      + 64448 / 6561 * k3j + -212 / 729 * k4j)
-            for yj, k1j, k2j, k3j, k4j in zip(y, k1, k2, k3, k4)))
-        k6 = rhs(r + h, tuple(
-            yj + h * (9017 / 3168 * k1j + -355 / 33 * k2j + 46732 / 5247 * k3j
-                      + 49 / 176 * k4j + -5103 / 18656 * k5j)
-            for yj, k1j, k2j, k3j, k4j, k5j in zip(y, k1, k2, k3, k4, k5)))
-        y5 = tuple(
-            yj + h * (35 / 384 * k1j + 500 / 1113 * k3j + 125 / 192 * k4j
-                      + -2187 / 6784 * k5j + 11 / 84 * k6j)
-            for yj, k1j, k3j, k4j, k5j, k6j in zip(y, k1, k3, k4, k5, k6))
-        k7 = rhs(r + h, y5)
-        errsq = 0.0
-        for yj, y5j, k1j, k3j, k4j, k5j, k6j, k7j in zip(y, y5, k1, k3, k4, k5, k6, k7):
-            y4j = yj + h * (5179 / 57600 * k1j + 7571 / 16695 * k3j + 393 / 640 * k4j
-                            + -92097 / 339200 * k5j + 187 / 2100 * k6j + 1 / 40 * k7j)
-            e = (y5j - y4j) / (_ATOL + _RTOL * max(abs(yj), abs(y5j)))
-            errsq += e * e
-        errnorm = math.sqrt(errsq / dim)
+        # The Dormand-Prince tableau, unrolled over the two components.  Each
+        # weighted sum adds its nonzero terms left to right in tableau order:
+        # that order fixes the rounding of every result.  The stage-7 row
+        # equals the 5th-order weights, so the last stage is evaluated at the
+        # 5th-order solution (u5, v5) itself.
+        k2u, k2v = rhs(r + 1 / 5 * h, (
+            u + h * (1 / 5 * k1u),
+            v + h * (1 / 5 * k1v)))
+        k3u, k3v = rhs(r + 3 / 10 * h, (
+            u + h * (3 / 40 * k1u + 9 / 40 * k2u),
+            v + h * (3 / 40 * k1v + 9 / 40 * k2v)))
+        k4u, k4v = rhs(r + 4 / 5 * h, (
+            u + h * (44 / 45 * k1u + -56 / 15 * k2u + 32 / 9 * k3u),
+            v + h * (44 / 45 * k1v + -56 / 15 * k2v + 32 / 9 * k3v)))
+        k5u, k5v = rhs(r + 8 / 9 * h, (
+            u + h * (19372 / 6561 * k1u + -25360 / 2187 * k2u
+                     + 64448 / 6561 * k3u + -212 / 729 * k4u),
+            v + h * (19372 / 6561 * k1v + -25360 / 2187 * k2v
+                     + 64448 / 6561 * k3v + -212 / 729 * k4v)))
+        k6u, k6v = rhs(r + h, (
+            u + h * (9017 / 3168 * k1u + -355 / 33 * k2u + 46732 / 5247 * k3u
+                     + 49 / 176 * k4u + -5103 / 18656 * k5u),
+            v + h * (9017 / 3168 * k1v + -355 / 33 * k2v + 46732 / 5247 * k3v
+                     + 49 / 176 * k4v + -5103 / 18656 * k5v)))
+        u5 = u + h * (35 / 384 * k1u + 500 / 1113 * k3u + 125 / 192 * k4u
+                      + -2187 / 6784 * k5u + 11 / 84 * k6u)
+        v5 = v + h * (35 / 384 * k1v + 500 / 1113 * k3v + 125 / 192 * k4v
+                      + -2187 / 6784 * k5v + 11 / 84 * k6v)
+        k7u, k7v = rhs(r + h, (u5, v5))
+        eu = (u5 - (u + h * (5179 / 57600 * k1u + 7571 / 16695 * k3u + 393 / 640 * k4u
+                             + -92097 / 339200 * k5u + 187 / 2100 * k6u + 1 / 40 * k7u))
+              ) / (_ATOL + _RTOL * max(abs(u), abs(u5)))
+        ev = (v5 - (v + h * (5179 / 57600 * k1v + 7571 / 16695 * k3v + 393 / 640 * k4v
+                             + -92097 / 339200 * k5v + 187 / 2100 * k6v + 1 / 40 * k7v))
+              ) / (_ATOL + _RTOL * max(abs(v), abs(v5)))
+        errnorm = math.sqrt((eu * eu + ev * ev) / 2)
         if errnorm != errnorm:
             # A non-finite trial stage gives nan: reject and retry with a
             # smaller stride; a diverging solution ends in step underflow.
             errnorm = math.inf
         if errnorm <= 1.0:
-            r += h
-            y = y5
-            k1 = k7  # FSAL: k7 equals k1 of the next step
+            # r + (r_end - r) can round to a float just short of r_end
+            r = r_end if last else r + h
+            u, v = u5, v5
+            k1u, k1v = k7u, k7v  # FSAL: k7 equals k1 of the next step
             rs.append(r)
-            ys.append(y)
-            if stop_condition is not None and (stop := stop_condition(r, y)):
+            ys.append((u, v))
+            if stop_condition is not None and (stop := stop_condition(r, (u, v))):
                 break
         factor = 0.9 * (errnorm ** -0.2) if errnorm > 0 else 5.0
         h *= min(5.0, max(0.2, factor))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -462,6 +463,15 @@ class TestProfile:
             assert code == EXIT_OK
             assert_same_text(out, self.repr_profile(points))
 
+    def test_grid_ending_on_a_short_span_keeps_its_last_row(self, capsys):
+        # the capped last step of this trajectory once rounded to one ulp
+        # short of r_max and ended in a step-underflow blow-up there
+        code, out, _ = run(capsys, "profile", "--eta0", "0", "--grid", "1e-3:3.61:50")
+        assert code == EXIT_OK
+        rows = out.strip().split("\n")[2:]
+        assert len(rows) == 50
+        assert rows[-1].startswith("3.61,")
+
     def test_short_trajectory_is_numerical_error(self, capsys):
         # a strongly overshooting start terminates long before the grid
         code, _, err = run(
@@ -558,3 +568,31 @@ class TestDeterminism:
         assert build_parser.cache_info().misses == 1
         assert rounds[0] == rounds[1]
         assert {code for code, _, _ in rounds[0]} == {EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL}
+
+
+class TestOutputPins:
+    """sha256 of the stdout of fixed runs: a change to the integrator or the
+    shooting loop that moves one output bit fails here."""
+
+    CASES = (
+        (("shoot", "--lambda", "1", "--m", "0.1"),
+         "12f30b42e42a369102f5e6394703a913722b2127744df88a6ff7d8e6be11ed76"),
+        (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"),
+         "3317ecb18aaa40e35524633ba0671bcb2494089b1b8db63a3bfa620dc30ef7e1"),
+        (("shoot", "--lambda", "2.5", "--m", "0.07", "--tol", "1e-05"),
+         "60b4fd19265f4e207f5fdb5273e4bf9ad84a68ec23a19be07748239714bd1a75"),
+        (("shoot", "--lambda", "0.6", "--m", "0.13", "--tol", "1e-05"),
+         "a17d9f932fa8bb7eedf26ccb6be4501ec6bd9f0b6ab98efe1462f0856a1ceb6c"),
+        (("shoot", "--lambda", "3.2", "--m", "0.12", "--tol", "1e-12"),
+         "e109cef1aef321f4b0117dcbd20946d6349fed0ad6e38208d546abd9c380b53e"),
+        (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
+         "50c6a37fbb093c5fa86a1b2bcbc6d28b52f3f7cdcb9b175ef748ee46ba674202"),
+        (("profile", "--eta0", "0.9083"),
+         "859940e5d76c0400dde00159454f3f758e11910ed30f0e7ecd2725c6b4aa9b4c"),
+    )
+
+    @pytest.mark.parametrize("argv, digest", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -187,14 +187,25 @@ class TestRkIntegrate:
         assert np.allclose(sol.y, [3.0, -2.0])
 
     def test_exponential_growth(self):
-        sol = rk_integrate(lambda r, y: y, 1.0, (1.0,), 2.0)
+        sol = rk_integrate(lambda r, y: (y[0], -y[1]), 1.0, (1.0, 1.0), 2.0)
         assert sol.y[-1, 0] == pytest.approx(math.e, abs=1e-8)
+        assert sol.y[-1, 1] == pytest.approx(1 / math.e, abs=1e-8)
 
     def test_reaching_r_end_has_no_stop(self):
-        sol = rk_integrate(lambda r, y: y, 1.0, (1.0,), 2.0, stop_condition=lambda r, y: None)
+        grow = lambda r, y: (y[0], y[1])
+        sol = rk_integrate(grow, 1.0, (1.0, 0.5), 2.0, stop_condition=lambda r, y: None)
         assert sol.stop is None
         assert sol.r[-1] == 2.0
-        assert rk_integrate(lambda r, y: y, 1.0, (1.0,), 2.0).stop is None
+        assert rk_integrate(grow, 1.0, (1.0, 0.5), 2.0).stop is None
+
+    def test_capped_step_lands_on_r_end(self):
+        # r + (r_end - r) rounds one ulp below r_end on the last step of this
+        # span; the next pass then stopped with a step underflow
+        r0, r_end = float.fromhex("0x1.86a8decec6456p-20"), float.fromhex("0x1.cb7daabb3f8b7p+0")
+        sol = rk_integrate(lambda r, y: (0.0, 0.0), r0, (1.0, 2.0), r_end)
+        assert sol.r[-1] == r_end
+        assert sol.stop is None
+        assert np.all(sol.y == [1.0, 2.0])
 
     def test_stop_label_ends_run_on_triggering_sample(self):
         # y = e^(r - 1) passes 2 at r = 1 + ln 2; the run ends on the first
@@ -205,7 +216,7 @@ class TestRkIntegrate:
             seen.append(r)
             return "past two" if y[0] > 2.0 else None
 
-        sol = rk_integrate(lambda r, y: y, 1.0, (1.0,), 3.0, stop_condition=stop)
+        sol = rk_integrate(lambda r, y: (y[0], -y[1]), 1.0, (1.0, 1.0), 3.0, stop_condition=stop)
         assert sol.stop == "past two"
         assert sol.r[-1] == seen[-1] < 3.0
         assert sol.y[-1, 0] > 2.0 >= sol.y[-2, 0]
@@ -214,13 +225,18 @@ class TestRkIntegrate:
     @pytest.mark.parametrize("r_end", (1.0, 0.5, math.nan))
     def test_r_end_must_exceed_r0(self, r_end):
         with pytest.raises(ValueError, match="r_end must exceed the initial radius"):
-            rk_integrate(lambda r, y: y, 1.0, (1.0,), r_end)
+            rk_integrate(lambda r, y: y, 1.0, (1.0, 0.0), r_end)
+
+    @pytest.mark.parametrize("y0", ((), (1.0,), (1.0, 1.0, 1.0)), ids=("empty", "one", "three"))
+    def test_state_must_have_two_components(self, y0):
+        with pytest.raises(ValueError, match="two components, got %d" % len(y0)):
+            rk_integrate(lambda r, y: y, 1.0, y0, 2.0)
 
     def test_blow_up_reports_last_state(self):
         # y' = y^2 from y(1) = 1 blows up at r = 2
-        rhs = lambda r, y: (y[0] ** 2,)
+        rhs = lambda r, y: (y[0] ** 2, -y[1])
         with pytest.raises(IntegrationBlowUp) as err:
-            rk_integrate(rhs, 1.0, (1.0,), 3.0)
+            rk_integrate(rhs, 1.0, (1.0, 1.0), 3.0)
         partial = err.value.partial
         assert partial.stop is None
         assert partial.r[0] == 1.0
@@ -288,11 +304,11 @@ def dp5_reference(rhs, r, y, r_end):
 class TestDp5Reference:
     """The unrolled step of rk_integrate against the tableau as data, bit for bit."""
 
-    def test_lorenz_three_components(self):
-        rhs = lambda r, y: (10.0 * (y[1] - y[0]), y[0] * (28.0 - y[2]) - y[1], y[0] * y[1] - 8 / 3 * y[2])
-        ref_r, ref_y, rejected = dp5_reference(rhs, 0.0, (1.0, 1.0, 1.0), 1.0)
+    def test_van_der_pol_with_rejections(self):
+        rhs = lambda r, y: (y[1], 2.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
+        ref_r, ref_y, rejected = dp5_reference(rhs, 0.0, (2.0, 0.0), 10.0)
         assert rejected > 0
-        sol = rk_integrate(rhs, 0.0, (1.0, 1.0, 1.0), 1.0)
+        sol = rk_integrate(rhs, 0.0, (2.0, 0.0), 10.0)
         assert np.array_equal(sol.r, ref_r)
         assert np.array_equal(sol.y, ref_y)
 

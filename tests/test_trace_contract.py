@@ -1,13 +1,18 @@
 """perfbench/tracing.py rebinds naqlab functions by name and binds their
 arguments by name; these tests keep the names it uses alive, so that
-``perfbench/run.py --trace 1`` keeps working after a deletion or rename."""
+``perfbench/run.py --trace 1`` keeps working after a deletion or rename,
+and check that its work counts agree with what a traced run did."""
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 from pathlib import Path
 
 import pytest
+
+from naqlab import cli, shooting
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -51,3 +56,24 @@ def test_every_argument_hook_is_listed():
 @pytest.mark.parametrize("name, argument", HOOK_ARGUMENTS.items())
 def test_hooked_function_takes_its_argument(name, argument):
     assert argument in inspect.signature(traced_function(name)).parameters
+
+
+def test_shoot_work_counts_match_the_trajectories(monkeypatch):
+    # every RHS evaluation of the integrator is one call of the module-level
+    # ode_rhs, and every accepted step adds one sample to a trajectory
+    samples = []
+    integrate_profile = shooting.integrate_profile
+
+    def recorded(*args, **kwargs):
+        traj = integrate_profile(*args, **kwargs)
+        samples.append(len(traj.r))
+        return traj
+
+    monkeypatch.setattr(shooting, "integrate_profile", recorded)
+    tracer = tracing.Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["shoot", "--lambda", "1", "--m", "0.1"]) == cli.EXIT_OK
+    counts = tracer.metrics()
+    assert counts["shooting.ode_rhs.calls"] == counts["numerics.rk_integrate.rhs_evals"] > 0
+    assert counts["numerics.rk_integrate.calls"] == len(samples) > 0
+    assert counts["numerics.rk_integrate.steps_accepted"] == sum(n - 1 for n in samples)
