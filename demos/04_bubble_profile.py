@@ -28,12 +28,13 @@ tight = shooting.find_regular_eta0(params, tol=1e-12)
 mu = shooting.decay_rate(tight.trajectory, (20.0, 50.0))
 print(f"tail decay rate mu = {mu:.6f}  (expected m sqrt(lambda) = {params.m * math.sqrt(params.lambda_tilde)})")
 
-profile = shooting.derive_fields(tight.trajectory)
+traj = tight.trajectory
+phi, e_field, rho = shooting.derive_fields(traj.eta, traj.deta, params)
 print()
-print(f"{'r':>6} {'eta':>12} {'phi_scaled':>12} {'E_scaled':>12}")
+print(f"{'r':>6} {'eta':>12} {'phi_scaled':>12} {'E_scaled':>12} {'rho_scaled':>12}")
 for target in (0.5, 2.0, 5.0, 10.0, 20.0):
-    i = int(abs(profile.r - target).argmin())
+    i = int(abs(traj.r - target).argmin())
     print(
-        f"{profile.r[i]:6.2f} {profile.eta[i]:12.6f} "
-        f"{profile.phi_scaled[i]:12.6f} {profile.E_scaled[i]:12.6f}"
+        f"{traj.r[i]:6.2f} {traj.eta[i]:12.6f} "
+        f"{phi[i]:12.6f} {e_field[i]:12.6f} {rho[i]:12.6f}"
     )

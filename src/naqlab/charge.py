@@ -36,8 +36,6 @@ __all__ = [
     "exact_solution",
     "exact_fields",
     "gauss_residual",
-    "corrected_field_tensor",
-    "induced_charge_density",
     "energy_report",
 ]
 
@@ -163,20 +161,6 @@ def gauss_residual(model: ChargeModel, grid) -> float:
     if scale == 0.0:
         return float(diff)
     return float(diff / scale)
-
-
-def corrected_field_tensor(phi: float, dphi_dr: float, units: UnitsConfig) -> float:
-    """Radial field from the potential after the torsion correction.
-
-    E_r = -phi' / (1 + (G/c^4) phi^2); the correction factor is 1 in the
-    classical limit phi -> 0.
-    """
-    return -dphi_dr / (1.0 + units.G / units.c**4 * phi * phi)
-
-
-def induced_charge_density(E_r: float, phi: float, units: UnitsConfig) -> float:
-    """rho = (G / 4 pi c^4) E_r^2 phi."""
-    return units.G / (4.0 * math.pi * units.c**4) * E_r * E_r * phi
 
 
 def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> EnergyReport:

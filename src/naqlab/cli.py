@@ -260,8 +260,7 @@ def _run_profile(args) -> int:
         return EXIT_NUMERICAL
     eta = np.interp(rs, traj.r, traj.eta)
     deta = np.interp(rs, traj.r, traj.deta)
-    prof = shooting.derive_fields(shooting.Trajectory(rs, eta, deta, traj.reason))
-    columns = (prof.r, prof.eta, prof.deta, prof.phi_scaled, prof.E_scaled, prof.rho_scaled)
+    columns = (rs, eta, deta) + shooting.derive_fields(eta, deta, params)
     _emit(_csv(_config(args), "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns), args.output)
     return EXIT_OK
 

@@ -30,7 +30,6 @@ from .numerics import (
     IntegrationBlowUp,
     InvalidBracketError,
     brent,
-    centered_derivative,
     rk_integrate,
 )
 
@@ -38,9 +37,7 @@ __all__ = [
     "CouplingParams",
     "TerminationReason",
     "Trajectory",
-    "Profile",
     "Probe",
-    "ShootingResult",
     "ClassifierAmbiguityError",
     "DecayFitError",
     "ode_rhs",
@@ -96,18 +93,6 @@ class Trajectory:
     reason: TerminationReason
 
 
-@dataclass
-class Profile:
-    """Field profiles derived from a trajectory, in figure-caption scalings."""
-
-    r: np.ndarray
-    eta: np.ndarray
-    deta: np.ndarray
-    phi_scaled: np.ndarray  # (sqrt(G)/c^2) phi = sinh(eta/2)
-    E_scaled: np.ndarray  # (sqrt(G)/c^2) E_r
-    rho_scaled: np.ndarray  # 16 pi (sqrt(G)/c^2) rho
-
-
 @dataclass(frozen=True)
 class Probe:
     """One classified trajectory from eta0.
@@ -122,12 +107,6 @@ class Probe:
     eta0: float
     label: str
     residual: float
-    trajectory: Trajectory
-
-
-@dataclass
-class ShootingResult:
-    eta0: float
     trajectory: Trajectory
 
 
@@ -247,44 +226,39 @@ def find_regular_eta0(
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     tol: float = 1e-5,
     r_max: float = DEFAULT_R_MAX,
-) -> ShootingResult:
+) -> Probe:
     """Brent's method on the probes' growing-mode residual, to the regular eta_0*.
 
     The bracket ends must classify differently (one undershoot, one
     overshoot).  The answer is one end of a final bracket no wider than
     ``tol`` whose ends classify differently, so it lies within ``tol`` of
-    eta_0*: the end with the smaller |residual|, returned with the
+    eta_0*: the probe of the end with the smaller |residual|, with the
     trajectory already integrated from it.  At m = 0.1 a solve takes 9
     trajectories at tol 1e-5 and 11 at tol 1e-12.
     """
-    best = brent(lambda eta0: _probe(eta0, p, r_max), bracket, tol)
-    return ShootingResult(eta0=best.eta0, trajectory=best.trajectory)
+    return brent(lambda eta0: _probe(eta0, p, r_max), bracket, tol)
 
 
-def derive_fields(traj: Trajectory) -> Profile:
-    """Physical profiles in the scalings used for plotting.
+def derive_fields(
+    eta: np.ndarray, deta: np.ndarray, p: CouplingParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pointwise field map (phi_scaled, E_scaled, rho_scaled) of (eta, eta').
 
-    phi_scaled = sinh(eta/2); E_scaled = -eta'/(2 cosh(eta/2)) (the torsion
-    correction factor 1 + sinh^2 = cosh^2 is folded in analytically);
-    rho_scaled = 4 (1/r^2) d(r^2 E_scaled)/dr by centered differences, so
-    the scaled Gauss law div E = 4 pi rho holds by construction.
+    In the scalings used for plotting: phi_scaled = (sqrt(G)/c^2) phi =
+    sinh(eta/2); E_scaled = (sqrt(G)/c^2) E_r = -eta'/(2 cosh(eta/2)) (the
+    torsion correction factor 1 + sinh^2 = cosh^2 is folded in
+    analytically); rho_scaled = 16 pi (sqrt(G)/c^2) rho is the Gauss-law
+    source 4 (1/r^2) d(r^2 E_scaled)/dr, which the profile equation turns
+    into 4 phi (E^2 + lambda_tilde (phi^2 - m^2)).  No derivative is taken,
+    so arrays of any length map to arrays of the same length.
     """
-    if traj.r.size < 5:
-        raise ValueError("need at least 5 samples to difference the charge density")
-    eta = traj.eta
     half = 0.5 * eta
     phi_scaled = np.sinh(half)
-    e_scaled = -traj.deta / (2.0 * np.cosh(half))
-    flux = traj.r**2 * e_scaled
-    rho_scaled = 4.0 * centered_derivative(traj.r, flux) / traj.r**2
-    return Profile(
-        r=traj.r,
-        eta=eta,
-        deta=traj.deta,
-        phi_scaled=phi_scaled,
-        E_scaled=e_scaled,
-        rho_scaled=rho_scaled,
+    e_scaled = -deta / (2.0 * np.cosh(half))
+    rho_scaled = 4.0 * phi_scaled * (
+        e_scaled * e_scaled + p.lambda_tilde * (phi_scaled * phi_scaled - p.m_squared)
     )
+    return phi_scaled, e_scaled, rho_scaled
 
 
 def decay_rate(traj: Trajectory, fit_window: tuple[float, float]) -> float:

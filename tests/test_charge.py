@@ -9,12 +9,10 @@ import pytest
 from naqlab.charge import (
     ChargeModel,
     UnitsConfig,
-    corrected_field_tensor,
     energy_report,
     exact_fields,
     exact_solution,
     gauss_residual,
-    induced_charge_density,
 )
 
 UNIT_MODEL = ChargeModel(q=1.0)
@@ -250,27 +248,33 @@ class TestExactSolution:
 
 
 class TestDerivedQuantities:
+    """The torsion-corrected field and the induced density as identities of
+    the closed form, with phi' = -(c^2/sqrt(G)) cosh(alpha/r) alpha/r^2."""
+
+    MODEL = ChargeModel(q=0.7, units=UnitsConfig(G=1.3, c=0.9))
+
     def test_corrected_field_matches_closed_form(self):
-        # -phi'/(1 + G phi^2/c^4) must reproduce E_r of the closed form
-        units = UnitsConfig()
-        for r in (0.3, 1.0, 5.0):
-            x = 1.0 / r
-            phi = math.sinh(x)
-            dphi = -math.cosh(x) / r**2
-            e = corrected_field_tensor(phi, dphi, units)
-            assert e == pytest.approx(exact_solution(r, UNIT_MODEL).E_r, rel=1e-14)
+        # E_r = -phi'/(1 + G phi^2/c^4)
+        units, alpha = self.MODEL.units, self.MODEL.alpha
+        r = np.array([0.3, 1.0, 5.0])
+        fields = exact_fields(r, self.MODEL)
+        dphi = -units.c**2 / math.sqrt(units.G) * np.cosh(alpha / r) * alpha / r**2
+        corrected = -dphi / (1.0 + units.G / units.c**4 * fields["phi"] ** 2)
+        assert np.allclose(corrected, fields["E_r"], rtol=1e-14, atol=0.0)
 
     def test_classical_limit_is_plain_gradient(self):
-        assert corrected_field_tensor(0.0, -3.0, UnitsConfig()) == 3.0
+        # far out G phi^2/c^4 rounds away against 1 and E_r = -phi'
+        r = 1e9
+        fields = exact_fields(np.array([r]), UNIT_MODEL)
+        assert 1.0 + float(fields["phi"][0]) ** 2 == 1.0
+        assert fields["E_r"][0] == pytest.approx(math.cosh(1.0 / r) / r**2, rel=1e-15)
 
     def test_induced_density_consistency(self):
-        # rho = (G/4 pi c^4) E^2 phi agrees with the closed-form density
-        units = UnitsConfig()
-        for r in (0.2, 1.0, 4.0):
-            s = exact_solution(r, UNIT_MODEL)
-            assert induced_charge_density(s.E_r, s.phi, units) == pytest.approx(
-                s.rho, rel=1e-14
-            )
+        # rho = (G / 4 pi c^4) E_r^2 phi
+        units = self.MODEL.units
+        fields = exact_fields(np.array([0.2, 1.0, 4.0]), self.MODEL)
+        induced = units.G / (4.0 * math.pi * units.c**4) * fields["E_r"] ** 2 * fields["phi"]
+        assert np.allclose(induced, fields["rho"], rtol=1e-14, atol=0.0)
 
 
 class TestGaussResidual:

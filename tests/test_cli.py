@@ -444,17 +444,12 @@ class TestProfile:
         traj = shooting.integrate_profile(0.9083, params, r_max=40.0)
         rs = np.geomspace(1e-2, 40.0, points)
         rs = rs[(rs >= traj.r[0]) & (rs <= traj.r[-1])]
-        prof = shooting.derive_fields(
-            shooting.Trajectory(
-                r=rs, eta=np.interp(rs, traj.r, traj.eta),
-                deta=np.interp(rs, traj.r, traj.deta), reason=traj.reason,
-            )
-        )
+        eta, deta = np.interp(rs, traj.r, traj.eta), np.interp(rs, traj.r, traj.deta)
         config = {
             "subcommand": "profile", "eta0": 0.9083, "lambda_tilde": 1.0,
             "m": 0.1, "grid": [1e-2, 40.0, points], "grid_scale": "log",
         }
-        columns = (prof.r, prof.eta, prof.deta, prof.phi_scaled, prof.E_scaled, prof.rho_scaled)
+        columns = (rs, eta, deta) + shooting.derive_fields(eta, deta, params)
         return repr_table(config, "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns)
 
     def test_csv_bytes_match_per_element_rows(self, capsys):
@@ -588,7 +583,7 @@ class TestOutputPins:
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
          "50c6a37fbb093c5fa86a1b2bcbc6d28b52f3f7cdcb9b175ef748ee46ba674202"),
         (("profile", "--eta0", "0.9083"),
-         "859940e5d76c0400dde00159454f3f758e11910ed30f0e7ecd2725c6b4aa9b4c"),
+         "b0943c0560d660a745eb0b9accefa4001d3016a845c1b7f6aa968e468d54db6c"),
     )
 
     @pytest.mark.parametrize("argv, digest", CASES, ids=[" ".join(argv) for argv, _ in CASES])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from naqlab import shooting
+from naqlab.charge import ChargeModel, exact_fields
+from naqlab.numerics import centered_derivative
 from naqlab.shooting import (
     ClassifierAmbiguityError,
     CouplingParams,
@@ -289,44 +291,82 @@ class TestDecayRate:
             decay_rate(traj, (2.0, 50.0))
 
 
-class TestDeriveFields:
-    def test_zero_trajectory_gives_zero_fields(self):
-        r = np.linspace(1.0, 2.0, 11)
-        traj = Trajectory(
-            r=r, eta=np.zeros_like(r), deta=np.zeros_like(r),
-            reason=TerminationReason.REACHED_RMAX,
-        )
-        prof = derive_fields(traj)
-        assert np.abs(prof.phi_scaled).max() == 0.0
-        assert np.abs(prof.E_scaled).max() == 0.0
-        assert np.abs(prof.rho_scaled).max() == 0.0
+def dop853_dense(traj, p, r_end):
+    """scipy's DOP853 at rtol 1e-13 from the trajectory's first sample."""
+    pytest.importorskip("scipy")
+    from scipy.integrate import solve_ivp
 
-    def test_field_signs_on_regular_solution(self, shot_m01_tight):
+    ref = solve_ivp(
+        lambda r, y: (y[1], ode_rhs(r, y[0], y[1], p)),
+        (traj.r[0], r_end),
+        (traj.eta[0], traj.deta[0]),
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-15,
+        dense_output=True,
+    )
+    assert ref.success
+    return ref.sol
+
+
+class TestDeriveFields:
+    def test_zero_trajectory_gives_zero_fields(self, params_m01):
+        zeros = np.zeros(11)
+        for field in derive_fields(zeros, zeros, params_m01):
+            assert np.abs(field).max() == 0.0
+
+    def test_field_signs_on_regular_solution(self, shot_m01_tight, params_m01):
         traj = shot_m01_tight.trajectory
         inner = (traj.r > 1e-3) & (traj.r < 30.0)
-        prof = derive_fields(traj)
+        phi, e_field, _ = derive_fields(traj.eta, traj.deta, params_m01)
         # decaying positive eta: positive potential, outward-pointing field
-        assert np.all(prof.phi_scaled[inner] > 0)
-        assert np.all(prof.E_scaled[inner] > 0)
+        assert np.all(phi[inner] > 0)
+        assert np.all(e_field[inner] > 0)
 
-    def test_scaled_gauss_law_by_construction(self, shot_m01_tight):
+    def test_potential_consistent_with_eta(self, shot_m01_tight, params_m01):
         traj = shot_m01_tight.trajectory
-        prof = derive_fields(traj)
-        from naqlab.numerics import centered_derivative
+        phi, _, _ = derive_fields(traj.eta, traj.deta, params_m01)
+        assert np.allclose(phi, np.sinh(traj.eta / 2.0), atol=1e-15)
 
-        flux = traj.r**2 * prof.E_scaled
-        div = 4.0 * centered_derivative(traj.r, flux) / traj.r**2
-        assert np.allclose(prof.rho_scaled, div, atol=1e-14)
+    def test_density_matches_dop853_gauss_source(self, shot_m01_tight, params_m01):
+        # the oracle is the Gauss-law source 4 (2E/r + E') with E' written
+        # out from eta'' = ode_rhs, on scipy's DOP853 solution at the
+        # regular trajectory's own radii
+        traj = shot_m01_tight.trajectory
+        eta, deta = dop853_dense(traj, params_m01, traj.r[-1])(traj.r)
+        ddeta = np.array([ode_rhs(*args, params_m01) for args in zip(traj.r, eta, deta)])
+        cosh, sinh = np.cosh(eta / 2.0), np.sinh(eta / 2.0)
+        e_field = -deta / (2.0 * cosh)
+        de_field = -ddeta / (2.0 * cosh) + deta**2 * sinh / (4.0 * cosh**2)
+        source = 4.0 * (2.0 * e_field / traj.r + de_field)
+        _, _, rho = derive_fields(traj.eta, traj.deta, params_m01)
+        assert np.abs(rho - source).max() < 1e-8 * np.abs(source).max()
 
-    def test_potential_consistent_with_eta(self, shot_m01_tight):
-        prof = derive_fields(shot_m01_tight.trajectory)
-        assert np.allclose(prof.phi_scaled, np.sinh(prof.eta / 2.0), atol=1e-15)
+    def test_gauss_law_converges_second_order(self, shot_m01_tight, params_m01):
+        # centered-difference div E on DOP853 dense output approaches the
+        # pointwise density at O(h^2)
+        sol = dop853_dense(shot_m01_tight.trajectory, params_m01, 30.0)
+        errors = []
+        for n in (1000, 2000, 4000):
+            r = np.linspace(0.5, 30.0, n)
+            eta, deta = sol(r)
+            _, e_field, rho = derive_fields(eta, deta, params_m01)
+            div = 4.0 * centered_derivative(r, r**2 * e_field) / r**2
+            errors.append(np.abs(div - rho).max() / np.abs(rho).max())
+        assert 3.5 < errors[0] / errors[1] < 4.5
+        assert 3.5 < errors[1] / errors[2] < 4.5
 
-    def test_too_few_samples_rejected(self):
-        r = np.linspace(1.0, 2.0, 4)
-        traj = Trajectory(
-            r=r, eta=np.zeros_like(r), deta=np.zeros_like(r),
-            reason=TerminationReason.REACHED_RMAX,
-        )
-        with pytest.raises(ValueError):
-            derive_fields(traj)
+    def test_point_charge_reproduces_exact_fields(self, params_m01):
+        # eta = 2 alpha/r on the unit model (alpha = 1) is the closed-form
+        # point charge; phi and E_r do not depend on the couplings
+        r = np.geomspace(1e-2, 1e2, 200)
+        exact = exact_fields(r, ChargeModel(q=1.0))
+        phi, e_field, _ = derive_fields(2.0 / r, -2.0 / r**2, params_m01)
+        assert np.array_equal(phi, exact["phi"])
+        assert np.allclose(e_field, exact["E_r"], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", (0, 1))
+    def test_short_inputs_map_pointwise(self, params_m01, n):
+        eta, deta = np.full(n, 0.3), np.full(n, -0.1)
+        fields = derive_fields(eta, deta, params_m01)
+        assert [f.shape for f in fields] == [(n,)] * 3
