@@ -252,7 +252,7 @@ def _run_profile(args) -> int:
     traj = shooting.integrate_profile(args.eta0, params, r_max=args.grid[1])
     rs = _grid_points(args.grid, args.grid_scale)
     rs = rs[(rs >= traj.r[0]) & (rs <= traj.r[-1])]
-    if rs.size < 5:
+    if rs.size == 0:
         sys.stderr.write(
             "profile: trajectory terminated at r = %g (%s); grid too short\n"
             % (traj.r[-1], traj.reason.value)

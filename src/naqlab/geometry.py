@@ -7,9 +7,11 @@ Christoffel symbols and the Ricci tensor of a non-symmetric connection are
 built with centered finite differences on interior grid points only: no
 one-sided stencil is formed and no end point is inverted or contracted, so
 convergence is cleanly second order and a metric may be singular there.
-Every contraction is a batched ``matmul`` (einsum only permutes indices and
-takes traces), and every array returned is C-ordered, with bits that do not
-depend on the memory layout of the input.
+The metric is inverted in closed form: determinant and adjugate from the
+same 2x2 minors, elementwise over the stack of points, with no LAPACK
+call.  Every contraction is a batched ``matmul`` (einsum only
+permutes indices and takes traces), and every array returned is C-ordered,
+with bits that do not depend on the memory layout of the input.
 
 Sign conventions: torsion is minus twice the antisymmetric part of the
 connection, and the contorsion satisfies K_[mu nu]^rho = -T_{mu nu}^rho / 2
@@ -37,6 +39,8 @@ __all__ = [
 ]
 
 _DET_THRESHOLD = 1e-12
+# Metrics per elementwise pass in _inverse_metric; bounds its temporaries.
+_INVERSE_BLOCK = 2048
 # Trials per stacked evaluation in random_identity_suite.
 _SUITE_BLOCK = 256
 
@@ -124,17 +128,84 @@ def _divergence(values: np.ndarray, grid: Grid, min_points: int) -> np.ndarray:
     return out
 
 
+def _det_adjugate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinant and adjugate of 4x4 matrices stored entry-major: ``a[4 i + j]``
+    holds entry (i, j) of every matrix, and the adjugate comes back the same way.
+
+    Both come from the six 2x2 minors ``s`` of rows (0, 1) and the six ``c``
+    of rows (2, 3), numbered by column pair (0,1) (0,2) (0,3) (1,2) (1,3)
+    (2,3): ``det = s0 c5 - s1 c4 + s2 c3 + s3 c2 - s4 c1 + s5 c0``, and
+    each adjugate entry is three entries of one row against three minors.
+    """
+    a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = a
+    s0 = a00 * a11 - a10 * a01
+    s1 = a00 * a12 - a10 * a02
+    s2 = a00 * a13 - a10 * a03
+    s3 = a01 * a12 - a11 * a02
+    s4 = a01 * a13 - a11 * a03
+    s5 = a02 * a13 - a12 * a03
+    c0 = a20 * a31 - a30 * a21
+    c1 = a20 * a32 - a30 * a22
+    c2 = a20 * a33 - a30 * a23
+    c3 = a21 * a32 - a31 * a22
+    c4 = a21 * a33 - a31 * a23
+    c5 = a22 * a33 - a32 * a23
+    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    adj = np.empty_like(a)
+    adj[0] = a11 * c5 - a12 * c4 + a13 * c3
+    adj[1] = a02 * c4 - a01 * c5 - a03 * c3
+    adj[2] = a31 * s5 - a32 * s4 + a33 * s3
+    adj[3] = a22 * s4 - a21 * s5 - a23 * s3
+    adj[4] = a12 * c2 - a10 * c5 - a13 * c1
+    adj[5] = a00 * c5 - a02 * c2 + a03 * c1
+    adj[6] = a32 * s2 - a30 * s5 - a33 * s1
+    adj[7] = a20 * s5 - a22 * s2 + a23 * s1
+    adj[8] = a10 * c4 - a11 * c2 + a13 * c0
+    adj[9] = a01 * c2 - a00 * c4 - a03 * c0
+    adj[10] = a30 * s4 - a31 * s2 + a33 * s0
+    adj[11] = a21 * s2 - a20 * s4 - a23 * s0
+    adj[12] = a11 * c1 - a10 * c3 - a12 * c0
+    adj[13] = a00 * c3 - a01 * c1 + a02 * c0
+    adj[14] = a31 * s1 - a30 * s3 - a32 * s0
+    adj[15] = a20 * s3 - a21 * s1 + a22 * s0
+    return det, adj
+
+
 def _inverse_metric(g: np.ndarray, offset=0) -> np.ndarray:
-    """Inverse of a stack of metrics; ``offset`` is added to a reported index."""
-    det = np.linalg.det(g)
-    bad = np.abs(det) < _DET_THRESHOLD
-    if np.any(bad):
-        point = np.argwhere(bad)[0] + offset
-        raise MetricNotInvertibleError(
-            "metric not invertible (|det| < %g) at grid point %s"
-            % (_DET_THRESHOLD, tuple(int(i) for i in point))
-        )
-    return np.linalg.inv(g)
+    """Inverse of a stack of 4x4 metrics; ``offset`` is added to a reported index.
+
+    Closed form, one elementwise pass per block of ``_INVERSE_BLOCK``
+    matrices: each matrix is first scaled exactly, ``a = 2**-k g`` with
+    ``k`` the frexp exponent of its largest ``|entry|``, so that no product
+    overflows or underflows wholesale; ``_det_adjugate`` forms ``det a`` and
+    ``adj a`` from the twelve 2x2 minors of rows (0, 1) and (2, 3), and the
+    inverse is ``2**-k adj(a) / det(a)``.  A metric with ``|det g| < 1e-12``
+    (an absolute threshold, tested as ``|det a| < 1e-12 * 2**-4k``) or with
+    a nan or inf entry is refused, and the first such point is named.
+    """
+    flat = g.reshape(-1, 16)
+    out = np.empty(flat.shape)
+    # an inf entry meets a zero in the minors; the nan det is refused below
+    with np.errstate(invalid="ignore"):
+        for start in range(0, len(flat), _INVERSE_BLOCK):
+            stop = start + _INVERSE_BLOCK
+            a = flat[start:stop].T.copy()
+            k = np.frexp(np.abs(a).max(axis=0))[1]
+            det, adj = _det_adjugate(np.ldexp(a, -k, out=a))
+            # exponent clipped: above 1000 every |det a| <= 16 is refused
+            # anyway; below -1030 the threshold would round to 0 and let a
+            # zero det a through
+            threshold = np.ldexp(_DET_THRESHOLD, np.clip(-4 * k, -1030, 1000))
+            bad = ~np.isfinite(det) | (np.abs(det) < threshold)
+            if np.any(bad):
+                point = np.unravel_index(start + np.argmax(bad), g.shape[:-2])
+                raise MetricNotInvertibleError(
+                    "metric not invertible (|det| < %g) at grid point %s"
+                    % (_DET_THRESHOLD, tuple(int(i) for i in np.add(point, offset)))
+                )
+            adj /= det
+            np.ldexp(adj.T, -k[:, None], out=out[start:stop])
+    return out.reshape(g.shape)
 
 
 def christoffel_from_metric(g: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid]:
@@ -151,13 +222,15 @@ def christoffel_from_metric(g: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid
         raise ValueError("metric must be symmetric")
     ginv = _inverse_metric(g[_core(grid)], offset=[int(n > 1) for n in grid.shape])
     dg = _partials(g, grid, min_points=3)  # dg[..., b, d, c] = d_c g_{bd}
-    # Gamma_{bc}^a = 1/2 g^{ad} (d_c g_{bd} + d_b g_{cd} - d_d g_{bc})
-    t1 = dg  # [..., b, d, c] = g_{bd,c}
-    t2 = np.einsum("...cdb->...bdc", dg)  # g_{cd,b}
-    t3 = np.einsum("...bcd->...bdc", dg)  # g_{bc,d}
-    bracket = t1 + t2 - t3  # [..., b, d, c]
+    # Gamma_{bc}^a = 1/2 g^{ad} (d_c g_{bd} + d_b g_{cd} - d_d g_{bc}); the
+    # bracket [..., b, d, c] is g_{bd,c} + g_{cd,b} - g_{bc,d}, summed in
+    # place, and dg is released before the product to lower peak memory
+    bracket = dg + np.einsum("...cdb->...bdc", dg)
+    bracket -= np.einsum("...bcd->...bdc", dg)
+    del dg
     # [..., b, c, d] @ [..., d, a]: C-ordered [..., b, c, a]
-    gamma = 0.5 * (np.swapaxes(bracket, -1, -2) @ np.swapaxes(ginv, -1, -2)[..., None, :, :])
+    gamma = np.swapaxes(bracket, -1, -2) @ np.swapaxes(ginv, -1, -2)[..., None, :, :]
+    gamma *= 0.5
     return gamma, grid.interior()
 
 

@@ -467,6 +467,11 @@ class TestProfile:
         assert len(rows) == 50
         assert rows[-1].startswith("3.61,")
 
+    def test_few_rows_inside_the_trajectory_are_written(self, capsys):
+        code, out, _ = run(capsys, "profile", "--eta0", "0.9083", "--grid", "1e-2:40:4")
+        assert code == EXIT_OK
+        assert len(out.strip().split("\n")[2:]) == 4
+
     def test_short_trajectory_is_numerical_error(self, capsys):
         # a strongly overshooting start terminates long before the grid
         code, _, err = run(

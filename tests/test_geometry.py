@@ -189,7 +189,7 @@ def christoffel_operands(g, grid):
     """Inverse metric and bracket [..., b, d, c] of the whole-grid path."""
     dg = reference_partials(g, grid, 3)
     bracket = dg + np.einsum("...cdb->...bdc", dg) - np.einsum("...bcd->...bdc", dg)
-    return np.linalg.inv(g), bracket
+    return geometry._inverse_metric(g), bracket
 
 
 def reference_christoffel(g, grid, forms=MATMUL):
@@ -209,7 +209,7 @@ def reference_ricci(conn, grid, forms=MATMUL):
 def reference_contorsion(torsion, g, forms=MATMUL):
     t_low = forms["index"](torsion, g)
     lower = 0.5 * (np.einsum("...msn->...mns", t_low) + np.einsum("...nsm->...mns", t_low) - t_low)
-    return ContorsionTensor(mixed=forms["index"](lower, np.linalg.inv(g)), lower=lower)
+    return ContorsionTensor(mixed=forms["index"](lower, geometry._inverse_metric(g)), lower=lower)
 
 
 def random_grid(shape, rng):
@@ -306,6 +306,124 @@ class TestLayoutIndependence:
         want = contorsion_from_torsion(torsion, g)
         assert np.array_equal(k.mixed, want.mixed) and np.array_equal(k.lower, want.lower)
         assert k.mixed.flags.c_contiguous and k.lower.flags.c_contiguous
+
+
+EPS = np.finfo(float).eps
+
+
+def perturbed_metrics(shape, scale, rng):
+    """Identity plus a random symmetric perturbation of entries up to ``scale``."""
+    a = rng.uniform(-scale, scale, size=shape + (4, 4))
+    return np.eye(4) + 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def singular_grid_metric(value):
+    """Sphere metric on a 3 x 9 grid with ``value`` at g_33 of grid point (1, 0, 5, 0)."""
+    one = np.array([0.0])
+    grid = Grid((np.arange(3.0), one, 1.0 + 0.1 * np.arange(9), one))
+    g = sphere_metric(grid)
+    g[1, 0, 5, 0, 3, 3] = value
+    return g, grid
+
+
+class TestInverseMetric:
+    """The closed-form inverse against LAPACK, and its scaling and refusals."""
+
+    @pytest.mark.parametrize("scale", (0.1, 0.5, 0.9))
+    def test_inverse_against_lapack(self, scale):
+        g = perturbed_metrics((2000,), scale, np.random.default_rng(17))
+        ginv = geometry._inverse_metric(g)
+        bound = 8 * EPS * np.linalg.cond(g)[:, None, None]
+        assert np.all(np.abs(g @ ginv - np.eye(4)) <= bound)
+        ref = np.linalg.inv(g)
+        assert np.all(np.abs(ginv - ref) <= bound * np.abs(ref).max(axis=(-2, -1), keepdims=True))
+
+    @pytest.mark.parametrize("scale", (0.1, 0.5, 0.9))
+    def test_determinant_against_lapack(self, scale):
+        g = perturbed_metrics((2000,), scale, np.random.default_rng(18))
+        det, _ = geometry._det_adjugate(g.reshape(-1, 16).T)
+        ref = np.linalg.det(g)
+        assert np.all(np.abs(det - ref) <= 8 * EPS * np.linalg.cond(g) * np.abs(ref))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("shape", ((), (7,), (3, 1, 4, 2)))
+    def test_shapes_and_layouts(self, shape, layout):
+        g = perturbed_metrics(shape, 0.5, np.random.default_rng(len(shape)))
+        ginv = geometry._inverse_metric(with_layout(g, layout))
+        assert ginv.shape == g.shape and ginv.flags.c_contiguous
+        assert np.array_equal(ginv, geometry._inverse_metric(g))
+        assert np.allclose(ginv, np.linalg.inv(g), rtol=0, atol=1e-13)
+
+    def test_blocks_match_one_pass(self, monkeypatch):
+        g = perturbed_metrics((50,), 0.5, np.random.default_rng(3))
+        whole = geometry._inverse_metric(g)
+        g[[30, 45]] = 0.0
+        monkeypatch.setattr(geometry, "_INVERSE_BLOCK", 7)
+        assert np.array_equal(geometry._inverse_metric(g[:30]), whole[:30])
+        # the first refused matrix is named, whichever block it lies in
+        with pytest.raises(MetricNotInvertibleError, match=re.escape("at grid point (30,)")):
+            geometry._inverse_metric(g)
+
+    @pytest.mark.parametrize("power", (300, 1000))
+    def test_power_of_two_scale_is_exact(self, power):
+        g = perturbed_metrics((20,), 0.5, np.random.default_rng(4))
+        scaled = geometry._inverse_metric(np.ldexp(g, power))
+        assert np.array_equal(scaled, np.ldexp(geometry._inverse_metric(g), -power))
+
+    @pytest.mark.parametrize("scale", (1e80, 1e160))
+    def test_wide_scale_diagonal(self, scale):
+        # an unscaled cofactor inverse returns 0 at 1e80 and nan at 1e160
+        eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+        ginv = geometry._inverse_metric(scale * eta)
+        assert np.allclose(ginv, eta / scale, rtol=4 * EPS, atol=0)
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_non_finite_entry_named_in_callers_indices(self, value):
+        g, grid = singular_grid_metric(value)
+        text = "metric not invertible (|det| < 1e-12) at grid point (1, 0, 5, 0)"
+        with pytest.raises(MetricNotInvertibleError) as err:
+            geometry._inverse_metric(g[geometry._core(grid)], offset=[1, 0, 1, 0])
+        assert str(err.value) == text
+        with pytest.raises(MetricNotInvertibleError) as err:
+            contorsion_from_torsion(np.zeros(grid.shape + (4, 4, 4)), g)
+        assert str(err.value) == text
+
+    def test_non_finite_interior_point_in_christoffel(self):
+        g, grid = singular_grid_metric(np.inf)
+        with pytest.raises(MetricNotInvertibleError) as err:
+            christoffel_from_metric(g, grid)
+        assert str(err.value) == (
+            "metric not invertible (|det| < 1e-12) at grid point (1, 0, 5, 0)"
+        )
+        # nan is unequal to itself, so the symmetry check refuses it first
+        g, grid = singular_grid_metric(np.nan)
+        with pytest.raises(ValueError, match="metric must be symmetric"):
+            christoffel_from_metric(g, grid)
+
+
+class TestScaledSphereMetric:
+    """The Christoffel symbols do not change when the metric is scaled."""
+
+    GRID = Grid((np.zeros(1), 0.05 * np.arange(5), 1.0 + 0.05 * np.arange(-4, 5), 0.05 * np.arange(5)))
+
+    def test_power_of_two_scale_keeps_the_bits(self):
+        g = sphere_metric(self.GRID)
+        gamma, _ = christoffel_from_metric(g, self.GRID)
+        scaled, _ = christoffel_from_metric(np.ldexp(g, 300), self.GRID)
+        assert scaled.tobytes() == gamma.tobytes()
+
+    def test_decimal_scale_within_rounding(self):
+        g = sphere_metric(self.GRID)
+        gamma, _ = christoffel_from_metric(g, self.GRID)
+        scaled, _ = christoffel_from_metric(1e80 * g, self.GRID)
+        assert np.all(np.abs(scaled - gamma) <= 8 * EPS * np.abs(gamma).max())
+
+    def test_tiny_scale_refused_by_absolute_threshold(self):
+        with pytest.raises(MetricNotInvertibleError) as err:
+            christoffel_from_metric(np.ldexp(sphere_metric(self.GRID), -300), self.GRID)
+        assert str(err.value) == (
+            "metric not invertible (|det| < 1e-12) at grid point (0, 1, 1, 1)"
+        )
 
 
 def gamma_n(n):
@@ -629,12 +747,14 @@ class TestRandomIdentitySuite:
         assert random_identity_suite(7, 50) == random_identity_suite(7, 50)
 
     def test_reference_bits(self):
-        # the CLI default run's residuals, pinned bit for bit; the contorsion's
-        # 4x4 products run in BLAS, and these are the bits of an FMA dgemm kernel
+        # the CLI default run's residuals, pinned bit for bit; the inverse
+        # metric is elementwise and does not depend on the BLAS build, but the
+        # contorsion's 4x4 products run in BLAS, and these are the bits of an
+        # FMA dgemm kernel
         assert random_identity_suite(20240901, 1000) == {
             "split_reconstruction": 0.0,
-            "assemble_roundtrip": 1.1102230246251565e-15,
-            "contorsion_antisym_pair": 5.551115123125783e-16,
+            "assemble_roundtrip": 1.3322676295501878e-15,
+            "contorsion_antisym_pair": 6.661338147750939e-16,
             "contorsion_lower_antisym": 4.440892098500626e-16,
         }
 
