@@ -39,8 +39,6 @@ __all__ = [
 ]
 
 _DET_THRESHOLD = 1e-12
-# Metrics per elementwise pass in _inverse_metric; bounds its temporaries.
-_INVERSE_BLOCK = 2048
 # Trials per stacked evaluation in random_identity_suite.
 _SUITE_BLOCK = 256
 
@@ -174,37 +172,33 @@ def _det_adjugate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _inverse_metric(g: np.ndarray, offset=0) -> np.ndarray:
     """Inverse of a stack of 4x4 metrics; ``offset`` is added to a reported index.
 
-    Closed form, one elementwise pass per block of ``_INVERSE_BLOCK``
-    matrices: each matrix is first scaled exactly, ``a = 2**-k g`` with
-    ``k`` the frexp exponent of its largest ``|entry|``, so that no product
-    overflows or underflows wholesale; ``_det_adjugate`` forms ``det a`` and
-    ``adj a`` from the twelve 2x2 minors of rows (0, 1) and (2, 3), and the
-    inverse is ``2**-k adj(a) / det(a)``.  A metric with ``|det g| < 1e-12``
-    (an absolute threshold, tested as ``|det a| < 1e-12 * 2**-4k``) or with
-    a nan or inf entry is refused, and the first such point is named.
+    Closed form, one elementwise pass over the stack: each matrix is first
+    scaled exactly, ``a = 2**-k g`` with ``k`` the frexp exponent of its
+    largest ``|entry|``, so that no product overflows or underflows
+    wholesale; ``_det_adjugate`` forms ``det a`` and ``adj a`` from the
+    twelve 2x2 minors of rows (0, 1) and (2, 3), and the inverse is
+    ``2**-k adj(a) / det(a)``.  A metric with ``|det g| < 1e-12`` (an
+    absolute threshold, tested as ``|det a| < 1e-12 * 2**-4k``) or with a
+    nan or inf entry is refused, and the first such point is named.
     """
-    flat = g.reshape(-1, 16)
-    out = np.empty(flat.shape)
-    # an inf entry meets a zero in the minors; the nan det is refused below
+    a = g.reshape(-1, 16).T.copy()
+    # non-finite entries give a non-finite det, which is refused below
     with np.errstate(invalid="ignore"):
-        for start in range(0, len(flat), _INVERSE_BLOCK):
-            stop = start + _INVERSE_BLOCK
-            a = flat[start:stop].T.copy()
-            k = np.frexp(np.abs(a).max(axis=0))[1]
-            det, adj = _det_adjugate(np.ldexp(a, -k, out=a))
-            # exponent clipped: above 1000 every |det a| <= 16 is refused
-            # anyway; below -1030 the threshold would round to 0 and let a
-            # zero det a through
-            threshold = np.ldexp(_DET_THRESHOLD, np.clip(-4 * k, -1030, 1000))
-            bad = ~np.isfinite(det) | (np.abs(det) < threshold)
-            if np.any(bad):
-                point = np.unravel_index(start + np.argmax(bad), g.shape[:-2])
-                raise MetricNotInvertibleError(
-                    "metric not invertible (|det| < %g) at grid point %s"
-                    % (_DET_THRESHOLD, tuple(int(i) for i in np.add(point, offset)))
-                )
-            adj /= det
-            np.ldexp(adj.T, -k[:, None], out=out[start:stop])
+        k = np.frexp(np.abs(a).max(axis=0))[1]
+        det, adj = _det_adjugate(np.ldexp(a, -k, out=a))
+        # exponent clipped: above 1000 every |det a| <= 16 is refused anyway;
+        # below -1030 the threshold would round to 0 and let a zero det a
+        # through
+        threshold = np.ldexp(_DET_THRESHOLD, np.clip(-4 * k, -1030, 1000))
+        bad = ~np.isfinite(det) | (np.abs(det) < threshold)
+    if np.any(bad):
+        point = np.unravel_index(np.argmax(bad), g.shape[:-2])
+        raise MetricNotInvertibleError(
+            "metric not invertible (|det| < %g) at grid point %s"
+            % (_DET_THRESHOLD, tuple(int(i) for i in np.add(point, offset)))
+        )
+    adj /= det
+    out = np.ldexp(adj.T, -k[:, None], out=np.empty((len(k), 16)))
     return out.reshape(g.shape)
 
 
@@ -218,7 +212,7 @@ def christoffel_from_metric(g: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid
     g = np.ascontiguousarray(g, dtype=float)
     if g.shape != grid.shape + (4, 4):
         raise ValueError("metric shape %s does not match grid %s" % (g.shape, grid.shape))
-    if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12):
+    if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12, equal_nan=True):
         raise ValueError("metric must be symmetric")
     ginv = _inverse_metric(g[_core(grid)], offset=[int(n > 1) for n in grid.shape])
     dg = _partials(g, grid, min_points=3)  # dg[..., b, d, c] = d_c g_{bd}
