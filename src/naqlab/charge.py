@@ -145,13 +145,11 @@ def gauss_residual(model: ChargeModel, grid) -> float:
     """Max relative residual of div E = 4 pi rho on the closed form.
 
     The divergence (1/r^2) d(r^2 E_r)/dr is taken by centered differences,
-    so the residual is O(h^2); only interior grid points enter.
+    so the residual is O(h^2); only interior grid points enter.  The grid
+    must be positive (``exact_fields``), 1-D, strictly increasing and at
+    least 3 points long (``centered_derivative``).
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 5:
-        raise ValueError("grid must be 1-D with at least 5 points")
-    if np.any(grid <= 0) or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be strictly positive and strictly increasing")
     fields = exact_fields(grid, model)
     flux = grid**2 * fields["E_r"]
     div_e = centered_derivative(grid, flux)[1:-1] / grid[1:-1] ** 2

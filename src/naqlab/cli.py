@@ -157,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--G", type=_finite_float, default=1.0, help="Newton constant (default %(default)s)")
     p.add_argument("--c", type=_finite_float, default=1.0, help="speed of light (default %(default)s)")
     p.add_argument("--rmin", type=_finite_float, default=1e-3, help="self-energy lower cutoff in length units (default %(default)s)")
-    p.add_argument("--grid", type=_colon_list("A:B:N"), default=(1e-2, 1e2, 200), metavar="A:B:N", help="radial grid for csv output (default 1e-2:1e2:200); a negative A needs the --grid=A:B:N form")
+    grid = (1e-2, 1e2, 200)
+    p.add_argument("--grid", type=_colon_list("A:B:N"), default=grid, metavar="A:B:N", help="radial grid for csv output (default %g:%g:%d); a negative A needs the --grid=A:B:N form" % grid)
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
     p.add_argument("--tol", type=_finite_float, default=1e-10, help="quadrature tolerance (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="json", help="csv: field samples; json: energy report (default %(default)s)")
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shoot", help="find the regular starting value")
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
     p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
-    p.add_argument("--bracket", type=_colon_list("LO:HI"), default=shooting.DEFAULT_BRACKET, metavar="LO:HI", help="starting-value bracket (default 0.2:2.0)")
+    p.add_argument("--bracket", type=_colon_list("LO:HI"), default=shooting.DEFAULT_BRACKET, metavar="LO:HI", help="starting-value bracket (default %g:%g)" % shooting.DEFAULT_BRACKET)
     p.add_argument("--tol", type=_finite_float, default=1e-5, help="root tolerance (default %(default)s)")
     p.add_argument("--rmax", type=_finite_float, default=shooting.DEFAULT_R_MAX, help="integration horizon (default %(default)s)")
     p.add_argument("--output", default=None)
@@ -175,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta0", type=_finite_float, required=True, help="starting value eta(0)")
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
     p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
-    p.add_argument("--grid", type=_colon_list("A:B:N"), default=(1e-3, shooting.DEFAULT_R_MAX, 2000), metavar="A:B:N", help="output radial grid (default 1e-3:80:2000); a negative A needs the --grid=A:B:N form")
+    grid = (1e-3, shooting.DEFAULT_R_MAX, 2000)
+    p.add_argument("--grid", type=_colon_list("A:B:N"), default=grid, metavar="A:B:N", help="output radial grid (default %g:%g:%d); a negative A needs the --grid=A:B:N form" % grid)
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
     p.add_argument("--output", default=None)
 

@@ -91,37 +91,38 @@ def _core(grid: Grid) -> tuple[slice, ...]:
     return tuple(slice(1, -1) if n > 1 else slice(None) for n in grid.shape)
 
 
-def _stencils(grid: Grid, min_points: int):
+def _stencils(grid: Grid):
     """``(axis, up, down, 2h)`` per axis of size > 1: ``(v[up] - v[down]) / 2h``
     is np.gradient's interior formula at the points ``v[_core(grid)]``, bit for
-    bit.  Each such axis needs at least ``min_points`` samples."""
+    bit.  Each such axis needs 3 samples, one interior point and its two
+    neighbours."""
     core = _core(grid)
     for axis, n in enumerate(grid.shape):
         if n == 1:
             continue
-        if n < min_points:
+        if n < 3:
             raise GridTooSmallError(
-                "axis %d has %d points; need >= %d for centered differences"
-                % (axis, n, min_points)
+                "axis %d has %d points; need >= 3 for centered differences" % (axis, n)
             )
         up = core[:axis] + (slice(2, None),) + core[axis + 1 :]
         down = core[:axis] + (slice(None, -2),) + core[axis + 1 :]
         yield axis, up, down, 2.0 * grid.spacing(axis)
 
 
-def _partials(values: np.ndarray, grid: Grid, min_points: int) -> np.ndarray:
+def _partials(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Derivatives at the points ``values[_core(grid)]``; last axis indexes the
-    direction, and size-1 axes contribute zero."""
+    direction, and size-1 axes contribute zero.  Every other axis needs 3
+    samples."""
     out = np.zeros(values[_core(grid)].shape + (4,))
-    for axis, up, down, width in _stencils(grid, min_points):
+    for axis, up, down, width in _stencils(grid):
         out[..., axis] = (values[up] - values[down]) / width
     return out
 
 
-def _divergence(values: np.ndarray, grid: Grid, min_points: int) -> np.ndarray:
+def _divergence(values: np.ndarray, grid: Grid) -> np.ndarray:
     """``sum_a d_a values[..., a]`` at the points ``values[_core(grid)]``."""
     out = np.zeros(values[_core(grid)].shape[:-1])
-    for axis, up, down, width in _stencils(grid, min_points):
+    for axis, up, down, width in _stencils(grid):
         out += (values[up][..., axis] - values[down][..., axis]) / width
     return out
 
@@ -177,24 +178,21 @@ def _inverse_metric(g: np.ndarray, offset=0) -> np.ndarray:
     largest ``|entry|``, so that no product overflows or underflows
     wholesale; ``_det_adjugate`` forms ``det a`` and ``adj a`` from the
     twelve 2x2 minors of rows (0, 1) and (2, 3), and the inverse is
-    ``2**-k adj(a) / det(a)``.  A metric with ``|det g| < 1e-12`` (an
-    absolute threshold, tested as ``|det a| < 1e-12 * 2**-4k``) or with a
-    nan or inf entry is refused, and the first such point is named.
+    ``2**-k adj(a) / det(a)``.  The threshold is tested on the scaled
+    matrix, whose largest ``|entry|`` lies in [0.5, 1): a metric with
+    ``|det a| < 1e-12`` (ill-conditioned at any scale) or with a nan or inf
+    entry is refused, and the first such point is named.
     """
     a = g.reshape(-1, 16).T.copy()
     # non-finite entries give a non-finite det, which is refused below
     with np.errstate(invalid="ignore"):
         k = np.frexp(np.abs(a).max(axis=0))[1]
         det, adj = _det_adjugate(np.ldexp(a, -k, out=a))
-        # exponent clipped: above 1000 every |det a| <= 16 is refused anyway;
-        # below -1030 the threshold would round to 0 and let a zero det a
-        # through
-        threshold = np.ldexp(_DET_THRESHOLD, np.clip(-4 * k, -1030, 1000))
-        bad = ~np.isfinite(det) | (np.abs(det) < threshold)
+        bad = ~np.isfinite(det) | (np.abs(det) < _DET_THRESHOLD)
     if np.any(bad):
         point = np.unravel_index(np.argmax(bad), g.shape[:-2])
         raise MetricNotInvertibleError(
-            "metric not invertible (|det| < %g) at grid point %s"
+            "metric not invertible (scaled |det| < %g) at grid point %s"
             % (_DET_THRESHOLD, tuple(int(i) for i in np.add(point, offset)))
         )
     adj /= det
@@ -215,7 +213,7 @@ def christoffel_from_metric(g: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid
     if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12, equal_nan=True):
         raise ValueError("metric must be symmetric")
     ginv = _inverse_metric(g[_core(grid)], offset=[int(n > 1) for n in grid.shape])
-    dg = _partials(g, grid, min_points=3)  # dg[..., b, d, c] = d_c g_{bd}
+    dg = _partials(g, grid)  # dg[..., b, d, c] = d_c g_{bd}
     # Gamma_{bc}^a = 1/2 g^{ad} (d_c g_{bd} + d_b g_{cd} - d_d g_{bc}); the
     # bracket [..., b, d, c] is g_{bd,c} + g_{cd,b} - g_{bc,d}, summed in
     # place, and dg is released before the product to lower peak memory
@@ -294,10 +292,10 @@ def ricci_from_connection(conn: np.ndarray, grid: Grid) -> tuple[np.ndarray, Gri
         raise ValueError(
             "connection shape %s does not match grid %s" % (conn.shape, grid.shape)
         )
-    term1 = _divergence(conn, grid, min_points=5)  # d_rho Gamma_{mu nu}^rho
+    term1 = _divergence(conn, grid)  # d_rho Gamma_{mu nu}^rho
     # Gamma_{mu rho}^rho: trace over the connection's last two indices.
     tr = np.einsum("...mrr->...m", conn)
-    term2 = _partials(tr, grid, min_points=5)  # d_nu Gamma_{mu rho}^rho
+    term2 = _partials(tr, grid)  # d_nu Gamma_{mu rho}^rho
     core = _core(grid)
     conn, tr = conn[core], tr[core]
     term3 = (conn @ tr[..., None, :, None])[..., 0]

@@ -3,8 +3,8 @@
 Provides globally adaptive Gauss-Kronrod quadrature, adaptive explicit
 Runge-Kutta integration with the Dormand-Prince 5(4) embedded pair,
 bracketing root-finders on a two-way classifier (bisection, and Brent's
-method when each probe also gives a signed residual), and second-order
-finite differences on possibly non-uniform sample points.
+method when each probe also gives a signed residual), and numpy's
+second-order finite differences on possibly non-uniform sample points.
 
 The integrator runs from ``(r0, y0)`` and returns the value that stopped it,
 if any.  Its settings are fixed: steps are accepted at ``rtol = 1e-10`` and
@@ -433,9 +433,9 @@ def brent(
 def centered_derivative(x: Sequence[float], f: Sequence[float]) -> np.ndarray:
     """Second-order df/dx on sample points ``x`` (strictly increasing).
 
-    Interior points use the three-point centered formula for non-uniform
-    spacing; the two endpoints use the matching one-sided three-point
-    formula (also second order).
+    ``np.gradient(f, x, edge_order=2)``: the three-point centered formula for
+    non-uniform spacing at interior points and the matching one-sided
+    three-point formula (also second order) at the two end points.
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -443,23 +443,4 @@ def centered_derivative(x: Sequence[float], f: Sequence[float]) -> np.ndarray:
         raise ValueError("need at least 3 matching 1-D samples")
     if not np.all(np.diff(x) > 0):
         raise ValueError("sample points must be strictly increasing")
-    out = np.empty_like(f)
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    out[1:-1] = (
-        h1**2 * f[2:] - h2**2 * f[:-2] - (h1**2 - h2**2) * f[1:-1]
-    ) / (h1 * h2 * (h1 + h2))
-    # one-sided second-order endpoints
-    a, b = x[1] - x[0], x[2] - x[1]
-    out[0] = (
-        -(2 * a + b) / (a * (a + b)) * f[0]
-        + (a + b) / (a * b) * f[1]
-        - a / (b * (a + b)) * f[2]
-    )
-    a, b = x[-2] - x[-3], x[-1] - x[-2]
-    out[-1] = (
-        b / (a * (a + b)) * f[-3]
-        - (a + b) / (a * b) * f[-2]
-        + (a + 2 * b) / (b * (a + b)) * f[-1]
-    )
-    return out
+    return np.gradient(f, x, edge_order=2)

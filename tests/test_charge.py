@@ -295,10 +295,17 @@ class TestGaussResidual:
         assert gauss_residual(ChargeModel(q=0.0), grid) == 0.0
 
     def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            gauss_residual(UNIT_MODEL, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="need at least 3 matching 1-D samples"):
+            gauss_residual(UNIT_MODEL, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="sample points must be strictly increasing"):
+            gauss_residual(UNIT_MODEL, np.array([3.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
             gauss_residual(UNIT_MODEL, np.array([-1.0, 1.0, 2.0, 3.0, 4.0]))
+
+    def test_three_point_grid_has_a_residual(self):
+        # one interior point, where the centered stencil is complete
+        res = gauss_residual(UNIT_MODEL, np.array([1.0, 1.5, 2.0]))
+        assert math.isfinite(res) and res > 0
 
 
 class TestEnergyReport:

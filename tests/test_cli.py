@@ -437,6 +437,11 @@ class TestProfile:
         assert lines[1] == "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled"
         assert len(lines) == 52
 
+    def test_help_states_the_default_horizon(self, capsys):
+        code, out, _ = run(capsys, "profile", "--help")
+        assert code == EXIT_OK
+        assert "(default 0.001:%g:2000)" % shooting.DEFAULT_R_MAX in " ".join(out.split())
+
     @staticmethod
     def repr_profile(points):
         # the table the former row-by-row writer produced, rebuilt here
@@ -568,6 +573,8 @@ class TestDeterminism:
         assert build_parser.cache_info().misses == 1
         assert rounds[0] == rounds[1]
         assert {code for code, _, _ in rounds[0]} == {EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL}
+        shoot_help = " ".join(rounds[0][argvs.index(("shoot", "--help"))][1].split())
+        assert "(default %g:%g)" % shooting.DEFAULT_BRACKET in shoot_help
 
 
 class TestOutputPins:
