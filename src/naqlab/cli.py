@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 
 import numpy as np
@@ -103,24 +102,71 @@ def _csv(config: dict, header: str, columns: tuple[np.ndarray, ...]) -> str:
     writes it.
 
     orjson finds the same shortest digits as ``repr`` (Ryu), in another
-    layout: ``1e16`` and ``1e-6`` for ``1e+16`` and ``1e-06``, and
-    ``0.00001`` where ``repr`` writes ``1e-05``.  The exponents are
-    rewritten; nan, +-inf and the band 1e-5 <= |x| < 1e-4 go through orjson
-    as ``null`` and get their ``repr`` spliced in.
+    layout.  Each block of rows is dumped as one flat list, nan and +inf as
+    ``0.0`` and -inf as ``-0.0``, and its bytes get these edits:
+
+    - ``+`` inserted after the ``e`` of a positive exponent: ``1e16`` ->
+      ``1e+16``;
+    - ``0`` inserted before the digit of a one-digit negative exponent:
+      ``1e-7`` -> ``1e-07``;
+    - the band 1e-5 <= |x| < 1e-4 moved to exponent form: ``0.0000dr`` ->
+      ``d.re-05`` and ``0.0000d`` -> ``de-05``;
+    - the last three bytes of each stand-in zero overwritten by ``nan`` or
+      ``inf``;
+    - the comma before each row's first value and the closing ``]`` turned
+      into newlines, and the opening ``[`` dropped.
+
+    The edits are found by scanning for ``,`` and ``e``.  Insertions land in
+    one boolean-mask scatter; deleted bytes are overwritten with NUL and
+    removed by one ``bytes.replace``.  No array as long as the text holds
+    more than one byte per entry.
     """
     parts = ["# config: " + json.dumps(config, sort_keys=True) + "\n" + header + "\n"]
     for start in range(0, len(columns[0]), _CSV_BLOCK):
-        block = np.column_stack([col[start:start + _CSV_BLOCK] for col in columns])
-        mag = np.abs(block)
-        odd = ~np.isfinite(block) | ((mag >= 1e-5) & (mag < 1e-4))
-        text = orjson.dumps(np.where(odd, np.nan, block), option=orjson.OPT_SERIALIZE_NUMPY)
-        text = re.sub(rb"e-(?=\d(?!\d))", b"e-0", re.sub(rb"e(?=\d)", b"e+", text))
-        pieces = text.split(b"null")
-        spliced = [pieces[0]]
-        for value, piece in zip(block[odd].tolist(), pieces[1:]):
-            spliced += (repr(value).encode(), piece)
-        parts.append(b"".join(spliced)[2:-2].replace(b"],[", b"\n").decode() + "\n")
+        parts.append(_csv_rows(np.column_stack([col[start:start + _CSV_BLOCK] for col in columns])))
     return "".join(parts)
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """The rows of one block, edited as ``_csv`` lists; the arrays of a
+    block are freed before the next block is dumped."""
+    values = block.ravel()
+    mag = np.abs(values)
+    band = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4))
+    special = np.flatnonzero(~np.isfinite(values))
+    dumped = np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=-0.0)
+    buf = np.frombuffer(orjson.dumps(dumped, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8).copy()
+    buf[0] = ord(",")  # with the "[" read as a comma, value k lies between bounds k and k + 1
+    commas = np.flatnonzero(buf == ord(","))
+    bounds = np.append(commas, buf.size - 1)
+    # exponents: "+" after a positive one's "e", "0" before a one-digit negative one's digit
+    e = np.flatnonzero(buf == ord("e"))
+    minus = buf[e + 1] == ord("-")
+    after = buf[e[minus] + 3]
+    at = [e[~minus] + 1, e[minus][(after == ord(",")) | (after == ord("]"))] + 2]
+    new = [b"+" * at[0].size, b"0" * at[1].size]
+    # the band: d over the first "0", NUL over "0000d" (and the "." if r is empty), then "e-05"
+    lead = bounds[band] + 1 + (values[band] < 0)
+    end = bounds[band + 1]
+    buf[lead] = buf[lead + 6]
+    buf[lead[:, None] + (2, 3, 4, 5, 6)] = 0
+    buf[lead[end - lead == 7] + 1] = 0
+    at.append(np.repeat(end, 4))
+    new.append(b"e-05" * band.size)
+    # nan and +-inf: "nan" or "inf" over the last three bytes of the stand-in zero
+    words = np.frombuffer(b"infnan", np.uint8).reshape(2, 3)
+    buf[bounds[special + 1, None] - (3, 2, 1)] = words[np.isnan(values[special]).astype(int)]
+    buf[commas[block.shape[1]::block.shape[1]]] = ord("\n")
+    buf[-1] = ord("\n")
+    at = np.concatenate(at)
+    order = at.argsort(kind="stable")
+    landed = at[order] + np.arange(at.size)  # output index of each inserted byte
+    out = np.empty(buf.size + at.size, np.uint8)
+    kept = np.ones(out.size, bool)
+    kept[landed] = False
+    out[landed] = np.frombuffer(b"".join(new), np.uint8)[order]
+    out[kept] = buf
+    return out[1:].tobytes().replace(b"\0", b"").decode()
 
 
 def _emit(text: str, path: str | None) -> None:

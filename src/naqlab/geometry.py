@@ -178,17 +178,18 @@ def _inverse_metric(g: np.ndarray, offset=0) -> np.ndarray:
     largest ``|entry|``, so that no product overflows or underflows
     wholesale; ``_det_adjugate`` forms ``det a`` and ``adj a`` from the
     twelve 2x2 minors of rows (0, 1) and (2, 3), and the inverse is
-    ``2**-k adj(a) / det(a)``.  The threshold is tested on the scaled
-    matrix, whose largest ``|entry|`` lies in [0.5, 1): a metric with
-    ``|det a| < 1e-12`` (ill-conditioned at any scale) or with a nan or inf
-    entry is refused, and the first such point is named.
+    ``2**-k adj(a) / det(a)``.  The threshold is tested on ``|det a| /
+    m**4``, with ``m`` the largest ``|entry|`` of ``a``, which no scaling of
+    ``g`` changes: a metric with a ratio below 1e-12 (ill-conditioned), an
+    all-zero metric or one with a nan or inf entry is refused, and the
+    first such point is named.
     """
     a = g.reshape(-1, 16).T.copy()
-    # non-finite entries give a non-finite det, which is refused below
+    # a zero or non-finite metric gives a nan ratio, which is refused below
     with np.errstate(invalid="ignore"):
-        k = np.frexp(np.abs(a).max(axis=0))[1]
+        m, k = np.frexp(np.abs(a).max(axis=0))
         det, adj = _det_adjugate(np.ldexp(a, -k, out=a))
-        bad = ~np.isfinite(det) | (np.abs(det) < _DET_THRESHOLD)
+        bad = ~(np.abs(det) / m**4 >= _DET_THRESHOLD)
     if np.any(bad):
         point = np.unravel_index(np.argmax(bad), g.shape[:-2])
         raise MetricNotInvertibleError(

@@ -21,6 +21,7 @@ quadratic series start at a small radius epsilon.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,8 +69,10 @@ class CouplingParams:
         if not (self.lambda_tilde > 0 and self.m > 0):
             raise ValueError("lambda_tilde and m must be strictly positive")
 
-    @property
+    @functools.cached_property
     def m_squared(self) -> float:
+        # computed on first use and then a plain attribute: the ODE right-hand
+        # side reads it on every evaluation
         return self.m * self.m
 
     @property

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -406,10 +408,55 @@ class TestCsvWriter:
         # repr or of orjson changes, with both signs
         offsets = np.arange(-200, 201)
         edges = [(np.float64(x).view(np.int64) + offsets).view(np.float64)
-                 for x in (1e-100, 1e-10, 1e-5, 1e-4, 1e16, 1e100)]
+                 for x in (1e-100, 1e-10, 1e-9, 1e-6, 1e-5, 1e-4, 1e16, 1e100)]
         values = np.concatenate(edges + [-e for e in edges])
         columns = (values, values[::-1], np.roll(values, 7))
         assert_same_text(cli._csv({}, "x,y,z", columns), repr_table({}, "x,y,z", columns))
+
+    # one value of each layout class: zeros, subnormals, one- and two-digit
+    # negative exponents, the band [1e-5, 1e-4), plain decimals, +-inf, nan
+    # and exponents of +16 and up
+    SPECIALS = (0.0, -0.0, 5e-324, -2.5e-310, 1e-10, 3e-9, -1e-7, 2.5e-6, 1e-5,
+                -9.5e-5, 1e-4, 0.5, -12.25, 1e15, np.inf, -np.inf, np.nan,
+                1e16, -9999999999999998.0, 1.5e22, 1e308)
+
+    @pytest.mark.parametrize("ncol", (1, 2, 4, 6))
+    def test_column_counts(self, ncol):
+        values = np.resize(np.array(self.SPECIALS), (ncol, 3 * len(self.SPECIALS) + 1))
+        columns = tuple(np.roll(values[k], k) for k in range(ncol))
+        header = ",".join("c%d" % k for k in range(ncol))
+        assert_same_text(cli._csv({"n": ncol}, header, columns), repr_table({"n": ncol}, header, columns))
+
+    @pytest.mark.parametrize("last", (1e-7, -3e-9, 2e-6, 1e16, 1.5e-5, np.inf, np.nan, 0.0))
+    def test_last_value_of_the_table(self, last):
+        # the last value of a block has no comma after it, only the end of the list
+        for rows in (1, 5, cli._CSV_BLOCK, cli._CSV_BLOCK + 1):
+            columns = (np.linspace(1.0, 2.0, rows), np.full(rows, last))
+            assert_same_text(cli._csv({}, "a,b", columns), repr_table({}, "a,b", columns))
+            assert_same_text(cli._csv({}, "b", columns[1:]), repr_table({}, "b", columns[1:]))
+
+    @pytest.mark.parametrize("rows", (cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1))
+    def test_rows_around_one_block(self, rows):
+        values = np.resize(np.array(self.SPECIALS), 3 * rows).reshape(3, rows)
+        columns = (values[0], values[1][::-1], values[2] * 1e-3)
+        text = cli._csv({}, "x,y,z", columns)
+        assert_same_text(text, repr_table({}, "x,y,z", columns))
+        assert text.count("\n") == rows + 2
+
+    def test_no_rows(self):
+        columns = (np.zeros(0), np.zeros(0))
+        assert cli._csv({"grid": []}, "a,b", columns) == '# config: {"grid": []}\na,b\n'
+
+    def test_redirected_stdout_gets_the_captured_text(self, capsys):
+        # perfbench captures a job's output with redirect_stdout into a
+        # StringIO, which has no binary buffer
+        argv = ["exact", "--format", "csv", "--grid", "1e-4:1e2:300"]
+        code, expected, _ = run(capsys, *argv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == code == EXIT_OK
+        assert out.getvalue() == expected
+        assert capsys.readouterr().out == ""
 
 
 class TestShoot:

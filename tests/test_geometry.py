@@ -379,6 +379,23 @@ class TestInverseMetric:
             geometry._inverse_metric(np.diag([-1.0, 1.0, 1.0, 1e-13])[None])
         assert str(err.value) == "metric not invertible (scaled |det| < 1e-12) at grid point (0,)"
 
+    @pytest.mark.parametrize("last, invertible", ((2e-12, True), (5e-13, False)))
+    def test_refusal_does_not_depend_on_scale(self, last, invertible):
+        # |det g| / max|g|^4 is 2e-12 or 5e-13 at every scale; at scale 1 the
+        # largest entry sits on a power of two, at 0.99 just below one
+        for scale in (1.0, 0.99, 0.5, 3.7, 2.0**-300, 1e80):
+            g = scale * np.diag([-1.0, 1.0, 1.0, last])[None]
+            if invertible:
+                assert np.allclose(geometry._inverse_metric(g)[0], np.linalg.inv(g[0]), rtol=4 * EPS, atol=0)
+            else:
+                with pytest.raises(MetricNotInvertibleError):
+                    geometry._inverse_metric(g)
+
+    def test_zero_metric_refused(self):
+        with pytest.raises(MetricNotInvertibleError) as err:
+            geometry._inverse_metric(np.zeros((3, 4, 4)))
+        assert str(err.value) == "metric not invertible (scaled |det| < 1e-12) at grid point (0,)"
+
     @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
     def test_non_finite_entry_named_in_callers_indices(self, value):
         g, grid = singular_grid_metric(value)
