@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import centered_derivative, quad_adaptive
 
 __all__ = [
-    "UnitsConfig",
     "ChargeModel",
     "FieldSample",
     "EnergyReport",
@@ -40,30 +39,28 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class UnitsConfig:
-    """Newton constant and speed of light; defaults are geometrized units."""
+class ChargeModel:
+    """A point charge q in units with Newton constant G and speed of light c.
 
+    G and c default to 1.0 (geometrized units).  Refused with ValueError:
+    G or c not strictly positive; c^2, c^2/sqrt(G) or sqrt(G)/c^2 outside
+    the float64 range; alpha = q sqrt(G)/c^2 not finite, or 0 for q != 0.
+    """
+
+    q: float
     G: float = 1.0
     c: float = 1.0
 
     def __post_init__(self):
         if not (self.G > 0 and self.c > 0):
             raise ValueError("G and c must be strictly positive")
-
-
-@dataclass(frozen=True)
-class ChargeModel:
-    q: float
-    units: UnitsConfig = field(default_factory=UnitsConfig)
-
-    def __post_init__(self):
         # c**2 raises OverflowError past c ~ 1.3e154 and is 0 below c ~ 1.5e-162;
         # the scales c^2/sqrt(G) of phi and sqrt(G)/c^2 of rho must be finite,
         # and alpha may underflow to 0 only when q is 0.
-        root_g, c2 = math.sqrt(self.units.G), self.units.c * self.units.c
+        root_g, c2 = math.sqrt(self.G), self.c * self.c
         if not (0.0 < c2 < math.inf and c2 / root_g < math.inf and root_g / c2 < math.inf):
             raise ValueError("G = %r, c = %r: c^2 or c^2/sqrt(G) is out of float64 range"
-                             % (self.units.G, self.units.c))
+                             % (self.G, self.c))
         if not math.isfinite(self.alpha) or (self.alpha == 0.0) != (self.q == 0.0):
             raise ValueError("q = %r: alpha = q sqrt(G)/c^2 = %r is out of float64 range"
                              % (self.q, self.alpha))
@@ -71,7 +68,7 @@ class ChargeModel:
     @property
     def alpha(self) -> float:
         """Length scale q sqrt(G)/c^2; zero iff the charge vanishes."""
-        root_g, c2 = math.sqrt(self.units.G), self.units.c**2
+        root_g, c2 = math.sqrt(self.G), self.c**2
         q_root_g = self.q * root_g
         if 0.0 < abs(q_root_g) < sys.float_info.min:
             # A subnormal q sqrt(G) has lost bits; then c^2 < 1 for a normal
@@ -112,12 +109,11 @@ def exact_fields(r: np.ndarray, model: ChargeModel) -> dict[str, np.ndarray]:
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("radius must be positive")
-    u = model.units
     q = model.q
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = model.alpha / r
         cosh, tanh = np.cosh(x), np.tanh(x)
-        k = math.sqrt(u.G) / (4.0 * math.pi * u.c**2)
+        k = math.sqrt(model.G) / (4.0 * math.pi * model.c**2)
         e_r = q / (r * r * cosh)
         rho = k * tanh / cosh * q * q / r**4
         # Where r*r, r**4, q*q or cosh leave the float64 range, or q = 0, E_r
@@ -138,7 +134,7 @@ def exact_fields(r: np.ndarray, model: ChargeModel) -> dict[str, np.ndarray]:
                 sign = math.copysign(1.0, q)
                 e_r = np.where(tail, sign * np.exp(log_e), e_r)
                 rho = np.where(tail, sign * np.exp(np.log(k) + log_qr2 + log_e), rho)
-        return {"r": r, "phi": u.c**2 / math.sqrt(u.G) * np.sinh(x), "E_r": e_r, "rho": rho}
+        return {"r": r, "phi": model.c**2 / math.sqrt(model.G) * np.sinh(x), "E_r": e_r, "rho": rho}
 
 
 def gauss_residual(model: ChargeModel, grid) -> float:
@@ -175,7 +171,6 @@ def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> Energ
     """
     if not r_min > 0:
         raise ValueError("r_min must be positive")
-    u = model.units
     q = model.q
     if q == 0.0:
         return EnergyReport(0.0, 0.0, 0.0, 0.0)
@@ -203,7 +198,7 @@ def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> Energ
         self_value += quad_adaptive(tanh2, breakpoint_u, cap, tol).value
     self_energy = prefactor * self_value
 
-    closed_field = abs(q) * u.c**2 / (2.0 * math.sqrt(u.G))
+    closed_field = abs(q) * model.c**2 / (2.0 * math.sqrt(model.G))
     if cap < 0.5:
         # U - tanh U cancels most of its digits here; it is (U cosh U - sinh U)
         # / cosh U, the numerator summed from its Taylor series, whose terms

@@ -9,7 +9,10 @@ shoot         solve for the regular starting value eta_0* (Brent's method)
 profile       integrate one trajectory and emit the derived field profiles
 
 Exit codes: 0 success, 1 usage error (a nan or inf value included), 2
-numerical ambiguity or non-convergence.  Every output embeds the resolved
+numerical failure: a ``shoot`` trajectory unclassified at r_max or bracket
+whose ends get the same label, the ``exact`` quadrature budget exhausted, a
+``torsion-check`` residual above 1e-10 (its report is still written), or a
+``profile`` grid outside the trajectory.  Every output embeds the resolved
 configuration (a JSON ``config`` entry, or a ``# config: ...`` comment line
 above the CSV header) so runs are self-describing and byte-reproducible.
 """
@@ -26,7 +29,7 @@ import numpy as np
 import orjson
 
 from . import algebra, geometry, shooting
-from .charge import ChargeModel, UnitsConfig, energy_report, exact_fields
+from .charge import ChargeModel, energy_report, exact_fields
 from .numerics import InvalidBracketError, QuadratureBudgetError
 
 DEFAULT_SEED = 20240901
@@ -196,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("torsion-check", help="randomized torsion identity suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default %(default)s)")
     p.add_argument("--trials", type=int, default=1000, help="number of random instances (default %(default)s)")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("exact", help="closed-form point-charge solution")
     p.add_argument("--q", type=_finite_float, default=1.0, help="total charge (default %(default)s)")
@@ -208,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
     p.add_argument("--tol", type=_finite_float, default=1e-10, help="quadrature tolerance (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="json", help="csv: field samples; json: energy report (default %(default)s)")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("shoot", help="find the regular starting value")
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket", type=_colon_list("LO:HI"), default=shooting.DEFAULT_BRACKET, metavar="LO:HI", help="starting-value bracket (default %g:%g)" % shooting.DEFAULT_BRACKET)
     p.add_argument("--tol", type=_finite_float, default=1e-5, help="root tolerance (default %(default)s)")
     p.add_argument("--rmax", type=_finite_float, default=shooting.DEFAULT_R_MAX, help="integration horizon (default %(default)s)")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("profile", help="field profiles of one trajectory")
     p.add_argument("--eta0", type=_finite_float, required=True, help="starting value eta(0)")
@@ -225,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid = (1e-3, shooting.DEFAULT_R_MAX, 2000)
     p.add_argument("--grid", type=_colon_list("A:B:N"), default=grid, metavar="A:B:N", help="output radial grid (default %g:%g:%d); a negative A needs the --grid=A:B:N form" % grid)
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", default=None, help="output path (default: stdout)")
 
     return parser
 
@@ -249,38 +252,21 @@ def _run_torsion_check(args) -> int:
 
 
 def _run_exact(args) -> int:
-    model = ChargeModel(q=args.q, units=UnitsConfig(G=args.G, c=args.c))
+    model = ChargeModel(q=args.q, G=args.G, c=args.c)
     if args.format == "csv":
         rs = _grid_points(args.grid, args.grid_scale)
         fields = exact_fields(rs, model)
         columns = (fields["r"], fields["phi"], fields["E_r"], fields["rho"])
         _emit(_csv(_config(args), "r,phi,E_r,rho", columns), args.output)
         return EXIT_OK
-    try:
-        report = energy_report(model, r_min=args.rmin, tol=args.tol)
-    except QuadratureBudgetError as exc:
-        sys.stderr.write(str(exc) + "\n")
-        return EXIT_NUMERICAL
-    payload = {
-        "config": _config(args),
-        "field_energy": report.field_energy,
-        "self_energy": report.self_energy,
-        "closed_form_field_energy": report.closed_form_field_energy,
-        "closed_form_self_energy": report.closed_form_self_energy,
-    }
-    _emit(_json_dumps(payload), args.output)
+    report = energy_report(model, r_min=args.rmin, tol=args.tol)
+    _emit(_json_dumps({"config": _config(args), **vars(report)}), args.output)
     return EXIT_OK
 
 
 def _run_shoot(args) -> int:
     params = shooting.CouplingParams(lambda_tilde=args.lambda_tilde, m=args.m)
-    try:
-        result = shooting.find_regular_eta0(
-            params, bracket=args.bracket, tol=args.tol, r_max=args.rmax
-        )
-    except (shooting.ClassifierAmbiguityError, InvalidBracketError) as exc:
-        sys.stderr.write(str(exc) + "\n")
-        return EXIT_NUMERICAL
+    result = shooting.find_regular_eta0(params, bracket=args.bracket, tol=args.tol, r_max=args.rmax)
     traj = result.trajectory
     payload = {
         "config": _config(args),
@@ -330,6 +316,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.subcommand](args)
+    except (shooting.ClassifierAmbiguityError, InvalidBracketError, QuadratureBudgetError) as exc:
+        # before ValueError: InvalidBracketError is one
+        sys.stderr.write(str(exc) + "\n")
+        return EXIT_NUMERICAL
     except ValueError as exc:
         sys.stderr.write("naqlab: %s\n" % exc)
         return EXIT_USAGE

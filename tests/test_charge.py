@@ -8,7 +8,6 @@ import pytest
 
 from naqlab.charge import (
     ChargeModel,
-    UnitsConfig,
     energy_report,
     exact_fields,
     exact_solution,
@@ -23,7 +22,7 @@ class TestChargeModel:
     @pytest.mark.parametrize("G, c", ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)))
     def test_units_must_be_positive(self, G, c):
         with pytest.raises(ValueError, match="G and c must be strictly positive"):
-            UnitsConfig(G=G, c=c)
+            ChargeModel(q=1.0, G=G, c=c)
 
     @pytest.mark.parametrize(
         "q, G, c",
@@ -40,7 +39,7 @@ class TestChargeModel:
     )
     def test_scales_out_of_float64_range_rejected(self, q, G, c):
         with pytest.raises(ValueError, match="out of float64 range"):
-            ChargeModel(q=q, units=UnitsConfig(G=G, c=c))
+            ChargeModel(q=q, G=G, c=c)
 
 
 def decimal_closed_forms(q, G, c, r=None):
@@ -63,7 +62,7 @@ def decimal_closed_forms(q, G, c, r=None):
 
 class TestExactSolution:
     def test_alpha_scale(self):
-        model = ChargeModel(q=2.0, units=UnitsConfig(G=4.0, c=2.0))
+        model = ChargeModel(q=2.0, G=4.0, c=2.0)
         assert model.alpha == pytest.approx(2.0 * 2.0 / 4.0)
 
     @pytest.mark.parametrize(
@@ -78,7 +77,7 @@ class TestExactSolution:
     )
     def test_alpha_to_one_rounding(self, q, G, c):
         # where q sqrt(G) is normal alpha keeps the bits of q sqrt(G) / c^2
-        model = ChargeModel(q=q, units=UnitsConfig(G=G, c=c))
+        model = ChargeModel(q=q, G=G, c=c)
         assert model.alpha == pytest.approx(decimal_closed_forms(q, G, c), rel=2 * EPS, abs=0.0)
         if abs(q * math.sqrt(G)) >= 2.2250738585072014e-308:
             assert model.alpha == q * math.sqrt(G) / c**2
@@ -143,7 +142,7 @@ class TestExactSolution:
     def test_tail_past_cosh_overflow(self, q, G, c, r):
         # 1/cosh(x) = 2 exp(-|x|) there; the bound is a few ulp of the
         # exponent, whose rounding in x and log r is amplified by exp
-        model = ChargeModel(q=q, units=UnitsConfig(G=G, c=c))
+        model = ChargeModel(q=q, G=G, c=c)
         e_ref, rho_ref = decimal_closed_forms(q, G, c, r)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -225,7 +224,7 @@ class TestExactSolution:
     def test_matches_per_radius_math_reference(self, q):
         # numpy's sinh/cosh/tanh against libm's, same formulas per radius;
         # the bound is 16 ulp of float64
-        model = ChargeModel(q=q, units=UnitsConfig(G=1.3, c=0.9))
+        model = ChargeModel(q=q, G=1.3, c=0.9)
         rs = abs(model.alpha) / np.geomspace(1e-3, 700.0, 400)
         fields = exact_fields(rs, model)
         k = math.sqrt(1.3) / (4.0 * math.pi * 0.9**2)
@@ -251,15 +250,15 @@ class TestDerivedQuantities:
     """The torsion-corrected field and the induced density as identities of
     the closed form, with phi' = -(c^2/sqrt(G)) cosh(alpha/r) alpha/r^2."""
 
-    MODEL = ChargeModel(q=0.7, units=UnitsConfig(G=1.3, c=0.9))
+    MODEL = ChargeModel(q=0.7, G=1.3, c=0.9)
 
     def test_corrected_field_matches_closed_form(self):
         # E_r = -phi'/(1 + G phi^2/c^4)
-        units, alpha = self.MODEL.units, self.MODEL.alpha
+        model, alpha = self.MODEL, self.MODEL.alpha
         r = np.array([0.3, 1.0, 5.0])
-        fields = exact_fields(r, self.MODEL)
-        dphi = -units.c**2 / math.sqrt(units.G) * np.cosh(alpha / r) * alpha / r**2
-        corrected = -dphi / (1.0 + units.G / units.c**4 * fields["phi"] ** 2)
+        fields = exact_fields(r, model)
+        dphi = -model.c**2 / math.sqrt(model.G) * np.cosh(alpha / r) * alpha / r**2
+        corrected = -dphi / (1.0 + model.G / model.c**4 * fields["phi"] ** 2)
         assert np.allclose(corrected, fields["E_r"], rtol=1e-14, atol=0.0)
 
     def test_classical_limit_is_plain_gradient(self):
@@ -271,9 +270,9 @@ class TestDerivedQuantities:
 
     def test_induced_density_consistency(self):
         # rho = (G / 4 pi c^4) E_r^2 phi
-        units = self.MODEL.units
-        fields = exact_fields(np.array([0.2, 1.0, 4.0]), self.MODEL)
-        induced = units.G / (4.0 * math.pi * units.c**4) * fields["E_r"] ** 2 * fields["phi"]
+        model = self.MODEL
+        fields = exact_fields(np.array([0.2, 1.0, 4.0]), model)
+        induced = model.G / (4.0 * math.pi * model.c**4) * fields["E_r"] ** 2 * fields["phi"]
         assert np.allclose(induced, fields["rho"], rtol=1e-14, atol=0.0)
 
 

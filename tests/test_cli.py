@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from naqlab import algebra, cli, shooting
-from naqlab.charge import ChargeModel, UnitsConfig, exact_fields
+from naqlab.charge import ChargeModel, exact_fields
 from naqlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
 # a table that spans two full CSV blocks and part of a third
@@ -259,6 +259,12 @@ class TestExact:
         first = [float(v) for v in lines[2].split(",")]
         assert first[0] == pytest.approx(0.1)
 
+    def test_quadrature_budget_is_numerical_error(self, capsys):
+        code, out, err = run(capsys, "exact", "--tol", "1e-300")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("quadrature budget exceeded:")
+
     def test_nonpositive_radius_is_usage_error(self, capsys):
         # "--grid -1:1:5" would be read as an option; the = form passes it
         code, out, err = run(
@@ -297,7 +303,7 @@ class TestExact:
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         q, G, c = (float(v) for v in units[1::2])
-        fields = exact_fields(np.geomspace(*grid), ChargeModel(q=q, units=UnitsConfig(G=G, c=c)))
+        fields = exact_fields(np.geomspace(*grid), ChargeModel(q=q, G=G, c=c))
         config = {
             "subcommand": "exact", "q": q, "G": G, "c": c, "rmin": 1e-3, "grid": list(grid),
             "grid_scale": "log", "tol": 1e-10, "format": "csv",
@@ -473,6 +479,13 @@ class TestShoot:
         assert out == ""
         assert err == "invalid bracket: both ends classify as 'undershoot'\n"
 
+    def test_unclassified_trajectory_is_numerical_error(self, capsys):
+        code, out, err = run(capsys, "shoot", "--rmax", "5")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err == ("eta0 = 0.2 reached r_max = 5 unclassified; enlarge r_max so the"
+                       " overshoot/undershoot separation can develop\n")
+
 
 class TestProfile:
     def test_csv_header_and_rows(self, capsys):
@@ -625,8 +638,9 @@ class TestDeterminism:
 
 
 class TestOutputPins:
-    """sha256 of the stdout of fixed runs: a change to the integrator or the
-    shooting loop that moves one output bit fails here."""
+    """sha256 of the stdout of fixed runs: a change to the integrator, the
+    shooting loop, the closed-form fields or the energy quadrature that moves
+    one output bit fails here."""
 
     CASES = (
         (("shoot", "--lambda", "1", "--m", "0.1"),
@@ -643,6 +657,13 @@ class TestOutputPins:
          "50c6a37fbb093c5fa86a1b2bcbc6d28b52f3f7cdcb9b175ef748ee46ba674202"),
         (("profile", "--eta0", "0.9083"),
          "b0943c0560d660a745eb0b9accefa4001d3016a845c1b7f6aa968e468d54db6c"),
+        (("exact",),
+         "598bbf156cb2e7c069be4913461cbdf587cdfbeb1f9b330e44ac7ddc75d4d101"),
+        (("exact", "--q", "2", "--G", "0.5", "--c", "1.5", "--rmin", "0.01"),
+         "6fbfa9f2d254d2d988ddd3df6ec40fff9e4b2bbebd3d1a21756f0c01364ea088"),
+        (("exact", "--format", "csv", "--grid", "0.1:10:30", "--grid-scale", "linear",
+          "--q", "2", "--G", "0.5", "--c", "1.5"),
+         "fcc6740c97edfa0ea53a679f68b6d6b05239784417cf750f352d83c9d01b91ed"),
     )
 
     @pytest.mark.parametrize("argv, digest", CASES, ids=[" ".join(argv) for argv, _ in CASES])

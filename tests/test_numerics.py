@@ -153,7 +153,7 @@ class TestQuadPreTest:
     def test_energy_reports_unchanged(self, monkeypatch):
         rng = np.random.default_rng(11)
         models = [
-            (charge.ChargeModel(q=q, units=charge.UnitsConfig(G=G, c=c)), r_min, tol)
+            (charge.ChargeModel(q=q, G=G, c=c), r_min, tol)
             for q, G, c, r_min, tol in zip(
                 10.0 ** rng.uniform(-3, 3, 40),
                 10.0 ** rng.uniform(-2, 2, 40),
