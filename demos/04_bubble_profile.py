@@ -33,7 +33,7 @@ phi, e_field, rho = shooting.derive_fields(traj.eta, traj.deta, params)
 print()
 print(f"{'r':>6} {'eta':>12} {'phi_scaled':>12} {'E_scaled':>12} {'rho_scaled':>12}")
 for target in (0.5, 2.0, 5.0, 10.0, 20.0):
-    i = int(abs(traj.r - target).argmin())
+    i = min(range(len(traj.r)), key=lambda k: abs(traj.r[k] - target))
     print(
         f"{traj.r[i]:6.2f} {traj.eta[i]:12.6f} "
         f"{phi[i]:12.6f} {e_field[i]:12.6f} {rho[i]:12.6f}"

@@ -17,7 +17,9 @@ res = quad_adaptive(lambda r: 1.0 / r**2, 1.0, math.inf, 1e-12)
 print(f"int_1^inf r^-2  = {res.value:.15f}")
 
 sol = rk_integrate(lambda r, y: (y[1], -y[0]), 1.0, (0.0, 1.0), 1.0 + 2 * math.pi)
-print(f"harmonic oscillator after one period: {sol.y[-1]}  ({sol.r.size} samples)")
+# the samples come back in three array('d') buffers: r, y and dy = y'
+print(f"harmonic oscillator after one period: y = {sol.y[-1]:.3e}, y' = {sol.dy[-1]:.12f}  "
+      f"({len(sol.r)} samples)")
 
 # a stop condition halts the run at the first accepted step where it
 # returns a truthy value, and that value comes back as sol.stop

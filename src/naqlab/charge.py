@@ -24,8 +24,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numerics import centered_derivative, quad_adaptive
 
 __all__ = [
@@ -98,7 +96,7 @@ def exact_solution(r: float, model: ChargeModel) -> FieldSample:
     return FieldSample(**{k: float(v) for k, v in exact_fields(r, model).items()})
 
 
-def exact_fields(r: np.ndarray, model: ChargeModel) -> dict[str, np.ndarray]:
+def exact_fields(r, model: ChargeModel) -> dict:
     """Vectorized closed forms on an array of radii, all of them > 0.
 
     With x = alpha/r: float64 cosh overflows past |x| ~ 710.47, and there
@@ -106,6 +104,8 @@ def exact_fields(r: np.ndarray, model: ChargeModel) -> dict[str, np.ndarray]:
     the smallest subnormal radius; q = 0 gives exact zeros.  Huge or tiny |q|
     and r give no nan.
     """
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("radius must be positive")
@@ -145,6 +145,8 @@ def gauss_residual(model: ChargeModel, grid) -> float:
     must be positive (``exact_fields``), 1-D, strictly increasing and at
     least 3 points long (``centered_derivative``).
     """
+    import numpy as np
+
     grid = np.asarray(grid, dtype=float)
     fields = exact_fields(grid, model)
     flux = grid**2 * fields["E_r"]

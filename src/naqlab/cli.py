@@ -15,6 +15,9 @@ whose ends get the same label, the ``exact`` quadrature budget exhausted, a
 ``profile`` grid outside the trajectory.  Every output embeds the resolved
 configuration (a JSON ``config`` entry, or a ``# config: ...`` comment line
 above the CSV header) so runs are self-describing and byte-reproducible.
+
+numpy and orjson are imported only by the functions that build arrays:
+``assoc``, ``shoot`` and ``exact --format json`` run without them.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
-import numpy as np
-import orjson
-
-from . import algebra, geometry, shooting
+from . import algebra, shooting
 from .charge import ChargeModel, energy_report, exact_fields
 from .numerics import InvalidBracketError, QuadratureBudgetError
 
@@ -85,7 +87,9 @@ def _colon_list(form: str):
     return parse
 
 
-def _grid_points(bounds: tuple[float, float, int], scale: str) -> np.ndarray:
+def _grid_points(bounds: tuple[float, float, int], scale: str):
+    import numpy as np
+
     a, b, n = bounds
     if scale == "log":
         if a <= 0:
@@ -99,10 +103,15 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "output"}
 
 
-def _csv(config: dict, header: str, columns: tuple[np.ndarray, ...]) -> str:
-    """``# config:`` line, header and one row per radius; each value in the
-    shortest decimal form that round-trips its 64-bit float, as ``repr``
-    writes it.
+def _csv(config: dict, header: str, columns: tuple) -> str:
+    """The whole table of ``_csv_blocks`` as one string."""
+    return "".join(_csv_blocks(config, header, columns))
+
+
+def _csv_blocks(config: dict, header: str, columns: tuple):
+    """``# config:`` line, header and one row per radius, yielded block by
+    block; each value in the shortest decimal form that round-trips its
+    64-bit float, as ``repr`` writes it.
 
     orjson finds the same shortest digits as ``repr`` (Ryu), in another
     layout.  Each block of rows is dumped as one flat list, nan and +inf as
@@ -122,17 +131,22 @@ def _csv(config: dict, header: str, columns: tuple[np.ndarray, ...]) -> str:
     The edits are found by scanning for ``,`` and ``e``.  Insertions land in
     one boolean-mask scatter; deleted bytes are overwritten with NUL and
     removed by one ``bytes.replace``.  No array as long as the text holds
-    more than one byte per entry.
+    more than one byte per entry, and no more than one block of text is
+    held at a time.
     """
-    parts = ["# config: " + json.dumps(config, sort_keys=True) + "\n" + header + "\n"]
+    import numpy as np
+
+    yield "# config: " + json.dumps(config, sort_keys=True) + "\n" + header + "\n"
     for start in range(0, len(columns[0]), _CSV_BLOCK):
-        parts.append(_csv_rows(np.column_stack([col[start:start + _CSV_BLOCK] for col in columns])))
-    return "".join(parts)
+        yield _csv_rows(np.column_stack([col[start:start + _CSV_BLOCK] for col in columns]))
 
 
-def _csv_rows(block: np.ndarray) -> str:
-    """The rows of one block, edited as ``_csv`` lists; the arrays of a
-    block are freed before the next block is dumped."""
+def _csv_rows(block) -> str:
+    """The rows of one block, edited as ``_csv_blocks`` lists; the arrays of
+    a block are freed before the next block is dumped."""
+    import numpy as np
+    import orjson
+
     values = block.ravel()
     mag = np.abs(values)
     band = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4))
@@ -172,12 +186,21 @@ def _csv_rows(block: np.ndarray) -> str:
     return out[1:].tobytes().replace(b"\0", b"").decode()
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(pieces, path: str | None) -> None:
+    """Write each text piece as it comes, to stdout or to ``path``; a regular
+    file whose pieces fail to come is removed, not left partial.  A device,
+    pipe or symlink named by ``path`` is left in place."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        sys.stdout.writelines(pieces)
+        return
+    with open(path, "w") as fh:
+        try:
+            fh.writelines(pieces)
+        except BaseException:
+            fh.close()
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+            raise
 
 
 def _json_dumps(obj) -> str:
@@ -239,15 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_assoc(args) -> int:
-    _emit(algebra.render_power(args.power, args.vacuum), args.output)
+    _emit((algebra.render_power(args.power, args.vacuum),), args.output)
     return EXIT_OK
 
 
 def _run_torsion_check(args) -> int:
+    from . import geometry
+
     residuals = geometry.random_identity_suite(args.seed, args.trials)
     worst = max(residuals.values())
     payload = {"config": _config(args), "residuals": residuals, "max_residual": worst}
-    _emit(_json_dumps(payload), args.output)
+    _emit((_json_dumps(payload),), args.output)
     return EXIT_OK if worst <= 1e-10 else EXIT_NUMERICAL
 
 
@@ -257,10 +282,10 @@ def _run_exact(args) -> int:
         rs = _grid_points(args.grid, args.grid_scale)
         fields = exact_fields(rs, model)
         columns = (fields["r"], fields["phi"], fields["E_r"], fields["rho"])
-        _emit(_csv(_config(args), "r,phi,E_r,rho", columns), args.output)
+        _emit(_csv_blocks(_config(args), "r,phi,E_r,rho", columns), args.output)
         return EXIT_OK
     report = energy_report(model, r_min=args.rmin, tol=args.tol)
-    _emit(_json_dumps({"config": _config(args), **vars(report)}), args.output)
+    _emit((_json_dumps({"config": _config(args), **vars(report)}),), args.output)
     return EXIT_OK
 
 
@@ -273,15 +298,17 @@ def _run_shoot(args) -> int:
         "eta0_star": result.eta0,
         "eta_vacuum": params.eta_vacuum,
         "termination": traj.reason.value,
-        "r_final": float(traj.r[-1]),
-        "eta_final": float(traj.eta[-1]),
-        "samples": int(traj.r.size),
+        "r_final": traj.r[-1],
+        "eta_final": traj.eta[-1],
+        "samples": len(traj.r),
     }
-    _emit(_json_dumps(payload), args.output)
+    _emit((_json_dumps(payload),), args.output)
     return EXIT_OK
 
 
 def _run_profile(args) -> int:
+    import numpy as np
+
     params = shooting.CouplingParams(lambda_tilde=args.lambda_tilde, m=args.m)
     traj = shooting.integrate_profile(args.eta0, params, r_max=args.grid[1])
     rs = _grid_points(args.grid, args.grid_scale)
@@ -295,7 +322,7 @@ def _run_profile(args) -> int:
     eta = np.interp(rs, traj.r, traj.eta)
     deta = np.interp(rs, traj.r, traj.deta)
     columns = (rs, eta, deta) + shooting.derive_fields(eta, deta, params)
-    _emit(_csv(_config(args), "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns), args.output)
+    _emit(_csv_blocks(_config(args), "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns), args.output)
     return EXIT_OK
 
 

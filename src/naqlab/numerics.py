@@ -6,8 +6,9 @@ bracketing root-finders on a two-way classifier (bisection, and Brent's
 method when each probe also gives a signed residual), and numpy's
 second-order finite differences on possibly non-uniform sample points.
 
-The integrator runs from ``(r0, y0)`` and returns the value that stopped it,
-if any.  Its settings are fixed: steps are accepted at ``rtol = 1e-10`` and
+The integrator runs from ``(r0, y0)`` and returns its samples in three
+``array('d')`` buffers, with the value that stopped it, if any.  Its
+settings are fixed: steps are accepted at ``rtol = 1e-10`` and
 ``atol = 1e-12``, and at most 10^6 are attempted.
 
 Everything here is a pure function of its inputs; all arithmetic is
@@ -17,16 +18,16 @@ of a second-order radial equation such as the shooting problem's
 Dormand-Prince stage written out per component: the state goes to the
 right-hand side as a 2-tuple and comes back as two Python floats, which
 costs far less than numpy's per-call overhead or a loop over components.
+Only ``centered_derivative`` imports numpy, when it is called.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
-
-import numpy as np
 
 _Record = TypeVar("_Record")
 
@@ -182,8 +183,13 @@ _MAX_STEPS = 1_000_000
 
 @dataclass
 class RkSolution:
-    r: np.ndarray
-    y: np.ndarray  # shape (len(r), 2)
+    """Accepted samples as ``array('d')`` buffers, which ``np.asarray`` reads
+    without a copy: radii ``r`` and the two state components ``y`` and
+    ``dy``, all of the same length."""
+
+    r: array
+    y: array
+    dy: array
     stop: object  # what stop_condition returned to halt the run; None at r_end
 
 
@@ -215,7 +221,8 @@ def rk_integrate(
     ``1e-12 + 1e-10 * max(|y|, |y_new|)`` per component, is at most 1; the
     first stride is 1/100 of the span, and at most 10^6 steps are attempted.
     A step cut short to end on ``r_end`` lands on it exactly.  Samples are
-    retained at every accepted step.  ``stop_condition(r, y)`` is checked
+    retained at every accepted step, in the buffers ``r``, ``y`` and ``dy``
+    of the returned ``RkSolution``.  ``stop_condition(r, y)`` is checked
     after each accepted step; a truthy value halts the integration there
     (the triggering sample is retained) and is returned as ``stop``, which
     is None when the run reaches ``r_end``.
@@ -235,11 +242,10 @@ def rk_integrate(
     u, v = float(y0[0]), float(y0[1])
     if not r_end > r:
         raise ValueError("r_end must exceed the initial radius %r, got %r" % (r, r_end))
-    rs = [r]
-    ys = [(u, v)]
+    rs, us, vs = array("d", (r,)), array("d", (u,)), array("d", (v,))
 
     def _blowup(msg):
-        raise IntegrationBlowUp(msg, RkSolution(np.array(rs), np.array(ys), None))
+        raise IntegrationBlowUp(msg, RkSolution(rs, us, vs, None))
 
     h = (r_end - r) / 100.0
     k1u, k1v = rhs(r, (u, v))
@@ -297,7 +303,8 @@ def rk_integrate(
             u, v = u5, v5
             k1u, k1v = k7u, k7v  # FSAL: k7 equals k1 of the next step
             rs.append(r)
-            ys.append((u, v))
+            us.append(u)
+            vs.append(v)
             if stop_condition is not None and (stop := stop_condition(r, (u, v))):
                 break
         factor = 0.9 * (errnorm ** -0.2) if errnorm > 0 else 5.0
@@ -305,7 +312,7 @@ def rk_integrate(
         nsteps += 1
         if nsteps > _MAX_STEPS:
             _blowup("step budget exceeded")
-    return RkSolution(np.array(rs), np.array(ys), stop or None)
+    return RkSolution(rs, us, vs, stop or None)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +437,15 @@ def brent(
 # ---------------------------------------------------------------------------
 
 
-def centered_derivative(x: Sequence[float], f: Sequence[float]) -> np.ndarray:
+def centered_derivative(x: Sequence[float], f: Sequence[float]):
     """Second-order df/dx on sample points ``x`` (strictly increasing).
 
     ``np.gradient(f, x, edge_order=2)``: the three-point centered formula for
     non-uniform spacing at interior points and the matching one-sided
     three-point formula (also second order) at the two end points.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
     if x.ndim != 1 or x.shape != f.shape or x.size < 3:

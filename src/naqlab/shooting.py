@@ -24,8 +24,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .numerics import (
     IntegrationBlowUp,
@@ -90,9 +89,12 @@ class TerminationReason(enum.Enum):
 
 @dataclass
 class Trajectory:
-    r: np.ndarray
-    eta: np.ndarray
-    deta: np.ndarray
+    """Samples of one integration, as ``rk_integrate`` returns them
+    (``array('d')`` buffers), and why it stopped."""
+
+    r: Sequence[float]
+    eta: Sequence[float]
+    deta: Sequence[float]
     reason: TerminationReason
 
 
@@ -186,13 +188,13 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float = DEFAULT_R_M
         reason = sol.stop or TerminationReason.REACHED_RMAX
     except IntegrationBlowUp as exc:
         sol, reason = exc.partial, TerminationReason.BLOW_UP
-    return Trajectory(r=sol.r, eta=sol.y[:, 0], deta=sol.y[:, 1], reason=reason)
+    return Trajectory(r=sol.r, eta=sol.y, deta=sol.dy, reason=reason)
 
 
 def _probe(eta0, p, r_max) -> Probe:
     """Integrate from eta0 and classify its fate, with a signed residual."""
     traj = integrate_profile(eta0, p, r_max)
-    r_f, eta_f, deta_f = float(traj.r[-1]), float(traj.eta[-1]), float(traj.deta[-1])
+    r_f, eta_f, deta_f = traj.r[-1], traj.eta[-1], traj.deta[-1]
     # Near-critical trajectories can still be hugging the false vacuum at
     # r_max.  There the linearization eta'' + (2/r) eta' = mu^2 eta
     # (mu = m sqrt(lambda_tilde)) has solutions (A e^{-mu r} + B e^{mu r})/r,
@@ -242,9 +244,7 @@ def find_regular_eta0(
     return brent(lambda eta0: _probe(eta0, p, r_max), bracket, tol)
 
 
-def derive_fields(
-    eta: np.ndarray, deta: np.ndarray, p: CouplingParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def derive_fields(eta: Sequence[float], deta: Sequence[float], p: CouplingParams) -> tuple:
     """Pointwise field map (phi_scaled, E_scaled, rho_scaled) of (eta, eta').
 
     In the scalings used for plotting: phi_scaled = (sqrt(G)/c^2) phi =
@@ -253,11 +253,13 @@ def derive_fields(
     analytically); rho_scaled = 16 pi (sqrt(G)/c^2) rho is the Gauss-law
     source 4 (1/r^2) d(r^2 E_scaled)/dr, which the profile equation turns
     into 4 phi (E^2 + lambda_tilde (phi^2 - m^2)).  No derivative is taken,
-    so arrays of any length map to arrays of the same length.
+    so samples of any length map to arrays of the same length.
     """
-    half = 0.5 * eta
+    import numpy as np
+
+    half = 0.5 * np.asarray(eta)
     phi_scaled = np.sinh(half)
-    e_scaled = -deta / (2.0 * np.cosh(half))
+    e_scaled = -np.asarray(deta) / (2.0 * np.cosh(half))
     rho_scaled = 4.0 * phi_scaled * (
         e_scaled * e_scaled + p.lambda_tilde * (phi_scaled * phi_scaled - p.m_squared)
     )
@@ -271,12 +273,14 @@ def decay_rate(traj: Trajectory, fit_window: tuple[float, float]) -> float:
     absolute fit residual exceeds 1e-3 is rejected because the
     samples do not follow the exponential-over-r model there.
     """
+    import numpy as np
+
     lo, hi = fit_window
     if traj.r[-1] < hi:
         raise ValueError("trajectory does not reach the fit window")
-    mask = (traj.r >= lo) & (traj.r <= hi)
-    r = traj.r[mask]
-    eta = traj.eta[mask]
+    r, eta = np.asarray(traj.r), np.asarray(traj.eta)
+    mask = (r >= lo) & (r <= hi)
+    r, eta = r[mask], eta[mask]
     if r.size < 3:
         raise ValueError("fit window contains fewer than 3 samples")
     if np.any(eta <= 0):

@@ -2,6 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import stat
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,6 +469,137 @@ class TestCsvWriter:
             assert main(argv) == code == EXIT_OK
         assert out.getvalue() == expected
         assert capsys.readouterr().out == ""
+
+
+class TestCsvStreaming:
+    """A CSV table goes to its output block by block, as each is made."""
+
+    def test_peak_memory_is_the_columns_and_one_block(self, monkeypatch, tmp_path):
+        # Counted from the return of exact_fields: the column arrays and the
+        # working set of one block.  Measured on 5e4 rows (4.09 MB of text):
+        # 4.5 MB, against 9.8 MB when the blocks were joined and then written.
+        fields = cli.exact_fields
+
+        def then_reset_peak(*args):
+            out = fields(*args)
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(cli, "exact_fields", then_reset_peak)
+        path = tmp_path / "table.csv"
+
+        def write_peak(rows):
+            argv = ["exact", "--format", "csv", "--grid", "1e-3:1e3:%d" % rows, "--output", str(path)]
+            assert main(argv) == EXIT_OK  # numpy and orjson load outside the trace
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = write_peak(cli._CSV_BLOCK)
+        rows = 50_000
+        peak = write_peak(rows)
+        text = path.stat().st_size
+        assert peak < 4 * 8 * rows + one_block + text // 4 < 2 * text
+
+    def test_failure_mid_table_leaves_no_file(self, monkeypatch, tmp_path):
+        rows = cli._csv_rows
+        made = []
+
+        def second_block_fails(block):
+            if made:
+                raise MemoryError
+            made.append(block.shape)
+            return rows(block)
+
+        monkeypatch.setattr(cli, "_csv_rows", second_block_fails)
+        path = tmp_path / "table.csv"
+        with pytest.raises(MemoryError):
+            main(["exact", "--format", "csv", "--grid", "1e-3:1e3:%d" % MULTI_BLOCK_ROWS, "--output", str(path)])
+        assert made == [(cli._CSV_BLOCK, 4)]
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ("fifo", "link-to-dev-null"))
+    def test_failure_mid_table_keeps_a_path_that_is_no_regular_file(self, monkeypatch, tmp_path, kind):
+        # The first block fails after the header went out; only a regular
+        # file is removed, never the pipe or link --output named.
+        def first_block_fails(block):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_csv_rows", first_block_fails)
+        path = tmp_path / kind
+        if kind == "fifo":
+            os.mkfifo(path)
+            reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open without blocking
+        else:
+            path.symlink_to(os.devnull)
+            reader = None
+        try:
+            with pytest.raises(MemoryError):
+                main(["exact", "--format", "csv", "--grid", "1e-3:1e3:10", "--output", str(path)])
+            if reader is not None:
+                assert os.read(reader, 1 << 16).startswith(b"# config: ")
+        finally:
+            if reader is not None:
+                os.close(reader)
+        mode = os.lstat(path).st_mode
+        assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISLNK(mode)
+        assert os.path.exists(os.devnull)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        (
+            (("exact", "--format", "csv", "--grid=-1:1:5", "--grid-scale", "linear"), EXIT_USAGE),
+            (("exact", "--format", "csv", "--grid=-1:1:5"), EXIT_USAGE),
+            (("profile", "--eta0", "5.0", "--grid", "60:80:100"), EXIT_NUMERICAL),
+        ),
+        ids=("nonpositive-radius", "log-grid-from-negative", "grid-too-short"),
+    )
+    def test_refusal_writes_nothing(self, capsys, tmp_path, argv, code):
+        path = tmp_path / "table.csv"
+        assert run(capsys, *argv, "--output", str(path))[:2] == (code, "")
+        assert not path.exists()
+
+
+class TestColdStart:
+    """Which commands import numpy and orjson, in a fresh interpreter."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from naqlab import cli\n"
+        "cli.build_parser()\n"
+        "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "sys.stderr.write(' '.join(m for m in ('numpy', 'orjson') if m in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+
+    CASES = (
+        ((), ""),
+        (("assoc", "--power", "8"), ""),
+        (("exact",), ""),
+        (("shoot", "--lambda", "1", "--m", "0.1"), ""),
+        (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"), ""),
+        (("profile", "--eta0", "0.9083"), "numpy orjson"),
+        (("exact", "--format", "csv", "--grid", "0.1:10:30", "--grid-scale", "linear",
+          "--q", "2", "--G", "0.5", "--c", "1.5"), "numpy orjson"),
+        (("torsion-check", "--trials", "50"), "numpy"),
+    )
+
+    @pytest.mark.parametrize("argv, loaded", CASES, ids=[" ".join(argv) or "build_parser" for argv, _ in CASES])
+    def test_loaded_modules_and_bytes(self, capsys, argv, loaded):
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, loaded)
+        if argv:
+            assert proc.stdout == run(capsys, *argv)[1]
+        digest = dict(TestOutputPins.CASES).get(argv)
+        if digest is not None:
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 class TestShoot:

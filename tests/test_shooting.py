@@ -113,9 +113,9 @@ class TestIntegrateProfile:
 
     def test_monotone_decay_of_regular_solution(self, shot_m01_tight):
         traj = shot_m01_tight.trajectory
-        inner = traj.r < 40.0
-        assert np.all(np.diff(traj.eta[inner]) < 0)
-        assert np.all(traj.eta[inner] > 0)
+        inner = np.asarray(traj.r) < 40.0
+        assert np.all(np.diff(np.asarray(traj.eta)[inner]) < 0)
+        assert np.all(np.asarray(traj.eta)[inner] > 0)
 
     def test_rejects_rmax_below_start(self, params_m01):
         with pytest.raises(ValueError):
@@ -168,14 +168,14 @@ class TestFindRegularEta0:
         res = find_regular_eta0(params_m01)
         assert calls == {"integrate_profile": 9, "ode_rhs": 10869}
         assert res.eta0 == 0.9083350986947872
-        assert res.trajectory.r.size == 286
+        assert np.asarray(res.trajectory.r).size == 286
         assert res.trajectory.r[-1] == 77.53548832553486
 
         calls.update(integrate_profile=0, ode_rhs=0)
         res = find_regular_eta0(params_m01, tol=1e-12)
         assert calls == {"integrate_profile": 11, "ode_rhs": 14447}
         assert res.eta0 == 0.9083371697571715
-        assert res.trajectory.r.size == 289
+        assert np.asarray(res.trajectory.r).size == 289
         assert res.trajectory.r[-1] == 80.0
 
     def test_refines_with_tolerance(self, shot_m01_default, shot_m01_tight):
@@ -317,7 +317,7 @@ class TestDeriveFields:
 
     def test_field_signs_on_regular_solution(self, shot_m01_tight, params_m01):
         traj = shot_m01_tight.trajectory
-        inner = (traj.r > 1e-3) & (traj.r < 30.0)
+        inner = (np.asarray(traj.r) > 1e-3) & (np.asarray(traj.r) < 30.0)
         phi, e_field, _ = derive_fields(traj.eta, traj.deta, params_m01)
         # decaying positive eta: positive potential, outward-pointing field
         assert np.all(phi[inner] > 0)
@@ -326,7 +326,7 @@ class TestDeriveFields:
     def test_potential_consistent_with_eta(self, shot_m01_tight, params_m01):
         traj = shot_m01_tight.trajectory
         phi, _, _ = derive_fields(traj.eta, traj.deta, params_m01)
-        assert np.allclose(phi, np.sinh(traj.eta / 2.0), atol=1e-15)
+        assert np.allclose(phi, np.sinh(np.asarray(traj.eta) / 2.0), atol=1e-15)
 
     def test_density_matches_dop853_gauss_source(self, shot_m01_tight, params_m01):
         # the oracle is the Gauss-law source 4 (2E/r + E') with E' written

@@ -8,6 +8,9 @@ import importlib
 import importlib.util
 import inspect
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,33 @@ def test_shoot_work_counts_match_the_trajectories(monkeypatch):
     assert counts["shooting.ode_rhs.calls"] == counts["numerics.rk_integrate.rhs_evals"] > 0
     assert counts["numerics.rk_integrate.calls"] == len(samples) > 0
     assert counts["numerics.rk_integrate.steps_accepted"] == sum(n - 1 for n in samples)
+
+
+# perfbench/bench.py imports only these two; the tracer then looks up
+# sys.modules["naqlab.<module>"] for every traced name
+BENCH_IMPORTS = """
+import importlib.util, sys
+from naqlab import cli, geometry
+loaded = set(sys.modules)
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+missing = sorted({"naqlab." + name.split(".")[0] for name in tracing.SPANNED + tracing.LEAVES} - loaded)
+assert not missing, missing
+with tracing.Tracer().installed():
+    pass
+"""
+
+
+def test_bench_imports_load_every_traced_module():
+    # cli imports charge, shooting, numerics and algebra at module level, so
+    # a fresh `from naqlab import cli, geometry` is enough for --trace 1
+    src = TRACING.parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", BENCH_IMPORTS, str(TRACING)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
