@@ -30,7 +30,6 @@ __all__ = [
     "CorrectionSeries",
     "ExpressionError",
     "build_power_expression",
-    "core_expression",
     "normalize",
     "vacuum_expectation_corrections",
     "render",
@@ -178,11 +177,6 @@ def _core_from_leaves(ops: list[Constituent]) -> Expression:
     for op in reversed(ops):
         expr = Product(op, expr)
     return expr
-
-
-def core_expression(n: int) -> Expression:
-    """The fully right-nested alternating product f(b(f(b(...|psi>))))."""
-    return _core_from_leaves(_constituents(n))
 
 
 # ---------------------------------------------------------------------------

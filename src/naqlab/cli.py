@@ -8,8 +8,9 @@ exact         closed-form point-charge fields (csv) or energy report (json)
 shoot         solve for the regular starting value eta_0* (Brent's method)
 profile       integrate one trajectory and emit the derived field profiles
 
-Exit codes: 0 success, 1 usage error (a nan or inf value included), 2
-numerical failure: a ``shoot`` trajectory unclassified at r_max or bracket
+Exit codes: 0 success, 1 usage error (a nan or inf value, an ``--output``
+path that cannot be opened and a ``shoot --bracket`` with LO <= 0 included),
+2 numerical failure: a ``shoot`` trajectory unclassified at r_max or bracket
 whose ends get the same label, the ``exact`` quadrature budget exhausted, a
 ``torsion-check`` residual above 1e-10 (its report is still written), or a
 ``profile`` grid outside the trajectory.  Every output embeds the resolved
@@ -103,11 +104,6 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "output"}
 
 
-def _csv(config: dict, header: str, columns: tuple) -> str:
-    """The whole table of ``_csv_blocks`` as one string."""
-    return "".join(_csv_blocks(config, header, columns))
-
-
 def _csv_blocks(config: dict, header: str, columns: tuple):
     """``# config:`` line, header and one row per radius, yielded block by
     block; each value in the shortest decimal form that round-trips its
@@ -129,10 +125,9 @@ def _csv_blocks(config: dict, header: str, columns: tuple):
       into newlines, and the opening ``[`` dropped.
 
     The edits are found by scanning for ``,`` and ``e``.  Insertions land in
-    one boolean-mask scatter; deleted bytes are overwritten with NUL and
-    removed by one ``bytes.replace``.  No array as long as the text holds
-    more than one byte per entry, and no more than one block of text is
-    held at a time.
+    one ``np.insert``; deleted bytes are overwritten with NUL and removed by
+    one ``bytes.replace``.  No array as long as the text holds more than one
+    byte per entry, and no more than one block of text is held at a time.
     """
     import numpy as np
 
@@ -175,25 +170,23 @@ def _csv_rows(block) -> str:
     buf[bounds[special + 1, None] - (3, 2, 1)] = words[np.isnan(values[special]).astype(int)]
     buf[commas[block.shape[1]::block.shape[1]]] = ord("\n")
     buf[-1] = ord("\n")
-    at = np.concatenate(at)
-    order = at.argsort(kind="stable")
-    landed = at[order] + np.arange(at.size)  # output index of each inserted byte
-    out = np.empty(buf.size + at.size, np.uint8)
-    kept = np.ones(out.size, bool)
-    kept[landed] = False
-    out[landed] = np.frombuffer(b"".join(new), np.uint8)[order]
-    out[kept] = buf
+    out = np.insert(buf, np.concatenate(at), np.frombuffer(b"".join(new), np.uint8))
     return out[1:].tobytes().replace(b"\0", b"").decode()
 
 
 def _emit(pieces, path: str | None) -> None:
     """Write each text piece as it comes, to stdout or to ``path``; a regular
     file whose pieces fail to come is removed, not left partial.  A device,
-    pipe or symlink named by ``path`` is left in place."""
+    pipe or symlink named by ``path`` is left in place.  A ``path`` that
+    cannot be opened is a ValueError that names it."""
     if path is None or path == "-":
         sys.stdout.writelines(pieces)
         return
-    with open(path, "w") as fh:
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror)) from None
+    with fh:
         try:
             fh.writelines(pieces)
         except BaseException:
@@ -217,12 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assoc", help="associator correction series")
     p.add_argument("--power", type=int, required=True, help="power n of the composite field (n >= 1)")
     p.add_argument("--vacuum", action="store_true", help="print the vacuum expectation polynomial")
-    p.add_argument("--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("torsion-check", help="randomized torsion identity suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default %(default)s)")
     p.add_argument("--trials", type=int, default=1000, help="number of random instances (default %(default)s)")
-    p.add_argument("--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("exact", help="closed-form point-charge solution")
     p.add_argument("--q", type=_finite_float, default=1.0, help="total charge (default %(default)s)")
@@ -234,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
     p.add_argument("--tol", type=_finite_float, default=1e-10, help="quadrature tolerance (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="json", help="csv: field samples; json: energy report (default %(default)s)")
-    p.add_argument("--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("shoot", help="find the regular starting value")
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
@@ -242,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket", type=_colon_list("LO:HI"), default=shooting.DEFAULT_BRACKET, metavar="LO:HI", help="starting-value bracket (default %g:%g)" % shooting.DEFAULT_BRACKET)
     p.add_argument("--tol", type=_finite_float, default=1e-5, help="root tolerance (default %(default)s)")
     p.add_argument("--rmax", type=_finite_float, default=shooting.DEFAULT_R_MAX, help="integration horizon (default %(default)s)")
-    p.add_argument("--output", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("profile", help="field profiles of one trajectory")
     p.add_argument("--eta0", type=_finite_float, required=True, help="starting value eta(0)")
@@ -251,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid = (1e-3, shooting.DEFAULT_R_MAX, 2000)
     p.add_argument("--grid", type=_colon_list("A:B:N"), default=grid, metavar="A:B:N", help="output radial grid (default %g:%g:%d); a negative A needs the --grid=A:B:N form" % grid)
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
-    p.add_argument("--output", default=None, help="output path (default: stdout)")
 
+    for p in sub.choices.values():  # after every other option, as usage lines show it
+        p.add_argument("--output", default=None, help="output path (default: stdout)")
     return parser
 
 

@@ -240,7 +240,13 @@ def find_regular_eta0(
     eta_0*: the probe of the end with the smaller |residual|, with the
     trajectory already integrated from it.  At m = 0.1 a solve takes 9
     trajectories at tol 1e-5 and 11 at tol 1e-12.
+
+    LO must be above 0: eta0 = 0 is the static false vacuum, whose
+    growing-mode amplitude is exactly 0, and a negative start overshoots at
+    its first step, so no r_max classifies either.
     """
+    if not bracket[0] > 0:
+        raise ValueError("bracket needs LO > 0, got %g: eta0 = 0 is the static false vacuum and eta0 < 0 overshoots at once" % bracket[0])
     return brent(lambda eta0: _probe(eta0, p, r_max), bracket, tol)
 
 

@@ -8,12 +8,20 @@ from naqlab.algebra import (
     Product,
     State,
     build_power_expression,
-    core_expression,
     normalize,
     render,
     vacuum_expectation_corrections,
     _leaves,
 )
+
+
+def right_nested_core(n):
+    """f^{i1}.(b_{i1}.(... (f^{in}.(b_{in} |psi>)))), built node by node
+    from the definition of the core."""
+    core = State()
+    for k in range(n, 0, -1):
+        core = Product(Constituent("F", f"i{k}"), Product(Constituent("B", f"i{k}"), core))
+    return core
 
 
 def leaf_counter(expr):
@@ -44,7 +52,7 @@ class TestBuildPowerExpression:
 class TestNormalize:
     def test_power_two(self):
         core, series = normalize(build_power_expression(2))
-        assert core == core_expression(2)
+        assert core == right_nested_core(2)
         assert [(t.residual_power, t.m2_exponent) for t in series.terms] == [(0, 1)]
 
     def test_power_three(self):
@@ -67,13 +75,13 @@ class TestNormalize:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_idempotence_on_core(self, n):
-        core, series = normalize(core_expression(n))
-        assert core == core_expression(n)
+        core, series = normalize(right_nested_core(n))
+        assert core == right_nested_core(n)
         assert series.terms == ()
 
     def test_deep_core_is_already_right_nested(self):
         # 2001 levels, past Python's default recursion limit
-        _, series = normalize(core_expression(1000))
+        _, series = normalize(right_nested_core(1000))
         assert series.terms == ()
 
     @pytest.mark.parametrize("n", (1, 2, 5, 8))

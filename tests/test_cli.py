@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -26,6 +27,11 @@ def repr_table(config, header, columns):
     for row in zip(*(np.asarray(col).tolist() for col in columns)):
         rows.append(",".join(repr(float(v)) for v in row))
     return "\n".join(rows) + "\n"
+
+
+def csv_text(config, header, columns):
+    """The whole table the CSV writer streams, as one string."""
+    return "".join(cli._csv_blocks(config, header, columns))
 
 
 def assert_same_text(got, expected):
@@ -133,6 +139,19 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "naqlab: r_end must exceed the initial radius 1e-06, got %s\n" % r_end
+
+    @pytest.mark.parametrize("argv", (("assoc", "--power", "2"), ("exact", "--format", "csv")), ids=("assoc", "exact-csv"))
+    @pytest.mark.parametrize("target", ("missing-directory", "directory"))
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv, target):
+        if target == "directory":
+            path, reason = tmp_path / "dir", os.strerror(errno.EISDIR)
+            path.mkdir()
+        else:
+            path, reason = tmp_path / "missing" / "x", os.strerror(errno.ENOENT)
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "naqlab: cannot write %s: %s\n" % (path, reason)
+        assert [p.name for p in tmp_path.rglob("*")] == (["dir"] if target == "directory" else [])
 
 
 class TestAssoc:
@@ -403,8 +422,9 @@ class TestExact:
 
 
 class TestCsvWriter:
-    """``cli._csv`` against the repr writer, byte for byte, on float64 values
-    of every class; a change in orjson's number layout fails here."""
+    """The CSV writer (``cli._csv_blocks``, joined) against the repr writer,
+    byte for byte, on float64 values of every class; a change in orjson's
+    number layout fails here."""
 
     def test_random_bits(self):
         rng = np.random.default_rng(20240901)
@@ -413,7 +433,7 @@ class TestCsvWriter:
         table[:, :6] = (np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310)
         assert np.isnan(table).sum() > 6
         columns = tuple(table)
-        assert_same_text(cli._csv({"seed": 1}, "a,b,c,d,e", columns), repr_table({"seed": 1}, "a,b,c,d,e", columns))
+        assert_same_text(csv_text({"seed": 1}, "a,b,c,d,e", columns), repr_table({"seed": 1}, "a,b,c,d,e", columns))
 
     def test_layout_boundaries(self):
         # 200 float64 neighbours on each side of each point where the layout of
@@ -423,7 +443,7 @@ class TestCsvWriter:
                  for x in (1e-100, 1e-10, 1e-9, 1e-6, 1e-5, 1e-4, 1e16, 1e100)]
         values = np.concatenate(edges + [-e for e in edges])
         columns = (values, values[::-1], np.roll(values, 7))
-        assert_same_text(cli._csv({}, "x,y,z", columns), repr_table({}, "x,y,z", columns))
+        assert_same_text(csv_text({}, "x,y,z", columns), repr_table({}, "x,y,z", columns))
 
     # one value of each layout class: zeros, subnormals, one- and two-digit
     # negative exponents, the band [1e-5, 1e-4), plain decimals, +-inf, nan
@@ -437,27 +457,34 @@ class TestCsvWriter:
         values = np.resize(np.array(self.SPECIALS), (ncol, 3 * len(self.SPECIALS) + 1))
         columns = tuple(np.roll(values[k], k) for k in range(ncol))
         header = ",".join("c%d" % k for k in range(ncol))
-        assert_same_text(cli._csv({"n": ncol}, header, columns), repr_table({"n": ncol}, header, columns))
+        assert_same_text(csv_text({"n": ncol}, header, columns), repr_table({"n": ncol}, header, columns))
 
     @pytest.mark.parametrize("last", (1e-7, -3e-9, 2e-6, 1e16, 1.5e-5, np.inf, np.nan, 0.0))
     def test_last_value_of_the_table(self, last):
         # the last value of a block has no comma after it, only the end of the list
         for rows in (1, 5, cli._CSV_BLOCK, cli._CSV_BLOCK + 1):
             columns = (np.linspace(1.0, 2.0, rows), np.full(rows, last))
-            assert_same_text(cli._csv({}, "a,b", columns), repr_table({}, "a,b", columns))
-            assert_same_text(cli._csv({}, "b", columns[1:]), repr_table({}, "b", columns[1:]))
+            assert_same_text(csv_text({}, "a,b", columns), repr_table({}, "a,b", columns))
+            assert_same_text(csv_text({}, "b", columns[1:]), repr_table({}, "b", columns[1:]))
 
     @pytest.mark.parametrize("rows", (cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1))
     def test_rows_around_one_block(self, rows):
         values = np.resize(np.array(self.SPECIALS), 3 * rows).reshape(3, rows)
         columns = (values[0], values[1][::-1], values[2] * 1e-3)
-        text = cli._csv({}, "x,y,z", columns)
+        text = csv_text({}, "x,y,z", columns)
         assert_same_text(text, repr_table({}, "x,y,z", columns))
         assert text.count("\n") == rows + 2
 
+    @pytest.mark.parametrize("values", ([0.5], [1e16], [1e16, 1e-7]), ids=("none", "one", "two"))
+    def test_blocks_with_few_insertions(self, values):
+        # 0.5 needs no inserted byte, 1e16 a "+" and 1e-7 a "0": numpy's
+        # insert takes a separate path when exactly one index is given
+        columns = (np.array(values),)
+        assert_same_text(csv_text({}, "a", columns), repr_table({}, "a", columns))
+
     def test_no_rows(self):
         columns = (np.zeros(0), np.zeros(0))
-        assert cli._csv({"grid": []}, "a,b", columns) == '# config: {"grid": []}\na,b\n'
+        assert csv_text({"grid": []}, "a,b", columns) == '# config: {"grid": []}\na,b\n'
 
     def test_redirected_stdout_gets_the_captured_text(self, capsys):
         # perfbench captures a job's output with redirect_stdout into a
@@ -615,6 +642,15 @@ class TestShoot:
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert err == "invalid bracket: both ends classify as 'undershoot'\n"
+
+    @pytest.mark.parametrize("bracket, lo", ((("--bracket", "0:0.5"), "0"), (("--bracket=-1:0.5",), "-1")))
+    def test_bracket_start_not_above_zero_is_usage_error(self, capsys, bracket, lo):
+        # eta0 = 0 is the false vacuum and eta0 < 0 overshoots at once: no
+        # r_max classifies them, so the bracket is refused before integrating
+        code, out, err = run(capsys, "shoot", *bracket)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("naqlab: bracket needs LO > 0, got %s: eta0 = 0 is the static false vacuum"
+                       " and eta0 < 0 overshoots at once\n" % lo)
 
     def test_unclassified_trajectory_is_numerical_error(self, capsys):
         code, out, err = run(capsys, "shoot", "--rmax", "5")

@@ -248,6 +248,15 @@ class TestFindRegularEta0:
         with pytest.raises(InvalidBracketError):
             find_regular_eta0(params_m01, bracket=(0.2, 0.5))
 
+    @pytest.mark.parametrize("lo", (0.0, -1.0))
+    def test_bracket_start_not_above_zero_refused_before_integrating(self, params_m01, monkeypatch, lo):
+        calls = []
+        monkeypatch.setattr(shooting, "integrate_profile", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="bracket needs LO > 0") as info:
+            find_regular_eta0(params_m01, bracket=(lo, 2.0))
+        assert type(info.value) is ValueError
+        assert calls == []
+
     def test_ambiguity_when_horizon_too_short(self):
         # with a tiny horizon nothing can be classified
         p = CouplingParams(lambda_tilde=1.0, m=0.1)
