@@ -18,7 +18,7 @@ print()
 print("classifier across the bracket:")
 for eta0 in (0.3, 0.7, 0.9, 1.1, 1.5):
     traj = shooting.integrate_profile(eta0, params)
-    print(f"  eta0 = {eta0:4.2f}: {traj.reason.value}")
+    print(f"  eta0 = {eta0:4.2f}: {traj.stop}")
 
 result = shooting.find_regular_eta0(params, tol=1e-8)
 print()
@@ -29,12 +29,12 @@ mu = shooting.decay_rate(tight.trajectory, (20.0, 50.0))
 print(f"tail decay rate mu = {mu:.6f}  (expected m sqrt(lambda) = {params.m * math.sqrt(params.lambda_tilde)})")
 
 traj = tight.trajectory
-phi, e_field, rho = shooting.derive_fields(traj.eta, traj.deta, params)
+phi, e_field, rho = shooting.derive_fields(traj.y, traj.dy, params)
 print()
 print(f"{'r':>6} {'eta':>12} {'phi_scaled':>12} {'E_scaled':>12} {'rho_scaled':>12}")
 for target in (0.5, 2.0, 5.0, 10.0, 20.0):
     i = min(range(len(traj.r)), key=lambda k: abs(traj.r[k] - target))
     print(
-        f"{traj.r[i]:6.2f} {traj.eta[i]:12.6f} "
+        f"{traj.r[i]:6.2f} {traj.y[i]:12.6f} "
         f"{phi[i]:12.6f} {e_field[i]:12.6f} {rho[i]:12.6f}"
     )

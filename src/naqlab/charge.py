@@ -204,9 +204,12 @@ def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> Energ
     if cap < 0.5:
         # U - tanh U cancels most of its digits here; it is (U cosh U - sinh U)
         # / cosh U, the numerator summed from its Taylor series, whose terms
-        # 2k U^(2k+1)/(2k+1)! are all positive.
-        closed_self = prefactor * (sum(2 * k * cap ** (2 * k + 1) / math.factorial(2 * k + 1)
-                                       for k in range(1, 9)) / math.cosh(cap))
+        # 2k U^(2k+1)/(2k+1)! are all positive.  Added left to right, not by
+        # sum(), whose compensation from Python 3.12 on would move the bits.
+        series = 0.0
+        for k in range(1, 9):
+            series += 2 * k * cap ** (2 * k + 1) / math.factorial(2 * k + 1)
+        closed_self = prefactor * (series / math.cosh(cap))
     else:
         closed_self = prefactor * (cap - math.tanh(cap))
     report = EnergyReport(field_energy, self_energy, closed_field, closed_self)

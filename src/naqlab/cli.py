@@ -287,9 +287,9 @@ def _run_shoot(args) -> int:
         "config": _config(args),
         "eta0_star": result.eta0,
         "eta_vacuum": params.eta_vacuum,
-        "termination": traj.reason.value,
+        "termination": traj.stop,
         "r_final": traj.r[-1],
-        "eta_final": traj.eta[-1],
+        "eta_final": traj.y[-1],
         "samples": len(traj.r),
     }
     _emit((_json_dumps(payload),), args.output)
@@ -306,11 +306,11 @@ def _run_profile(args) -> int:
     if rs.size == 0:
         sys.stderr.write(
             "profile: trajectory terminated at r = %g (%s); grid too short\n"
-            % (traj.r[-1], traj.reason.value)
+            % (traj.r[-1], traj.stop)
         )
         return EXIT_NUMERICAL
-    eta = np.interp(rs, traj.r, traj.eta)
-    deta = np.interp(rs, traj.r, traj.deta)
+    eta = np.interp(rs, traj.r, traj.y)
+    deta = np.interp(rs, traj.r, traj.dy)
     columns = (rs, eta, deta) + shooting.derive_fields(eta, deta, params)
     _emit(_csv_blocks(_config(args), "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns), args.output)
     return EXIT_OK

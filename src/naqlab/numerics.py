@@ -154,8 +154,12 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -
         # The budget, or an interval no longer splittable in float64, ends it.
         stuck = evals + 30 > _MAX_EVALUATIONS or mid <= lo or mid >= hi
         if stuck or -heap[0][0] <= max(tol, tol * bound * (1 + 1e-6)):
-            total = sum(item[4] for item in heap)
-            total_err = sum(item[5] for item in heap)
+            # Left to right, uncompensated: sum() of floats compensates from
+            # Python 3.12 on, which would change the bits with the version.
+            total = total_err = 0.0
+            for item in heap:
+                total += item[4]
+                total_err += item[5]
             # An infinite total gives an infinite tolerance; it never converges.
             if total_err <= max(tol, tol * abs(total)) < math.inf:
                 return QuadResult(total, total_err, evals)

@@ -14,13 +14,16 @@ linear in eta_0 - eta_0*, and Brent's method on it isolates eta_0* in about
 9 trajectories.  For lambda_tilde = 1, m = 0.1 the regular value is
 eta_0* = 0.9083.
 
+A trajectory is the integrator's own record, ``numerics.RkSolution``: its
+``y`` and ``dy`` hold eta and eta', and its ``stop`` names the outcome as
+"overshoot", "undershoot", "reached_rmax" or "blow_up".
+
 The coordinate singularity of the friction term at r = 0 is removed with a
 quadratic series start at a small radius epsilon.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -28,15 +31,13 @@ from typing import Sequence
 
 from .numerics import (
     IntegrationBlowUp,
-    InvalidBracketError,
+    RkSolution,
     brent,
     rk_integrate,
 )
 
 __all__ = [
     "CouplingParams",
-    "TerminationReason",
-    "Trajectory",
     "Probe",
     "ClassifierAmbiguityError",
     "DecayFitError",
@@ -80,24 +81,6 @@ class CouplingParams:
         return math.acosh(1.0 + 2.0 * self.m_squared)
 
 
-class TerminationReason(enum.Enum):
-    REACHED_RMAX = "reached_rmax"
-    OVERSHOOT = "overshoot"
-    UNDERSHOOT = "undershoot"
-    BLOW_UP = "blow_up"
-
-
-@dataclass
-class Trajectory:
-    """Samples of one integration, as ``rk_integrate`` returns them
-    (``array('d')`` buffers), and why it stopped."""
-
-    r: Sequence[float]
-    eta: Sequence[float]
-    deta: Sequence[float]
-    reason: TerminationReason
-
-
 @dataclass(frozen=True)
 class Probe:
     """One classified trajectory from eta0.
@@ -112,7 +95,7 @@ class Probe:
     eta0: float
     label: str
     residual: float
-    trajectory: Trajectory
+    trajectory: RkSolution
 
 
 class ClassifierAmbiguityError(RuntimeError):
@@ -158,13 +141,17 @@ def series_start(eta0: float, p: CouplingParams, eps: float) -> tuple[float, tup
     return eps, (eta0 + a * eps * eps, 2.0 * a * eps)
 
 
-def integrate_profile(eta0: float, p: CouplingParams, r_max: float = DEFAULT_R_MAX) -> Trajectory:
+def integrate_profile(eta0: float, p: CouplingParams, r_max: float = DEFAULT_R_MAX) -> RkSolution:
     """Integrate from the series start at DEFAULT_EPSILON and classify the outcome.
 
-    Overshoot: eta crosses zero heading negative.  Undershoot: eta' turns
-    from negative to positive while eta > 0 (ignored for r <= 10 eps so the
-    quadratic start cannot masquerade as a turning point).  Blow-up is a
-    classification, not a failure.
+    Returns the integrator's ``RkSolution``: ``y`` and ``dy`` hold eta and
+    eta' at the radii ``r``, and ``stop`` is one of four strings.
+    "overshoot": eta crosses zero heading negative.  "undershoot": eta'
+    turns from negative to positive while eta > 0 (ignored for r <= 10 eps
+    so the quadratic start cannot masquerade as a turning point).
+    "reached_rmax": neither happened by ``r_max``.  "blow_up": the
+    integration failed, and the samples end at the last valid state; it is
+    a classification, not a failure.
     """
     eps = DEFAULT_EPSILON
     r0, y0 = series_start(eta0, p, eps)
@@ -177,24 +164,25 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float = DEFAULT_R_M
     def stop(r, y):
         eta, deta = y
         if eta < 0.0:
-            return TerminationReason.OVERSHOOT
+            return "overshoot"
         if r > 10.0 * eps and prev_deta[0] < 0.0 and deta > 0.0 and eta > 0.0:
-            return TerminationReason.UNDERSHOOT
+            return "undershoot"
         prev_deta[0] = deta
         return None
 
     try:
         sol = rk_integrate(rhs, r0, y0, r_max, stop_condition=stop)
-        reason = sol.stop or TerminationReason.REACHED_RMAX
+        sol.stop = sol.stop or "reached_rmax"
     except IntegrationBlowUp as exc:
-        sol, reason = exc.partial, TerminationReason.BLOW_UP
-    return Trajectory(r=sol.r, eta=sol.y, deta=sol.dy, reason=reason)
+        sol = exc.partial
+        sol.stop = "blow_up"
+    return sol
 
 
 def _probe(eta0, p, r_max) -> Probe:
     """Integrate from eta0 and classify its fate, with a signed residual."""
     traj = integrate_profile(eta0, p, r_max)
-    r_f, eta_f, deta_f = traj.r[-1], traj.eta[-1], traj.deta[-1]
+    r_f, eta_f, deta_f = traj.r[-1], traj.y[-1], traj.dy[-1]
     # Near-critical trajectories can still be hugging the false vacuum at
     # r_max.  There the linearization eta'' + (2/r) eta' = mu^2 eta
     # (mu = m sqrt(lambda_tilde)) has solutions (A e^{-mu r} + B e^{mu r})/r,
@@ -204,15 +192,15 @@ def _probe(eta0, p, r_max) -> Probe:
     mu = p.m * math.sqrt(p.lambda_tilde)
     growing = r_f * deta_f + eta_f + mu * r_f * eta_f
     label = None
-    if traj.reason in (TerminationReason.OVERSHOOT, TerminationReason.UNDERSHOOT):
-        label = traj.reason.value
-    elif traj.reason == TerminationReason.BLOW_UP and eta_f < 0:
-        label = TerminationReason.OVERSHOOT.value
-    elif traj.reason == TerminationReason.REACHED_RMAX and abs(eta_f) < 0.5 * p.eta_vacuum:
+    if traj.stop in ("overshoot", "undershoot"):
+        label = traj.stop
+    elif traj.stop == "blow_up" and eta_f < 0:
+        label = "overshoot"
+    elif traj.stop == "reached_rmax" and abs(eta_f) < 0.5 * p.eta_vacuum:
         if growing > 0:
-            label = TerminationReason.UNDERSHOOT.value
+            label = "undershoot"
         elif growing < 0:
-            label = TerminationReason.OVERSHOOT.value
+            label = "overshoot"
     if label is None:
         raise ClassifierAmbiguityError(
             "eta0 = %g reached r_max = %g unclassified; enlarge r_max so the "
@@ -221,7 +209,7 @@ def _probe(eta0, p, r_max) -> Probe:
     # The smallest positive float keeps an underflowed residual from
     # reading as an exact root.
     size = max(abs(growing) * math.exp(-mu * r_f), math.ulp(0.0))
-    if label == TerminationReason.UNDERSHOOT.value:
+    if label == "undershoot":
         size = -size
     return Probe(eta0=eta0, label=label, residual=size, trajectory=traj)
 
@@ -272,7 +260,7 @@ def derive_fields(eta: Sequence[float], deta: Sequence[float], p: CouplingParams
     return phi_scaled, e_scaled, rho_scaled
 
 
-def decay_rate(traj: Trajectory, fit_window: tuple[float, float]) -> float:
+def decay_rate(traj: RkSolution, fit_window: tuple[float, float]) -> float:
     """Yukawa decay rate mu from a least-squares fit of ln(r eta) vs r.
 
     For a tail eta ~ exp(-mu r)/r the fit is exact; a window whose max
@@ -284,7 +272,7 @@ def decay_rate(traj: Trajectory, fit_window: tuple[float, float]) -> float:
     lo, hi = fit_window
     if traj.r[-1] < hi:
         raise ValueError("trajectory does not reach the fit window")
-    r, eta = np.asarray(traj.r), np.asarray(traj.eta)
+    r, eta = np.asarray(traj.r), np.asarray(traj.y)
     mask = (r >= lo) & (r <= hi)
     r, eta = r[mask], eta[mask]
     if r.size < 3:

@@ -682,7 +682,7 @@ class TestProfile:
         traj = shooting.integrate_profile(0.9083, params, r_max=40.0)
         rs = np.geomspace(1e-2, 40.0, points)
         rs = rs[(rs >= traj.r[0]) & (rs <= traj.r[-1])]
-        eta, deta = np.interp(rs, traj.r, traj.eta), np.interp(rs, traj.r, traj.deta)
+        eta, deta = np.interp(rs, traj.r, traj.y), np.interp(rs, traj.r, traj.dy)
         config = {
             "subcommand": "profile", "eta0": 0.9083, "lambda_tilde": 1.0,
             "m": 0.1, "grid": [1e-2, 40.0, points], "grid_scale": "log",
@@ -834,6 +834,10 @@ class TestOutputPins:
          "598bbf156cb2e7c069be4913461cbdf587cdfbeb1f9b330e44ac7ddc75d4d101"),
         (("exact", "--q", "2", "--G", "0.5", "--c", "1.5", "--rmin", "0.01"),
          "6fbfa9f2d254d2d988ddd3df6ec40fff9e4b2bbebd3d1a21756f0c01364ea088"),
+        # the Taylor branch of the closed-form self energy (alpha/r_min < 0.5)
+        # and a quadrature whose heap sum rounds differently when compensated
+        (("exact", "--q", "0.5", "--rmin", "10", "--tol", "1e-8"),
+         "ff58b94bd7ac16c15b91806f3901b1c6cbd325f4f69d9aaf542066a7312c3028"),
         (("exact", "--format", "csv", "--grid", "0.1:10:30", "--grid-scale", "linear",
           "--q", "2", "--G", "0.5", "--c", "1.5"),
          "fcc6740c97edfa0ea53a679f68b6d6b05239784417cf750f352d83c9d01b91ed"),

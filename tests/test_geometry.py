@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from naqlab import geometry
+from naqlab.charge import ChargeModel, energy_report
 from naqlab.geometry import (
     ContorsionTensor,
     Grid,
@@ -748,6 +749,79 @@ class TestRicci:
         ):
             with pytest.raises(GridTooSmallError, match=re.escape(text)):
                 call()
+
+
+# The gravitating regularized point charge in G = c = 1 with alpha = q = 1:
+# the field energy density E_r^2/8 pi of the closed-form charge sources
+# ds^2 = -f dt^2 + dr^2/f + r^2 dOmega^2 with f = 1 - 2M(r)/r, and
+# 2M(r)/r = x (1 - tanh x), x = alpha/r.  1 - tanh x is written 2/(1 + e^{2x}),
+# which keeps its digits at large x.
+def charge_compactness(x):
+    """2M/r and its first two derivatives in x, with u = 1 - tanh x."""
+    u = 2.0 / (1.0 + np.exp(2.0 * x))
+    sech2 = u * (2.0 - u)
+    return x * u, u - x * sech2, -2.0 * sech2 + 2.0 * x * sech2 * (1.0 - u)
+
+
+def charge_metric(grid):
+    r = grid.axes[1][None, :, None, None]
+    th = grid.axes[2][None, None, :, None]
+    f = 1.0 - charge_compactness(1.0 / r)[0]
+    g = np.zeros(grid.shape + (4, 4))
+    g[..., 0, 0] = -f
+    g[..., 1, 1] = 1.0 / f
+    g[..., 2, 2] = r**2
+    g[..., 3, 3] = (r * np.sin(th)) ** 2
+    return g
+
+
+def charge_mixed_ricci_error(n):
+    """max |R^mu_nu - closed form| on r in [1, 2] of the kernels' chain on an
+    n x n (r, theta) grid.  With f' and f'' taken analytically,
+    R^t_t = R^r_r = -(f''/2 + f'/r) and R^th_th = R^ph_ph = (1 - f - r f')/r^2."""
+    one = np.zeros(1)
+    grid = Grid((one, np.linspace(0.5, 2.5, n), np.linspace(0.6, 1.2, n), one))
+    g = charge_metric(grid)
+    gamma, ig = christoffel_from_metric(g, grid)
+    ricci, iig = ricci_from_connection(gamma, ig)
+    mixed = np.linalg.inv(g[:, 2:-2, 2:-2]) @ ricci
+    r = iig.axes[1]
+    x = 1.0 / r
+    h, dh, ddh = charge_compactness(x)
+    f, df = 1.0 - h, dh * x * x  # dx/dr = -x^2
+    ddf = -(ddh * x * x + 2.0 * x * dh) * x * x
+    closed = np.zeros(r.shape + (4, 4))
+    closed[:, 0, 0] = closed[:, 1, 1] = -(ddf / 2.0 + df / r)
+    closed[:, 2, 2] = closed[:, 3, 3] = (1.0 - f - r * df) / r**2
+    band = (r >= 1.0) & (r <= 2.0)
+    return np.abs(mixed[:, band] - closed[None, band, None, None]).max()
+
+
+class TestGravitatingPointCharge:
+    def test_ricci_matches_closed_form_at_second_order(self):
+        # measured 7.30e-3 and 1.81e-3 (ratio 4.03); 4.51e-4 at n = 129
+        errors = [charge_mixed_ricci_error(n) for n in (33, 65)]
+        assert errors[0] < 1e-2
+        assert errors[0] / errors[1] >= 3.7
+
+    def test_no_horizon(self):
+        # 2M/r < 1 everywhere, so f > 0: its maximum 0.27846 sits at
+        # x = 0.6392, and beyond x = 5 it is below 5e-4
+        x = np.linspace(0.0, 5.0, 500_001)
+        h = charge_compactness(x)[0]
+        peak = np.argmax(h)
+        assert h[peak] == pytest.approx(0.27846, abs=5e-6)
+        assert x[peak] == pytest.approx(0.6392, abs=1e-4)
+        assert h.max() < 1.0 and h[-1] < 5e-4
+
+    def test_mass_tends_to_field_energy(self):
+        # M(r) = r (1 - f)/2 = (q/2)(1 - tanh x) -> the closed-form field energy
+        energy = energy_report(ChargeModel(q=1.0), r_min=1.0).closed_form_field_energy
+        assert energy == 0.5
+        for r in (1e2, 1e4, 1e6):
+            f = 1.0 - charge_compactness(1.0 / r)[0]
+            mass = r * (1.0 - f) / 2.0
+            assert 0.0 < energy - mass <= 1.0 / r
 
 
 class TestRandomIdentitySuite:

@@ -91,8 +91,10 @@ def quad_resum_every_split(f, a, b, tol):
     counter = 0
     heap = [(-err, counter, a, b, value, err)]
     while True:
-        total = sum(item[4] for item in heap)
-        total_err = sum(item[5] for item in heap)
+        total = total_err = 0.0
+        for item in heap:
+            total += item[4]
+            total_err += item[5]
         if total_err <= max(tol, tol * abs(total)) < math.inf:
             return QuadResult(total, total_err, evals)
         if evals + 30 > numerics._MAX_EVALUATIONS:

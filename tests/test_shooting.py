@@ -5,13 +5,11 @@ import pytest
 
 from naqlab import shooting
 from naqlab.charge import ChargeModel, exact_fields
-from naqlab.numerics import centered_derivative
+from naqlab.numerics import RkSolution, centered_derivative
 from naqlab.shooting import (
     ClassifierAmbiguityError,
     CouplingParams,
     DecayFitError,
-    TerminationReason,
-    Trajectory,
     decay_rate,
     derive_fields,
     find_regular_eta0,
@@ -97,25 +95,25 @@ class TestSeriesStart:
 class TestIntegrateProfile:
     def test_overshoot_above_critical(self, params_m01):
         traj = integrate_profile(1.4, params_m01)
-        assert traj.reason == TerminationReason.OVERSHOOT
-        assert traj.eta[-1] < 0
+        assert traj.stop == "overshoot"
+        assert traj.y[-1] < 0
 
     def test_undershoot_below_critical(self, params_m01):
         traj = integrate_profile(0.5, params_m01)
-        assert traj.reason == TerminationReason.UNDERSHOOT
-        assert traj.eta[-1] > 0
-        assert traj.deta[-1] > 0
+        assert traj.stop == "undershoot"
+        assert traj.y[-1] > 0
+        assert traj.dy[-1] > 0
 
     def test_vacuum_start_stays_at_rest(self, params_m01):
         traj = integrate_profile(0.0, params_m01, r_max=5.0)
-        assert traj.reason == TerminationReason.REACHED_RMAX
-        assert np.abs(traj.eta).max() == 0.0
+        assert traj.stop == "reached_rmax"
+        assert np.abs(traj.y).max() == 0.0
 
     def test_monotone_decay_of_regular_solution(self, shot_m01_tight):
         traj = shot_m01_tight.trajectory
         inner = np.asarray(traj.r) < 40.0
-        assert np.all(np.diff(np.asarray(traj.eta)[inner]) < 0)
-        assert np.all(np.asarray(traj.eta)[inner] > 0)
+        assert np.all(np.diff(np.asarray(traj.y)[inner]) < 0)
+        assert np.all(np.asarray(traj.y)[inner] > 0)
 
     def test_rejects_rmax_below_start(self, params_m01):
         with pytest.raises(ValueError):
@@ -130,7 +128,7 @@ class TestIntegrateProfile:
         ref = solve_ivp(
             lambda r, y: (y[1], ode_rhs(r, y[0], y[1], params_m01)),
             (traj.r[0], traj.r[-1]),
-            (traj.eta[0], traj.deta[0]),
+            (traj.y[0], traj.dy[0]),
             method="DOP853",
             rtol=1e-12,
             atol=1e-14,
@@ -138,8 +136,8 @@ class TestIntegrateProfile:
         )
         assert ref.success
         eta, deta = ref.sol(traj.r)
-        assert np.abs(eta - traj.eta).max() < 1e-7
-        assert np.abs(deta - traj.deta).max() < 1e-7
+        assert np.abs(eta - traj.y).max() < 1e-7
+        assert np.abs(deta - traj.dy).max() < 1e-7
 
 
 class TestFindRegularEta0:
@@ -183,15 +181,15 @@ class TestFindRegularEta0:
 
     def test_bracket_labels_disagree(self, params_m01):
         lo, hi = shooting.DEFAULT_BRACKET
-        assert integrate_profile(lo, params_m01).reason == TerminationReason.UNDERSHOOT
-        assert integrate_profile(hi, params_m01).reason == TerminationReason.OVERSHOOT
+        assert integrate_profile(lo, params_m01).stop == "undershoot"
+        assert integrate_profile(hi, params_m01).stop == "overshoot"
 
     def test_classifier_monotone_across_bracket(self, params_m01):
         # every scan point below eta0* undershoots, every one above overshoots
         labels = []
         for eta0 in np.linspace(0.3, 1.9, 9):
             traj = integrate_profile(float(eta0), params_m01)
-            labels.append(traj.reason)
+            labels.append(traj.stop)
         flips = sum(
             1 for a, b in zip(labels, labels[1:]) if a != b
         )
@@ -268,10 +266,7 @@ class TestDecayRate:
     def test_synthetic_yukawa_tail(self):
         r = np.linspace(20.0, 60.0, 400)
         eta = 3.0 * np.exp(-0.1 * r) / r
-        traj = Trajectory(
-            r=r, eta=eta, deta=np.gradient(eta, r),
-            reason=TerminationReason.REACHED_RMAX,
-        )
+        traj = RkSolution(r=r, y=eta, dy=np.gradient(eta, r), stop="reached_rmax")
         assert decay_rate(traj, (25.0, 55.0)) == pytest.approx(0.1, abs=1e-6)
 
     def test_regular_solution_decay_matches_mass(self, shot_m01_tight, params_m01):
@@ -283,19 +278,13 @@ class TestDecayRate:
     def test_rejects_non_exponential_window(self):
         r = np.linspace(1.0, 10.0, 100)
         eta = np.full_like(r, 0.5)  # constant field: ln(r eta) is not linear
-        traj = Trajectory(
-            r=r, eta=eta, deta=np.zeros_like(r),
-            reason=TerminationReason.REACHED_RMAX,
-        )
+        traj = RkSolution(r=r, y=eta, dy=np.zeros_like(r), stop="reached_rmax")
         with pytest.raises(DecayFitError):
             decay_rate(traj, (2.0, 9.0))
 
     def test_rejects_window_beyond_trajectory(self):
         r = np.linspace(1.0, 5.0, 50)
-        traj = Trajectory(
-            r=r, eta=np.exp(-r) / r, deta=np.zeros_like(r),
-            reason=TerminationReason.REACHED_RMAX,
-        )
+        traj = RkSolution(r=r, y=np.exp(-r) / r, dy=np.zeros_like(r), stop="reached_rmax")
         with pytest.raises(ValueError):
             decay_rate(traj, (2.0, 50.0))
 
@@ -308,7 +297,7 @@ def dop853_dense(traj, p, r_end):
     ref = solve_ivp(
         lambda r, y: (y[1], ode_rhs(r, y[0], y[1], p)),
         (traj.r[0], r_end),
-        (traj.eta[0], traj.deta[0]),
+        (traj.y[0], traj.dy[0]),
         method="DOP853",
         rtol=1e-13,
         atol=1e-15,
@@ -327,15 +316,15 @@ class TestDeriveFields:
     def test_field_signs_on_regular_solution(self, shot_m01_tight, params_m01):
         traj = shot_m01_tight.trajectory
         inner = (np.asarray(traj.r) > 1e-3) & (np.asarray(traj.r) < 30.0)
-        phi, e_field, _ = derive_fields(traj.eta, traj.deta, params_m01)
+        phi, e_field, _ = derive_fields(traj.y, traj.dy, params_m01)
         # decaying positive eta: positive potential, outward-pointing field
         assert np.all(phi[inner] > 0)
         assert np.all(e_field[inner] > 0)
 
     def test_potential_consistent_with_eta(self, shot_m01_tight, params_m01):
         traj = shot_m01_tight.trajectory
-        phi, _, _ = derive_fields(traj.eta, traj.deta, params_m01)
-        assert np.allclose(phi, np.sinh(np.asarray(traj.eta) / 2.0), atol=1e-15)
+        phi, _, _ = derive_fields(traj.y, traj.dy, params_m01)
+        assert np.allclose(phi, np.sinh(np.asarray(traj.y) / 2.0), atol=1e-15)
 
     def test_density_matches_dop853_gauss_source(self, shot_m01_tight, params_m01):
         # the oracle is the Gauss-law source 4 (2E/r + E') with E' written
@@ -348,7 +337,7 @@ class TestDeriveFields:
         e_field = -deta / (2.0 * cosh)
         de_field = -ddeta / (2.0 * cosh) + deta**2 * sinh / (4.0 * cosh**2)
         source = 4.0 * (2.0 * e_field / traj.r + de_field)
-        _, _, rho = derive_fields(traj.eta, traj.deta, params_m01)
+        _, _, rho = derive_fields(traj.y, traj.dy, params_m01)
         assert np.abs(rho - source).max() < 1e-8 * np.abs(source).max()
 
     def test_gauss_law_converges_second_order(self, shot_m01_tight, params_m01):
@@ -373,6 +362,23 @@ class TestDeriveFields:
         phi, e_field, _ = derive_fields(2.0 / r, -2.0 / r**2, params_m01)
         assert np.array_equal(phi, exact["phi"])
         assert np.allclose(e_field, exact["E_r"], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("q, G, c", [(1.0, 1.0, 1.0), (2.0, 0.5, 1.5), (-0.3, 1.0, 1.0)])
+    def test_point_charge_is_the_small_coupling_limit(self, q, G, c):
+        # eta = 2 alpha/r solves eta'' + (2/r) eta' = 0, the profile equation
+        # at lambda_tilde -> 0; with alpha/r <= 30 the lambda_tilde phi^2 term
+        # stays below 1e-270 of E^2.  Scaled to (G, c) units the derived
+        # fields are the closed-form point charge at rounding (measured worst
+        # gap 4.1 eps).
+        model = ChargeModel(q=q, G=G, c=c)
+        alpha = model.alpha
+        r = np.geomspace(abs(alpha) / 30.0, 100.0 * abs(alpha), 400)
+        phi, e_field, rho = derive_fields(2.0 * alpha / r, -2.0 * alpha / r**2, CouplingParams(1e-300, 1e-300))
+        scale = c**2 / math.sqrt(G)
+        exact = exact_fields(r, model)
+        for name, derived in (("phi", scale * phi), ("E_r", scale * e_field), ("rho", scale / (16.0 * math.pi) * rho)):
+            gap = np.max(np.abs(derived - exact[name]) / np.abs(exact[name]))
+            assert gap <= 8 * np.finfo(float).eps, name
 
     @pytest.mark.parametrize("n", (0, 1))
     def test_short_inputs_map_pointwise(self, params_m01, n):
