@@ -7,9 +7,9 @@ method when each probe also gives a signed residual), and numpy's
 second-order finite differences on possibly non-uniform sample points.
 
 The integrator runs from ``(r0, y0)`` and returns its samples in three
-``array('d')`` buffers, with the value that stopped it, if any.  Its
-settings are fixed: steps are accepted at ``rtol = 1e-10`` and
-``atol = 1e-12``, and at most 10^6 are attempted.
+``array('d')`` buffers, with the value that stopped it, if any.  Its error
+scale is one argument, ``rtol`` (default 1e-10), with ``atol = rtol / 100``;
+at most 10^6 steps are attempted.
 
 Everything here is a pure function of its inputs; all arithmetic is
 64-bit IEEE-754.  The integrator's state has two components, ``(y, y')``
@@ -179,9 +179,7 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -
 # ---------------------------------------------------------------------------
 
 
-# Error scale atol + rtol * |y| of a DP5 step, and the attempted-step budget.
-_RTOL = 1e-10
-_ATOL = 1e-12
+# DP5 steps one rk_integrate call may attempt.
 _MAX_STEPS = 1_000_000
 
 
@@ -212,6 +210,7 @@ def rk_integrate(
     y0: Sequence[float],
     r_end: float,
     stop_condition: Callable[[float, tuple], object] | None = None,
+    rtol: float = 1e-10,
 ) -> RkSolution:
     """Integrate y' = rhs(r, y) from y(r0) = y0 to ``r_end`` with adaptive DP5.
 
@@ -222,8 +221,9 @@ def rk_integrate(
     solution and reuses it as the first stage of the next step (FSAL), so an
     integration costs 1 + 6 x (attempted steps) RHS evaluations.  A step is
     accepted when the RMS of its embedded error estimate, scaled by
-    ``1e-12 + 1e-10 * max(|y|, |y_new|)`` per component, is at most 1; the
-    first stride is 1/100 of the span, and at most 10^6 steps are attempted.
+    ``rtol / 100 + rtol * max(|y|, |y_new|)`` per component, is at most 1,
+    so the work grows like ``rtol ** -0.2``; the first stride is 1/100 of
+    the span, and at most 10^6 steps are attempted.
     A step cut short to end on ``r_end`` lands on it exactly.  Samples are
     retained at every accepted step, in the buffers ``r``, ``y`` and ``dy``
     of the returned ``RkSolution``.  ``stop_condition(r, y)`` is checked
@@ -234,8 +234,8 @@ def rk_integrate(
     Raises
     ------
     ValueError
-        if ``y0`` does not have two components or ``r_end`` does not exceed
-        ``r0``.
+        if ``y0`` does not have two components, ``r_end`` does not exceed
+        ``r0`` or ``rtol`` is not positive and finite.
     IntegrationBlowUp
         on non-finite state or step-size underflow; the exception carries
         the partial trajectory, which ends at the last valid state.
@@ -246,6 +246,9 @@ def rk_integrate(
     u, v = float(y0[0]), float(y0[1])
     if not r_end > r:
         raise ValueError("r_end must exceed the initial radius %r, got %r" % (r, r_end))
+    if not 0.0 < rtol < math.inf:
+        raise ValueError("rtol must be positive and finite, got %r" % (rtol,))
+    atol = rtol / 100.0
     rs, us, vs = array("d", (r,)), array("d", (u,)), array("d", (v,))
 
     def _blowup(msg):
@@ -292,10 +295,10 @@ def rk_integrate(
         k7u, k7v = rhs(r + h, (u5, v5))
         eu = (u5 - (u + h * (5179 / 57600 * k1u + 7571 / 16695 * k3u + 393 / 640 * k4u
                              + -92097 / 339200 * k5u + 187 / 2100 * k6u + 1 / 40 * k7u))
-              ) / (_ATOL + _RTOL * max(abs(u), abs(u5)))
+              ) / (atol + rtol * max(abs(u), abs(u5)))
         ev = (v5 - (v + h * (5179 / 57600 * k1v + 7571 / 16695 * k3v + 393 / 640 * k4v
                              + -92097 / 339200 * k5v + 187 / 2100 * k6v + 1 / 40 * k7v))
-              ) / (_ATOL + _RTOL * max(abs(v), abs(v5)))
+              ) / (atol + rtol * max(abs(v), abs(v5)))
         errnorm = math.sqrt((eu * eu + ev * ev) / 2)
         if errnorm != errnorm:
             # A non-finite trial stage gives nan: reject and retry with a

@@ -817,13 +817,13 @@ class TestOutputPins:
 
     CASES = (
         (("shoot", "--lambda", "1", "--m", "0.1"),
-         "12f30b42e42a369102f5e6394703a913722b2127744df88a6ff7d8e6be11ed76"),
+         "a433564987a1b69458adff174fe697daddd819b4d59bfa051aab7ce32fd7b036"),
         (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"),
          "3317ecb18aaa40e35524633ba0671bcb2494089b1b8db63a3bfa620dc30ef7e1"),
         (("shoot", "--lambda", "2.5", "--m", "0.07", "--tol", "1e-05"),
-         "60b4fd19265f4e207f5fdb5273e4bf9ad84a68ec23a19be07748239714bd1a75"),
+         "0935d8a1bcc768f5a4b2952d1711fadc17a412d4b6fed3ac2abb36bdbeae2554"),
         (("shoot", "--lambda", "0.6", "--m", "0.13", "--tol", "1e-05"),
-         "a17d9f932fa8bb7eedf26ccb6be4501ec6bd9f0b6ab98efe1462f0856a1ceb6c"),
+         "3ea6bde9fae5cdd8ffe998568d42267a12f98bed45414193d531695eea16ea86"),
         (("shoot", "--lambda", "3.2", "--m", "0.12", "--tol", "1e-12"),
          "e109cef1aef321f4b0117dcbd20946d6349fed0ad6e38208d546abd9c380b53e"),
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),

@@ -239,6 +239,15 @@ class TestRkIntegrate:
         with pytest.raises(ValueError, match="two components, got %d" % len(y0)):
             rk_integrate(lambda r, y: y, 1.0, y0, 2.0)
 
+    @pytest.mark.parametrize("rtol", (0.0, -1e-8, math.nan, math.inf))
+    def test_rtol_must_be_positive_and_finite(self, rtol):
+        # a zero scale divides the error estimate by zero; an infinite one
+        # accepts every step
+        calls = []
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            rk_integrate(lambda r, y: calls.append(r) or y, 1.0, (1.0, 0.0), 2.0, rtol=rtol)
+        assert calls == []
+
     def test_blow_up_reports_last_state(self):
         # y' = y^2 from y(1) = 1 blows up at r = 2
         rhs = lambda r, y: (y[0] ** 2, -y[1])
@@ -281,8 +290,9 @@ def _dp5_combine(y, h, weights, ks):
     return tuple(out)
 
 
-def dp5_reference(rhs, r, y, r_end):
-    """The adaptive DP5 loop from its tableau: (r samples, y samples, rejections)."""
+def dp5_reference(rhs, r, y, r_end, rtol=1e-10):
+    """The adaptive DP5 loop from its tableau, with the error scale
+    rtol / 100 + rtol |y|: (r samples, y samples, rejections)."""
     rs, ys, rejected = [r], [y], 0
     h = (r_end - r) / 100.0
     k1 = rhs(r, y)
@@ -294,7 +304,7 @@ def dp5_reference(rhs, r, y, r_end):
         y5, y4 = _dp5_combine(y, h, _DP5_B, ks), _dp5_combine(y, h, _DP5_B4, ks)
         errsq = 0.0
         for yj, y5j, y4j in zip(y, y5, y4):
-            e = (y5j - y4j) / (numerics._ATOL + numerics._RTOL * max(abs(yj), abs(y5j)))
+            e = (y5j - y4j) / (rtol / 100 + rtol * max(abs(yj), abs(y5j)))
             errsq += e * e
         err = math.sqrt(errsq / len(y))
         err = math.inf if err != err else err
@@ -308,11 +318,15 @@ def dp5_reference(rhs, r, y, r_end):
     return np.array(rs), np.array(ys), rejected
 
 
+def van_der_pol(r, y):
+    return (y[1], 2.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
+
+
 class TestDp5Reference:
     """The unrolled step of rk_integrate against the tableau as data, bit for bit."""
 
     def test_van_der_pol_with_rejections(self):
-        rhs = lambda r, y: (y[1], 2.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
+        rhs = van_der_pol
         ref_r, ref_y, rejected = dp5_reference(rhs, 0.0, (2.0, 0.0), 10.0)
         assert rejected > 0
         sol = rk_integrate(rhs, 0.0, (2.0, 0.0), 10.0)
@@ -326,6 +340,25 @@ class TestDp5Reference:
         sol = rk_integrate(rhs, r0, y0, 80.0)
         assert np.array_equal(sol.r, ref_r)
         assert np.array_equal(states(sol), ref_y)
+
+    @pytest.mark.parametrize("system", ("van_der_pol", "profile"))
+    def test_rtol_argument(self, system, params_m01):
+        # a looser scale, as a loose shooting solve passes down: the same
+        # samples and, from the 1 + 6 x (attempted steps) RHS calls, the
+        # same number of rejected steps
+        if system == "van_der_pol":
+            rhs, r0, y0, r_end = van_der_pol, 0.0, (2.0, 0.0), 10.0
+        else:
+            rhs = lambda r, y: (y[1], shooting.ode_rhs(r, y[0], y[1], params_m01))
+            r0, y0 = shooting.series_start(0.9083, params_m01, shooting.DEFAULT_EPSILON)
+            r_end = 80.0
+        ref_r, ref_y, rejected = dp5_reference(rhs, r0, y0, r_end, rtol=1e-8)
+        calls = []
+        sol = rk_integrate(lambda r, y: calls.append(r) or rhs(r, y), r0, y0, r_end, rtol=1e-8)
+        assert np.array_equal(sol.r, ref_r)
+        assert np.array_equal(states(sol), ref_y)
+        assert rejected > 0
+        assert len(calls) == 1 + 6 * (len(sol.r) - 1 + rejected)
 
 
 class TestBisect:

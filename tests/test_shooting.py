@@ -147,9 +147,9 @@ class TestFindRegularEta0:
     def test_reference_work_and_bits(self, params_m01, monkeypatch):
         # Brent's method needs 9 trajectories at tol 1e-5 and 11 at 1e-12
         # (bisection needed 21 and 44); each costs 1 + 6 x (attempted DP5
-        # steps) RHS calls, and the answer's trajectory is one of them.  The
-        # floats are pinned bit for bit so a change of arithmetic order
-        # shows up here.
+        # steps) RHS calls, at rtol 1e-8 and 1e-10 respectively, and the
+        # answer's trajectory is one of them.  The floats are pinned bit for
+        # bit so a change of arithmetic order shows up here.
         calls = {"integrate_profile": 0, "ode_rhs": 0}
 
         def counting(name):
@@ -164,10 +164,10 @@ class TestFindRegularEta0:
         counting("integrate_profile")
         counting("ode_rhs")
         res = find_regular_eta0(params_m01)
-        assert calls == {"integrate_profile": 9, "ode_rhs": 10869}
-        assert res.eta0 == 0.9083350986947872
-        assert np.asarray(res.trajectory.r).size == 286
-        assert res.trajectory.r[-1] == 77.53548832553486
+        assert calls == {"integrate_profile": 9, "ode_rhs": 4563}
+        assert res.eta0 == 0.9083376786116321
+        assert np.asarray(res.trajectory.r).size == 119
+        assert res.trajectory.r[-1] == 80.0
 
         calls.update(integrate_profile=0, ode_rhs=0)
         res = find_regular_eta0(params_m01, tol=1e-12)
@@ -175,6 +175,33 @@ class TestFindRegularEta0:
         assert res.eta0 == 0.9083371697571715
         assert np.asarray(res.trajectory.r).size == 289
         assert res.trajectory.r[-1] == 80.0
+
+    # eta_0* on the grid {0.5, 1, 4} x {0.05, 0.1, 0.15, 0.17}, frozen from
+    # Brent's method at tol 1e-13 on probes integrated at rtol 1e-13:
+    # brent(lambda e: _probe(e, p, DEFAULT_R_MAX, 1e-13), DEFAULT_BRACKET,
+    # 1e-13).  r_max = 80 is not rescaled with lambda_tilde, so at m = 0.05
+    # the roots differ with lambda_tilde by up to 4e-6.
+    TIGHT_ROOTS = {
+        (0.5, 0.05): 0.43829844259821465,
+        (0.5, 0.1): 0.9083371697916386,
+        (0.5, 0.15): 1.4810965307018344,
+        (0.5, 0.17): 1.8021553718508783,
+        (1.0, 0.05): 0.43829460189463565,
+        (1.0, 0.1): 0.908337169770655,
+        (1.0, 0.15): 1.4810965307018416,
+        (1.0, 0.17): 1.802155371850881,
+        (4.0, 0.05): 0.4382945833263269,
+        (4.0, 0.1): 0.9083371697706558,
+        (4.0, 0.15): 1.4810965307018422,
+        (4.0, 0.17): 1.8021553718508663,
+    }
+
+    @pytest.mark.parametrize("lambda_tilde, m", sorted(TIGHT_ROOTS))
+    def test_default_tol_holds_against_tight_root(self, lambda_tilde, m):
+        # the loose integration of a tol-1e-5 solve still leaves its answer
+        # within tol of the ODE's root (at most 0.25 tol was measured)
+        res = find_regular_eta0(CouplingParams(lambda_tilde=lambda_tilde, m=m), tol=1e-5)
+        assert abs(res.eta0 - self.TIGHT_ROOTS[lambda_tilde, m]) <= 1e-5
 
     def test_refines_with_tolerance(self, shot_m01_default, shot_m01_tight):
         assert abs(shot_m01_default.eta0 - shot_m01_tight.eta0) < 2e-5
