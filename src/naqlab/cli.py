@@ -309,11 +309,32 @@ def _run_profile(args) -> int:
             % (traj.r[-1], traj.stop)
         )
         return EXIT_NUMERICAL
-    eta = np.interp(rs, traj.r, traj.y)
-    deta = np.interp(rs, traj.r, traj.dy)
+    eta, deta = _resample(traj, rs, params)
     columns = (rs, eta, deta) + shooting.derive_fields(eta, deta, params)
     _emit(_csv_blocks(_config(args), "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns), args.output)
     return EXIT_OK
+
+
+def _resample(traj, rs, params) -> tuple:
+    """(eta, eta') of a trajectory at the radii ``rs`` inside it, each by the
+    cubic Hermite interpolant on its samples: eta with the slopes eta', and
+    eta' with the slopes eta'' that ``ode_rhs`` gives at the samples."""
+    import numpy as np
+
+    r, eta, deta = np.asarray(traj.r), np.asarray(traj.y), np.asarray(traj.dy)
+    ddeta = np.array([shooting.ode_rhs(*sample, params) for sample in zip(traj.r, traj.y, traj.dy)])
+    # the interval [r[i], r[j]] that holds each radius; a one-sample
+    # trajectory gives i = j and t = 0
+    i = np.clip(np.searchsorted(r, rs, side="right") - 1, 0, max(r.size - 2, 0))
+    j = np.minimum(i + 1, r.size - 1)
+    h = r[j] - r[i]
+    t = (rs - r[i]) / np.where(h > 0, h, 1.0)
+    s = 1.0 - t
+
+    def hermite(f, df):
+        return s * s * ((1.0 + 2.0 * t) * f[i] + t * h * df[i]) + t * t * ((3.0 - 2.0 * t) * f[j] - s * h * df[j])
+
+    return hermite(eta, deta), hermite(deta, ddeta)
 
 
 _DISPATCH = {

@@ -11,7 +11,7 @@ turns back (undershoots).  The single starting value eta_0* whose trajectory
 decays monotonically to zero separates the two.  Each probe also reads the
 amplitude of the growing mode at its last sample, a signed residual close to
 linear in eta_0 - eta_0*, and Brent's method on it isolates eta_0* in about
-9 trajectories.  For lambda_tilde = 1, m = 0.1 the regular value is
+10 trajectories.  For lambda_tilde = 1, m = 0.1 the regular value is
 eta_0* = 0.9083.
 
 A trajectory is the integrator's own record, ``numerics.RkSolution``: its
@@ -228,12 +228,11 @@ def find_regular_eta0(
     the root of the *discretized* problem: the probe of the end with the
     smaller |residual|, with the trajectory already integrated from it.
     Each probe, and so that trajectory, is only as accurate as ``tol``
-    needs: it is integrated at ``rtol = min(1e-8, max(1e-10, 1e-3 tol))``.
-    At m = 0.1 a solve takes 9 trajectories and 4563 RHS calls at tol 1e-5
-    (10869 at rtol 1e-10), and 11 and 14447 at tol 1e-12.  At rtol 1e-10
-    the discretized root lies up to about 2e-11 from the ODE's (6.0e-12,
-    1.35e-11 and 1.84e-11 at m = 0.05, 0.1 and 0.15), so a ``tol`` below
-    about 1e-10 buys no accuracy.
+    needs: it is integrated at ``rtol = min(1e-6, max(1e-12, 0.1 tol))``.
+    At m = 0.1 a solve takes 10 trajectories and 2782 RHS calls at tol 1e-5,
+    and 11 and 12071 at tol 1e-12.  On the grid lambda_tilde in {0.5, 1, 4},
+    m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.25 tol of the ODE's
+    root for every tol from 1e-4 to 1e-12.
 
     LO must be above 0: eta0 = 0 is the static false vacuum, whose
     growing-mode amplitude is exactly 0, and a negative start overshoots at
@@ -241,7 +240,7 @@ def find_regular_eta0(
     """
     if not bracket[0] > 0:
         raise ValueError("bracket needs LO > 0, got %g: eta0 = 0 is the static false vacuum and eta0 < 0 overshoots at once" % bracket[0])
-    rtol = min(1e-8, max(1e-10, 1e-3 * tol))
+    rtol = min(1e-6, max(1e-12, 0.1 * tol))
     return brent(lambda eta0: _probe(eta0, p, r_max, rtol), bracket, tol)
 
 

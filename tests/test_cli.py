@@ -682,7 +682,7 @@ class TestProfile:
         traj = shooting.integrate_profile(0.9083, params, r_max=40.0)
         rs = np.geomspace(1e-2, 40.0, points)
         rs = rs[(rs >= traj.r[0]) & (rs <= traj.r[-1])]
-        eta, deta = np.interp(rs, traj.r, traj.y), np.interp(rs, traj.r, traj.dy)
+        eta, deta = cli._resample(traj, rs, params)
         config = {
             "subcommand": "profile", "eta0": 0.9083, "lambda_tilde": 1.0,
             "m": 0.1, "grid": [1e-2, 40.0, points], "grid_scale": "log",
@@ -709,6 +709,28 @@ class TestProfile:
         code, out, _ = run(capsys, "profile", "--eta0", "0.9083", "--grid", "1e-2:40:4")
         assert code == EXIT_OK
         assert len(out.strip().split("\n")[2:]) == 4
+
+    @pytest.mark.parametrize("lambda_tilde, m, eta0", ((1.0, 0.1, 0.9083), (1.0, 0.15, 1.4810965307), (4.0, 0.1, 0.9083)))
+    def test_matches_dop853_dense_output(self, capsys, lambda_tilde, m, eta0):
+        # the default 2000-point grid against scipy's DOP853 interpolant from
+        # the same series start: the Hermite resampling between the samples
+        # of the rtol-1e-10 trajectory is what the bounds measure
+        pytest.importorskip("scipy")
+        from scipy.integrate import solve_ivp
+
+        code, out, _ = run(capsys, "profile", "--lambda", repr(lambda_tilde), "--m", repr(m), "--eta0", repr(eta0))
+        assert code == EXIT_OK
+        rows = np.array([line.split(",")[:3] for line in out.splitlines()[2:]], dtype=float)
+        params = shooting.CouplingParams(lambda_tilde=lambda_tilde, m=m)
+        r0, y0 = shooting.series_start(eta0, params, shooting.DEFAULT_EPSILON)
+        ref = solve_ivp(
+            lambda r, y: (y[1], shooting.ode_rhs(r, y[0], y[1], params)),
+            (r0, rows[-1, 0]), y0, method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True,
+        )
+        assert ref.success
+        eta, deta = ref.sol(rows[:, 0])
+        assert np.abs(rows[:, 1] - eta).max() <= 1e-5
+        assert np.abs(rows[:, 2] - deta).max() <= 2e-5
 
     def test_short_trajectory_is_numerical_error(self, capsys):
         # a strongly overshooting start terminates long before the grid
@@ -817,19 +839,19 @@ class TestOutputPins:
 
     CASES = (
         (("shoot", "--lambda", "1", "--m", "0.1"),
-         "a433564987a1b69458adff174fe697daddd819b4d59bfa051aab7ce32fd7b036"),
+         "71c5fe6d64b8d9e570e1aa01e9e8d2ecc45f84c5b9e323afdabf216f234d7529"),
         (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"),
-         "3317ecb18aaa40e35524633ba0671bcb2494089b1b8db63a3bfa620dc30ef7e1"),
+         "648a37f5b3557b4e7b415231393c73cc9588f0a9111ddfd12d8b12669dd309c2"),
         (("shoot", "--lambda", "2.5", "--m", "0.07", "--tol", "1e-05"),
-         "0935d8a1bcc768f5a4b2952d1711fadc17a412d4b6fed3ac2abb36bdbeae2554"),
+         "622d16194fc37a53b4f4a07292e9531ab466593268154143f489da77240d7ada"),
         (("shoot", "--lambda", "0.6", "--m", "0.13", "--tol", "1e-05"),
-         "3ea6bde9fae5cdd8ffe998568d42267a12f98bed45414193d531695eea16ea86"),
+         "f8e9df381400f581066cb43b1be8b34846265a71450d7a32451425b2efeb4bba"),
         (("shoot", "--lambda", "3.2", "--m", "0.12", "--tol", "1e-12"),
-         "e109cef1aef321f4b0117dcbd20946d6349fed0ad6e38208d546abd9c380b53e"),
+         "9bfe034c797b17961b04b10d71befb84cafc0e5862b1bb7ddcb82954602b14e3"),
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
-         "50c6a37fbb093c5fa86a1b2bcbc6d28b52f3f7cdcb9b175ef748ee46ba674202"),
+         "12c7399c3c42b2024fd4a6d291e4c782d232c98257effe3e99325fe16f369be0"),
         (("profile", "--eta0", "0.9083"),
-         "b0943c0560d660a745eb0b9accefa4001d3016a845c1b7f6aa968e468d54db6c"),
+         "ba9f66f941c3cc4a57d1530255dd3be18972631c65d9b85f7542dad54028eec3"),
         (("exact",),
          "598bbf156cb2e7c069be4913461cbdf587cdfbeb1f9b330e44ac7ddc75d4d101"),
         (("exact", "--q", "2", "--G", "0.5", "--c", "1.5", "--rmin", "0.01"),

@@ -260,61 +260,76 @@ class TestRkIntegrate:
         assert np.all(np.isfinite(states(partial)))
         assert np.all(np.diff(partial.r) > 0)
 
+    def test_overflowing_stage_rejects_the_step(self):
+        # y = r until |y| > 10, where a stage overflows to inf: the error
+        # norm is nan there, so each step across r = 10 is rejected and
+        # shrinks until it underflows, and no nan sample is accepted
+        rhs = lambda r, y: (1.0 if abs(y[0]) <= 10.0 else math.inf, 0.0)
+        with pytest.raises(IntegrationBlowUp, match="step underflow") as err:
+            rk_integrate(rhs, 0.0, (0.0, 0.0), 20.0)
+        partial = err.value.partial
+        assert np.all(np.isfinite(states(partial)))
+        assert 9.99 < partial.r[-1] <= 10.0
+        assert np.diff(partial.r)[-1] < 1e-9 < np.diff(partial.r)[0]
 
-# Dormand-Prince 5(4) kept as data: stage nodes, stage rows, and the 5th- and
-# 4th-order weights.  The stage-7 row equals the 5th-order weights.
-_DP5_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP5_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP5_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP5_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+    def test_degree_seven_polynomial_is_exact(self):
+        # with rhs a polynomial in r alone a step is a quadrature of order 8,
+        # exact to rounding through degree 7 even on long steps (rtol 1e-3);
+        # degree 8 is not
+        sol = rk_integrate(lambda r, y: (8 * r**7 - 3 * r * r + 1.0, 7.0 * r**6), 0.0, (1.0, -1.0), 2.0, rtol=1e-3)
+        assert sol.y[-1] == pytest.approx(1 + 2**8 - 2**3 + 2, rel=1e-14)
+        assert sol.dy[-1] == pytest.approx(-1 + 2**7, rel=1e-14)
+        sol = rk_integrate(lambda r, y: (9 * r**8, 0.0), 0.0, (1.0, 0.0), 2.0, rtol=1e-3)
+        assert abs(sol.y[-1] - (1 + 2**9)) > 1e-8
 
 
-def _dp5_combine(y, h, weights, ks):
+def _combine(y, h, weights, ks):
     """y + h * sum(w k): each component's nonzero terms added left to right
     in an explicit loop (``sum()`` compensates float sums from Python 3.12)."""
-    out = []
-    for j, yj in enumerate(y):
-        acc = None
-        for w, k in zip(weights, ks):
-            if w != 0.0:
-                acc = w * k[j] if acc is None else acc + w * k[j]
-        out.append(yj + h * acc)
-    return tuple(out)
+    return tuple(yj + h * _dot(weights, ks, j) for j, yj in enumerate(y))
 
 
-def dp5_reference(rhs, r, y, r_end, rtol=1e-10):
-    """The adaptive DP5 loop from its tableau, with the error scale
+def _dot(weights, ks, j):
+    acc = None
+    for w, k in zip(weights, ks):
+        if w != 0.0:
+            acc = w * k[j] if acc is None else acc + w * k[j]
+    return acc
+
+
+def dop853_reference(rhs, r, y, r_end, rtol=1e-10):
+    """The adaptive DOP853 loop from scipy's tableau, with the error scale
     rtol / 100 + rtol |y|: (r samples, y samples, rejections)."""
+    tableau = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    A, B, C = tableau.A.tolist(), tableau.B.tolist(), tableau.C.tolist()
+    E3, E5 = tableau.E3.tolist(), tableau.E5.tolist()
     rs, ys, rejected = [r], [y], 0
     h = (r_end - r) / 100.0
     k1 = rhs(r, y)
     while r < r_end:
-        h = min(h, r_end - r)
+        last = h >= r_end - r
+        h = r_end - r if last else h
         ks = [k1]
-        for c, row in zip(_DP5_C[1:], _DP5_A[1:]):
-            ks.append(rhs(r + c * h, _dp5_combine(y, h, row, ks)))
-        y5, y4 = _dp5_combine(y, h, _DP5_B, ks), _dp5_combine(y, h, _DP5_B4, ks)
-        errsq = 0.0
-        for yj, y5j, y4j in zip(y, y5, y4):
-            e = (y5j - y4j) / (rtol / 100 + rtol * max(abs(yj), abs(y5j)))
-            errsq += e * e
-        err = math.sqrt(errsq / len(y))
+        for s in range(1, 12):
+            ks.append(rhs(r + C[s] * h, _combine(y, h, A[s], ks)))
+        y8 = _combine(y, h, B, ks)
+        ks.append(rhs(r + h, y8))
+        scale = [rtol / 100 + rtol * max(abs(yj), abs(y8j)) for yj, y8j in zip(y, y8)]
+        n5 = n3 = 0.0
+        for j, sc in enumerate(scale):
+            e5, e3 = _dot(E5, ks, j) / sc, _dot(E3, ks, j) / sc
+            n5 += e5 * e5
+            n3 += e3 * e3
+        den = n5 + 0.01 * n3
+        err = abs(h) * n5 / math.sqrt(len(y) * den) if den > 0 else 0.0 if den == 0 else math.nan
         err = math.inf if err != err else err
         if err <= 1.0:
-            r, y, k1 = r + h, y5, ks[6]
+            r, y, k1 = r_end if last else r + h, y8, ks[12]
             rs.append(r)
             ys.append(y)
         else:
             rejected += 1
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        h *= min(10.0, max(0.2, 0.9 * err ** -0.125 if err > 0 else 10.0))
     return np.array(rs), np.array(ys), rejected
 
 
@@ -322,43 +337,38 @@ def van_der_pol(r, y):
     return (y[1], 2.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
 
 
-class TestDp5Reference:
-    """The unrolled step of rk_integrate against the tableau as data, bit for bit."""
+class TestDop853Reference:
+    """The unrolled step of rk_integrate against scipy's tableau as data, bit
+    for bit, with the 1 + 12 x (attempted steps) RHS calls of FSAL."""
 
-    def test_van_der_pol_with_rejections(self):
-        rhs = van_der_pol
-        ref_r, ref_y, rejected = dp5_reference(rhs, 0.0, (2.0, 0.0), 10.0)
-        assert rejected > 0
-        sol = rk_integrate(rhs, 0.0, (2.0, 0.0), 10.0)
+    @staticmethod
+    def system(name, params):
+        if name == "van_der_pol":
+            return van_der_pol, 0.0, (2.0, 0.0), 10.0
+        rhs = lambda r, y: (y[1], shooting.ode_rhs(r, y[0], y[1], params))
+        r0, y0 = shooting.series_start(0.9083, params, shooting.DEFAULT_EPSILON)
+        return rhs, r0, y0, 80.0
+
+    def check(self, name, params, rtol):
+        rhs, r0, y0, r_end = self.system(name, params)
+        ref_r, ref_y, rejected = dop853_reference(rhs, r0, y0, r_end, rtol=rtol)
+        calls = []
+        sol = rk_integrate(lambda r, y: calls.append(r) or rhs(r, y), r0, y0, r_end, rtol=rtol)
         assert np.array_equal(sol.r, ref_r)
         assert np.array_equal(states(sol), ref_y)
+        assert rejected > 0
+        assert len(calls) == 1 + 12 * (len(sol.r) - 1 + rejected)
+
+    def test_van_der_pol_with_rejections(self, params_m01):
+        self.check("van_der_pol", params_m01, 1e-10)
 
     def test_profile_rhs(self, params_m01):
-        rhs = lambda r, y: (y[1], shooting.ode_rhs(r, y[0], y[1], params_m01))
-        r0, y0 = shooting.series_start(0.9083, params_m01, shooting.DEFAULT_EPSILON)
-        ref_r, ref_y, _ = dp5_reference(rhs, r0, y0, 80.0)
-        sol = rk_integrate(rhs, r0, y0, 80.0)
-        assert np.array_equal(sol.r, ref_r)
-        assert np.array_equal(states(sol), ref_y)
+        self.check("profile", params_m01, 1e-10)
 
     @pytest.mark.parametrize("system", ("van_der_pol", "profile"))
     def test_rtol_argument(self, system, params_m01):
-        # a looser scale, as a loose shooting solve passes down: the same
-        # samples and, from the 1 + 6 x (attempted steps) RHS calls, the
-        # same number of rejected steps
-        if system == "van_der_pol":
-            rhs, r0, y0, r_end = van_der_pol, 0.0, (2.0, 0.0), 10.0
-        else:
-            rhs = lambda r, y: (y[1], shooting.ode_rhs(r, y[0], y[1], params_m01))
-            r0, y0 = shooting.series_start(0.9083, params_m01, shooting.DEFAULT_EPSILON)
-            r_end = 80.0
-        ref_r, ref_y, rejected = dp5_reference(rhs, r0, y0, r_end, rtol=1e-8)
-        calls = []
-        sol = rk_integrate(lambda r, y: calls.append(r) or rhs(r, y), r0, y0, r_end, rtol=1e-8)
-        assert np.array_equal(sol.r, ref_r)
-        assert np.array_equal(states(sol), ref_y)
-        assert rejected > 0
-        assert len(calls) == 1 + 6 * (len(sol.r) - 1 + rejected)
+        # a looser scale, as a loose shooting solve passes down
+        self.check(system, params_m01, 1e-8)
 
 
 class TestBisect:

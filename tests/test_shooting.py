@@ -145,9 +145,9 @@ class TestFindRegularEta0:
         assert shot_m01_default.eta0 == pytest.approx(0.9083, abs=5e-4)
 
     def test_reference_work_and_bits(self, params_m01, monkeypatch):
-        # Brent's method needs 9 trajectories at tol 1e-5 and 11 at 1e-12
-        # (bisection needed 21 and 44); each costs 1 + 6 x (attempted DP5
-        # steps) RHS calls, at rtol 1e-8 and 1e-10 respectively, and the
+        # Brent's method needs 10 trajectories at tol 1e-5 and 11 at 1e-12
+        # (bisection needed 21 and 44); each costs 1 + 12 x (attempted DOP853
+        # steps) RHS calls, at rtol 1e-6 and 1e-12 respectively, and the
         # answer's trajectory is one of them.  The floats are pinned bit for
         # bit so a change of arithmetic order shows up here.
         calls = {"integrate_profile": 0, "ode_rhs": 0}
@@ -164,23 +164,24 @@ class TestFindRegularEta0:
         counting("integrate_profile")
         counting("ode_rhs")
         res = find_regular_eta0(params_m01)
-        assert calls == {"integrate_profile": 9, "ode_rhs": 4563}
-        assert res.eta0 == 0.9083376786116321
-        assert np.asarray(res.trajectory.r).size == 119
+        assert calls == {"integrate_profile": 10, "ode_rhs": 2782}
+        assert res.eta0 == 0.9083378754168658
+        assert np.asarray(res.trajectory.r).size == 23
         assert res.trajectory.r[-1] == 80.0
 
         calls.update(integrate_profile=0, ode_rhs=0)
         res = find_regular_eta0(params_m01, tol=1e-12)
-        assert calls == {"integrate_profile": 11, "ode_rhs": 14447}
-        assert res.eta0 == 0.9083371697571715
-        assert np.asarray(res.trajectory.r).size == 289
+        assert calls == {"integrate_profile": 11, "ode_rhs": 12071}
+        assert res.eta0 == 0.9083371697706555
+        assert abs(res.eta0 - self.TIGHT_ROOTS[1.0, 0.1]) <= 1e-12
+        assert np.asarray(res.trajectory.r).size == 108
         assert res.trajectory.r[-1] == 80.0
 
     # eta_0* on the grid {0.5, 1, 4} x {0.05, 0.1, 0.15, 0.17}, frozen from
-    # Brent's method at tol 1e-13 on probes integrated at rtol 1e-13:
-    # brent(lambda e: _probe(e, p, DEFAULT_R_MAX, 1e-13), DEFAULT_BRACKET,
-    # 1e-13).  r_max = 80 is not rescaled with lambda_tilde, so at m = 0.05
-    # the roots differ with lambda_tilde by up to 4e-6.
+    # Brent's method at tol 1e-13 on probes integrated at rtol 1e-13 by a
+    # Dormand-Prince 5(4) integrator, so a second integrator checks the
+    # DOP853 solves.  r_max = 80 is not rescaled with lambda_tilde, so at
+    # m = 0.05 the roots differ with lambda_tilde by up to 4e-6.
     TIGHT_ROOTS = {
         (0.5, 0.05): 0.43829844259821465,
         (0.5, 0.1): 0.9083371697916386,
@@ -198,10 +199,12 @@ class TestFindRegularEta0:
 
     @pytest.mark.parametrize("lambda_tilde, m", sorted(TIGHT_ROOTS))
     def test_default_tol_holds_against_tight_root(self, lambda_tilde, m):
-        # the loose integration of a tol-1e-5 solve still leaves its answer
-        # within tol of the ODE's root (at most 0.25 tol was measured)
-        res = find_regular_eta0(CouplingParams(lambda_tilde=lambda_tilde, m=m), tol=1e-5)
-        assert abs(res.eta0 - self.TIGHT_ROOTS[lambda_tilde, m]) <= 1e-5
+        # the integration each tol passes down still leaves the answer within
+        # tol of the ODE's root (at most 0.247, 0.152 and 0.175 tol measured)
+        p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
+        for tol in (1e-5, 1e-8, 1e-12):
+            res = find_regular_eta0(p, tol=tol)
+            assert abs(res.eta0 - self.TIGHT_ROOTS[lambda_tilde, m]) <= tol, tol
 
     def test_refines_with_tolerance(self, shot_m01_default, shot_m01_tight):
         assert abs(shot_m01_default.eta0 - shot_m01_tight.eta0) < 2e-5
