@@ -17,7 +17,7 @@ print(f"true vacuum eta_v = {params.eta_vacuum:.6f}")
 print()
 print("classifier across the bracket:")
 for eta0 in (0.3, 0.7, 0.9, 1.1, 1.5):
-    traj = shooting.integrate_profile(eta0, params)
+    traj = shooting.integrate_profile(eta0, params, r_max=80.0)
     print(f"  eta0 = {eta0:4.2f}: {traj.stop}")
 
 result = shooting.find_regular_eta0(params, tol=1e-8)

@@ -9,13 +9,15 @@ shoot         solve for the regular starting value eta_0* (Brent's method)
 profile       integrate one trajectory and emit the derived field profiles
 
 Exit codes: 0 success, 1 usage error (a nan or inf value, an ``--output``
-path that cannot be opened and a ``shoot --bracket`` with LO <= 0 included),
-2 numerical failure: a ``shoot`` trajectory unclassified at r_max or bracket
-whose ends get the same label, the ``exact`` quadrature budget exhausted, a
-``torsion-check`` residual above 1e-10 (its report is still written), or a
-``profile`` grid outside the trajectory.  Every output embeds the resolved
-configuration (a JSON ``config`` entry, or a ``# config: ...`` comment line
-above the CSV header) so runs are self-describing and byte-reproducible.
+path that cannot be opened, a ``shoot --bracket`` with LO <= 0 and ``shoot``
+couplings whose horizon 8/(m sqrt(lambda)) is out of range included), 2
+numerical failure: a ``shoot`` trajectory unclassified at that horizon or a
+bracket whose ends get the same label, the ``exact`` quadrature budget
+exhausted, a ``torsion-check`` residual above 1e-10 (its report is still
+written), or a ``profile`` grid outside the trajectory.  Every output embeds
+the resolved configuration (a JSON ``config`` entry, or a ``# config: ...``
+comment line above the CSV header) so runs are self-describing and
+byte-reproducible.
 
 numpy and orjson are imported only by the functions that build arrays:
 ``assoc``, ``shoot`` and ``exact --format json`` run without them.
@@ -231,13 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
     p.add_argument("--bracket", type=_colon_list("LO:HI"), default=shooting.DEFAULT_BRACKET, metavar="LO:HI", help="starting-value bracket (default %g:%g)" % shooting.DEFAULT_BRACKET)
     p.add_argument("--tol", type=_finite_float, default=1e-5, help="root tolerance (default %(default)s)")
-    p.add_argument("--rmax", type=_finite_float, default=shooting.DEFAULT_R_MAX, help="integration horizon (default %(default)s)")
 
     p = sub.add_parser("profile", help="field profiles of one trajectory")
     p.add_argument("--eta0", type=_finite_float, required=True, help="starting value eta(0)")
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
     p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
-    grid = (1e-3, shooting.DEFAULT_R_MAX, 2000)
+    grid = (1e-3, 80.0, 2000)
     p.add_argument("--grid", type=_colon_list("A:B:N"), default=grid, metavar="A:B:N", help="output radial grid (default %g:%g:%d); a negative A needs the --grid=A:B:N form" % grid)
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
 
@@ -281,7 +282,7 @@ def _run_exact(args) -> int:
 
 def _run_shoot(args) -> int:
     params = shooting.CouplingParams(lambda_tilde=args.lambda_tilde, m=args.m)
-    result = shooting.find_regular_eta0(params, bracket=args.bracket, tol=args.tol, r_max=args.rmax)
+    result = shooting.find_regular_eta0(params, bracket=args.bracket, tol=args.tol)
     traj = result.trajectory
     payload = {
         "config": _config(args),
@@ -297,8 +298,6 @@ def _run_shoot(args) -> int:
 
 
 def _run_profile(args) -> int:
-    import numpy as np
-
     params = shooting.CouplingParams(lambda_tilde=args.lambda_tilde, m=args.m)
     traj = shooting.integrate_profile(args.eta0, params, r_max=args.grid[1])
     rs = _grid_points(args.grid, args.grid_scale)

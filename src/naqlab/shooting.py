@@ -49,12 +49,10 @@ __all__ = [
     "derive_fields",
     "decay_rate",
     "DEFAULT_EPSILON",
-    "DEFAULT_R_MAX",
     "DEFAULT_BRACKET",
 ]
 
 DEFAULT_EPSILON = 1e-6
-DEFAULT_R_MAX = 80.0
 DEFAULT_BRACKET = (0.2, 2.0)
 
 
@@ -99,7 +97,7 @@ class Probe:
 
 
 class ClassifierAmbiguityError(RuntimeError):
-    """A trajectory reached r_max unclassified; enlarge r_max."""
+    """A trajectory ended unclassified at the radius the message names."""
 
 
 class DecayFitError(ValueError):
@@ -141,7 +139,7 @@ def series_start(eta0: float, p: CouplingParams, eps: float) -> tuple[float, tup
     return eps, (eta0 + a * eps * eps, 2.0 * a * eps)
 
 
-def integrate_profile(eta0: float, p: CouplingParams, r_max: float = DEFAULT_R_MAX, rtol: float = 1e-10) -> RkSolution:
+def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float = 1e-10) -> RkSolution:
     """Integrate from the series start at DEFAULT_EPSILON and classify the outcome.
 
     Returns the integrator's ``RkSolution``: ``y`` and ``dy`` hold eta and
@@ -149,7 +147,8 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float = DEFAULT_R_M
     "overshoot": eta crosses zero heading negative.  "undershoot": eta'
     turns from negative to positive while eta > 0 (ignored for r <= 10 eps
     so the quadratic start cannot masquerade as a turning point).
-    "reached_rmax": neither happened by ``r_max``.  "blow_up": the
+    "reached_rmax": neither happened by the horizon ``r_max``, which must
+    exceed DEFAULT_EPSILON.  "blow_up": the
     integration failed, and the samples end at the last valid state; it is
     a classification, not a failure.  ``rtol`` is ``rk_integrate``'s.
     """
@@ -179,17 +178,17 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float = DEFAULT_R_M
     return sol
 
 
-def _probe(eta0, p, r_max, rtol) -> Probe:
-    """Integrate from eta0 and classify its fate, with a signed residual."""
-    traj = integrate_profile(eta0, p, r_max, rtol)
+def _probe(eta0, p, rtol) -> Probe:
+    """Integrate from eta0 to the horizon 8/mu and classify its fate, with a signed residual."""
+    mu = p.m * math.sqrt(p.lambda_tilde)
+    traj = integrate_profile(eta0, p, 8.0 / mu, rtol)
     r_f, eta_f, deta_f = traj.r[-1], traj.y[-1], traj.dy[-1]
     # Near-critical trajectories can still be hugging the false vacuum at
-    # r_max.  There the linearization eta'' + (2/r) eta' = mu^2 eta
+    # the horizon.  There the linearization eta'' + (2/r) eta' = mu^2 eta
     # (mu = m sqrt(lambda_tilde)) has solutions (A e^{-mu r} + B e^{mu r})/r,
     # and g = r eta' + eta + mu r eta = 2 mu B e^{mu r}: sign(B) decides the
     # eventual fate, a positive growing mode turns the field back up
     # (undershoot), a negative one drives it through zero (overshoot).
-    mu = p.m * math.sqrt(p.lambda_tilde)
     growing = r_f * deta_f + eta_f + mu * r_f * eta_f
     label = None
     if traj.stop in ("overshoot", "undershoot"):
@@ -202,10 +201,7 @@ def _probe(eta0, p, r_max, rtol) -> Probe:
         elif growing < 0:
             label = "overshoot"
     if label is None:
-        raise ClassifierAmbiguityError(
-            "eta0 = %g reached r_max = %g unclassified; enlarge r_max so the "
-            "overshoot/undershoot separation can develop" % (eta0, r_max)
-        )
+        raise ClassifierAmbiguityError("eta0 = %g reached r = %g unclassified" % (eta0, r_f))
     # The smallest positive float keeps an underflowed residual from
     # reading as an exact root.
     size = max(abs(growing) * math.exp(-mu * r_f), math.ulp(0.0))
@@ -218,7 +214,6 @@ def find_regular_eta0(
     p: CouplingParams,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     tol: float = 1e-5,
-    r_max: float = DEFAULT_R_MAX,
 ) -> Probe:
     """Brent's method on the probes' growing-mode residual, to the regular eta_0*.
 
@@ -227,21 +222,24 @@ def find_regular_eta0(
     ``tol`` whose ends classify differently, so it lies within ``tol`` of
     the root of the *discretized* problem: the probe of the end with the
     smaller |residual|, with the trajectory already integrated from it.
-    Each probe, and so that trajectory, is only as accurate as ``tol``
-    needs: it is integrated at ``rtol = min(1e-6, max(1e-12, 0.1 tol))``.
-    At m = 0.1 a solve takes 10 trajectories and 2782 RHS calls at tol 1e-5,
-    and 11 and 12071 at tol 1e-12.  On the grid lambda_tilde in {0.5, 1, 4},
-    m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.25 tol of the ODE's
-    root for every tol from 1e-4 to 1e-12.
+    Each probe runs to eight Yukawa lengths, r = 8/(m sqrt(lambda_tilde)),
+    at ``rtol = min(1e-6, max(1e-12, 0.1 tol))``.  At m = 0.1 a solve takes
+    10 trajectories and 2782 RHS calls at tol 1e-5, and 11 and 12071 at tol
+    1e-12.  On the grid lambda_tilde in {0.5, 1, 4}, m in {0.05, 0.1, 0.15,
+    0.17} the answer lay within 0.25 tol of the lambda_tilde-independent root.
 
     LO must be above 0: eta0 = 0 is the static false vacuum, whose
     growing-mode amplitude is exactly 0, and a negative start overshoots at
-    its first step, so no r_max classifies either.
+    its first step, so no horizon classifies either.  Couplings whose
+    horizon is no finite radius above DEFAULT_EPSILON are refused.
     """
     if not bracket[0] > 0:
         raise ValueError("bracket needs LO > 0, got %g: eta0 = 0 is the static false vacuum and eta0 < 0 overshoots at once" % bracket[0])
+    mu = p.m * math.sqrt(p.lambda_tilde)
+    if not (mu > 0 and DEFAULT_EPSILON < 8.0 / mu < math.inf):
+        raise ValueError("lambda_tilde = %g, m = %g: the horizon 8/(m sqrt(lambda_tilde)) is no finite radius above the series start %g" % (p.lambda_tilde, p.m, DEFAULT_EPSILON))
     rtol = min(1e-6, max(1e-12, 0.1 * tol))
-    return brent(lambda eta0: _probe(eta0, p, r_max, rtol), bracket, tol)
+    return brent(lambda eta0: _probe(eta0, p, rtol), bracket, tol)
 
 
 def derive_fields(eta: Sequence[float], deta: Sequence[float], p: CouplingParams) -> tuple:

@@ -128,17 +128,36 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "argv, r_end",
-        (
-            (("shoot", "--rmax", "1e-8"), "1e-08"),
-            (("profile", "--eta0", "0.9", "--grid=1e-9:1e-7:5"), "1e-07"),
-        ),
-        ids=("shoot", "profile"),
+        ((("profile", "--eta0", "0.9", "--grid=1e-9:1e-7:5"), "1e-07"),),
+        ids=("profile",),
     )
     def test_end_below_start_radius_names_both(self, capsys, argv, r_end):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "naqlab: r_end must exceed the initial radius 1e-06, got %s\n" % r_end
+
+    @pytest.mark.parametrize(
+        "argv, couplings",
+        (
+            (("shoot", "--m", "1e-200", "--lambda", "1e-250"), "lambda_tilde = 1e-250, m = 1e-200"),
+            (("shoot", "--m", "1e-160", "--lambda", "1e-300"), "lambda_tilde = 1e-300, m = 1e-160"),
+            (("shoot", "--m", "1e7"), "lambda_tilde = 1, m = 1e+07"),
+        ),
+        ids=("mu-underflows", "horizon-overflows", "horizon-below-start"),
+    )
+    def test_shoot_horizon_out_of_range_names_couplings(self, capsys, argv, couplings):
+        # the horizon 8/(m sqrt(lambda)) divides by zero, is inf, or lies
+        # below the series start: one line that names the couplings
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("naqlab: %s: the horizon 8/(m sqrt(lambda_tilde)) is no finite radius"
+                       " above the series start 1e-06\n" % couplings)
+
+    def test_shoot_rmax_is_gone(self, capsys):
+        code, out, err = run(capsys, "shoot", "--rmax", "80")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[-1] == "naqlab: error: unrecognized arguments: --rmax 80"
 
     @pytest.mark.parametrize("argv", (("assoc", "--power", "2"), ("exact", "--format", "csv")), ids=("assoc", "exact-csv"))
     @pytest.mark.parametrize("target", ("missing-directory", "directory"))
@@ -646,18 +665,18 @@ class TestShoot:
     @pytest.mark.parametrize("bracket, lo", ((("--bracket", "0:0.5"), "0"), (("--bracket=-1:0.5",), "-1")))
     def test_bracket_start_not_above_zero_is_usage_error(self, capsys, bracket, lo):
         # eta0 = 0 is the false vacuum and eta0 < 0 overshoots at once: no
-        # r_max classifies them, so the bracket is refused before integrating
+        # horizon classifies them, so the bracket is refused before integrating
         code, out, err = run(capsys, "shoot", *bracket)
         assert (code, out) == (EXIT_USAGE, "")
         assert err == ("naqlab: bracket needs LO > 0, got %s: eta0 = 0 is the static false vacuum"
                        " and eta0 < 0 overshoots at once\n" % lo)
 
     def test_unclassified_trajectory_is_numerical_error(self, capsys):
-        code, out, err = run(capsys, "shoot", "--rmax", "5")
+        # LO = acosh(1.02) is the static true vacuum, still there at the horizon 80
+        code, out, err = run(capsys, "shoot", "--bracket", "0.1996681577984152:2")
         assert code == EXIT_NUMERICAL
         assert out == ""
-        assert err == ("eta0 = 0.2 reached r_max = 5 unclassified; enlarge r_max so the"
-                       " overshoot/undershoot separation can develop\n")
+        assert err == "eta0 = 0.199668 reached r = 80 unclassified\n"
 
 
 class TestProfile:
@@ -673,7 +692,7 @@ class TestProfile:
     def test_help_states_the_default_horizon(self, capsys):
         code, out, _ = run(capsys, "profile", "--help")
         assert code == EXIT_OK
-        assert "(default 0.001:%g:2000)" % shooting.DEFAULT_R_MAX in " ".join(out.split())
+        assert "(default 0.001:80:2000)" in " ".join(out.split())
 
     @staticmethod
     def repr_profile(points):
@@ -745,9 +764,8 @@ class TestConfigBlock:
     # every option of each subcommand set away from its default
     CASES = (
         (
-            ("shoot", "--lambda", "2.5", "--m", "0.12", "--bracket", "0.5:2.5",
-             "--tol", "1e-4", "--rmax", "60"),
-            {"lambda_tilde": 2.5, "m": 0.12, "bracket": [0.5, 2.5], "tol": 1e-4, "rmax": 60.0},
+            ("shoot", "--lambda", "2.5", "--m", "0.12", "--bracket", "0.5:2.5", "--tol", "1e-4"),
+            {"lambda_tilde": 2.5, "m": 0.12, "bracket": [0.5, 2.5], "tol": 1e-4},
         ),
         (
             ("profile", "--eta0", "0.95", "--lambda", "2", "--m", "0.12",
@@ -839,17 +857,17 @@ class TestOutputPins:
 
     CASES = (
         (("shoot", "--lambda", "1", "--m", "0.1"),
-         "71c5fe6d64b8d9e570e1aa01e9e8d2ecc45f84c5b9e323afdabf216f234d7529"),
+         "b57bfe4d42d66058ab575a97fac6b260914706273f2d370e544fe73a8ae86da5"),
         (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"),
-         "648a37f5b3557b4e7b415231393c73cc9588f0a9111ddfd12d8b12669dd309c2"),
+         "473d0ca5872076f2c7327c1ef2184219b1f8e6338bb274d46ee695c57cf8fc1c"),
         (("shoot", "--lambda", "2.5", "--m", "0.07", "--tol", "1e-05"),
-         "622d16194fc37a53b4f4a07292e9531ab466593268154143f489da77240d7ada"),
+         "00fd2b5a39267adde55dafbf43a8ca9deb90e87d16c25032086aa5d691ce71db"),
         (("shoot", "--lambda", "0.6", "--m", "0.13", "--tol", "1e-05"),
-         "f8e9df381400f581066cb43b1be8b34846265a71450d7a32451425b2efeb4bba"),
+         "f3fe8c5b12c0c5b4cec87a85818f99e35e12ca4429b3ca3c3b9d288a7417cb61"),
         (("shoot", "--lambda", "3.2", "--m", "0.12", "--tol", "1e-12"),
-         "9bfe034c797b17961b04b10d71befb84cafc0e5862b1bb7ddcb82954602b14e3"),
+         "5e5a0ded09871858f4155c04b8b72a7c78ee1735cc6f5c73c24037011fa143c1"),
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
-         "12c7399c3c42b2024fd4a6d291e4c782d232c98257effe3e99325fe16f369be0"),
+         "ae8323ec8e4cff1985e02246f8309419850db2ddbbe3d872652ea2a0b7121bcf"),
         (("profile", "--eta0", "0.9083"),
          "ba9f66f941c3cc4a57d1530255dd3be18972631c65d9b85f7542dad54028eec3"),
         (("exact",),

@@ -94,12 +94,12 @@ class TestSeriesStart:
 
 class TestIntegrateProfile:
     def test_overshoot_above_critical(self, params_m01):
-        traj = integrate_profile(1.4, params_m01)
+        traj = integrate_profile(1.4, params_m01, 80.0)
         assert traj.stop == "overshoot"
         assert traj.y[-1] < 0
 
     def test_undershoot_below_critical(self, params_m01):
-        traj = integrate_profile(0.5, params_m01)
+        traj = integrate_profile(0.5, params_m01, 80.0)
         assert traj.stop == "undershoot"
         assert traj.y[-1] > 0
         assert traj.dy[-1] > 0
@@ -124,7 +124,7 @@ class TestIntegrateProfile:
         pytest.importorskip("scipy")
         from scipy.integrate import solve_ivp
 
-        traj = integrate_profile(0.9083, params_m01)
+        traj = integrate_profile(0.9083, params_m01, 80.0)
         ref = solve_ivp(
             lambda r, y: (y[1], ode_rhs(r, y[0], y[1], params_m01)),
             (traj.r[0], traj.r[-1]),
@@ -173,52 +173,46 @@ class TestFindRegularEta0:
         res = find_regular_eta0(params_m01, tol=1e-12)
         assert calls == {"integrate_profile": 11, "ode_rhs": 12071}
         assert res.eta0 == 0.9083371697706555
-        assert abs(res.eta0 - self.TIGHT_ROOTS[1.0, 0.1]) <= 1e-12
+        assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 1e-12
         assert np.asarray(res.trajectory.r).size == 108
         assert res.trajectory.r[-1] == 80.0
 
-    # eta_0* on the grid {0.5, 1, 4} x {0.05, 0.1, 0.15, 0.17}, frozen from
+    # eta_0* for each m, which does not depend on lambda_tilde: frozen from
     # Brent's method at tol 1e-13 on probes integrated at rtol 1e-13 by a
     # Dormand-Prince 5(4) integrator, so a second integrator checks the
-    # DOP853 solves.  r_max = 80 is not rescaled with lambda_tilde, so at
-    # m = 0.05 the roots differ with lambda_tilde by up to 4e-6.
+    # DOP853 solves; each is a solve whose horizon reached 8/(m sqrt(lambda_tilde))
+    # (m = 0.05 at lambda_tilde = 4, the others at lambda_tilde = 1).
     TIGHT_ROOTS = {
-        (0.5, 0.05): 0.43829844259821465,
-        (0.5, 0.1): 0.9083371697916386,
-        (0.5, 0.15): 1.4810965307018344,
-        (0.5, 0.17): 1.8021553718508783,
-        (1.0, 0.05): 0.43829460189463565,
-        (1.0, 0.1): 0.908337169770655,
-        (1.0, 0.15): 1.4810965307018416,
-        (1.0, 0.17): 1.802155371850881,
-        (4.0, 0.05): 0.4382945833263269,
-        (4.0, 0.1): 0.9083371697706558,
-        (4.0, 0.15): 1.4810965307018422,
-        (4.0, 0.17): 1.8021553718508663,
+        0.05: 0.4382945833263269,
+        0.1: 0.908337169770655,
+        0.15: 1.4810965307018416,
+        0.17: 1.802155371850881,
     }
 
-    @pytest.mark.parametrize("lambda_tilde, m", sorted(TIGHT_ROOTS))
+    @pytest.mark.parametrize("m", sorted(TIGHT_ROOTS))
+    @pytest.mark.parametrize("lambda_tilde", (0.5, 1.0, 4.0))
     def test_default_tol_holds_against_tight_root(self, lambda_tilde, m):
         # the integration each tol passes down still leaves the answer within
-        # tol of the ODE's root (at most 0.247, 0.152 and 0.175 tol measured)
+        # tol of the lambda_tilde-independent root (at most 0.196, 0.227 and
+        # 0.233 tol measured)
         p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
         for tol in (1e-5, 1e-8, 1e-12):
             res = find_regular_eta0(p, tol=tol)
-            assert abs(res.eta0 - self.TIGHT_ROOTS[lambda_tilde, m]) <= tol, tol
+            assert abs(res.eta0 - self.TIGHT_ROOTS[m]) <= tol, tol
 
     def test_refines_with_tolerance(self, shot_m01_default, shot_m01_tight):
         assert abs(shot_m01_default.eta0 - shot_m01_tight.eta0) < 2e-5
 
     def test_bracket_labels_disagree(self, params_m01):
         lo, hi = shooting.DEFAULT_BRACKET
-        assert integrate_profile(lo, params_m01).stop == "undershoot"
-        assert integrate_profile(hi, params_m01).stop == "overshoot"
+        assert integrate_profile(lo, params_m01, 80.0).stop == "undershoot"
+        assert integrate_profile(hi, params_m01, 80.0).stop == "overshoot"
 
     def test_classifier_monotone_across_bracket(self, params_m01):
         # every scan point below eta0* undershoots, every one above overshoots
         labels = []
         for eta0 in np.linspace(0.3, 1.9, 9):
-            traj = integrate_profile(float(eta0), params_m01)
+            traj = integrate_profile(float(eta0), params_m01, 80.0)
             labels.append(traj.stop)
         flips = sum(
             1 for a, b in zip(labels, labels[1:]) if a != b
@@ -237,17 +231,14 @@ class TestFindRegularEta0:
         assert abs(res.eta0 - shot_m01_default.eta0) < 1e-6
 
     # eta_0* does not depend on lambda_tilde (r -> r sqrt(lambda_tilde)
-    # removes it); the benchmark's scaling oracle allows this gap between a
-    # solve and its lambda_tilde = 1 partner at either tolerance.  At tol
-    # 1e-12 the gap is the horizon's doing: r_max = 80 is not rescaled.
-    SCALING_TOL = 1e-5
-
+    # removes it, and the horizon scales with it), so a solve and its
+    # lambda_tilde = 1 partner agree within tol
     @pytest.mark.parametrize("tol", (1e-5, 1e-12))
     @pytest.mark.parametrize("lambda_tilde, m", ((0.5, 0.06), (1.28775, 0.105158), (4.0, 0.14)))
     def test_lambda_scaling(self, lambda_tilde, m, tol):
         scaled = find_regular_eta0(CouplingParams(lambda_tilde=lambda_tilde, m=m), tol=tol)
         partner = find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m), tol=tol)
-        assert abs(scaled.eta0 - partner.eta0) <= self.SCALING_TOL
+        assert abs(scaled.eta0 - partner.eta0) <= tol
 
     def test_answer_is_a_probed_end(self, params_m01, monkeypatch):
         # the answer and the nearest probe with the other label bracket
@@ -285,11 +276,25 @@ class TestFindRegularEta0:
         assert type(info.value) is ValueError
         assert calls == []
 
+    @pytest.mark.parametrize("lambda_tilde, m", ((1e-250, 1e-200), (1e-300, 1e-160), (1.0, 1e7)),
+                             ids=("mu-underflows", "horizon-overflows", "horizon-below-start"))
+    def test_horizon_out_of_range_refused_before_integrating(self, monkeypatch, lambda_tilde, m):
+        # 8/mu divides by an underflowed mu, overflows, or ends below the series start
+        calls = []
+        monkeypatch.setattr(shooting, "integrate_profile", lambda *args: calls.append(args))
+        p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
+        with pytest.raises(ValueError) as info:
+            find_regular_eta0(p)
+        assert type(info.value) is ValueError
+        assert str(info.value) == ("lambda_tilde = %g, m = %g: the horizon 8/(m sqrt(lambda_tilde)) is no finite"
+                                   " radius above the series start 1e-06" % (lambda_tilde, m))
+        assert calls == []
+
     def test_ambiguity_when_horizon_too_short(self):
-        # with a tiny horizon nothing can be classified
+        # a start at the static true vacuum is still there at the horizon
         p = CouplingParams(lambda_tilde=1.0, m=0.1)
-        with pytest.raises(ClassifierAmbiguityError):
-            find_regular_eta0(p, r_max=0.5)
+        with pytest.raises(ClassifierAmbiguityError, match="reached r = 80 unclassified"):
+            find_regular_eta0(p, bracket=(p.eta_vacuum, 2.0))
 
 
 class TestDecayRate:
