@@ -308,20 +308,19 @@ def _run_profile(args) -> int:
             % (traj.r[-1], traj.stop)
         )
         return EXIT_NUMERICAL
-    eta, deta = _resample(traj, rs, params)
+    eta, deta = _resample(traj, rs)
     columns = (rs, eta, deta) + shooting.derive_fields(eta, deta, params)
     _emit(_csv_blocks(_config(args), "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns), args.output)
     return EXIT_OK
 
 
-def _resample(traj, rs, params) -> tuple:
+def _resample(traj, rs) -> tuple:
     """(eta, eta') of a trajectory at the radii ``rs`` inside it, each by the
     cubic Hermite interpolant on its samples: eta with the slopes eta', and
-    eta' with the slopes eta'' that ``ode_rhs`` gives at the samples."""
+    eta' with the slopes eta'' the integrator recorded at the samples."""
     import numpy as np
 
-    r, eta, deta = np.asarray(traj.r), np.asarray(traj.y), np.asarray(traj.dy)
-    ddeta = np.array([shooting.ode_rhs(*sample, params) for sample in zip(traj.r, traj.y, traj.dy)])
+    r, eta, deta, ddeta = (np.asarray(buf) for buf in (traj.r, traj.y, traj.dy, traj.ddy))
     # the interval [r[i], r[j]] that holds each radius; a one-sample
     # trajectory gives i = j and t = 0
     i = np.clip(np.searchsorted(r, rs, side="right") - 1, 0, max(r.size - 2, 0))

@@ -1,25 +1,25 @@
 """Deterministic numerical kernels shared by the rest of the package.
 
 Provides globally adaptive Gauss-Kronrod quadrature, adaptive explicit
-Runge-Kutta integration with the Dormand-Prince 8(5,3) pair (DOP853),
-bracketing root-finders on a two-way classifier (bisection, and Brent's
-method when each probe also gives a signed residual), and numpy's
-second-order finite differences on possibly non-uniform sample points.
+Runge-Kutta integration of y'' = f(r, y, y') with the Dormand-Prince
+8(5,3) pair (DOP853), bracketing root-finders on a two-way classifier
+(bisection, and Brent's method when each probe also gives a signed
+residual), and numpy's second-order finite differences on possibly
+non-uniform sample points.
 
-The integrator runs from ``(r0, y0)`` and returns its samples in three
-``array('d')`` buffers, with the value that stopped it, if any.  Its error
-scale is one argument, ``rtol`` (default 1e-10), with ``atol = rtol / 100``;
-each step costs 12 RHS evaluations, the work grows like ``rtol ** (-1/8)``,
-and at most 10^6 steps are attempted.
+The integrator runs from ``(r0, (y, y'))`` and returns its samples in four
+``array('d')`` buffers ``r``, ``y``, ``dy`` and ``ddy``, with the value that
+stopped it, if any.  Its error scale is one argument, ``rtol`` (default
+1e-10), with ``atol = rtol / 100``; each step costs 12 RHS evaluations, the
+work grows like ``rtol ** (-1/8)``, and at most 10^6 steps are attempted.
 
 Everything here is a pure function of its inputs; all arithmetic is
-64-bit IEEE-754.  The integrator's state has two components, ``(y, y')``
-of a second-order radial equation such as the shooting problem's
-``(eta, eta')``.  It keeps them in scalar Python floats with every
-DOP853 stage written out per component: the state goes to the
-right-hand side as a 2-tuple and comes back as two Python floats, which
-costs far less than numpy's per-call overhead or a loop over components.
-Only ``centered_derivative`` imports numpy, when it is called.
+64-bit IEEE-754.  The integrator keeps the state ``(y, y')``, such as the
+shooting problem's ``(eta, eta')``, in scalar Python floats with every
+DOP853 stage written out per component: the state goes to the right-hand
+side as a 2-tuple and y'' comes back as one float, which costs far less
+than numpy's per-call overhead or a loop over components.  Only
+``centered_derivative`` imports numpy, when it is called.
 """
 
 from __future__ import annotations
@@ -187,12 +187,13 @@ _MAX_STEPS = 1_000_000
 @dataclass
 class RkSolution:
     """Accepted samples as ``array('d')`` buffers, which ``np.asarray`` reads
-    without a copy: radii ``r`` and the two state components ``y`` and
-    ``dy``, all of the same length."""
+    without a copy, all of the same length: radii ``r``, the state ``y`` and
+    ``dy`` = y', and ``ddy`` = y'', the right-hand side at each sample."""
 
     r: array
     y: array
     dy: array
+    ddy: array
     stop: object  # what stop_condition returned to halt the run; None at r_end
 
 
@@ -206,22 +207,21 @@ class IntegrationBlowUp(RuntimeError):
 
 
 def rk_integrate(
-    rhs: Callable[[float, tuple], Sequence[float]],
+    rhs: Callable[[float, tuple], float],
     r0: float,
     y0: Sequence[float],
     r_end: float,
     stop_condition: Callable[[float, tuple], object] | None = None,
     rtol: float = 1e-10,
 ) -> RkSolution:
-    """Integrate y' = rhs(r, y) from y(r0) = y0 to ``r_end`` with adaptive DOP853.
+    """Integrate y'' = rhs(r, (y, y')) from (y, y') = y0 at r0 to ``r_end``.
 
-    The state has two components, as every second-order radial equation
-    written as a first-order system does.  ``rhs`` receives it as a tuple
-    ``(y0, y1)`` of floats and returns any sequence of two floats.  The
-    Dormand-Prince 8(5,3) pair has 12 stages; it evaluates its last one at
-    the 8th-order solution and reuses it as the first stage of the next step
-    (FSAL), so an integration costs 1 + 12 x (attempted steps) RHS
-    evaluations.  With the 5th- and 3rd-order error estimates scaled by
+    ``rhs`` receives the state as a tuple ``(y, y')`` of floats and returns
+    y'' as one float.  The Dormand-Prince 8(5,3) pair has 12 stages; it
+    evaluates its last one at the 8th-order solution and reuses it as the
+    first stage of the next step (FSAL), so an integration costs
+    1 + 12 x (attempted steps) RHS evaluations.  With the 5th- and
+    3rd-order error estimates scaled by
     ``rtol / 100 + rtol * max(|y|, |y_new|)`` per component and their sums
     of squares ``n5`` and ``n3``, a step is accepted when Hairer's norm
     ``|h| n5 / sqrt(2 (n5 + 0.01 n3))`` is at most 1 (a nan norm, from a
@@ -230,11 +230,12 @@ def rk_integrate(
     grows like ``rtol ** (-1/8)``.  The first stride is 1/100 of the span,
     and at most 10^6 steps are attempted.
     A step cut short to end on ``r_end`` lands on it exactly.  Samples are
-    retained at every accepted step, in the buffers ``r``, ``y`` and ``dy``
-    of the returned ``RkSolution``.  ``stop_condition(r, y)`` is checked
-    after each accepted step; a truthy value halts the integration there
-    (the triggering sample is retained) and is returned as ``stop``, which
-    is None when the run reaches ``r_end``.
+    retained at every accepted step, in the buffers ``r``, ``y``, ``dy`` and
+    ``ddy`` of the returned ``RkSolution``; ``ddy`` is the first evaluation
+    and then each accepted FSAL stage, y'' at its sample at no extra cost.
+    ``stop_condition(r, y)`` is checked after each accepted step; a truthy
+    value halts the integration there (the triggering sample is retained)
+    and is returned as ``stop``, which is None when the run reaches ``r_end``.
 
     Raises
     ------
@@ -254,13 +255,13 @@ def rk_integrate(
     if not 0.0 < rtol < math.inf:
         raise ValueError("rtol must be positive and finite, got %r" % (rtol,))
     atol = rtol / 100.0
-    rs, us, vs = array("d", (r,)), array("d", (u,)), array("d", (v,))
+    k1u, k1v = v, rhs(r, (u, v))
+    rs, us, vs, dvs = array("d", (r,)), array("d", (u,)), array("d", (v,)), array("d", (k1v,))
 
     def _blowup(msg):
-        raise IntegrationBlowUp(msg, RkSolution(rs, us, vs, None))
+        raise IntegrationBlowUp(msg, RkSolution(rs, us, vs, dvs, None))
 
     h = (r_end - r) / 100.0
-    k1u, k1v = rhs(r, (u, v))
     nsteps = 0
     stop = None
     while r < r_end:
@@ -272,75 +273,76 @@ def rk_integrate(
         # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I,
         # sec. II.10), unrolled over the two components.  Each weighted sum
         # adds its nonzero terms left to right in tableau order: that order
-        # fixes the rounding of every result.  The FSAL row equals the 8th-order
-        # weights, so the last stage is evaluated at the solution (u8, v8).
-        k2u, k2v = rhs(r + 0.05260015195876773 * h, (
+        # fixes the rounding of every result.  A stage's kNu is the y' it
+        # passes to rhs, and kNv is the y'' that rhs returns.  The FSAL row is
+        # the 8th-order weights: the last stage is y'' at the next sample.
+        k2v = rhs(r + 0.05260015195876773 * h, (
             u + h * (0.05260015195876773 * k1u),
-            v + h * (0.05260015195876773 * k1v)))
-        k3u, k3v = rhs(r + 0.0789002279381516 * h, (
+            k2u := v + h * (0.05260015195876773 * k1v)))
+        k3v = rhs(r + 0.0789002279381516 * h, (
             u + h * (0.0197250569845379 * k1u + 0.0591751709536137 * k2u),
-            v + h * (0.0197250569845379 * k1v + 0.0591751709536137 * k2v)))
-        k4u, k4v = rhs(r + 0.1183503419072274 * h, (
+            k3u := v + h * (0.0197250569845379 * k1v + 0.0591751709536137 * k2v)))
+        k4v = rhs(r + 0.1183503419072274 * h, (
             u + h * (0.02958758547680685 * k1u + 0.08876275643042054 * k3u),
-            v + h * (0.02958758547680685 * k1v + 0.08876275643042054 * k3v)))
-        k5u, k5v = rhs(r + 0.2816496580927726 * h, (
+            k4u := v + h * (0.02958758547680685 * k1v + 0.08876275643042054 * k3v)))
+        k5v = rhs(r + 0.2816496580927726 * h, (
             u + h * (0.2413651341592667 * k1u + -0.8845494793282861 * k3u
                      + 0.924834003261792 * k4u),
-            v + h * (0.2413651341592667 * k1v + -0.8845494793282861 * k3v
-                     + 0.924834003261792 * k4v)))
-        k6u, k6v = rhs(r + 0.3333333333333333 * h, (
+            k5u := v + h * (0.2413651341592667 * k1v + -0.8845494793282861 * k3v
+                            + 0.924834003261792 * k4v)))
+        k6v = rhs(r + 0.3333333333333333 * h, (
             u + h * (0.037037037037037035 * k1u + 0.17082860872947386 * k4u
                      + 0.12546768756682242 * k5u),
-            v + h * (0.037037037037037035 * k1v + 0.17082860872947386 * k4v
-                     + 0.12546768756682242 * k5v)))
-        k7u, k7v = rhs(r + 0.25 * h, (
+            k6u := v + h * (0.037037037037037035 * k1v + 0.17082860872947386 * k4v
+                            + 0.12546768756682242 * k5v)))
+        k7v = rhs(r + 0.25 * h, (
             u + h * (0.037109375 * k1u + 0.17025221101954405 * k4u + 0.06021653898045596 * k5u
                      + -0.017578125 * k6u),
-            v + h * (0.037109375 * k1v + 0.17025221101954405 * k4v + 0.06021653898045596 * k5v
-                     + -0.017578125 * k6v)))
-        k8u, k8v = rhs(r + 0.3076923076923077 * h, (
+            k7u := v + h * (0.037109375 * k1v + 0.17025221101954405 * k4v
+                            + 0.06021653898045596 * k5v + -0.017578125 * k6v)))
+        k8v = rhs(r + 0.3076923076923077 * h, (
             u + h * (0.03709200011850479 * k1u + 0.17038392571223998 * k4u
                      + 0.10726203044637328 * k5u + -0.015319437748624402 * k6u
                      + 0.008273789163814023 * k7u),
-            v + h * (0.03709200011850479 * k1v + 0.17038392571223998 * k4v
-                     + 0.10726203044637328 * k5v + -0.015319437748624402 * k6v
-                     + 0.008273789163814023 * k7v)))
-        k9u, k9v = rhs(r + 0.6512820512820513 * h, (
+            k8u := v + h * (0.03709200011850479 * k1v + 0.17038392571223998 * k4v
+                            + 0.10726203044637328 * k5v + -0.015319437748624402 * k6v
+                            + 0.008273789163814023 * k7v)))
+        k9v = rhs(r + 0.6512820512820513 * h, (
             u + h * (0.6241109587160757 * k1u + -3.3608926294469414 * k4u
                      + -0.868219346841726 * k5u + 27.59209969944671 * k6u
                      + 20.154067550477894 * k7u + -43.48988418106996 * k8u),
-            v + h * (0.6241109587160757 * k1v + -3.3608926294469414 * k4v
-                     + -0.868219346841726 * k5v + 27.59209969944671 * k6v
-                     + 20.154067550477894 * k7v + -43.48988418106996 * k8v)))
-        k10u, k10v = rhs(r + 0.6 * h, (
+            k9u := v + h * (0.6241109587160757 * k1v + -3.3608926294469414 * k4v
+                            + -0.868219346841726 * k5v + 27.59209969944671 * k6v
+                            + 20.154067550477894 * k7v + -43.48988418106996 * k8v)))
+        k10v = rhs(r + 0.6 * h, (
             u + h * (0.47766253643826434 * k1u + -2.4881146199716677 * k4u
                      + -0.590290826836843 * k5u + 21.230051448181193 * k6u
                      + 15.279233632882423 * k7u + -33.28821096898486 * k8u
                      + -0.020331201708508627 * k9u),
-            v + h * (0.47766253643826434 * k1v + -2.4881146199716677 * k4v
-                     + -0.590290826836843 * k5v + 21.230051448181193 * k6v
-                     + 15.279233632882423 * k7v + -33.28821096898486 * k8v
-                     + -0.020331201708508627 * k9v)))
-        k11u, k11v = rhs(r + 0.8571428571428571 * h, (
+            k10u := v + h * (0.47766253643826434 * k1v + -2.4881146199716677 * k4v
+                             + -0.590290826836843 * k5v + 21.230051448181193 * k6v
+                             + 15.279233632882423 * k7v + -33.28821096898486 * k8v
+                             + -0.020331201708508627 * k9v)))
+        k11v = rhs(r + 0.8571428571428571 * h, (
             u + h * (-0.9371424300859873 * k1u + 5.186372428844064 * k4u
                      + 1.0914373489967295 * k5u + -8.149787010746927 * k6u
                      + -18.52006565999696 * k7u + 22.739487099350505 * k8u
                      + 2.4936055526796523 * k9u + -3.0467644718982196 * k10u),
-            v + h * (-0.9371424300859873 * k1v + 5.186372428844064 * k4v
-                     + 1.0914373489967295 * k5v + -8.149787010746927 * k6v
-                     + -18.52006565999696 * k7v + 22.739487099350505 * k8v
-                     + 2.4936055526796523 * k9v + -3.0467644718982196 * k10v)))
-        k12u, k12v = rhs(r + h, (
+            k11u := v + h * (-0.9371424300859873 * k1v + 5.186372428844064 * k4v
+                             + 1.0914373489967295 * k5v + -8.149787010746927 * k6v
+                             + -18.52006565999696 * k7v + 22.739487099350505 * k8v
+                             + 2.4936055526796523 * k9v + -3.0467644718982196 * k10v)))
+        k12v = rhs(r + h, (
             u + h * (2.273310147516538 * k1u + -10.53449546673725 * k4u
                      + -2.0008720582248625 * k5u + -17.9589318631188 * k6u
                      + 27.94888452941996 * k7u + -2.8589982771350235 * k8u
                      + -8.87285693353063 * k9u + 12.360567175794303 * k10u
                      + 0.6433927460157636 * k11u),
-            v + h * (2.273310147516538 * k1v + -10.53449546673725 * k4v
-                     + -2.0008720582248625 * k5v + -17.9589318631188 * k6v
-                     + 27.94888452941996 * k7v + -2.8589982771350235 * k8v
-                     + -8.87285693353063 * k9v + 12.360567175794303 * k10v
-                     + 0.6433927460157636 * k11v)))
+            k12u := v + h * (2.273310147516538 * k1v + -10.53449546673725 * k4v
+                             + -2.0008720582248625 * k5v + -17.9589318631188 * k6v
+                             + 27.94888452941996 * k7v + -2.8589982771350235 * k8v
+                             + -8.87285693353063 * k9v + 12.360567175794303 * k10v
+                             + 0.6433927460157636 * k11v)))
         u8 = u + h * (0.054293734116568765 * k1u + 4.450312892752409 * k6u
                       + 1.8915178993145003 * k7u + -5.801203960010585 * k8u
                       + 0.3111643669578199 * k9u + -0.1521609496625161 * k10u
@@ -349,7 +351,8 @@ def rk_integrate(
                       + 1.8915178993145003 * k7v + -5.801203960010585 * k8v
                       + 0.3111643669578199 * k9v + -0.1521609496625161 * k10v
                       + 0.20136540080403034 * k11v + 0.04471061572777259 * k12v)
-        k13u, k13v = rhs(r + h, (u8, v8))
+        r8 = r_end if last else r + h  # r + (r_end - r) can fall short of r_end
+        k13v = rhs(r8, (u8, v8))
         su = atol + rtol * max(abs(u), abs(u8))
         sv = atol + rtol * max(abs(v), abs(v8))
         e5u = (0.01312004499419488 * k1u + -1.2251564463762044 * k6u + -0.4957589496572502 * k7u
@@ -377,20 +380,19 @@ def rk_integrate(
         if err != err:
             err = math.inf
         if err <= 1.0:
-            # r + (r_end - r) can round to a float just short of r_end
-            r = r_end if last else r + h
-            u, v = u8, v8
-            k1u, k1v = k13u, k13v  # FSAL: k13 equals k1 of the next step
+            r, u, v = r8, u8, v8
+            k1u, k1v = v8, k13v  # FSAL: k13 equals k1 of the next step
             rs.append(r)
             us.append(u)
             vs.append(v)
+            dvs.append(k13v)
             if stop_condition is not None and (stop := stop_condition(r, (u, v))):
                 break
         h *= min(10.0, max(0.2, 0.9 * err ** -0.125 if err > 0.0 else 10.0))
         nsteps += 1
         if nsteps > _MAX_STEPS:
             _blowup("step budget exceeded")
-    return RkSolution(rs, us, vs, stop or None)
+    return RkSolution(rs, us, vs, dvs, stop or None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ linear in eta_0 - eta_0*, and Brent's method on it isolates eta_0* in about
 eta_0* = 0.9083.
 
 A trajectory is the integrator's own record, ``numerics.RkSolution``: its
-``y`` and ``dy`` hold eta and eta', and its ``stop`` names the outcome as
-"overshoot", "undershoot", "reached_rmax" or "blow_up".
+``y``, ``dy`` and ``ddy`` hold eta, eta' and eta'', and its ``stop`` names
+the outcome as "overshoot", "undershoot", "reached_rmax" or "blow_up".
 
 The coordinate singularity of the friction term at r = 0 is removed with a
 quadratic series start at a small radius epsilon.
@@ -142,8 +142,8 @@ def series_start(eta0: float, p: CouplingParams, eps: float) -> tuple[float, tup
 def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float = 1e-10) -> RkSolution:
     """Integrate from the series start at DEFAULT_EPSILON and classify the outcome.
 
-    Returns the integrator's ``RkSolution``: ``y`` and ``dy`` hold eta and
-    eta' at the radii ``r``, and ``stop`` is one of four strings.
+    Returns the integrator's ``RkSolution``: ``y``, ``dy`` and ``ddy`` hold
+    eta, eta' and eta'' at the radii ``r``, and ``stop`` is one of four strings.
     "overshoot": eta crosses zero heading negative.  "undershoot": eta'
     turns from negative to positive while eta > 0 (ignored for r <= 10 eps
     so the quadratic start cannot masquerade as a turning point).
@@ -156,7 +156,7 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float 
     r0, y0 = series_start(eta0, p, eps)
 
     def rhs(r, y):
-        return (y[1], ode_rhs(r, y[0], y[1], p))
+        return ode_rhs(r, y[0], y[1], p)
 
     prev_deta = [y0[1]]
 
@@ -201,7 +201,7 @@ def _probe(eta0, p, rtol) -> Probe:
         elif growing < 0:
             label = "overshoot"
     if label is None:
-        raise ClassifierAmbiguityError("eta0 = %g reached r = %g unclassified" % (eta0, r_f))
+        raise ClassifierAmbiguityError("eta0 = %r reached r = %g unclassified" % (eta0, r_f))
     # The smallest positive float keeps an underflowed residual from
     # reading as an exact root.
     size = max(abs(growing) * math.exp(-mu * r_f), math.ulp(0.0))

@@ -676,7 +676,7 @@ class TestShoot:
         code, out, err = run(capsys, "shoot", "--bracket", "0.1996681577984152:2")
         assert code == EXIT_NUMERICAL
         assert out == ""
-        assert err == "eta0 = 0.199668 reached r = 80 unclassified\n"
+        assert err == "eta0 = 0.1996681577984152 reached r = 80 unclassified\n"
 
 
 class TestProfile:
@@ -701,7 +701,7 @@ class TestProfile:
         traj = shooting.integrate_profile(0.9083, params, r_max=40.0)
         rs = np.geomspace(1e-2, 40.0, points)
         rs = rs[(rs >= traj.r[0]) & (rs <= traj.r[-1])]
-        eta, deta = cli._resample(traj, rs, params)
+        eta, deta = cli._resample(traj, rs)
         config = {
             "subcommand": "profile", "eta0": 0.9083, "lambda_tilde": 1.0,
             "m": 0.1, "grid": [1e-2, 40.0, points], "grid_scale": "log",

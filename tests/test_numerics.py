@@ -184,22 +184,25 @@ def states(sol):
 
 class TestRkIntegrate:
     def test_harmonic_oscillator_period(self):
-        rhs = lambda r, y: (y[1], -y[0])
+        rhs = lambda r, y: -y[0]
         sol = rk_integrate(rhs, 1.0, (0.0, 1.0), 1.0 + 2 * math.pi)
         assert np.allclose(states(sol)[-1], [0.0, 1.0], atol=1e-8)
 
     def test_zero_rhs_constant_trajectory(self):
-        rhs = lambda r, y: np.zeros_like(y)
-        sol = rk_integrate(rhs, 0.5, (3.0, -2.0), 10.0)
-        assert np.allclose(states(sol), [3.0, -2.0])
+        rhs = lambda r, y: 0.0
+        sol = rk_integrate(rhs, 0.5, (3.0, 0.0), 10.0)
+        assert np.allclose(states(sol), [3.0, 0.0])
+        assert np.all(np.asarray(sol.ddy) == 0.0)
 
     def test_exponential_growth(self):
-        sol = rk_integrate(lambda r, y: (y[0], -y[1]), 1.0, (1.0, 1.0), 2.0)
+        # y'' = y from (1, 1) is y = y' = e^(r - 1)
+        sol = rk_integrate(lambda r, y: y[0], 1.0, (1.0, 1.0), 2.0)
         assert states(sol)[-1, 0] == pytest.approx(math.e, abs=1e-8)
-        assert states(sol)[-1, 1] == pytest.approx(1 / math.e, abs=1e-8)
+        assert states(sol)[-1, 1] == pytest.approx(math.e, abs=1e-8)
+        assert list(sol.ddy) == list(sol.y)
 
     def test_reaching_r_end_has_no_stop(self):
-        grow = lambda r, y: (y[0], y[1])
+        grow = lambda r, y: y[0]
         sol = rk_integrate(grow, 1.0, (1.0, 0.5), 2.0, stop_condition=lambda r, y: None)
         assert sol.stop is None
         assert sol.r[-1] == 2.0
@@ -209,10 +212,10 @@ class TestRkIntegrate:
         # r + (r_end - r) rounds one ulp below r_end on the last step of this
         # span; the next pass then stopped with a step underflow
         r0, r_end = float.fromhex("0x1.86a8decec6456p-20"), float.fromhex("0x1.cb7daabb3f8b7p+0")
-        sol = rk_integrate(lambda r, y: (0.0, 0.0), r0, (1.0, 2.0), r_end)
+        sol = rk_integrate(lambda r, y: 0.0, r0, (1.0, 0.0), r_end)
         assert sol.r[-1] == r_end
         assert sol.stop is None
-        assert np.all(states(sol) == [1.0, 2.0])
+        assert np.all(states(sol) == [1.0, 0.0])
 
     def test_stop_label_ends_run_on_triggering_sample(self):
         # y = e^(r - 1) passes 2 at r = 1 + ln 2; the run ends on the first
@@ -223,7 +226,7 @@ class TestRkIntegrate:
             seen.append(r)
             return "past two" if y[0] > 2.0 else None
 
-        sol = rk_integrate(lambda r, y: (y[0], -y[1]), 1.0, (1.0, 1.0), 3.0, stop_condition=stop)
+        sol = rk_integrate(lambda r, y: y[0], 1.0, (1.0, 1.0), 3.0, stop_condition=stop)
         assert sol.stop == "past two"
         assert sol.r[-1] == seen[-1] < 3.0
         assert states(sol)[-1, 0] > 2.0 >= states(sol)[-2, 0]
@@ -232,12 +235,12 @@ class TestRkIntegrate:
     @pytest.mark.parametrize("r_end", (1.0, 0.5, math.nan))
     def test_r_end_must_exceed_r0(self, r_end):
         with pytest.raises(ValueError, match="r_end must exceed the initial radius"):
-            rk_integrate(lambda r, y: y, 1.0, (1.0, 0.0), r_end)
+            rk_integrate(lambda r, y: y[0], 1.0, (1.0, 0.0), r_end)
 
     @pytest.mark.parametrize("y0", ((), (1.0,), (1.0, 1.0, 1.0)), ids=("empty", "one", "three"))
     def test_state_must_have_two_components(self, y0):
         with pytest.raises(ValueError, match="two components, got %d" % len(y0)):
-            rk_integrate(lambda r, y: y, 1.0, y0, 2.0)
+            rk_integrate(lambda r, y: y[0], 1.0, y0, 2.0)
 
     @pytest.mark.parametrize("rtol", (0.0, -1e-8, math.nan, math.inf))
     def test_rtol_must_be_positive_and_finite(self, rtol):
@@ -245,12 +248,12 @@ class TestRkIntegrate:
         # accepts every step
         calls = []
         with pytest.raises(ValueError, match="rtol must be positive and finite"):
-            rk_integrate(lambda r, y: calls.append(r) or y, 1.0, (1.0, 0.0), 2.0, rtol=rtol)
+            rk_integrate(lambda r, y: calls.append(r) or y[0], 1.0, (1.0, 0.0), 2.0, rtol=rtol)
         assert calls == []
 
     def test_blow_up_reports_last_state(self):
-        # y' = y^2 from y(1) = 1 blows up at r = 2
-        rhs = lambda r, y: (y[0] ** 2, -y[1])
+        # y'' = 2 y^3 from (1, 1) is y = 1/(2 - r), which blows up at r = 2
+        rhs = lambda r, y: 2.0 * y[0] ** 3
         with pytest.raises(IntegrationBlowUp) as err:
             rk_integrate(rhs, 1.0, (1.0, 1.0), 3.0)
         partial = err.value.partial
@@ -258,28 +261,31 @@ class TestRkIntegrate:
         assert partial.r[0] == 1.0
         assert 1.9 < partial.r[-1] < 2.0001
         assert np.all(np.isfinite(states(partial)))
+        assert len(partial.ddy) == len(partial.r)
         assert np.all(np.diff(partial.r) > 0)
 
     def test_overflowing_stage_rejects_the_step(self):
-        # y = r until |y| > 10, where a stage overflows to inf: the error
-        # norm is nan there, so each step across r = 10 is rejected and
-        # shrinks until it underflows, and no nan sample is accepted
-        rhs = lambda r, y: (1.0 if abs(y[0]) <= 10.0 else math.inf, 0.0)
+        # y = r, with y' = 1, until |y| > 10, where a stage overflows to inf:
+        # the error norm is nan there, so each step across r = 10 is rejected
+        # and shrinks until it underflows, and no nan sample is accepted
+        rhs = lambda r, y: 0.0 if abs(y[0]) <= 10.0 else math.inf
         with pytest.raises(IntegrationBlowUp, match="step underflow") as err:
-            rk_integrate(rhs, 0.0, (0.0, 0.0), 20.0)
+            rk_integrate(rhs, 0.0, (0.0, 1.0), 20.0)
         partial = err.value.partial
         assert np.all(np.isfinite(states(partial)))
         assert 9.99 < partial.r[-1] <= 10.0
         assert np.diff(partial.r)[-1] < 1e-9 < np.diff(partial.r)[0]
 
     def test_degree_seven_polynomial_is_exact(self):
-        # with rhs a polynomial in r alone a step is a quadrature of order 8,
-        # exact to rounding through degree 7 even on long steps (rtol 1e-3);
-        # degree 8 is not
-        sol = rk_integrate(lambda r, y: (8 * r**7 - 3 * r * r + 1.0, 7.0 * r**6), 0.0, (1.0, -1.0), 2.0, rtol=1e-3)
+        # with y'' a polynomial in r alone a step gives y' by a quadrature
+        # of order 8 and y by the order-8 conditions: both exact to rounding
+        # while y' has degree 7 (y degree 8), even on long steps (rtol 1e-3);
+        # for y' of degree 8 the quadrature still holds but y is off
+        sol = rk_integrate(lambda r, y: 56 * r**6 - 6 * r, 0.0, (1.0, 1.0), 2.0, rtol=1e-3)
         assert sol.y[-1] == pytest.approx(1 + 2**8 - 2**3 + 2, rel=1e-14)
-        assert sol.dy[-1] == pytest.approx(-1 + 2**7, rel=1e-14)
-        sol = rk_integrate(lambda r, y: (9 * r**8, 0.0), 0.0, (1.0, 0.0), 2.0, rtol=1e-3)
+        assert sol.dy[-1] == pytest.approx(1 + 8 * 2**7 - 3 * 2**2, rel=1e-14)
+        sol = rk_integrate(lambda r, y: 72 * r**7, 0.0, (1.0, 0.0), 2.0, rtol=1e-3)
+        assert sol.dy[-1] == pytest.approx(9 * 2**8, rel=1e-14)
         assert abs(sol.y[-1] - (1 + 2**9)) > 1e-8
 
 
@@ -334,28 +340,30 @@ def dop853_reference(rhs, r, y, r_end, rtol=1e-10):
 
 
 def van_der_pol(r, y):
-    return (y[1], 2.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
+    return 2.0 * (1.0 - y[0] * y[0]) * y[1] - y[0]
 
 
 class TestDop853Reference:
     """The unrolled step of rk_integrate against scipy's tableau as data, bit
-    for bit, with the 1 + 12 x (attempted steps) RHS calls of FSAL."""
+    for bit, with the 1 + 12 x (attempted steps) RHS calls of FSAL.  The
+    reference steps the first-order system (y', y'') of each equation."""
 
     @staticmethod
     def system(name, params):
         if name == "van_der_pol":
             return van_der_pol, 0.0, (2.0, 0.0), 10.0
-        rhs = lambda r, y: (y[1], shooting.ode_rhs(r, y[0], y[1], params))
+        f = lambda r, y: shooting.ode_rhs(r, y[0], y[1], params)
         r0, y0 = shooting.series_start(0.9083, params, shooting.DEFAULT_EPSILON)
-        return rhs, r0, y0, 80.0
+        return f, r0, y0, 80.0
 
     def check(self, name, params, rtol):
-        rhs, r0, y0, r_end = self.system(name, params)
-        ref_r, ref_y, rejected = dop853_reference(rhs, r0, y0, r_end, rtol=rtol)
+        f, r0, y0, r_end = self.system(name, params)
+        ref_r, ref_y, rejected = dop853_reference(lambda r, y: (y[1], f(r, y)), r0, y0, r_end, rtol=rtol)
         calls = []
-        sol = rk_integrate(lambda r, y: calls.append(r) or rhs(r, y), r0, y0, r_end, rtol=rtol)
+        sol = rk_integrate(lambda r, y: calls.append(r) or f(r, y), r0, y0, r_end, rtol=rtol)
         assert np.array_equal(sol.r, ref_r)
         assert np.array_equal(states(sol), ref_y)
+        assert list(sol.ddy) == [f(r, tuple(y)) for r, y in zip(sol.r, states(sol).tolist())]
         assert rejected > 0
         assert len(calls) == 1 + 12 * (len(sol.r) - 1 + rejected)
 

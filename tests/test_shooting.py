@@ -115,6 +115,17 @@ class TestIntegrateProfile:
         assert np.all(np.diff(np.asarray(traj.y)[inner]) < 0)
         assert np.all(np.asarray(traj.y)[inner] > 0)
 
+    @pytest.mark.parametrize("rtol", (1e-10, 1e-6))
+    @pytest.mark.parametrize("eta0, r_max, stop", ((0.5, 80.0, "undershoot"), (1.4, 80.0, "overshoot"),
+                                                   (0.9083, 40.0, "reached_rmax")))
+    def test_ddy_is_ode_rhs_at_every_sample(self, params_m01, eta0, r_max, stop, rtol):
+        # the integrator records the FSAL stage, eta'' at each sample, at the
+        # radius it records, whether an event or the horizon ends the run
+        traj = integrate_profile(eta0, params_m01, r_max, rtol)
+        assert traj.stop == stop
+        expected = [ode_rhs(*sample, params_m01) for sample in zip(traj.r, traj.y, traj.dy)]
+        assert list(traj.ddy) == expected
+
     def test_rejects_rmax_below_start(self, params_m01):
         with pytest.raises(ValueError):
             integrate_profile(0.9, params_m01, r_max=1e-8)
@@ -301,7 +312,8 @@ class TestDecayRate:
     def test_synthetic_yukawa_tail(self):
         r = np.linspace(20.0, 60.0, 400)
         eta = 3.0 * np.exp(-0.1 * r) / r
-        traj = RkSolution(r=r, y=eta, dy=np.gradient(eta, r), stop="reached_rmax")
+        deta = np.gradient(eta, r)
+        traj = RkSolution(r=r, y=eta, dy=deta, ddy=np.gradient(deta, r), stop="reached_rmax")
         assert decay_rate(traj, (25.0, 55.0)) == pytest.approx(0.1, abs=1e-6)
 
     def test_regular_solution_decay_matches_mass(self, shot_m01_tight, params_m01):
@@ -310,16 +322,30 @@ class TestDecayRate:
         assert mu == pytest.approx(expected, abs=5e-3)
         assert 0.095 <= mu <= 0.105
 
+    @pytest.mark.parametrize("m", sorted(TestFindRegularEta0.TIGHT_ROOTS))
+    @pytest.mark.parametrize("lambda_tilde", (0.5, 1.0, 4.0))
+    def test_regular_solution_decays_over_the_yukawa_length(self, lambda_tilde, m):
+        # the radius of a force is 1/mu, mu = m sqrt(lambda_tilde): the
+        # regular solution, re-integrated to the horizon 8/mu, has no node
+        # and its tail on [3/mu, 6/mu] decays at mu (at most 4.0e-5 off
+        # measured; on [2/mu, 5/mu] the core still bends it, to 4.5e-4)
+        p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
+        mu = m * math.sqrt(lambda_tilde)
+        traj = integrate_profile(find_regular_eta0(p, tol=1e-12).eta0, p, 8.0 / mu)
+        assert traj.stop == "reached_rmax"
+        assert np.all(np.asarray(traj.y) > 0)
+        assert abs(decay_rate(traj, (3.0 / mu, 6.0 / mu)) / mu - 1.0) <= 1e-4
+
     def test_rejects_non_exponential_window(self):
         r = np.linspace(1.0, 10.0, 100)
         eta = np.full_like(r, 0.5)  # constant field: ln(r eta) is not linear
-        traj = RkSolution(r=r, y=eta, dy=np.zeros_like(r), stop="reached_rmax")
+        traj = RkSolution(r=r, y=eta, dy=np.zeros_like(r), ddy=np.zeros_like(r), stop="reached_rmax")
         with pytest.raises(DecayFitError):
             decay_rate(traj, (2.0, 9.0))
 
     def test_rejects_window_beyond_trajectory(self):
         r = np.linspace(1.0, 5.0, 50)
-        traj = RkSolution(r=r, y=np.exp(-r) / r, dy=np.zeros_like(r), stop="reached_rmax")
+        traj = RkSolution(r=r, y=np.exp(-r) / r, dy=np.zeros_like(r), ddy=np.zeros_like(r), stop="reached_rmax")
         with pytest.raises(ValueError):
             decay_rate(traj, (2.0, 50.0))
 

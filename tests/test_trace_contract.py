@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from naqlab import cli, shooting
+# the tracer looks up every traced module in sys.modules, and bench.py
+# imports geometry itself, as this module does
+from naqlab import cli, geometry, shooting  # noqa: F401
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -61,9 +63,15 @@ def test_hooked_function_takes_its_argument(name, argument):
     assert argument in inspect.signature(traced_function(name)).parameters
 
 
-def test_shoot_work_counts_match_the_trajectories(monkeypatch):
+@pytest.mark.parametrize("argv", (
+    ["shoot", "--lambda", "1", "--m", "0.1"],
+    ["profile", "--eta0", "0.9083"],
+    ["profile", "--eta0", "0.9083", "--lambda", "2.5", "--m", "0.15", "--grid", "1e-3:80:300"],
+), ids=("shoot", "profile", "profile-lambda2.5"))
+def test_work_counts_match_the_trajectories(monkeypatch, argv):
     # every RHS evaluation of the integrator is one call of the module-level
-    # ode_rhs, and every accepted step adds one sample to a trajectory
+    # ode_rhs, and every accepted step adds one sample to a trajectory; profile
+    # resamples eta'' from the trajectory and evaluates the equation no more
     samples = []
     integrate_profile = shooting.integrate_profile
 
@@ -75,7 +83,7 @@ def test_shoot_work_counts_match_the_trajectories(monkeypatch):
     monkeypatch.setattr(shooting, "integrate_profile", recorded)
     tracer = tracing.Tracer()
     with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["shoot", "--lambda", "1", "--m", "0.1"]) == cli.EXIT_OK
+        assert cli.main(argv) == cli.EXIT_OK
     counts = tracer.metrics()
     assert counts["shooting.ode_rhs.calls"] == counts["numerics.rk_integrate.rhs_evals"] > 0
     assert counts["numerics.rk_integrate.calls"] == len(samples) > 0
