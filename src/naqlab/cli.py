@@ -9,10 +9,11 @@ shoot         solve for the regular starting value eta_0* (Brent's method)
 profile       integrate one trajectory and emit the derived field profiles
 
 Exit codes: 0 success, 1 usage error (a nan or inf value, an ``--output``
-path that cannot be opened, a ``shoot --bracket`` with LO <= 0 and ``shoot``
-couplings whose horizon 8/(m sqrt(lambda)) is out of range included), 2
-numerical failure: a ``shoot`` trajectory unclassified at that horizon or a
-bracket whose ends get the same label, the ``exact`` quadrature budget
+path that cannot be opened, a ``shoot --bracket`` with LO <= 0, ``shoot``
+couplings whose horizon 8/m or 8/(m sqrt(lambda)) is out of range and a
+``profile`` grid ending at or below 0 included), 2 numerical failure: a
+``shoot`` trajectory unclassified by its horizon or a bracket whose ends
+get the same label, the ``exact`` quadrature budget
 exhausted, a ``torsion-check`` residual above 1e-10 (its report is still
 written), or a ``profile`` grid outside the trajectory.  Every output embeds
 the resolved configuration (a JSON ``config`` entry, or a ``# config: ...``

@@ -15,7 +15,7 @@ work grows like ``rtol ** (-1/8)``, and at most 10^6 steps are attempted.
 
 Everything here is a pure function of its inputs; all arithmetic is
 64-bit IEEE-754.  The integrator keeps the state ``(y, y')``, such as the
-shooting problem's ``(eta, eta')``, in scalar Python floats with every
+shooting problem's ``(w, w_x)``, in scalar Python floats with every
 DOP853 stage written out per component: the state goes to the right-hand
 side as a 2-tuple and y'' comes back as one float, which costs far less
 than numpy's per-call overhead or a loop over components.  Only

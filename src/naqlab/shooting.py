@@ -2,7 +2,7 @@
 
 The reduced radial equation for the scaled potential eta(r) is
 
-    eta'' = -(2/r) eta' - lambda_tilde * sinh(eta) * (sinh^2(eta/2) - m^2)
+    eta'' = -(2/r) eta' - lambda_tilde S(eta),  S(eta) = sinh(eta) (sinh^2(eta/2) - m^2),
 
 with regularity conditions eta(0) = eta_0, eta'(0) = 0.  In the mechanical
 analogue eta = 0 is a false vacuum and eta = +/- arccosh(1 + 2 m^2) the
@@ -14,45 +14,30 @@ linear in eta_0 - eta_0*, and Brent's method on it isolates eta_0* in about
 10 trajectories.  For lambda_tilde = 1, m = 0.1 the regular value is
 eta_0* = 0.9083.
 
-A trajectory is the integrator's own record, ``numerics.RkSolution``: its
-``y``, ``dy`` and ``ddy`` hold eta, eta' and eta'', and its ``stop`` names
-the outcome as "overshoot", "undershoot", "reached_rmax" or "blow_up".
-
-The coordinate singularity of the friction term at r = 0 is removed with a
-quadratic series start at a small radius epsilon.
+The integrator solves for w = x eta in x = sqrt(lambda_tilde) r, where the
+equation w_xx = -x S(w/x) has no 2/r pole and no lambda_tilde.  Each
+trajectory starts at x = 0 from (w, w_x) = (0, eta_0); it overshoots when
+w < 0 and undershoots when x w_x - w = x^2 eta_x turns from negative to
+positive.  Every probe of a solve runs at lambda_tilde = 1, so eta_0* is
+the same float for every lambda_tilde and only the answer is rescaled to r.
+A trajectory is the integrator's ``numerics.RkSolution`` converted to r:
+its ``y``, ``dy`` and ``ddy`` hold eta, eta' and eta'', and its ``stop``
+is "overshoot", "undershoot", "reached_rmax" or "blow_up".
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numerics import (
-    IntegrationBlowUp,
-    RkSolution,
-    brent,
-    rk_integrate,
-)
+from .numerics import IntegrationBlowUp, RkSolution, brent, rk_integrate
 
 __all__ = [
-    "CouplingParams",
-    "Probe",
-    "ClassifierAmbiguityError",
-    "DecayFitError",
-    "ode_rhs",
-    "quantum_potential_slope",
-    "series_start",
-    "integrate_profile",
-    "find_regular_eta0",
-    "derive_fields",
-    "decay_rate",
-    "DEFAULT_EPSILON",
-    "DEFAULT_BRACKET",
+    "CouplingParams", "Probe", "ClassifierAmbiguityError", "DecayFitError", "ode_rhs",
+    "integrate_profile", "find_regular_eta0", "derive_fields", "decay_rate", "DEFAULT_BRACKET",
 ]
 
-DEFAULT_EPSILON = 1e-6
 DEFAULT_BRACKET = (0.2, 2.0)
 
 
@@ -67,10 +52,8 @@ class CouplingParams:
         if not (self.lambda_tilde > 0 and self.m > 0):
             raise ValueError("lambda_tilde and m must be strictly positive")
 
-    @functools.cached_property
+    @property
     def m_squared(self) -> float:
-        # computed on first use and then a plain attribute: the ODE right-hand
-        # side reads it on every evaluation
         return self.m * self.m
 
     @property
@@ -85,9 +68,10 @@ class Probe:
 
     ``label`` is "overshoot" or "undershoot".  ``residual`` is
     +/-|g| exp(-mu r_f), with g = r eta' + eta + mu r eta at the last sample
-    r_f and the sign of the label (+ for overshoot); in the linear tail it
-    is -2 mu B, the amplitude B of the growing mode, which is close to
-    linear in eta0 - eta_0*.  It is never exactly zero.
+    r_f, mu = m sqrt(lambda_tilde), and the sign of the label (+ for
+    overshoot); in the linear tail it is -2 mu B, the amplitude B of the
+    growing mode, which is close to linear in eta0 - eta_0*.  It is never
+    exactly zero, and the same float for every lambda_tilde.
     """
 
     eta0: float
@@ -104,92 +88,104 @@ class DecayFitError(ValueError):
     """The window does not look like an exponential-over-r tail."""
 
 
-def ode_rhs(r: float, eta: float, deta: float, p: CouplingParams) -> float:
-    """Second derivative eta'' at (r, eta, eta')."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return -2.0 / r * deta - quantum_potential_slope(eta, p)
-
-
-def quantum_potential_slope(eta: float, p: CouplingParams) -> float:
-    """dW/deta = lambda_tilde sinh(eta) (sinh^2(eta/2) - m^2).
-
-    Vanishes exactly at eta = 0 and eta = +/- arccosh(1 + 2 m^2), the
-    stationary field values of the correction potential.
-    """
+def ode_rhs(x: float, w: float, m_squared: float) -> float:
+    """w_xx = -x S(w/x) at (x, w), and 0 at x = 0.  S is odd and vanishes
+    exactly at eta = 0 and eta = +/- arccosh(1 + 2 m^2), the stationary
+    field values of the correction potential."""
+    if x == 0.0:
+        return 0.0
+    eta = w / x
     try:
         s = math.sinh(0.5 * eta)
-        return p.lambda_tilde * math.sinh(eta) * (s * s - p.m_squared)
-    except OverflowError:
-        # |eta| beyond float64 sinh range; the sign is all that matters,
-        # integration will report the blow-up.
-        return math.copysign(math.inf, eta)
+        return -x * math.sinh(eta) * (s * s - m_squared)
+    except OverflowError:  # |eta| beyond sinh's float64 range: only the sign matters, and the step fails
+        return math.copysign(math.inf, -eta)
 
 
-def series_start(eta0: float, p: CouplingParams, eps: float) -> tuple[float, tuple[float, float]]:
-    """Regular quadratic start eta(eps) = eta0 + a eps^2, eta'(eps) = 2 a eps,
-    as the pair (eps, (eta, eta')).
+def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float = 1e-11) -> RkSolution:
+    """Integrate w = x eta from x = 0 to x = sqrt(lambda_tilde) r_max and classify the outcome.
 
-    The coefficient a = -slope(eta0)/6 balances the (2/r) eta' friction
-    against the source term, removing the coordinate singularity at r = 0.
+    Returns the integrator's ``RkSolution`` converted to r: ``y``, ``dy`` and
+    ``ddy`` hold eta, eta' and eta'' at the radii ``r``, starting with
+    (0, eta0, 0, -lambda_tilde S(eta0) / 3), and ``stop`` is one of four
+    strings.  "overshoot": eta crosses zero heading negative.  "undershoot":
+    eta' turns from negative to positive.  "reached_rmax": neither happened
+    by ``r_max``, which is then the last radius exactly.
+    "blow_up": the integration failed, and the samples end at the last valid
+    state; it is a classification, not a failure.  ``rtol`` is
+    ``rk_integrate``'s: at 1e-11, ``profile``'s default table lies within
+    4e-6 of scipy's DOP853 on the eta form at three couplings.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    a = -quantum_potential_slope(eta0, p) / 6.0
-    return eps, (eta0 + a * eps * eps, 2.0 * a * eps)
+    x_end = math.sqrt(p.lambda_tilde) * r_max
+    if not 0.0 < x_end < math.inf:
+        raise ValueError("r_max = %r: sqrt(lambda_tilde) r_max is no finite positive float" % (r_max,))
+    m_squared = p.m_squared
 
+    def rhs(x, y):
+        return ode_rhs(x, y[0], m_squared)
 
-def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float = 1e-10) -> RkSolution:
-    """Integrate from the series start at DEFAULT_EPSILON and classify the outcome.
+    turn = [0.0]  # x w_x - w at the last sample
 
-    Returns the integrator's ``RkSolution``: ``y``, ``dy`` and ``ddy`` hold
-    eta, eta' and eta'' at the radii ``r``, and ``stop`` is one of four strings.
-    "overshoot": eta crosses zero heading negative.  "undershoot": eta'
-    turns from negative to positive while eta > 0 (ignored for r <= 10 eps
-    so the quadratic start cannot masquerade as a turning point).
-    "reached_rmax": neither happened by the horizon ``r_max``, which must
-    exceed DEFAULT_EPSILON.  "blow_up": the
-    integration failed, and the samples end at the last valid state; it is
-    a classification, not a failure.  ``rtol`` is ``rk_integrate``'s.
-    """
-    eps = DEFAULT_EPSILON
-    r0, y0 = series_start(eta0, p, eps)
-
-    def rhs(r, y):
-        return ode_rhs(r, y[0], y[1], p)
-
-    prev_deta = [y0[1]]
-
-    def stop(r, y):
-        eta, deta = y
-        if eta < 0.0:
+    def stop(x, y):
+        w, dw = y
+        if w < 0.0:
             return "overshoot"
-        if r > 10.0 * eps and prev_deta[0] < 0.0 and deta > 0.0 and eta > 0.0:
+        t = x * dw - w
+        if turn[0] < 0.0 < t:
             return "undershoot"
-        prev_deta[0] = deta
+        turn[0] = t
         return None
 
     try:
-        sol = rk_integrate(rhs, r0, y0, r_max, stop_condition=stop, rtol=rtol)
+        sol = rk_integrate(rhs, 0.0, (0.0, eta0), x_end, stop_condition=stop, rtol=rtol)
         sol.stop = sol.stop or "reached_rmax"
     except IntegrationBlowUp as exc:
         sol = exc.partial
         sol.stop = "blow_up"
+    # w = x eta: eta_x = (w_x - eta) / x and eta_xx = (w_xx - 2 eta_x) / x, which are 0 and -S(eta0) / 3 at x = 0;
+    # S(eta0) is not taken from ode_rhs, each of whose calls counts as one RHS evaluation
+    x, w, dw, ddw = sol.r, sol.y, sol.dy, sol.ddy
+    try:
+        s = math.sinh(0.5 * eta0)
+        ddw[0] = -math.sinh(eta0) * (s * s - m_squared) / 3.0
+    except OverflowError:
+        ddw[0] = math.copysign(math.inf, -eta0)
+    w[0], dw[0] = eta0, 0.0
+    for i in range(1, len(x)):
+        eta = w[i] / x[i]
+        deta = (dw[i] - eta) / x[i]
+        w[i], dw[i], ddw[i] = eta, deta, (ddw[i] - 2.0 * deta) / x[i]
+    _to_r(sol, p.lambda_tilde)
+    if sol.stop == "reached_rmax":
+        x[-1] = r_max  # sqrt(lambda_tilde) r_max / sqrt(lambda_tilde) can miss it by an ulp
     return sol
 
 
+def _to_r(traj: RkSolution, lambda_tilde: float) -> None:
+    """Rescale a record in x = sqrt(lambda_tilde) r to r in place: r = x / sqrt(lambda_tilde),
+    eta' = sqrt(lambda_tilde) eta_x, eta'' = lambda_tilde eta_xx; none moves at lambda_tilde = 1."""
+    if lambda_tilde == 1.0:
+        return
+    root = math.sqrt(lambda_tilde)
+    for i in range(len(traj.r)):
+        traj.r[i] /= root
+        traj.dy[i] *= root
+        traj.ddy[i] *= lambda_tilde
+
+
 def _probe(eta0, p, rtol) -> Probe:
-    """Integrate from eta0 to the horizon 8/mu and classify its fate, with a signed residual."""
-    mu = p.m * math.sqrt(p.lambda_tilde)
-    traj = integrate_profile(eta0, p, 8.0 / mu, rtol)
-    r_f, eta_f, deta_f = traj.r[-1], traj.y[-1], traj.dy[-1]
+    """Integrate from eta0 at lambda_tilde = 1 to the horizon x = 8/m and classify
+    its fate, with a signed residual; lambda_tilde only scales the radius an error names."""
+    m = p.m
+    traj = integrate_profile(eta0, CouplingParams(1.0, m), 8.0 / m, rtol)
+    x_f, eta_f, deta_f = traj.r[-1], traj.y[-1], traj.dy[-1]
     # Near-critical trajectories can still be hugging the false vacuum at
-    # the horizon.  There the linearization eta'' + (2/r) eta' = mu^2 eta
-    # (mu = m sqrt(lambda_tilde)) has solutions (A e^{-mu r} + B e^{mu r})/r,
-    # and g = r eta' + eta + mu r eta = 2 mu B e^{mu r}: sign(B) decides the
+    # the horizon.  There the linearization eta_xx + (2/x) eta_x = m^2 eta
+    # has solutions (A e^{-m x} + B e^{m x})/x, and
+    # g = x eta_x + eta + m x eta = 2 m B e^{m x}: sign(B) decides the
     # eventual fate, a positive growing mode turns the field back up
     # (undershoot), a negative one drives it through zero (overshoot).
-    growing = r_f * deta_f + eta_f + mu * r_f * eta_f
+    growing = x_f * deta_f + eta_f + m * x_f * eta_f
     label = None
     if traj.stop in ("overshoot", "undershoot"):
         label = traj.stop
@@ -201,20 +197,16 @@ def _probe(eta0, p, rtol) -> Probe:
         elif growing < 0:
             label = "overshoot"
     if label is None:
-        raise ClassifierAmbiguityError("eta0 = %r reached r = %g unclassified" % (eta0, r_f))
+        raise ClassifierAmbiguityError("eta0 = %r reached r = %g unclassified" % (eta0, x_f / math.sqrt(p.lambda_tilde)))
     # The smallest positive float keeps an underflowed residual from
     # reading as an exact root.
-    size = max(abs(growing) * math.exp(-mu * r_f), math.ulp(0.0))
+    size = max(abs(growing) * math.exp(-m * x_f), math.ulp(0.0))
     if label == "undershoot":
         size = -size
     return Probe(eta0=eta0, label=label, residual=size, trajectory=traj)
 
 
-def find_regular_eta0(
-    p: CouplingParams,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-    tol: float = 1e-5,
-) -> Probe:
+def find_regular_eta0(p: CouplingParams, bracket: tuple[float, float] = DEFAULT_BRACKET, tol: float = 1e-5) -> Probe:
     """Brent's method on the probes' growing-mode residual, to the regular eta_0*.
 
     The bracket ends must classify differently (one undershoot, one
@@ -222,24 +214,30 @@ def find_regular_eta0(
     ``tol`` whose ends classify differently, so it lies within ``tol`` of
     the root of the *discretized* problem: the probe of the end with the
     smaller |residual|, with the trajectory already integrated from it.
-    Each probe runs to eight Yukawa lengths, r = 8/(m sqrt(lambda_tilde)),
-    at ``rtol = min(1e-6, max(1e-12, 0.1 tol))``.  At m = 0.1 a solve takes
-    10 trajectories and 2782 RHS calls at tol 1e-5, and 11 and 12071 at tol
-    1e-12.  On the grid lambda_tilde in {0.5, 1, 4}, m in {0.05, 0.1, 0.15,
-    0.17} the answer lay within 0.25 tol of the lambda_tilde-independent root.
+    Each probe is integrated at lambda_tilde = 1 to eight Yukawa lengths,
+    x = 8/m, at ``rtol = min(1e-6, max(1e-12, 0.1 tol))``, so eta0 is the
+    same float for every lambda_tilde and only the answer's trajectory is
+    rescaled, to end at r = x / sqrt(lambda_tilde).  At m = 0.1 a
+    solve takes 10 trajectories and 1378 RHS calls at tol 1e-5, and 11 and
+    8171 at tol 1e-12.  On the grid lambda_tilde in {0.5, 1, 4}, m in {0.05,
+    0.1, 0.15, 0.17} the answer lay within 0.173, 0.049 and 0.106 tol of the
+    lambda_tilde-independent root at tol 1e-5, 1e-8 and 1e-12.
 
     LO must be above 0: eta0 = 0 is the static false vacuum, whose
     growing-mode amplitude is exactly 0, and a negative start overshoots at
     its first step, so no horizon classifies either.  Couplings whose
-    horizon is no finite radius above DEFAULT_EPSILON are refused.
+    horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float
+    are refused.
     """
     if not bracket[0] > 0:
         raise ValueError("bracket needs LO > 0, got %g: eta0 = 0 is the static false vacuum and eta0 < 0 overshoots at once" % bracket[0])
     mu = p.m * math.sqrt(p.lambda_tilde)
-    if not (mu > 0 and DEFAULT_EPSILON < 8.0 / mu < math.inf):
-        raise ValueError("lambda_tilde = %g, m = %g: the horizon 8/(m sqrt(lambda_tilde)) is no finite radius above the series start %g" % (p.lambda_tilde, p.m, DEFAULT_EPSILON))
+    if not (0.0 < 8.0 / p.m < math.inf and mu > 0 and 8.0 / mu < math.inf):
+        raise ValueError("lambda_tilde = %g, m = %g: the horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float" % (p.lambda_tilde, p.m))
     rtol = min(1e-6, max(1e-12, 0.1 * tol))
-    return brent(lambda eta0: _probe(eta0, p, rtol), bracket, tol)
+    best = brent(lambda eta0: _probe(eta0, p, rtol), bracket, tol)
+    _to_r(best.trajectory, p.lambda_tilde)
+    return best
 
 
 def derive_fields(eta: Sequence[float], deta: Sequence[float], p: CouplingParams) -> tuple:

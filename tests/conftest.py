@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from naqlab import shooting
@@ -18,3 +20,43 @@ def shot_m01_default(params_m01):
 def shot_m01_tight(params_m01):
     """Tightly converged run; its trajectory has an uncontaminated tail."""
     return shooting.find_regular_eta0(params_m01, tol=1e-12)
+
+
+def _eta_form_rhs(r, eta, deta, p):
+    """eta'' = -(2/r) eta' - lambda_tilde sinh(eta) (sinh^2(eta/2) - m^2), for r > 0."""
+    s = math.sinh(0.5 * eta)
+    return -2.0 / r * deta - p.lambda_tilde * math.sinh(eta) * (s * s - p.m * p.m)
+
+
+@pytest.fixture(scope="session")
+def eta_form_rhs():
+    """The profile equation in eta and r, as the oracles below integrate it:
+    a second formulation of the w form that naqlab integrates."""
+    return _eta_form_rhs
+
+
+@pytest.fixture(scope="session")
+def eta_form_dop853():
+    """``solve(eta0, p, r_end, atol)``: scipy's DOP853 interpolant of the eta
+    form at rtol 1e-13, from the quadratic series start at r = 1e-6,
+    eta = eta0 + a r^2 and eta' = 2 a r with a = eta''(0) / 2 = -lambda_tilde
+    S(eta0) / 6, which balances the (2/r) eta' friction against the source."""
+    pytest.importorskip("scipy")
+    from scipy.integrate import solve_ivp
+
+    def solve(eta0, p, r_end, atol=1e-15):
+        eps = 1e-6
+        a = _eta_form_rhs(1.0, eta0, 0.0, p) / 6.0
+        ref = solve_ivp(
+            lambda r, y: (y[1], _eta_form_rhs(r, y[0], y[1], p)),
+            (eps, r_end),
+            (eta0 + a * eps * eps, 2.0 * a * eps),
+            method="DOP853",
+            rtol=1e-13,
+            atol=atol,
+            dense_output=True,
+        )
+        assert ref.success
+        return ref.sol
+
+    return solve

@@ -126,33 +126,28 @@ class TestUsageErrors:
         last = err.splitlines()[-1]
         assert last.startswith("naqlab %s: error: argument %s: not a finite number: " % (argv[0], argv[-2]))
 
-    @pytest.mark.parametrize(
-        "argv, r_end",
-        ((("profile", "--eta0", "0.9", "--grid=1e-9:1e-7:5"), "1e-07"),),
-        ids=("profile",),
-    )
-    def test_end_below_start_radius_names_both(self, capsys, argv, r_end):
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err == "naqlab: r_end must exceed the initial radius 1e-06, got %s\n" % r_end
+    def test_grid_end_not_positive_names_it(self, capsys):
+        # the trajectory starts at r = 0, so the grid has to end beyond it
+        code, out, err = run(capsys, "profile", "--eta0", "0.9", "--grid=-2:-1:5", "--grid-scale", "linear")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "naqlab: r_max = -1.0: sqrt(lambda_tilde) r_max is no finite positive float\n"
 
     @pytest.mark.parametrize(
         "argv, couplings",
         (
             (("shoot", "--m", "1e-200", "--lambda", "1e-250"), "lambda_tilde = 1e-250, m = 1e-200"),
             (("shoot", "--m", "1e-160", "--lambda", "1e-300"), "lambda_tilde = 1e-300, m = 1e-160"),
-            (("shoot", "--m", "1e7"), "lambda_tilde = 1, m = 1e+07"),
+            (("shoot", "--m", "1e-310", "--lambda", "1e300"), "lambda_tilde = 1e+300, m = 1e-310"),
         ),
-        ids=("mu-underflows", "horizon-overflows", "horizon-below-start"),
+        ids=("mu-underflows", "horizon-overflows", "unit-horizon-overflows"),
     )
     def test_shoot_horizon_out_of_range_names_couplings(self, capsys, argv, couplings):
-        # the horizon 8/(m sqrt(lambda)) divides by zero, is inf, or lies
-        # below the series start: one line that names the couplings
+        # the horizon 8/(m sqrt(lambda)) divides by zero or is inf, or the
+        # probes' horizon 8/m is inf: one line that names the couplings
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == ("naqlab: %s: the horizon 8/(m sqrt(lambda_tilde)) is no finite radius"
-                       " above the series start 1e-06\n" % couplings)
+        assert err == ("naqlab: %s: the horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float\n"
+                       % couplings)
 
     def test_shoot_rmax_is_gone(self, capsys):
         code, out, err = run(capsys, "shoot", "--rmax", "80")
@@ -671,6 +666,14 @@ class TestShoot:
         assert err == ("naqlab: bracket needs LO > 0, got %s: eta0 = 0 is the static false vacuum"
                        " and eta0 < 0 overshoots at once\n" % lo)
 
+    def test_short_horizon_is_numerical_error(self, capsys):
+        # m = 1e7 gives the horizon 8e-7; the first probe, from below the
+        # true vacuum 33.6, swings about it so fast that its step underflows
+        # short of 8e-7
+        code, out, err = run(capsys, "shoot", "--m", "1e7")
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == "eta0 = 0.2 reached r = 5.20663e-07 unclassified\n"
+
     def test_unclassified_trajectory_is_numerical_error(self, capsys):
         # LO = acosh(1.02) is the static true vacuum, still there at the horizon 80
         code, out, err = run(capsys, "shoot", "--bracket", "0.1996681577984152:2")
@@ -724,30 +727,31 @@ class TestProfile:
         assert len(rows) == 50
         assert rows[-1].startswith("3.61,")
 
+    def test_grid_ending_on_a_rescaled_horizon_keeps_its_last_row(self, capsys):
+        # eta0 = 0 is the static false vacuum, integrated to x = sqrt(0.665) 80,
+        # which converts back to 79.99999999999999 unless the run ends on 80
+        code, out, _ = run(capsys, "profile", "--eta0", "0", "--lambda", "0.665", "--grid", "1e-3:80:50")
+        assert code == EXIT_OK
+        rows = out.strip().split("\n")[2:]
+        assert len(rows) == 50
+        assert rows[-1].startswith("80.0,")
+
     def test_few_rows_inside_the_trajectory_are_written(self, capsys):
         code, out, _ = run(capsys, "profile", "--eta0", "0.9083", "--grid", "1e-2:40:4")
         assert code == EXIT_OK
         assert len(out.strip().split("\n")[2:]) == 4
 
     @pytest.mark.parametrize("lambda_tilde, m, eta0", ((1.0, 0.1, 0.9083), (1.0, 0.15, 1.4810965307), (4.0, 0.1, 0.9083)))
-    def test_matches_dop853_dense_output(self, capsys, lambda_tilde, m, eta0):
-        # the default 2000-point grid against scipy's DOP853 interpolant from
-        # the same series start: the Hermite resampling between the samples
-        # of the rtol-1e-10 trajectory is what the bounds measure
-        pytest.importorskip("scipy")
-        from scipy.integrate import solve_ivp
-
+    def test_matches_dop853_dense_output(self, capsys, eta_form_dop853, lambda_tilde, m, eta0):
+        # the default 2000-point grid against scipy's DOP853 interpolant of
+        # the eta form from a series start: the conversion from w and the
+        # Hermite resampling between the samples of the rtol-1e-11
+        # trajectory are what the bounds measure
         code, out, _ = run(capsys, "profile", "--lambda", repr(lambda_tilde), "--m", repr(m), "--eta0", repr(eta0))
         assert code == EXIT_OK
         rows = np.array([line.split(",")[:3] for line in out.splitlines()[2:]], dtype=float)
         params = shooting.CouplingParams(lambda_tilde=lambda_tilde, m=m)
-        r0, y0 = shooting.series_start(eta0, params, shooting.DEFAULT_EPSILON)
-        ref = solve_ivp(
-            lambda r, y: (y[1], shooting.ode_rhs(r, y[0], y[1], params)),
-            (r0, rows[-1, 0]), y0, method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True,
-        )
-        assert ref.success
-        eta, deta = ref.sol(rows[:, 0])
+        eta, deta = eta_form_dop853(eta0, params, rows[-1, 0], atol=1e-16)(rows[:, 0])
         assert np.abs(rows[:, 1] - eta).max() <= 1e-5
         assert np.abs(rows[:, 2] - deta).max() <= 2e-5
 
@@ -857,19 +861,19 @@ class TestOutputPins:
 
     CASES = (
         (("shoot", "--lambda", "1", "--m", "0.1"),
-         "b57bfe4d42d66058ab575a97fac6b260914706273f2d370e544fe73a8ae86da5"),
+         "5143dabec0a873dabb42b055b8124fa13596cae24384424c4702a547230a7f7f"),
         (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"),
-         "473d0ca5872076f2c7327c1ef2184219b1f8e6338bb274d46ee695c57cf8fc1c"),
+         "9adf1ee912f35f1c1dc0d56faadafacf9a267886b053baea6b89f52bf89ac820"),
         (("shoot", "--lambda", "2.5", "--m", "0.07", "--tol", "1e-05"),
-         "00fd2b5a39267adde55dafbf43a8ca9deb90e87d16c25032086aa5d691ce71db"),
+         "bd700d34863d9850371d318d29056da155e3663ac8e410dc69cc008a2a7abf29"),
         (("shoot", "--lambda", "0.6", "--m", "0.13", "--tol", "1e-05"),
-         "f3fe8c5b12c0c5b4cec87a85818f99e35e12ca4429b3ca3c3b9d288a7417cb61"),
+         "17ec115d08d94b74ccdbef6625f77e88afd51be6ad590c3654a1d1dba7e00512"),
         (("shoot", "--lambda", "3.2", "--m", "0.12", "--tol", "1e-12"),
-         "5e5a0ded09871858f4155c04b8b72a7c78ee1735cc6f5c73c24037011fa143c1"),
+         "67ba1d5fdfde4392e5cae5393d1c5f2f7878bcd4afe3649db293319562fa90ae"),
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
-         "ae8323ec8e4cff1985e02246f8309419850db2ddbbe3d872652ea2a0b7121bcf"),
+         "573e51c013db2e20a32746f6ea925ff359cb47fdc976a6519082d74b2d6a455d"),
         (("profile", "--eta0", "0.9083"),
-         "ba9f66f941c3cc4a57d1530255dd3be18972631c65d9b85f7542dad54028eec3"),
+         "6818949f6f4c0f1b41d3ab9bda7182cec59154d7e7ea534cb8948a060c6683f6"),
         (("exact",),
          "598bbf156cb2e7c069be4913461cbdf587cdfbeb1f9b330e44ac7ddc75d4d101"),
         (("exact", "--q", "2", "--G", "0.5", "--c", "1.5", "--rmin", "0.01"),

@@ -352,9 +352,9 @@ class TestDop853Reference:
     def system(name, params):
         if name == "van_der_pol":
             return van_der_pol, 0.0, (2.0, 0.0), 10.0
-        f = lambda r, y: shooting.ode_rhs(r, y[0], y[1], params)
-        r0, y0 = shooting.series_start(0.9083, params, shooting.DEFAULT_EPSILON)
-        return f, r0, y0, 80.0
+        # the w form from x = 0, whose first evaluation takes the x = 0 branch
+        f = lambda x, y: shooting.ode_rhs(x, y[0], params.m_squared)
+        return f, 0.0, (0.0, 0.9083), 80.0
 
     def check(self, name, params, rtol):
         f, r0, y0, r_end = self.system(name, params)

@@ -15,32 +15,40 @@ from naqlab.shooting import (
     find_regular_eta0,
     integrate_profile,
     ode_rhs,
-    quantum_potential_slope,
-    series_start,
 )
 
 
 class TestPotentialSlope:
     def test_frozen_value(self, params_m01):
-        # regression pin for the right-hand side at a generic point
-        assert ode_rhs(2.0, 0.7, -0.3, params_m01) == pytest.approx(
-            0.2108023125752786, rel=1e-15
+        # regression pin for the right-hand side at a generic point: w_xx at
+        # x = 2, eta = 0.7 is -2 S(0.7), and the pin 0.2108023125752786 of
+        # the eta form, 0.3 - S(0.7) at r = 2, eta' = -0.3, fixes S(0.7)
+        assert ode_rhs(2.0, 1.4, params_m01.m_squared) == pytest.approx(
+            -2.0 * (0.3 - 0.2108023125752786), rel=1e-14
         )
 
     def test_stationary_points(self, params_m01):
-        assert quantum_potential_slope(0.0, params_m01) == 0.0
+        m2 = params_m01.m_squared
+        assert ode_rhs(1.0, 0.0, m2) == 0.0
         eta_v = params_m01.eta_vacuum
-        assert abs(quantum_potential_slope(eta_v, params_m01)) < 1e-16
-        assert abs(quantum_potential_slope(-eta_v, params_m01)) < 1e-16
+        assert abs(ode_rhs(1.0, eta_v, m2)) < 1e-16
+        assert abs(ode_rhs(1.0, -eta_v, m2)) < 1e-16
+
+    def test_zero_at_the_origin(self, params_m01):
+        # w_xx = -x S(w/x) vanishes at x = 0 for every w, without dividing
+        for w in (0.0, 0.9, -3.0, 1e300):
+            assert ode_rhs(0.0, w, params_m01.m_squared) == 0.0
 
     def test_odd_symmetry(self, params_m01):
-        assert quantum_potential_slope(0.4, params_m01) == pytest.approx(
-            -quantum_potential_slope(-0.4, params_m01), rel=1e-15
-        )
+        m2 = params_m01.m_squared
+        assert ode_rhs(1.0, 0.4, m2) == pytest.approx(-ode_rhs(1.0, -0.4, m2), rel=1e-15)
 
     def test_huge_argument_keeps_sign(self, params_m01):
-        assert quantum_potential_slope(2000.0, params_m01) == math.inf
-        assert quantum_potential_slope(-2000.0, params_m01) == -math.inf
+        # eta = w/x beyond the float64 range of sinh: w_xx = -x S(eta) keeps its sign
+        m2 = params_m01.m_squared
+        assert ode_rhs(1.0, 2000.0, m2) == -math.inf
+        assert ode_rhs(1.0, -2000.0, m2) == math.inf
+        assert ode_rhs(1e-3, 1.0, m2) == -math.inf
 
     def test_vacuum_location(self):
         p = CouplingParams(lambda_tilde=1.0, m=0.1)
@@ -58,38 +66,6 @@ class TestPotentialSlope:
             CouplingParams(lambda_tilde=math.nan, m=0.1)
         with pytest.raises(ValueError):
             CouplingParams(lambda_tilde=1.0, m=math.nan)
-
-    def test_radius_must_be_positive(self, params_m01):
-        with pytest.raises(ValueError):
-            ode_rhs(0.0, 0.5, 0.0, params_m01)
-
-
-class TestSeriesStart:
-    def test_frozen_coefficient(self, params_m01):
-        # a = -slope(eta0)/6 at eta0 = 0.9
-        a = -quantum_potential_slope(0.9, params_m01) / 6.0
-        assert a == pytest.approx(-0.03533667365212509, rel=1e-15)
-        r0, (eta, deta) = series_start(0.9, params_m01, eps=1e-3)
-        assert r0 == 1e-3
-        assert eta == pytest.approx(0.9 + a * 1e-6, rel=1e-15)
-        assert deta == pytest.approx(2 * a * 1e-3, rel=1e-15)
-
-    def test_friction_balance(self, params_m01):
-        # the quadratic start makes eta'' + (2/r) eta' + slope = O(eps^2)
-        eps = 1e-4
-        r0, (eta, deta) = series_start(1.1, params_m01, eps)
-        residual = (
-            ode_rhs(r0, eta, deta, params_m01)
-            - 2.0 * (-quantum_potential_slope(1.1, params_m01) / 6.0)
-        )
-        assert abs(residual) < 1e-6
-
-    def test_vacuum_start_is_static(self, params_m01):
-        assert series_start(0.0, params_m01, 1e-5)[1] == (0.0, 0.0)
-
-    def test_rejects_nonpositive_eps(self, params_m01):
-        with pytest.raises(ValueError):
-            series_start(0.9, params_m01, eps=0.0)
 
 
 class TestIntegrateProfile:
@@ -118,37 +94,33 @@ class TestIntegrateProfile:
     @pytest.mark.parametrize("rtol", (1e-10, 1e-6))
     @pytest.mark.parametrize("eta0, r_max, stop", ((0.5, 80.0, "undershoot"), (1.4, 80.0, "overshoot"),
                                                    (0.9083, 40.0, "reached_rmax")))
-    def test_ddy_is_ode_rhs_at_every_sample(self, params_m01, eta0, r_max, stop, rtol):
-        # the integrator records the FSAL stage, eta'' at each sample, at the
-        # radius it records, whether an event or the horizon ends the run
+    def test_ddy_is_the_equation_at_every_sample(self, params_m01, eta_form_rhs, eta0, r_max, stop, rtol):
+        # eta'' converted from the w_xx the integrator recorded at each
+        # sample, whether an event or the horizon ends the run, satisfies the
+        # eta form at the recorded (r, eta, eta'); at r = 0 it is the limit
+        # -lambda_tilde S(eta0) / 3 of that form's right-hand side
         traj = integrate_profile(eta0, params_m01, r_max, rtol)
         assert traj.stop == stop
-        expected = [ode_rhs(*sample, params_m01) for sample in zip(traj.r, traj.y, traj.dy)]
-        assert list(traj.ddy) == expected
+        assert (traj.r[0], traj.y[0], traj.dy[0]) == (0.0, eta0, 0.0)
+        assert traj.ddy[0] == pytest.approx(eta_form_rhs(1.0, eta0, 0.0, params_m01) / 3.0, rel=1e-15)
+        expected = np.array([eta_form_rhs(*sample, params_m01) for sample in zip(traj.r[1:], traj.y[1:], traj.dy[1:])])
+        assert np.abs(np.asarray(traj.ddy[1:]) - expected).max() <= 1e-15
 
-    def test_rejects_rmax_below_start(self, params_m01):
-        with pytest.raises(ValueError):
-            integrate_profile(0.9, params_m01, r_max=1e-8)
+    @pytest.mark.parametrize("lambda_tilde, r_max", ((1.0, 0.0), (1.0, -1.0), (1e300, 1e200), (1e-300, 1e-200)),
+                             ids=("zero", "negative", "overflows", "underflows"))
+    def test_rejects_rmax_out_of_range(self, lambda_tilde, r_max):
+        # x_end = sqrt(lambda_tilde) r_max has to be a finite positive float
+        with pytest.raises(ValueError) as info:
+            integrate_profile(0.9, CouplingParams(lambda_tilde=lambda_tilde, m=0.1), r_max)
+        assert str(info.value) == "r_max = %r: sqrt(lambda_tilde) r_max is no finite positive float" % r_max
 
-    def test_matches_independent_dop853(self, params_m01):
-        # second integrator as oracle, compared at the trajectory's own radii
-        pytest.importorskip("scipy")
-        from scipy.integrate import solve_ivp
-
+    def test_matches_independent_dop853(self, params_m01, eta_form_dop853):
+        # the eta form from a series start, as oracle, compared at the
+        # trajectory's own radii
         traj = integrate_profile(0.9083, params_m01, 80.0)
-        ref = solve_ivp(
-            lambda r, y: (y[1], ode_rhs(r, y[0], y[1], params_m01)),
-            (traj.r[0], traj.r[-1]),
-            (traj.y[0], traj.dy[0]),
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-14,
-            dense_output=True,
-        )
-        assert ref.success
-        eta, deta = ref.sol(traj.r)
-        assert np.abs(eta - traj.y).max() < 1e-7
-        assert np.abs(deta - traj.dy).max() < 1e-7
+        eta, deta = eta_form_dop853(0.9083, params_m01, traj.r[-1])(traj.r[1:])
+        assert np.abs(eta - traj.y[1:]).max() < 1e-7
+        assert np.abs(deta - traj.dy[1:]).max() < 1e-7
 
 
 class TestFindRegularEta0:
@@ -175,17 +147,17 @@ class TestFindRegularEta0:
         counting("integrate_profile")
         counting("ode_rhs")
         res = find_regular_eta0(params_m01)
-        assert calls == {"integrate_profile": 10, "ode_rhs": 2782}
-        assert res.eta0 == 0.9083378754168658
-        assert np.asarray(res.trajectory.r).size == 23
+        assert calls == {"integrate_profile": 10, "ode_rhs": 1378}
+        assert res.eta0 == 0.9083388967652375
+        assert np.asarray(res.trajectory.r).size == 17
         assert res.trajectory.r[-1] == 80.0
 
         calls.update(integrate_profile=0, ode_rhs=0)
         res = find_regular_eta0(params_m01, tol=1e-12)
-        assert calls == {"integrate_profile": 11, "ode_rhs": 12071}
-        assert res.eta0 == 0.9083371697706555
+        assert calls == {"integrate_profile": 11, "ode_rhs": 8171}
+        assert res.eta0 == 0.9083371697707606
         assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 1e-12
-        assert np.asarray(res.trajectory.r).size == 108
+        assert np.asarray(res.trajectory.r).size == 79
         assert res.trajectory.r[-1] == 80.0
 
     # eta_0* for each m, which does not depend on lambda_tilde: frozen from
@@ -204,12 +176,12 @@ class TestFindRegularEta0:
     @pytest.mark.parametrize("lambda_tilde", (0.5, 1.0, 4.0))
     def test_default_tol_holds_against_tight_root(self, lambda_tilde, m):
         # the integration each tol passes down still leaves the answer within
-        # tol of the lambda_tilde-independent root (at most 0.196, 0.227 and
-        # 0.233 tol measured)
+        # a quarter of tol of the lambda_tilde-independent root (at most
+        # 0.173, 0.049 and 0.106 tol measured)
         p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
         for tol in (1e-5, 1e-8, 1e-12):
             res = find_regular_eta0(p, tol=tol)
-            assert abs(res.eta0 - self.TIGHT_ROOTS[m]) <= tol, tol
+            assert abs(res.eta0 - self.TIGHT_ROOTS[m]) <= 0.25 * tol, tol
 
     def test_refines_with_tolerance(self, shot_m01_default, shot_m01_tight):
         assert abs(shot_m01_default.eta0 - shot_m01_tight.eta0) < 2e-5
@@ -236,20 +208,22 @@ class TestFindRegularEta0:
         res = find_regular_eta0(p, bracket=(1.0, 2.5), tol=1e-10)
         assert res.eta0 == pytest.approx(1.4810965307, abs=1e-8)
 
-    def test_epsilon_insensitivity(self, params_m01, shot_m01_default, monkeypatch):
-        monkeypatch.setattr(shooting, "DEFAULT_EPSILON", 1e-7)
-        res = find_regular_eta0(params_m01)
-        assert abs(res.eta0 - shot_m01_default.eta0) < 1e-6
-
-    # eta_0* does not depend on lambda_tilde (r -> r sqrt(lambda_tilde)
-    # removes it, and the horizon scales with it), so a solve and its
-    # lambda_tilde = 1 partner agree within tol
-    @pytest.mark.parametrize("tol", (1e-5, 1e-12))
-    @pytest.mark.parametrize("lambda_tilde, m", ((0.5, 0.06), (1.28775, 0.105158), (4.0, 0.14)))
+    # eta_0* does not depend on lambda_tilde: x = sqrt(lambda_tilde) r
+    # removes it, and every probe runs at lambda_tilde = 1 to x = 8/m.  So a
+    # solve is its lambda_tilde = 1 partner float for float, with only the
+    # answer's trajectory rescaled to r; checked on three couplings and on
+    # the 12-point grid above
+    @pytest.mark.parametrize("tol", (1e-5, 1e-8, 1e-12))
+    @pytest.mark.parametrize("lambda_tilde, m", ((0.5, 0.06), (1.28775, 0.105158), (4.0, 0.14))
+                             + tuple((lt, m) for m in sorted(TIGHT_ROOTS) for lt in (0.5, 4.0)))
     def test_lambda_scaling(self, lambda_tilde, m, tol):
         scaled = find_regular_eta0(CouplingParams(lambda_tilde=lambda_tilde, m=m), tol=tol)
         partner = find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m), tol=tol)
-        assert abs(scaled.eta0 - partner.eta0) <= tol
+        assert scaled.eta0 == partner.eta0
+        assert (scaled.label, scaled.residual) == (partner.label, partner.residual)
+        assert scaled.trajectory.y == partner.trajectory.y
+        r_final = partner.trajectory.r[-1] / math.sqrt(lambda_tilde)
+        assert abs(scaled.trajectory.r[-1] - r_final) <= math.ulp(r_final)
 
     def test_answer_is_a_probed_end(self, params_m01, monkeypatch):
         # the answer and the nearest probe with the other label bracket
@@ -287,18 +261,19 @@ class TestFindRegularEta0:
         assert type(info.value) is ValueError
         assert calls == []
 
-    @pytest.mark.parametrize("lambda_tilde, m", ((1e-250, 1e-200), (1e-300, 1e-160), (1.0, 1e7)),
-                             ids=("mu-underflows", "horizon-overflows", "horizon-below-start"))
+    @pytest.mark.parametrize("lambda_tilde, m", ((1e-250, 1e-200), (1e-300, 1e-160), (1e300, 1e-310)),
+                             ids=("mu-underflows", "horizon-overflows", "unit-horizon-overflows"))
     def test_horizon_out_of_range_refused_before_integrating(self, monkeypatch, lambda_tilde, m):
-        # 8/mu divides by an underflowed mu, overflows, or ends below the series start
+        # 8/mu divides by an underflowed mu = m sqrt(lambda_tilde) or
+        # overflows, or the probes' horizon 8/m overflows
         calls = []
         monkeypatch.setattr(shooting, "integrate_profile", lambda *args: calls.append(args))
         p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
         with pytest.raises(ValueError) as info:
             find_regular_eta0(p)
         assert type(info.value) is ValueError
-        assert str(info.value) == ("lambda_tilde = %g, m = %g: the horizon 8/(m sqrt(lambda_tilde)) is no finite"
-                                   " radius above the series start 1e-06" % (lambda_tilde, m))
+        assert str(info.value) == ("lambda_tilde = %g, m = %g: the horizon 8/m or 8/(m sqrt(lambda_tilde))"
+                                   " is no finite positive float" % (lambda_tilde, m))
         assert calls == []
 
     def test_ambiguity_when_horizon_too_short(self):
@@ -350,24 +325,6 @@ class TestDecayRate:
             decay_rate(traj, (2.0, 50.0))
 
 
-def dop853_dense(traj, p, r_end):
-    """scipy's DOP853 at rtol 1e-13 from the trajectory's first sample."""
-    pytest.importorskip("scipy")
-    from scipy.integrate import solve_ivp
-
-    ref = solve_ivp(
-        lambda r, y: (y[1], ode_rhs(r, y[0], y[1], p)),
-        (traj.r[0], r_end),
-        (traj.y[0], traj.dy[0]),
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-15,
-        dense_output=True,
-    )
-    assert ref.success
-    return ref.sol
-
-
 class TestDeriveFields:
     def test_zero_trajectory_gives_zero_fields(self, params_m01):
         zeros = np.zeros(11)
@@ -387,24 +344,25 @@ class TestDeriveFields:
         phi, _, _ = derive_fields(traj.y, traj.dy, params_m01)
         assert np.allclose(phi, np.sinh(np.asarray(traj.y) / 2.0), atol=1e-15)
 
-    def test_density_matches_dop853_gauss_source(self, shot_m01_tight, params_m01):
+    def test_density_matches_dop853_gauss_source(self, shot_m01_tight, params_m01, eta_form_dop853, eta_form_rhs):
         # the oracle is the Gauss-law source 4 (2E/r + E') with E' written
-        # out from eta'' = ode_rhs, on scipy's DOP853 solution at the
-        # regular trajectory's own radii
+        # out from eta'' of the eta form, on scipy's DOP853 solution at the
+        # regular trajectory's own radii r > 0
         traj = shot_m01_tight.trajectory
-        eta, deta = dop853_dense(traj, params_m01, traj.r[-1])(traj.r)
-        ddeta = np.array([ode_rhs(*args, params_m01) for args in zip(traj.r, eta, deta)])
+        r = np.asarray(traj.r[1:])
+        eta, deta = eta_form_dop853(traj.y[0], params_m01, traj.r[-1])(r)
+        ddeta = np.array([eta_form_rhs(*args, params_m01) for args in zip(r, eta, deta)])
         cosh, sinh = np.cosh(eta / 2.0), np.sinh(eta / 2.0)
         e_field = -deta / (2.0 * cosh)
         de_field = -ddeta / (2.0 * cosh) + deta**2 * sinh / (4.0 * cosh**2)
-        source = 4.0 * (2.0 * e_field / traj.r + de_field)
-        _, _, rho = derive_fields(traj.y, traj.dy, params_m01)
+        source = 4.0 * (2.0 * e_field / r + de_field)
+        _, _, rho = derive_fields(traj.y[1:], traj.dy[1:], params_m01)
         assert np.abs(rho - source).max() < 1e-8 * np.abs(source).max()
 
-    def test_gauss_law_converges_second_order(self, shot_m01_tight, params_m01):
+    def test_gauss_law_converges_second_order(self, shot_m01_tight, params_m01, eta_form_dop853):
         # centered-difference div E on DOP853 dense output approaches the
         # pointwise density at O(h^2)
-        sol = dop853_dense(shot_m01_tight.trajectory, params_m01, 30.0)
+        sol = eta_form_dop853(shot_m01_tight.eta0, params_m01, 30.0)
         errors = []
         for n in (1000, 2000, 4000):
             r = np.linspace(0.5, 30.0, n)
