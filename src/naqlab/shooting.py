@@ -10,9 +10,11 @@ true vacua; a trajectory started at rest either overshoots through zero or
 turns back (undershoots).  The single starting value eta_0* whose trajectory
 decays monotonically to zero separates the two.  Each probe also reads the
 amplitude of the growing mode at its last sample, a signed residual close to
-linear in eta_0 - eta_0*, and Brent's method on it isolates eta_0* in about
-10 trajectories.  For lambda_tilde = 1, m = 0.1 the regular value is
-eta_0* = 0.9083.
+linear in eta_0 - eta_0*, and Brent's method on it isolates eta_0* in 10
+to 12 probes.  Below rtol 1e-6, a probe far from the root keeps the label
+of a pass at rtol 1e-6, and only probes whose residual there is below 1e-6
+are integrated at the solve's rtol (see find_regular_eta0).  For
+lambda_tilde = 1, m = 0.1 the regular value is eta_0* = 0.9083.
 
 The integrator solves for w = x eta in x = sqrt(lambda_tilde) r, where the
 equation w_xx = -x S(w/x) has no 2/r pole and no lambda_tilde.  Each
@@ -39,6 +41,11 @@ __all__ = [
 ]
 
 DEFAULT_BRACKET = (0.2, 2.0)
+# A solve whose rtol is below 1e-6 labels each probe first at rtol 1e-6, and
+# keeps that label where |residual| >= 1e-6: near the root the two passes'
+# residuals differ by at most 6.1e-8 (see find_regular_eta0).
+_COARSE_RTOL = 1e-6
+_TRUSTED_RESIDUAL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,8 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float 
 
     Returns the integrator's ``RkSolution`` converted to r: ``y``, ``dy`` and
     ``ddy`` hold eta, eta' and eta'' at the radii ``r``, starting with
-    (0, eta0, 0, -lambda_tilde S(eta0) / 3), and ``stop`` is one of four
+    (0, eta0, 0, -lambda_tilde S(eta0) / 3); samples close to r = 0 come
+    from the series eta0 + a x^2 + b x^4.  ``stop`` is one of four
     strings.  "overshoot": eta crosses zero heading negative.  "undershoot":
     eta' turns from negative to positive.  "reached_rmax": neither happened
     by ``r_max``, which is then the last radius exactly.
@@ -142,19 +150,32 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float 
     except IntegrationBlowUp as exc:
         sol = exc.partial
         sol.stop = "blow_up"
-    # w = x eta: eta_x = (w_x - eta) / x and eta_xx = (w_xx - 2 eta_x) / x, which are 0 and -S(eta0) / 3 at x = 0;
-    # S(eta0) is not taken from ode_rhs, each of whose calls counts as one RHS evaluation
+    # w = x eta: eta_x = (w_x - eta) / x and eta_xx = (w_xx - 2 eta_x) / x.  Both cancel near x = 0, where
+    # the series eta = eta0 + a x^2 + b x^4, a = -S(eta0) / 6 and b = -S'(eta0) a / 20, is taken instead
+    # while scale x^2 <= 3e-4; scale is S'(eta0) with its terms added in absolute value, so it does not
+    # vanish where S' does.  Against a 14-term series, for eta0 from 0.002 to 5.5 at rtol 1e-6 to 1e-12,
+    # that crossover gave the smallest worst relative error of eta_x, 4e-9 (1e-5: 1e-7; 1e-2: 7e-7), where
+    # the differences alone are off by a factor 2 at eta0 = 0.05, x = 1e-6.  S is not taken from ode_rhs,
+    # each of whose calls counts as one RHS evaluation.
     x, w, dw, ddw = sol.r, sol.y, sol.dy, sol.ddy
     try:
-        s = math.sinh(0.5 * eta0)
-        ddw[0] = -math.sinh(eta0) * (s * s - m_squared) / 3.0
+        s, sh = math.sinh(0.5 * eta0), math.sinh(eta0)
+        slope, dslope = sh * (s * s - m_squared), math.cosh(eta0) * (s * s - m_squared) + 0.5 * sh * sh
+        scale = math.cosh(eta0) * (s * s + m_squared) + 0.5 * sh * sh
     except OverflowError:
-        ddw[0] = math.copysign(math.inf, -eta0)
-    w[0], dw[0] = eta0, 0.0
+        slope, dslope, scale = math.copysign(math.inf, eta0), math.inf, math.inf
+    a = -slope / 6.0
+    b = -dslope * a / 20.0
+    w[0], dw[0], ddw[0] = eta0, 0.0, -slope / 3.0
     for i in range(1, len(x)):
-        eta = w[i] / x[i]
-        deta = (dw[i] - eta) / x[i]
-        w[i], dw[i], ddw[i] = eta, deta, (ddw[i] - 2.0 * deta) / x[i]
+        xi = x[i]
+        xx = xi * xi
+        if scale * xx <= 3e-4:
+            w[i], dw[i], ddw[i] = eta0 + (a + b * xx) * xx, (2.0 * a + 4.0 * b * xx) * xi, 2.0 * a + 12.0 * b * xx
+        else:
+            eta = w[i] / xi
+            deta = (dw[i] - eta) / xi
+            w[i], dw[i], ddw[i] = eta, deta, (ddw[i] - 2.0 * deta) / xi
     _to_r(sol, p.lambda_tilde)
     if sol.stop == "reached_rmax":
         x[-1] = r_max  # sqrt(lambda_tilde) r_max / sqrt(lambda_tilde) can miss it by an ulp
@@ -173,34 +194,45 @@ def _to_r(traj: RkSolution, lambda_tilde: float) -> None:
         traj.ddy[i] *= lambda_tilde
 
 
-def _probe(eta0, p, rtol) -> Probe:
+def _probe(eta0, p, rtols) -> Probe:
     """Integrate from eta0 at lambda_tilde = 1 to the horizon x = 8/m and classify
-    its fate, with a signed residual; lambda_tilde only scales the radius an error names."""
+    its fate, with a signed residual; lambda_tilde only scales the radius an error names.
+
+    ``rtols`` is the solve's list of rtols, ``[1e-6, rtol]`` while its
+    probes are labelled coarsely and ``[rtol]`` after.  A pass at the first
+    is kept when it classifies with |residual| >= 1e-6; otherwise the probe
+    is integrated again at the next, which is then the only one left for
+    this and every later probe of the solve.
+    """
     m = p.m
-    traj = integrate_profile(eta0, CouplingParams(1.0, m), 8.0 / m, rtol)
-    x_f, eta_f, deta_f = traj.r[-1], traj.y[-1], traj.dy[-1]
-    # Near-critical trajectories can still be hugging the false vacuum at
-    # the horizon.  There the linearization eta_xx + (2/x) eta_x = m^2 eta
-    # has solutions (A e^{-m x} + B e^{m x})/x, and
-    # g = x eta_x + eta + m x eta = 2 m B e^{m x}: sign(B) decides the
-    # eventual fate, a positive growing mode turns the field back up
-    # (undershoot), a negative one drives it through zero (overshoot).
-    growing = x_f * deta_f + eta_f + m * x_f * eta_f
-    label = None
-    if traj.stop in ("overshoot", "undershoot"):
-        label = traj.stop
-    elif traj.stop == "blow_up" and eta_f < 0:
-        label = "overshoot"
-    elif traj.stop == "reached_rmax" and abs(eta_f) < 0.5 * p.eta_vacuum:
-        if growing > 0:
-            label = "undershoot"
-        elif growing < 0:
+    while True:
+        traj = integrate_profile(eta0, CouplingParams(1.0, m), 8.0 / m, rtols[0])
+        x_f, eta_f, deta_f = traj.r[-1], traj.y[-1], traj.dy[-1]
+        # Near-critical trajectories can still be hugging the false vacuum at
+        # the horizon.  There the linearization eta_xx + (2/x) eta_x = m^2 eta
+        # has solutions (A e^{-m x} + B e^{m x})/x, and
+        # g = x eta_x + eta + m x eta = 2 m B e^{m x}: sign(B) decides the
+        # eventual fate, a positive growing mode turns the field back up
+        # (undershoot), a negative one drives it through zero (overshoot).
+        growing = x_f * deta_f + eta_f + m * x_f * eta_f
+        label = None
+        if traj.stop in ("overshoot", "undershoot"):
+            label = traj.stop
+        elif traj.stop == "blow_up" and eta_f < 0:
             label = "overshoot"
+        elif traj.stop == "reached_rmax" and abs(eta_f) < 0.5 * p.eta_vacuum:
+            if growing > 0:
+                label = "undershoot"
+            elif growing < 0:
+                label = "overshoot"
+        # The smallest positive float keeps an underflowed residual from
+        # reading as an exact root.
+        size = max(abs(growing) * math.exp(-m * x_f), math.ulp(0.0))
+        if len(rtols) == 1 or (label is not None and size >= _TRUSTED_RESIDUAL):
+            break
+        del rtols[0]
     if label is None:
         raise ClassifierAmbiguityError("eta0 = %r reached r = %g unclassified" % (eta0, x_f / math.sqrt(p.lambda_tilde)))
-    # The smallest positive float keeps an underflowed residual from
-    # reading as an exact root.
-    size = max(abs(growing) * math.exp(-m * x_f), math.ulp(0.0))
     if label == "undershoot":
         size = -size
     return Probe(eta0=eta0, label=label, residual=size, trajectory=traj)
@@ -217,11 +249,29 @@ def find_regular_eta0(p: CouplingParams, bracket: tuple[float, float] = DEFAULT_
     Each probe is integrated at lambda_tilde = 1 to eight Yukawa lengths,
     x = 8/m, at ``rtol = min(1e-6, max(1e-12, 0.1 tol))``, so eta0 is the
     same float for every lambda_tilde and only the answer's trajectory is
-    rescaled, to end at r = x / sqrt(lambda_tilde).  At m = 0.1 a
-    solve takes 10 trajectories and 1378 RHS calls at tol 1e-5, and 11 and
-    8171 at tol 1e-12.  On the grid lambda_tilde in {0.5, 1, 4}, m in {0.05,
-    0.1, 0.15, 0.17} the answer lay within 0.173, 0.049 and 0.106 tol of the
-    lambda_tilde-independent root at tol 1e-5, 1e-8 and 1e-12.
+    rescaled, to end at r = x / sqrt(lambda_tilde).
+
+    The labels keep the bracket and the residuals only steer it, so a probe
+    far from the root needs a correct label, not a tight integration.  Below
+    rtol 1e-6 (tol < 1e-5) each probe is first integrated at rtol 1e-6 and
+    keeps that label and residual when |residual| >= 1e-6.  Otherwise it is
+    integrated again at the solve's rtol, and so is every later probe of the
+    solve, at that rtol only, since Brent's iterates then stay near the
+    root.  Within 1e-3 of the root the two passes' residuals differ by at
+    most 6.1e-8 (m from 0.025 to 0.185), 16 times below the threshold, and
+    no label kept from rtol 1e-6 differed from the rtol-1e-12 one.  The
+    residual changes by at most 0.16 per unit of eta0 (measured for m from
+    0.002 to 0.185), so the end of the final bracket nearer the root reads
+    at most 0.8e-6 + 6.1e-8 at rtol 1e-6 and is integrated at the solve's
+    rtol, and its |residual| is below that of any end kept from rtol 1e-6:
+    the answer's trajectory is always one at the solve's rtol.
+
+    At m = 0.1 a solve takes 10 trajectories and 1378 RHS calls at tol 1e-5,
+    12 and 2568 at tol 1e-8, and 13 (for 12 probes) and 5185 at tol 1e-12,
+    where 11 probes all at rtol 1e-12 took 8171.  On the grid lambda_tilde
+    in {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within
+    0.173, 0.141 and 0.110 tol of the lambda_tilde-independent root at tol
+    1e-5, 1e-8 and 1e-12.
 
     LO must be above 0: eta0 = 0 is the static false vacuum, whose
     growing-mode amplitude is exactly 0, and a negative start overshoots at
@@ -234,8 +284,9 @@ def find_regular_eta0(p: CouplingParams, bracket: tuple[float, float] = DEFAULT_
     mu = p.m * math.sqrt(p.lambda_tilde)
     if not (0.0 < 8.0 / p.m < math.inf and mu > 0 and 8.0 / mu < math.inf):
         raise ValueError("lambda_tilde = %g, m = %g: the horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float" % (p.lambda_tilde, p.m))
-    rtol = min(1e-6, max(1e-12, 0.1 * tol))
-    best = brent(lambda eta0: _probe(eta0, p, rtol), bracket, tol)
+    rtol = min(_COARSE_RTOL, max(1e-12, 0.1 * tol))
+    rtols = [_COARSE_RTOL, rtol] if rtol < _COARSE_RTOL else [rtol]
+    best = brent(lambda eta0: _probe(eta0, p, rtols), bracket, tol)
     _to_r(best.trajectory, p.lambda_tilde)
     return best
 

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -755,6 +756,20 @@ class TestProfile:
         assert np.abs(rows[:, 1] - eta).max() <= 1e-5
         assert np.abs(rows[:, 2] - deta).max() <= 2e-5
 
+    def test_rows_near_the_origin_follow_the_series(self, capsys):
+        # eta' = (w_x - eta) / x cancels near the origin, and printed -1.44e-6
+        # at r = 1e-9; these radii lie inside the series eta0 + a r^2 + b r^4,
+        # a = -S(eta0) / 6 and b = -S'(eta0) a / 20, at lambda_tilde = 1
+        code, out, _ = run(capsys, "profile", "--eta0", "0.9", "--grid=1e-9:1e-7:5")
+        assert code == EXIT_OK
+        r, eta, deta = np.array([line.split(",")[:3] for line in out.splitlines()[2:]], dtype=float).T
+        m2, half = 0.01, math.sinh(0.45) ** 2
+        a = -math.sinh(0.9) * (half - m2) / 6.0
+        b = -(math.cosh(0.9) * (half - m2) + 0.5 * math.sinh(0.9) ** 2) * a / 20.0
+        assert deta[0] == pytest.approx(-7.067334730425e-11, rel=1e-12)
+        assert np.abs(deta - (2.0 * a * r + 4.0 * b * r ** 3)).max() <= 1e-15 * np.abs(deta).max()
+        assert np.abs(eta - (0.9 + a * r * r)).max() <= 2e-16
+
     def test_short_trajectory_is_numerical_error(self, capsys):
         # a strongly overshooting start terminates long before the grid
         code, _, err = run(
@@ -863,15 +878,15 @@ class TestOutputPins:
         (("shoot", "--lambda", "1", "--m", "0.1"),
          "5143dabec0a873dabb42b055b8124fa13596cae24384424c4702a547230a7f7f"),
         (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"),
-         "9adf1ee912f35f1c1dc0d56faadafacf9a267886b053baea6b89f52bf89ac820"),
+         "20b09d48b4a7eb51bc94cc89e454ef7ba2576738a0ad970fafff595a766059db"),
         (("shoot", "--lambda", "2.5", "--m", "0.07", "--tol", "1e-05"),
          "bd700d34863d9850371d318d29056da155e3663ac8e410dc69cc008a2a7abf29"),
         (("shoot", "--lambda", "0.6", "--m", "0.13", "--tol", "1e-05"),
          "17ec115d08d94b74ccdbef6625f77e88afd51be6ad590c3654a1d1dba7e00512"),
         (("shoot", "--lambda", "3.2", "--m", "0.12", "--tol", "1e-12"),
-         "67ba1d5fdfde4392e5cae5393d1c5f2f7878bcd4afe3649db293319562fa90ae"),
+         "57b4f3d74bae2c2bbfb5f67fef72071c5436a706d4412b94c238ba1ae9663d11"),
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
-         "573e51c013db2e20a32746f6ea925ff359cb47fdc976a6519082d74b2d6a455d"),
+         "703366b5e19df353bd7ca0b7e05d901a8cfde901e0295ea9c152d6b1b1613b1a"),
         (("profile", "--eta0", "0.9083"),
          "6818949f6f4c0f1b41d3ab9bda7182cec59154d7e7ea534cb8948a060c6683f6"),
         (("exact",),

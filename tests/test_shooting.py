@@ -128,11 +128,15 @@ class TestFindRegularEta0:
         assert shot_m01_default.eta0 == pytest.approx(0.9083, abs=5e-4)
 
     def test_reference_work_and_bits(self, params_m01, monkeypatch):
-        # Brent's method needs 10 trajectories at tol 1e-5 and 11 at 1e-12
-        # (bisection needed 21 and 44); each costs 1 + 12 x (attempted DOP853
-        # steps) RHS calls, at rtol 1e-6 and 1e-12 respectively, and the
-        # answer's trajectory is one of them.  The floats are pinned bit for
-        # bit so a change of arithmetic order shows up here.
+        # Brent's method needs 10 trajectories at tol 1e-5, all at rtol 1e-6
+        # (bisection needed 21).  At tol 1e-12 its 12 probes take 13
+        # trajectories: the 8 far ones keep their rtol-1e-6 label, the ninth
+        # (|residual| 2.4e-7) is integrated at 1e-6 and again at 1e-12, and
+        # the last 3 only at 1e-12 (bisection needed 44, and 11 probes all at
+        # 1e-12 took 8171 RHS calls).  Each costs 1 + 12 x (attempted DOP853
+        # steps) RHS calls, and the answer's trajectory is one of them.  The
+        # floats are pinned bit for bit so a change of arithmetic order shows
+        # up here.
         calls = {"integrate_profile": 0, "ode_rhs": 0}
 
         def counting(name):
@@ -154,8 +158,8 @@ class TestFindRegularEta0:
 
         calls.update(integrate_profile=0, ode_rhs=0)
         res = find_regular_eta0(params_m01, tol=1e-12)
-        assert calls == {"integrate_profile": 11, "ode_rhs": 8171}
-        assert res.eta0 == 0.9083371697707606
+        assert calls == {"integrate_profile": 13, "ode_rhs": 5185}
+        assert res.eta0 == 0.908337169770765
         assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 1e-12
         assert np.asarray(res.trajectory.r).size == 79
         assert res.trajectory.r[-1] == 80.0
@@ -225,6 +229,46 @@ class TestFindRegularEta0:
         r_final = partner.trajectory.r[-1] / math.sqrt(lambda_tilde)
         assert abs(scaled.trajectory.r[-1] - r_final) <= math.ulp(r_final)
 
+    @pytest.mark.parametrize("tol, rtol", ((1e-8, 1e-9), (1e-12, 1e-12)))
+    @pytest.mark.parametrize("m", sorted(TIGHT_ROOTS))
+    def test_answer_is_integrated_at_the_solve_rtol(self, m, tol, rtol):
+        # far probes keep a label from rtol 1e-6, but the answer's
+        # trajectory is the one the solve's own rtol gives, sample for sample
+        res = find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m), tol=tol)
+        traj = integrate_profile(res.eta0, CouplingParams(1.0, m), 8.0 / m, rtol)
+        assert (res.trajectory.r, res.trajectory.y, res.trajectory.dy, res.trajectory.ddy) == (
+            traj.r, traj.y, traj.dy, traj.ddy)
+        assert res.trajectory.stop == traj.stop
+
+    # (m, bracket): the default bracket up to m = 0.17, the coupling nearest
+    # the fold it reaches, and the lower root near the fold m_c = 0.18598
+    LABEL_SAFETY_CASES = tuple((m, shooting.DEFAULT_BRACKET) for m in (0.025, 0.05, 0.1, 0.15, 0.17)) + (
+        (0.185, (2.1, 2.4)),)
+
+    def test_coarse_labels_agree_with_tight_labels(self):
+        # A tight solve keeps the rtol-1e-6 label of every probe whose
+        # rtol-1e-6 |residual| is at least 1e-6.  Starts on a half-decade
+        # ladder 1e-7 to 1e-1 either side of each root and 8 seeded uniform
+        # ones in the bracket: every such label is the rtol-1e-12 one.  The
+        # two residuals differ by a near-constant offset, largest at the fold;
+        # within 1e-3 of a root the worst is 6.07e-8 (m = 0.185), 16 times
+        # below the 1e-6 threshold.
+        worst = 0.0
+        for m, bracket in self.LABEL_SAFETY_CASES:
+            p = CouplingParams(lambda_tilde=1.0, m=m)
+            root = find_regular_eta0(p, bracket, tol=1e-12).eta0
+            rng = np.random.default_rng(7)
+            ladder = [root + side * 10.0 ** (k / 2) for k in range(-14, -1) for side in (-1.0, 1.0)]
+            for eta0 in ladder + [float(u) for u in rng.uniform(*bracket, 8)]:
+                if not bracket[0] <= eta0 <= bracket[1]:
+                    continue
+                coarse, tight = shooting._probe(eta0, p, [1e-6]), shooting._probe(eta0, p, [1e-12])
+                if abs(coarse.residual) >= 1e-6:
+                    assert coarse.label == tight.label, (m, eta0)
+                if abs(eta0 - root) <= 1e-3:
+                    worst = max(worst, abs(coarse.residual - tight.residual))
+        assert worst <= 1e-7
+
     def test_answer_is_a_probed_end(self, params_m01, monkeypatch):
         # the answer and the nearest probe with the other label bracket
         # eta_0* within tol; it is returned with its own trajectory and has
@@ -281,6 +325,13 @@ class TestFindRegularEta0:
         p = CouplingParams(lambda_tilde=1.0, m=0.1)
         with pytest.raises(ClassifierAmbiguityError, match="reached r = 80 unclassified"):
             find_regular_eta0(p, bracket=(p.eta_vacuum, 2.0))
+
+    def test_unclassified_coarse_pass_is_integrated_again(self):
+        # the same start, unclassified at rtol 1e-6, undershoots at rtol
+        # 1e-12: a tight solve integrates it again rather than refusing
+        p = CouplingParams(lambda_tilde=1.0, m=0.1)
+        res = find_regular_eta0(p, bracket=(p.eta_vacuum, 2.0), tol=1e-12)
+        assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 1e-12
 
 
 class TestDecayRate:
