@@ -114,12 +114,12 @@ def _csv_blocks(config: dict, header: str, columns: tuple):
 
     orjson finds the same shortest digits as ``repr`` (Ryu), in another
     layout.  Each block of rows is dumped as one flat list, nan and +inf as
-    ``0.0`` and -inf as ``-0.0``, and its bytes get these edits:
+    ``0.0`` and -inf as ``-0.0`` (only in a block that holds them), and its
+    bytes get these edits:
 
-    - ``+`` inserted after the ``e`` of a positive exponent: ``1e16`` ->
-      ``1e+16``;
-    - ``0`` inserted before the digit of a one-digit negative exponent:
-      ``1e-7`` -> ``1e-07``;
+    - ``+`` after the ``e`` of a positive exponent: ``1e16`` -> ``1e+16``;
+    - ``0`` before the digit of a one-digit negative exponent: ``1e-7`` ->
+      ``1e-07``;
     - the band 1e-5 <= |x| < 1e-4 moved to exponent form: ``0.0000dr`` ->
       ``d.re-05`` and ``0.0000d`` -> ``de-05``;
     - the last three bytes of each stand-in zero overwritten by ``nan`` or
@@ -127,10 +127,14 @@ def _csv_blocks(config: dict, header: str, columns: tuple):
     - the comma before each row's first value and the closing ``]`` turned
       into newlines, and the opening ``[`` dropped.
 
-    The edits are found by scanning for ``,`` and ``e``.  Insertions land in
-    one ``np.insert``; deleted bytes are overwritten with NUL and removed by
-    one ``bytes.replace``.  No array as long as the text holds more than one
-    byte per entry, and no more than one block of text is held at a time.
+    One scan for ``,`` bounds the values; each value's class, read from the
+    floats, places its edit back from its end.  An edit that keeps the
+    length writes its bytes in place; one that changes it writes a marker
+    byte orjson never writes, which one single-byte ``bytes.replace`` per
+    class expands: ``E`` -> ``e+``, ``M`` -> ``-0``, a band value's
+    terminator ``B`` -> ``e-05,`` or ``N`` -> ``e-05`` and a newline, and
+    NUL -> nothing.  No array as long as the text holds more than one byte
+    per entry, and no more than one block of text is held at a time.
     """
     import numpy as np
 
@@ -149,32 +153,33 @@ def _csv_rows(block) -> str:
     mag = np.abs(values)
     band = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4))
     special = np.flatnonzero(~np.isfinite(values))
-    dumped = np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=-0.0)
-    buf = np.frombuffer(orjson.dumps(dumped, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8).copy()
-    buf[0] = ord(",")  # with the "[" read as a comma, value k lies between bounds k and k + 1
-    commas = np.flatnonzero(buf == ord(","))
-    bounds = np.append(commas, buf.size - 1)
-    # exponents: "+" after a positive one's "e", "0" before a one-digit negative one's digit
-    e = np.flatnonzero(buf == ord("e"))
-    minus = buf[e + 1] == ord("-")
-    after = buf[e[minus] + 3]
-    at = [e[~minus] + 1, e[minus][(after == ord(",")) | (after == ord("]"))] + 2]
-    new = [b"+" * at[0].size, b"0" * at[1].size]
-    # the band: d over the first "0", NUL over "0000d" (and the "." if r is empty), then "e-05"
-    lead = bounds[band] + 1 + (values[band] < 0)
-    end = bounds[band + 1]
-    buf[lead] = buf[lead + 6]
-    buf[lead[:, None] + (2, 3, 4, 5, 6)] = 0
-    buf[lead[end - lead == 7] + 1] = 0
-    at.append(np.repeat(end, 4))
-    new.append(b"e-05" * band.size)
-    # nan and +-inf: "nan" or "inf" over the last three bytes of the stand-in zero
-    words = np.frombuffer(b"infnan", np.uint8).reshape(2, 3)
-    buf[bounds[special + 1, None] - (3, 2, 1)] = words[np.isnan(values[special]).astype(int)]
-    buf[commas[block.shape[1]::block.shape[1]]] = ord("\n")
-    buf[-1] = ord("\n")
-    out = np.insert(buf, np.concatenate(at), np.frombuffer(b"".join(new), np.uint8))
-    return out[1:].tobytes().replace(b"\0", b"").decode()
+    dumped = np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=-0.0) if special.size else values
+    text = bytearray(orjson.dumps(dumped, option=orjson.OPT_SERIALIZE_NUMPY))
+    buf = np.frombuffer(text, np.uint8)
+    buf[[0, -1]] = ord(",")  # with "[" and "]" read as commas, value k lies between bounds k and k + 1
+    bounds = np.flatnonzero(buf == ord(","))
+    buf[bounds[block.shape[1]::block.shape[1]]] = ord("\n")
+    # exponents, back from each value's end (the float 1eK is the least whose
+    # digits print eK): "e" -> "E" in e16 to e99 and e100 to e308, "-" -> "M" in e-9 to e-5
+    for lo, hi, back, marker in ((1e16, 1e100, 3, "E"), (1e100, np.inf, 4, "E"), (1e-9, 1e-5, 2, "M")):
+        buf[bounds[np.flatnonzero((mag >= lo) & (mag < hi)) + 1] - back] = ord(marker)
+    if band.size:
+        # d over the first "0", NUL over "0000d" (and the "." if r is empty), "B" or "N" over the end
+        lead = bounds[band] + 1 + (values[band] < 0)
+        end = bounds[band + 1]
+        buf[lead] = buf[lead + 6]
+        buf[lead[:, None] + (2, 3, 4, 5, 6)] = 0
+        buf[lead[end - lead == 7] + 1] = 0
+        buf[end] = np.where(buf[end] == ord(","), ord("B"), ord("N"))
+    if special.size:
+        # "nan" or "inf" over the last three bytes of the stand-in zero
+        words = np.frombuffer(b"infnan", np.uint8).reshape(2, 3)
+        buf[bounds[special + 1, None] - (3, 2, 1)] = words[np.isnan(values[special]).astype(int)]
+    del buf, bounds, mag  # the text is the only row-length buffer from here on
+    for marker, expansion in ((b"E", b"e+"), (b"M", b"-0"), (b"B", b"e-05,"), (b"N", b"e-05\n"), (b"\0", b"")):
+        if marker in text:
+            text = text.replace(marker, expansion)
+    return str(memoryview(text)[1:], "ascii")
 
 
 def _emit(pieces, path: str | None) -> None:

@@ -441,24 +441,44 @@ class TestCsvWriter:
     byte for byte, on float64 values of every class; a change in orjson's
     number layout fails here."""
 
-    def test_random_bits(self):
+    @staticmethod
+    def random_bits():
         rng = np.random.default_rng(20240901)
         bits = rng.integers(0, 2**64, size=(5, MULTI_BLOCK_ROWS), dtype=np.uint64)
         table = bits.view(np.float64)
         table[:, :6] = (np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310)
-        assert np.isnan(table).sum() > 6
-        columns = tuple(table)
-        assert_same_text(csv_text({"seed": 1}, "a,b,c,d,e", columns), repr_table({"seed": 1}, "a,b,c,d,e", columns))
+        return table
 
-    def test_layout_boundaries(self):
+    @staticmethod
+    def layout_boundaries():
         # 200 float64 neighbours on each side of each point where the layout of
         # repr or of orjson changes, with both signs
         offsets = np.arange(-200, 201)
         edges = [(np.float64(x).view(np.int64) + offsets).view(np.float64)
                  for x in (1e-100, 1e-10, 1e-9, 1e-6, 1e-5, 1e-4, 1e16, 1e100)]
-        values = np.concatenate(edges + [-e for e in edges])
+        return np.concatenate(edges + [-e for e in edges])
+
+    def test_random_bits(self):
+        table = self.random_bits()
+        assert np.isnan(table).sum() > 6
+        columns = tuple(table)
+        assert_same_text(csv_text({"seed": 1}, "a,b,c,d,e", columns), repr_table({"seed": 1}, "a,b,c,d,e", columns))
+
+    def test_layout_boundaries(self):
+        values = self.layout_boundaries()
         columns = (values, values[::-1], np.roll(values, 7))
         assert_same_text(csv_text({}, "x,y,z", columns), repr_table({}, "x,y,z", columns))
+
+    def test_orjson_writes_no_marker_byte(self):
+        # The writer expands its marker bytes (E, M, B, N and NUL) by
+        # bytes.replace, so they must never come from orjson itself: its numpy
+        # output holds only these bytes, and a failure names any other.
+        import orjson
+
+        stand_ins = np.nan_to_num(self.random_bits(), nan=0.0, posinf=0.0, neginf=-0.0)
+        for values in (stand_ins.ravel(), self.layout_boundaries()):
+            text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            assert sorted(set(text) - set("0123456789.-e,[]")) == []
 
     # one value of each layout class: zeros, subnormals, one- and two-digit
     # negative exponents, the band [1e-5, 1e-4), plain decimals, +-inf, nan
@@ -490,12 +510,23 @@ class TestCsvWriter:
         assert_same_text(text, repr_table({}, "x,y,z", columns))
         assert text.count("\n") == rows + 2
 
-    @pytest.mark.parametrize("values", ([0.5], [1e16], [1e16, 1e-7]), ids=("none", "one", "two"))
+    @pytest.mark.parametrize(
+        "values",
+        ([0.5], [1e16], [1e16, 1e-7], [0.5, 1.5e-5, 1e-5], [0.5, np.inf, -np.inf, np.nan],
+         [0.5, 1e16, -1e100], [0.5, 1e-7, -3e-9], [0.5, -12.25, 1e-4]),
+        ids=("none", "one", "two", "only-band", "only-nan-inf", "only-e+", "only-e-0", "no-edit"),
+    )
     def test_blocks_with_few_insertions(self, values):
-        # 0.5 needs no inserted byte, 1e16 a "+" and 1e-7 a "0": numpy's
-        # insert takes a separate path when exactly one index is given
-        columns = (np.array(values),)
-        assert_same_text(csv_text({}, "a", columns), repr_table({}, "a", columns))
+        # A block runs only the edits its values need: nan_to_num and the
+        # nan/inf words only with a nan or inf, the band rewrite only with a
+        # band value, and a marker's bytes.replace only where that marker was
+        # written.  Each block here holds one edit class, or none; as one
+        # column every band value ends its row, as two columns half of them
+        # end before a comma.
+        column = np.array(values)
+        for columns in ((column,), (column, column[::-1])):
+            header = ",".join("ab"[:len(columns)])
+            assert_same_text(csv_text({}, header, columns), repr_table({}, header, columns))
 
     def test_no_rows(self):
         columns = (np.zeros(0), np.zeros(0))
