@@ -9,9 +9,14 @@ one-sided stencil is formed and no end point is inverted or contracted, so
 convergence is cleanly second order and a metric may be singular there.
 The metric is inverted in closed form: determinant and adjugate from the
 same 2x2 minors, elementwise over the stack of points, with no LAPACK
-call.  Every contraction is a batched ``matmul`` (einsum only
-permutes indices and takes traces), and every array returned is C-ordered,
-with bits that do not depend on the memory layout of the input.
+call.  Every contraction is a batched ``matmul`` (einsum only permutes
+indices and takes traces), and the small products of one point that share
+a factor are stacked into one: a (16x4)@(4x4) product per point for the
+Christoffel symbols and for each of the contorsion's two index products,
+and a (16x4)@(4x1) one for Ricci's Gamma * trace term.
+Every array returned is C-ordered, with bits that do not depend on the
+memory layout of the input.  The symmetry and spacing checks give
+np.allclose's verdicts, decided in one pass for finite input.
 
 Sign conventions: torsion is minus twice the antisymmetric part of the
 connection, and the contorsion satisfies K_[mu nu]^rho = -T_{mu nu}^rho / 2
@@ -67,11 +72,13 @@ class Grid:
         for ax in self.axes:
             if ax.ndim != 1 or ax.size < 1:
                 raise ValueError("axes must be non-empty 1-D arrays")
+            if not np.isfinite(ax).all():
+                raise ValueError("axes must be finite")
             if ax.size > 1:
                 d = np.diff(ax)
                 if d[0] == 0:
                     raise ValueError("axes must not repeat a coordinate")
-                if not np.allclose(d, d[0], rtol=1e-12, atol=0):
+                if not _allclose(d, d[0], rtol=1e-12, atol=0):
                     raise ValueError("axes must be uniformly spaced")
 
     @property
@@ -84,6 +91,31 @@ class Grid:
 
     def interior(self) -> "Grid":
         return Grid(tuple(ax[sl] for ax, sl in zip(self.axes, _core(self))))
+
+
+def _allclose(a, b, atol, rtol=1e-5, equal_nan=False) -> bool:
+    """``np.allclose(a, b, rtol, atol, equal_nan)``, decided in one pass when
+    every ``|a - b|`` is finite and within tolerance.
+
+    The pass forms ``d = |a - b|``: a finite ``max(d) <= atol`` (an exact
+    match gives 0) accepts at once, since np.isclose's bound ``atol + rtol
+    |b|`` is never below ``atol``; a larger finite ``max(d)`` is tested
+    against that bound elementwise, with the same operands and operation
+    order as np.isclose.  So it accepts only what np.allclose accepts, and
+    any other input (a nan, an inf, or a real mismatch) gets np.allclose's
+    own verdict.  ``|b|`` is formed in C order, the layout of ``d`` for a
+    C-ordered ``a``, so that ``b`` may be a transposed view.
+    """
+    # np.isclose computes in an inexact type, as here
+    b = np.asanyarray(b, dtype=np.result_type(b, 1.0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.abs(a - b)
+        worst = np.max(d, initial=0.0)
+        if worst <= atol or (
+            worst < np.inf and (d <= atol + rtol * np.abs(b, order="C")).all()
+        ):
+            return True
+    return np.allclose(a, b, rtol=rtol, atol=atol, equal_nan=equal_nan)
 
 
 def _core(grid: Grid) -> tuple[slice, ...]:
@@ -184,7 +216,8 @@ def _inverse_metric(g: np.ndarray, offset=0) -> np.ndarray:
     all-zero metric or one with a nan or inf entry is refused, and the
     first such point is named.
     """
-    a = g.reshape(-1, 16).T.copy()
+    # one copy, entry-major: a[4 i + j] is entry (i, j) at every point
+    a = np.array(np.moveaxis(g, (-2, -1), (0, 1)), order="C").reshape(16, -1)
     # a zero or non-finite metric gives a nan ratio, which is refused below
     with np.errstate(invalid="ignore"):
         m, k = np.frexp(np.abs(a).max(axis=0))
@@ -211,18 +244,21 @@ def christoffel_from_metric(g: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid
     g = np.ascontiguousarray(g, dtype=float)
     if g.shape != grid.shape + (4, 4):
         raise ValueError("metric shape %s does not match grid %s" % (g.shape, grid.shape))
-    if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12, equal_nan=True):
+    if not _allclose(g, np.swapaxes(g, -1, -2), atol=1e-12, equal_nan=True):
         raise ValueError("metric must be symmetric")
     ginv = _inverse_metric(g[_core(grid)], offset=[int(n > 1) for n in grid.shape])
-    dg = _partials(g, grid)  # dg[..., b, d, c] = d_c g_{bd}
+    dg = _partials(g, grid)  # dg[..., b, c, d] = d_d g_{bc}
     # Gamma_{bc}^a = 1/2 g^{ad} (d_c g_{bd} + d_b g_{cd} - d_d g_{bc}); the
-    # bracket [..., b, d, c] is g_{bd,c} + g_{cd,b} - g_{bc,d}, summed in
-    # place, and dg is released before the product to lower peak memory
-    bracket = dg + np.einsum("...cdb->...bdc", dg)
-    bracket -= np.einsum("...bcd->...bdc", dg)
-    del dg
-    # [..., b, c, d] @ [..., d, a]: C-ordered [..., b, c, a]
-    gamma = np.swapaxes(bracket, -1, -2) @ np.swapaxes(ginv, -1, -2)[..., None, :, :]
+    # bracket [..., b, c, d] is g_{bd,c} + g_{cd,b} - g_{bc,d}, summed in place
+    bracket = np.einsum("...bdc->...bcd", dg) + np.einsum("...cdb->...bcd", dg)
+    bracket -= dg
+    # [..., (b c), d] @ [..., d, a]: one (16x4)@(4x4) product per point, of
+    # C-ordered operands, written as C-ordered [..., b, c, a] over dg, which
+    # is no longer needed: one array of this size fewer is allocated
+    rows = dg.shape[:-3] + (16, 4)
+    ginv_t = np.ascontiguousarray(np.swapaxes(ginv, -1, -2))
+    gamma = dg
+    np.matmul(bracket.reshape(rows), ginv_t, out=gamma.reshape(rows))
     gamma *= 0.5
     return gamma, grid.interior()
 
@@ -250,6 +286,13 @@ class ContorsionTensor:
     lower: np.ndarray
 
 
+def _index_product(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``t_{mu nu r} m_{r s}`` for C-ordered ``t``: one (16x4)@(4x4) product
+    per point, whose rows are the pairs (mu, nu)."""
+    out = t.reshape(t.shape[:-3] + (16, 4)) @ m
+    return out.reshape(out.shape[:-2] + (4, 4, 4))
+
+
 def contorsion_from_torsion(torsion: np.ndarray, g: np.ndarray) -> ContorsionTensor:
     """Contorsion from the torsion tensor and the metric.
 
@@ -258,17 +301,19 @@ def contorsion_from_torsion(torsion: np.ndarray, g: np.ndarray) -> ContorsionTen
     """
     torsion = np.ascontiguousarray(torsion, dtype=float)
     g = np.ascontiguousarray(g, dtype=float)
-    if not np.allclose(torsion, -np.swapaxes(torsion, -3, -2), atol=1e-12):
+    if not _allclose(torsion, -np.swapaxes(torsion, -3, -2), atol=1e-12):
         raise ValueError("torsion must be antisymmetric in its first two indices")
+    if not _allclose(g, np.swapaxes(g, -1, -2), atol=1e-12, equal_nan=True):
+        raise ValueError("metric must be symmetric")
     ginv = _inverse_metric(g)
-    t_low = torsion @ g[..., None, :, :]  # T_{mu nu sigma}
+    t_low = _index_product(torsion, g)  # T_{mu nu sigma}
     bracket = (
         np.einsum("...msn->...mns", t_low)
         + np.einsum("...nsm->...mns", t_low)
         - t_low
     )
     lower = 0.5 * bracket  # K_{mu nu sigma}
-    mixed = lower @ ginv[..., None, :, :]
+    mixed = _index_product(lower, ginv)
     return ContorsionTensor(mixed=mixed, lower=lower)
 
 
@@ -276,7 +321,7 @@ def assemble_connection(christoffel: np.ndarray, contorsion: np.ndarray) -> np.n
     """Full connection Gamma = {} + K from a symmetric part and a contorsion."""
     christoffel = np.asarray(christoffel, dtype=float)
     contorsion = np.asarray(contorsion, dtype=float)
-    if not np.allclose(christoffel, np.swapaxes(christoffel, -3, -2), atol=1e-10):
+    if not _allclose(christoffel, np.swapaxes(christoffel, -3, -2), atol=1e-10):
         raise ValueError("christoffel part must be symmetric in its lower indices")
     return christoffel + contorsion
 
@@ -299,7 +344,8 @@ def ricci_from_connection(conn: np.ndarray, grid: Grid) -> tuple[np.ndarray, Gri
     term2 = _partials(tr, grid)  # d_nu Gamma_{mu rho}^rho
     core = _core(grid)
     conn, tr = conn[core], tr[core]
-    term3 = (conn @ tr[..., None, :, None])[..., 0]
+    # [..., (m n), r] @ [..., r, 1]: one (16x4)@(4x1) product per point
+    term3 = (conn.reshape(conn.shape[:-3] + (16, 4)) @ tr[..., None]).reshape(conn.shape[:-1])
     # [m, (rho tau)] @ [(rho tau), n], the second factor Gamma_{n tau}^rho
     rows = conn.shape[:-3] + (4, 16)
     term4 = conn.reshape(rows) @ np.swapaxes(np.swapaxes(conn, -1, -2).reshape(rows), -1, -2)

@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +145,28 @@ class TestPoleAndSingularPoints:
         with pytest.raises(ValueError, match=re.escape("axes must not repeat a coordinate")):
             Grid((one, one, axis, one))
 
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("where", (0, 3, 4))
+    def test_grid_rejects_non_finite_coordinates(self, value, where):
+        # refused before np.diff, which warns on nan and inf (pytest turns
+        # that RuntimeWarning into an error)
+        one = np.array([0.0])
+        axis = 0.1 * np.arange(5.0)
+        axis[where] = value
+        with pytest.raises(ValueError, match="^axes must be finite$"):
+            Grid((one, one, axis, one))
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_grid_rejects_non_finite_size_one_axis(self, value):
+        one = np.array([0.0])
+        with pytest.raises(ValueError, match="^axes must be finite$"):
+            Grid((np.array([value]), one, 0.1 * np.arange(5.0), one))
+
+    def test_grid_rejects_non_uniform_spacing(self):
+        one = np.array([0.0])
+        with pytest.raises(ValueError, match="^axes must be uniformly spaced$"):
+            Grid((one, one, np.array([0.0, 0.1, 0.3]), one))
+
 
 def reference_partials(values, grid):
     """np.gradient over the whole grid, one-sided end points included."""
@@ -167,14 +191,34 @@ def term4_matmul(a, b):
     return a.reshape(rows) @ np.swapaxes(np.swapaxes(b, -1, -2).reshape(rows), -1, -2)
 
 
+def christoffel_rows(ginv, bracket):
+    """The kernel's form: the bracket as C-ordered [..., (b c), d] rows against
+    a C-ordered g^{da}, one (16x4)@(4x4) product per point."""
+    rows = np.ascontiguousarray(np.swapaxes(bracket, -1, -2))
+    ginv_t = np.ascontiguousarray(np.swapaxes(ginv, -1, -2))
+    return 0.5 * (rows.reshape(rows.shape[:-3] + (16, 4)) @ ginv_t).reshape(rows.shape)
+
+
+def term3_rows(conn, tr):
+    """The kernel's form: one (16x4)@(4x1) product per point."""
+    return (conn.reshape(conn.shape[:-3] + (16, 4)) @ tr[..., None]).reshape(conn.shape[:-1])
+
+
 # Each contraction of the kernels as the batched matmul they use and as the
 # einsum it replaced, and the metric inverse as the kernels' closed form and
 # as LAPACK's; DOT_LENGTH is the length of each contraction's dot products.
+# The "_rows" forms, which the kernels use, stack the rows of the per-index
+# products ("christoffel", "term3", "index") into one product per point;
+# the references of the kernel tests keep the per-index forms, so those tests
+# check that the two give the same bits.
 MATMUL = {
     "christoffel": christoffel_matmul,
+    "christoffel_rows": christoffel_rows,
     "term3": lambda conn, tr: (conn @ tr[..., None, :, None])[..., 0],
+    "term3_rows": term3_rows,
     "term4": term4_matmul,
     "index": lambda t, m: t @ m[..., None, :, :],
+    "index_rows": geometry._index_product,
     "inverse": geometry._inverse_metric,
 }
 EINSUM = {
@@ -184,7 +228,9 @@ EINSUM = {
     "index": lambda t, m: np.einsum("...mnr,...rs->...mns", t, m),
     "inverse": np.linalg.inv,
 }
+EINSUM.update({name + "_rows": EINSUM[name] for name in ("christoffel", "term3", "index")})
 DOT_LENGTH = {"christoffel": 4, "term3": 4, "term4": 16, "index": 4}
+DOT_LENGTH.update({name + "_rows": 4 for name in ("christoffel", "term3", "index")})
 
 
 def christoffel_operands(g, grid, forms=MATMUL):
@@ -309,6 +355,173 @@ class TestLayoutIndependence:
         want = contorsion_from_torsion(torsion, g)
         assert np.array_equal(k.mixed, want.mixed) and np.array_equal(k.lower, want.lower)
         assert k.mixed.flags.c_contiguous and k.lower.flags.c_contiguous
+
+
+# Each call site of geometry._allclose: the pair it compares and the
+# tolerances it passes (np.allclose's keywords).
+CHECK_SITES = {
+    "metric": (lambda a: (a, np.swapaxes(a, -1, -2)), dict(atol=1e-12, equal_nan=True)),
+    "torsion": (lambda a: (a, -np.swapaxes(a, -3, -2)), dict(atol=1e-12)),
+    "christoffel": (lambda a: (a, np.swapaxes(a, -3, -2)), dict(atol=1e-10)),
+    "grid": (lambda a: (a, a[0]), dict(rtol=1e-12, atol=0)),
+}
+# index of one entry and of its partner under the site's swap; for the grid,
+# of one spacing and of the first, which every spacing is compared with
+CHECK_PAIRS = {
+    "metric": ((0, 1, 2), (0, 2, 1)),
+    "torsion": ((1, 0, 3, 2), (1, 3, 0, 2)),
+    "christoffel": ((1, 2, 0, 3), (1, 0, 2, 3)),
+    "grid": ((3,), (0,)),
+}
+SPECIALS = (
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e-300, 0.7, -0.7, 1.7976931348623157e308, -1.7976931348623157e308,
+)
+
+
+def check_stack(site, rng):
+    """A random input that passes the site's check: a symmetric metric
+    stack, an antisymmetric torsion, a symmetric connection, or the
+    spacings of a uniform axis (equal only to rounding)."""
+    if site == "grid":
+        return np.diff(rng.uniform(-1, 1) + rng.uniform(0.01, 0.3) * np.arange(12))
+    shape = (3, 4, 4) if site == "metric" else (3, 4, 4, 4)
+    a = rng.uniform(-2, 2, size=shape)
+    if site == "torsion":
+        return a - np.swapaxes(a, -3, -2)
+    axes = (-1, -2) if site == "metric" else (-3, -2)
+    return a + np.swapaxes(a, *axes)
+
+
+def edge_values(y, atol, rtol):
+    """Float neighbours of y +- (atol + rtol |y|), the edge of np.isclose's
+    test, and the points y +- tol (1 +- rtol/2), which lie between that edge
+    and the one a bound scaled by |x| instead of |y| would give."""
+    tol = atol + rtol * abs(y)
+    out = [y + sign * tol * (1 + f * rtol / 2) for sign in (1, -1) for f in (1, -1)]
+    for edge in (y + tol, y - tol):
+        v = edge
+        for _ in range(3):
+            v = np.nextafter(v, -np.inf)
+        for _ in range(7):
+            out.append(v)
+            v = np.nextafter(v, np.inf)
+    return out
+
+
+def verdicts(a, b, kw):
+    """geometry._allclose and np.allclose on one pair, with the warnings each gives."""
+    out = []
+    for check in (geometry._allclose, np.allclose):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            verdict = check(a, b, **kw)
+        out.append((verdict, [str(w.message) for w in got]))
+    return out
+
+
+class TestAllcloseVerdict:
+    """geometry._allclose against np.allclose at each call site: the same
+    verdict and the same warnings, in both argument orders (np.isclose
+    scales its bound by the second argument only)."""
+
+    def check(self, site, a, seen):
+        pair, kw = CHECK_SITES[site]
+        a, b = pair(a)
+        for x, y in ((a, b), (b, a)):
+            (verdict, warned), (want, want_warned) = verdicts(x, y, kw)
+            assert type(verdict) is bool
+            assert verdict == want and warned == want_warned, (site, x, y)
+            seen.add(verdict)
+
+    @pytest.mark.parametrize("site", CHECK_SITES)
+    def test_random_stacks(self, site):
+        rng = np.random.default_rng(list(CHECK_SITES).index(site))
+        seen = set()
+        for _ in range(100):
+            a = check_stack(site, rng)
+            if rng.random() < 0.7:
+                # move a few entries by about the tolerance
+                kw = CHECK_SITES[site][1]
+                flat = a.reshape(-1)
+                for i in rng.integers(0, flat.size, size=rng.integers(1, 4)):
+                    bound = kw["atol"] + kw.get("rtol", 1e-5) * abs(flat[i])
+                    flat[i] += rng.uniform(-3, 3) * bound
+            self.check(site, a, seen)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("site", CHECK_SITES)
+    def test_special_values(self, site):
+        rng = np.random.default_rng(7)
+        first, second = CHECK_PAIRS[site]
+        seen = set()
+        for u, v in itertools.product(SPECIALS, repeat=2):
+            a = check_stack(site, rng)
+            if site == "grid":
+                a[:] = v
+            a[first], a[second] = u, v
+            self.check(site, a, seen)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("site", CHECK_SITES)
+    def test_one_ulp_either_side_of_the_bound(self, site):
+        rng = np.random.default_rng(11)
+        first, second = CHECK_PAIRS[site]
+        kw = CHECK_SITES[site][1]
+        seen = set()
+        scale = kw["atol"] or 1e-12
+        for y in (0.0, 5e-324, 1e-310, 0.3 * scale, scale, -3.7 * scale, 3e-7, 0.3, -1.7, 2.5e5, 1e300):
+            # the partner entry is the bound's |b|; the torsion site negates it
+            partner = -y if site == "torsion" else y
+            for x in edge_values(y, kw["atol"], kw.get("rtol", 1e-5)):
+                a = check_stack(site, rng)
+                if site == "grid":
+                    a[:] = partner
+                a[first], a[second] = x, partner
+                self.check(site, a, seen)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("site", CHECK_SITES)
+    def test_one_pass_decides_close_finite_input(self, site, monkeypatch):
+        # every finite input that np.allclose accepts is accepted without
+        # calling it, exact bound hits included
+        pair, kw = CHECK_SITES[site]
+        rng = np.random.default_rng(3)
+        first, second = CHECK_PAIRS[site]
+        cases = []
+        # y = 2**-60 puts x - y exactly on atol + rtol |y|, above atol
+        for y in (0.0, 2.0**-60, 0.3, -1.7, 2.5e5):
+            for x in edge_values(y, kw["atol"], kw.get("rtol", 1e-5)) + [y, y + kw["atol"]]:
+                a = check_stack(site, rng)
+                if site == "grid":
+                    a[:] = y
+                a[first], a[second] = x, -y if site == "torsion" else y
+                if np.allclose(*pair(a), **kw):
+                    cases.append(a)
+        assert len(cases) > 20
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.allclose called")
+
+        monkeypatch.setattr(np, "allclose", refuse)
+        for a in cases:
+            assert geometry._allclose(*pair(a), **kw) is True
+
+    def test_integer_spacings(self):
+        # np.isclose subtracts in floating point: 2**60 + 1152900 rounds to
+        # 2**60 + 1153024, past the bound 1e-12 * 2**60, where the exact
+        # integer difference is within it
+        one = np.array([0.0])
+        seen = set()
+        for axis in (np.arange(5), 3 * np.arange(-2, 7), np.array([0, 2**60, 2**61 + 1152900])):
+            self.check("grid", np.diff(axis), seen)
+        assert seen == {True, False}
+        with pytest.raises(ValueError, match="^axes must be uniformly spaced$"):
+            Grid((one, one, np.array([0, 2**60, 2**61 + 1152900]), one))
+
+    def test_empty_stack(self):
+        a = np.zeros((0, 4, 4))
+        assert geometry._allclose(a, np.swapaxes(a, -1, -2), atol=1e-12) is True
 
 
 EPS = np.finfo(float).eps
@@ -470,6 +683,16 @@ class TestMatmulFormsMatchEinsum:
         g, torsion = random_stack((50,), np.random.default_rng(5))
         self.check("index", torsion, g)
         self.check("index", contorsion_from_torsion(torsion, g).lower, np.linalg.inv(g))
+
+    @pytest.mark.parametrize("shape", ((3, 3, 3, 3), (5, 1, 4, 7), (1, 6, 1, 3)))
+    def test_row_forms_on_random_inputs(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        g, torsion = random_stack(shape, rng)
+        self.check("christoffel_rows", *christoffel_operands(g, random_grid(shape, rng)))
+        conn = rng.uniform(-1, 1, size=shape + (4, 4, 4))
+        self.check("term3_rows", conn, np.einsum("...rtt->...r", conn))
+        self.check("index_rows", torsion, g)
+        self.check("index_rows", contorsion_from_torsion(torsion, g).lower, np.linalg.inv(g))
 
     def test_contorsion_kernel_uses_the_matmul_form(self):
         g, torsion = random_stack((50,), np.random.default_rng(5))
@@ -649,8 +872,28 @@ class TestContorsion:
         assert np.abs(k.lower + np.swapaxes(k.lower, 1, 2)).max() < 1e-12
 
     def test_rejects_non_antisymmetric_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^torsion must be antisymmetric in its first two indices$"
+        ):
             contorsion_from_torsion(np.ones((4, 4, 4)), np.eye(4))
+
+    def test_rejects_non_symmetric_metric_as_christoffel_does(self):
+        g = np.eye(4)
+        g[0, 1] = 0.3
+        text = "^metric must be symmetric$"
+        with pytest.raises(ValueError, match=text):
+            contorsion_from_torsion(np.zeros((4, 4, 4)), g)
+        grid = theta_grid(5, 0.1)
+        with pytest.raises(ValueError, match=text):
+            christoffel_from_metric(np.broadcast_to(g, grid.shape + (4, 4)), grid)
+        # a nan entry passes both symmetry checks (equal_nan) and is refused
+        # by the inverse
+        g = np.eye(4)
+        g[2, 2] = np.nan
+        with pytest.raises(MetricNotInvertibleError):
+            contorsion_from_torsion(np.zeros((4, 4, 4)), g)
+        with pytest.raises(MetricNotInvertibleError):
+            christoffel_from_metric(np.broadcast_to(g, grid.shape + (4, 4)), grid)
 
 
 class TestAssemble:
@@ -676,7 +919,9 @@ class TestAssemble:
         assert np.allclose(sym + antisym, conn, atol=1e-15)
 
     def test_rejects_asymmetric_christoffel(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^christoffel part must be symmetric in its lower indices$"
+        ):
             assemble_connection(RNG.uniform(-1, 1, size=(4, 4, 4)), np.zeros((4, 4, 4)))
 
 
