@@ -9,11 +9,11 @@ shoot         solve for the regular starting value eta_0* (Brent's method)
 profile       integrate one trajectory and emit the derived field profiles
 
 Exit codes: 0 success, 1 usage error (a nan or inf value, an ``--output``
-path that cannot be opened, a ``shoot --bracket`` with LO <= 0, ``shoot``
-couplings whose horizon 8/m or 8/(m sqrt(lambda)) is out of range and a
-``profile`` grid ending at or below 0 included), 2 numerical failure: a
-``shoot`` trajectory unclassified by its horizon or a bracket whose ends
-get the same label, the ``exact`` quadrature budget
+path that cannot be opened, ``shoot`` couplings whose horizon 8/m or
+8/(m sqrt(lambda)) is out of range and a ``profile`` grid ending at or
+below 0 included), 2 numerical failure: ``shoot`` finding no regular
+solution because m is at or above the fold m_c, a ``shoot`` trajectory
+unclassified by its horizon, the ``exact`` quadrature budget
 exhausted, a ``torsion-check`` residual above 1e-10 (its report is still
 written), or a ``profile`` grid outside the trajectory.  Every output embeds
 the resolved configuration (a JSON ``config`` entry, or a ``# config: ...``
@@ -66,29 +66,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _colon_list(form: str):
-    """argparse type for ``LO:HI`` or ``A:B:N``: two finite floats in
-    increasing order, then, in a three-field form, an integer count >= 2."""
-    fields = form.split(":")
-
-    def parse(text: str) -> tuple:
-        parts = text.split(":")
-        if len(parts) != len(fields):
-            raise argparse.ArgumentTypeError("expected %s, got %r" % (form, text))
-        lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
-        if not lo < hi:
-            raise argparse.ArgumentTypeError("needs %s < %s" % tuple(fields[:2]))
-        if len(parts) == 2:
-            return lo, hi
-        try:
-            n = int(parts[2])
-        except ValueError:
-            raise argparse.ArgumentTypeError("%s is not an integer: %r" % (fields[2], parts[2])) from None
-        if n < 2:
-            raise argparse.ArgumentTypeError("needs %s >= 2" % fields[2])
-        return lo, hi, n
-
-    return parse
+def _grid_bounds(text: str) -> tuple:
+    """argparse type for ``A:B:N``: two finite floats A < B and an integer
+    count N >= 2."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("expected A:B:N, got %r" % text)
+    a, b = _finite_float(parts[0]), _finite_float(parts[1])
+    if not a < b:
+        raise argparse.ArgumentTypeError("needs A < B")
+    try:
+        n = int(parts[2])
+    except ValueError:
+        raise argparse.ArgumentTypeError("N is not an integer: %r" % parts[2]) from None
+    if n < 2:
+        raise argparse.ArgumentTypeError("needs N >= 2")
+    return a, b, n
 
 
 def _grid_points(bounds: tuple[float, float, int], scale: str):
@@ -229,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_finite_float, default=1.0, help="speed of light (default %(default)s)")
     p.add_argument("--rmin", type=_finite_float, default=1e-3, help="self-energy lower cutoff in length units (default %(default)s)")
     grid = (1e-2, 1e2, 200)
-    p.add_argument("--grid", type=_colon_list("A:B:N"), default=grid, metavar="A:B:N", help="radial grid for csv output (default %g:%g:%d); a negative A needs the --grid=A:B:N form" % grid)
+    p.add_argument("--grid", type=_grid_bounds, default=grid, metavar="A:B:N", help="radial grid for csv output (default %g:%g:%d); a negative A needs the --grid=A:B:N form" % grid)
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
     p.add_argument("--tol", type=_finite_float, default=1e-10, help="quadrature tolerance (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="json", help="csv: field samples; json: energy report (default %(default)s)")
@@ -237,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shoot", help="find the regular starting value")
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
     p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
-    p.add_argument("--bracket", type=_colon_list("LO:HI"), default=shooting.DEFAULT_BRACKET, metavar="LO:HI", help="starting-value bracket (default %g:%g)" % shooting.DEFAULT_BRACKET)
     p.add_argument("--tol", type=_finite_float, default=1e-5, help="root tolerance (default %(default)s)")
 
     p = sub.add_parser("profile", help="field profiles of one trajectory")
@@ -245,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
     p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
     grid = (1e-3, 80.0, 2000)
-    p.add_argument("--grid", type=_colon_list("A:B:N"), default=grid, metavar="A:B:N", help="output radial grid (default %g:%g:%d); a negative A needs the --grid=A:B:N form" % grid)
+    p.add_argument("--grid", type=_grid_bounds, default=grid, metavar="A:B:N", help="output radial grid (default %g:%g:%d); a negative A needs the --grid=A:B:N form" % grid)
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
 
     for p in sub.choices.values():  # after every other option, as usage lines show it
@@ -288,7 +280,7 @@ def _run_exact(args) -> int:
 
 def _run_shoot(args) -> int:
     params = shooting.CouplingParams(lambda_tilde=args.lambda_tilde, m=args.m)
-    result = shooting.find_regular_eta0(params, bracket=args.bracket, tol=args.tol)
+    result = shooting.find_regular_eta0(params, tol=args.tol)
     traj = result.trajectory
     payload = {
         "config": _config(args),

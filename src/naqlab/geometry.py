@@ -75,7 +75,10 @@ class Grid:
             if not np.isfinite(ax).all():
                 raise ValueError("axes must be finite")
             if ax.size > 1:
-                d = np.diff(ax)
+                with np.errstate(over="ignore"):  # refused below, without a warning
+                    d = np.diff(ax)
+                if not np.isfinite(d[0]):
+                    raise ValueError("axes must have a finite spacing")
                 if d[0] == 0:
                     raise ValueError("axes must not repeat a coordinate")
                 if not _allclose(d, d[0], rtol=1e-12, atol=0):

@@ -7,13 +7,13 @@ The reduced radial equation for the scaled potential eta(r) is
 with regularity conditions eta(0) = eta_0, eta'(0) = 0.  In the mechanical
 analogue eta = 0 is a false vacuum and eta = +/- arccosh(1 + 2 m^2) the
 true vacua; a trajectory started at rest either overshoots through zero or
-turns back (undershoots).  The single starting value eta_0* whose trajectory
-decays monotonically to zero separates the two.  Each probe also reads the
-amplitude of the growing mode at its last sample, a signed residual close to
-linear in eta_0 - eta_0*, and Brent's method on it isolates eta_0* in 10
-to 12 probes.  Below rtol 1e-6, a probe far from the root keeps the label
-of a pass at rtol 1e-6, and only probes whose residual there is below 1e-6
-are integrated at the solve's rtol (see find_regular_eta0).  For
+turns back (undershoots).  A starting value eta_0* whose trajectory decays
+monotonically to zero separates the two; below the fold m_c = 0.18598 the
+lowest lies in a bracket worked out from m, and above it there is none.
+Each probe reads the amplitude of the growing mode at its last sample, a
+signed residual close to linear in eta_0 - eta_0*, and Brent's method on it
+isolates eta_0* in 9 to 11 probes.  Below rtol 1e-6 only the probes near
+the root are integrated at the solve's rtol (see find_regular_eta0).  For
 lambda_tilde = 1, m = 0.1 the regular value is eta_0* = 0.9083.
 
 The integrator solves for w = x eta in x = sqrt(lambda_tilde) r, where the
@@ -33,14 +33,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numerics import IntegrationBlowUp, RkSolution, brent, rk_integrate
+from .numerics import IntegrationBlowUp, InvalidBracketError, RkSolution, brent, rk_integrate
 
 __all__ = [
     "CouplingParams", "Probe", "ClassifierAmbiguityError", "DecayFitError", "ode_rhs",
-    "integrate_profile", "find_regular_eta0", "derive_fields", "decay_rate", "DEFAULT_BRACKET",
+    "integrate_profile", "find_regular_eta0", "derive_fields", "decay_rate", "M_FOLD", "ETA_FOLD",
 ]
 
-DEFAULT_BRACKET = (0.2, 2.0)
+# The fold (m_c, eta_fold) where the lowest two branches of regular solutions
+# meet, as tests/spectral_oracle.py computes it: none exists for m >= m_c.
+M_FOLD = 0.185981376879
+ETA_FOLD = 2.40192315365
 # A solve whose rtol is below 1e-6 labels each probe first at rtol 1e-6, and
 # keeps that label where |residual| >= 1e-6: near the root the two passes'
 # residuals differ by at most 6.1e-8 (see find_regular_eta0).
@@ -238,14 +241,17 @@ def _probe(eta0, p, rtols) -> Probe:
     return Probe(eta0=eta0, label=label, residual=size, trajectory=traj)
 
 
-def find_regular_eta0(p: CouplingParams, bracket: tuple[float, float] = DEFAULT_BRACKET, tol: float = 1e-5) -> Probe:
-    """Brent's method on the probes' growing-mode residual, to the regular eta_0*.
+def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
+    """Brent's method on the probes' growing-mode residual, to the lowest regular eta_0*.
 
-    The bracket ends must classify differently (one undershoot, one
-    overshoot).  The answer is one end of a final bracket no wider than
-    ``tol`` whose ends classify differently, so it lies within ``tol`` of
-    the root of the *discretized* problem: the probe of the end with the
-    smaller |residual|, with the trajectory already integrated from it.
+    The bracket is [0.999 eta_E, ETA_FOLD].  A start below eta_E =
+    2 asinh(sqrt(2) m), where V = c (c/4 - m^2), c = cosh(eta) - 1, is the
+    false vacuum's V(0) = 0, undershoots: friction only lowers eta'^2/2 + V.
+    ETA_FOLD lies between the lowest root and the second for every m < m_c.
+    Both ends undershooting, or an empty bracket (m >= 1.0701), is an
+    InvalidBracketError: no regular solution.  The answer, the end with the
+    smaller |residual| of a final bracket no wider than ``tol`` whose ends
+    classify differently, lies within ``tol`` of the discretized root.
     Each probe is integrated at lambda_tilde = 1 to eight Yukawa lengths,
     x = 8/m, at ``rtol = min(1e-6, max(1e-12, 0.1 tol))``, so eta0 is the
     same float for every lambda_tilde and only the answer's trajectory is
@@ -266,27 +272,26 @@ def find_regular_eta0(p: CouplingParams, bracket: tuple[float, float] = DEFAULT_
     rtol, and its |residual| is below that of any end kept from rtol 1e-6:
     the answer's trajectory is always one at the solve's rtol.
 
-    At m = 0.1 a solve takes 10 trajectories and 1378 RHS calls at tol 1e-5,
-    12 and 2568 at tol 1e-8, and 13 (for 12 probes) and 5185 at tol 1e-12,
-    where 11 probes all at rtol 1e-12 took 8171.  On the grid lambda_tilde
-    in {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within
-    0.173, 0.141 and 0.110 tol of the lambda_tilde-independent root at tol
-    1e-5, 1e-8 and 1e-12.
-
-    LO must be above 0: eta0 = 0 is the static false vacuum, whose
-    growing-mode amplitude is exactly 0, and a negative start overshoots at
-    its first step, so no horizon classifies either.  Couplings whose
-    horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float
-    are refused.
+    At m = 0.1 a solve takes 9, 11 and 12 trajectories (1305, 2519 and 5148
+    RHS calls) at tol 1e-5, 1e-8 and 1e-12.  On the grid lambda_tilde in
+    {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.073,
+    0.012 and 0.111 tol of the root; near the fold the residual's slope
+    vanishes, and at m_c - 1e-6, tol 1e-5 it lay 12.8 tol off.  Couplings
+    whose horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite float are refused.
     """
-    if not bracket[0] > 0:
-        raise ValueError("bracket needs LO > 0, got %g: eta0 = 0 is the static false vacuum and eta0 < 0 overshoots at once" % bracket[0])
     mu = p.m * math.sqrt(p.lambda_tilde)
     if not (0.0 < 8.0 / p.m < math.inf and mu > 0 and 8.0 / mu < math.inf):
         raise ValueError("lambda_tilde = %g, m = %g: the horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float" % (p.lambda_tilde, p.m))
     rtol = min(_COARSE_RTOL, max(1e-12, 0.1 * tol))
     rtols = [_COARSE_RTOL, rtol] if rtol < _COARSE_RTOL else [rtol]
-    best = brent(lambda eta0: _probe(eta0, p, rtols), bracket, tol)
+    lo, hi = 0.999 * 2.0 * math.asinh(math.sqrt(2.0) * p.m), ETA_FOLD
+    no_solution = InvalidBracketError("no regular solution: m = %g is at or above the fold m_c = %.12g" % (p.m, M_FOLD))
+    if not lo < hi:
+        raise no_solution
+    try:
+        best = brent(lambda eta0: _probe(eta0, p, rtols), (lo, hi), tol)
+    except InvalidBracketError:  # the low end undershoots, so both ends did
+        raise no_solution from None
     _to_r(best.trajectory, p.lambda_tilde)
     return best
 

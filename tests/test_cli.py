@@ -80,9 +80,11 @@ class TestUsageErrors:
         assert out == ""
         assert err.endswith("naqlab exact: error: argument --grid: N is not an integer: 'x'\n")
 
-    def test_malformed_bracket(self, capsys):
-        code, _, _ = run(capsys, "shoot", "--bracket", "2.0:0.2")
-        assert code == EXIT_USAGE
+    def test_shoot_bracket_is_gone(self, capsys):
+        # the bracket is derived from m inside find_regular_eta0
+        code, out, err = run(capsys, "shoot", "--bracket", "0.2:2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[-1] == "naqlab: error: unrecognized arguments: --bracket 0.2:2"
 
     def test_bad_value_names_its_reason(self, capsys):
         code, out, err = run(capsys, "shoot", "--m", "abc")
@@ -111,7 +113,6 @@ class TestUsageErrors:
         (
             ("shoot", "--tol", "nan"),
             ("shoot", "--m", "inf"),
-            ("shoot", "--bracket", "0.2:nan"),
             ("exact", "--tol", "nan"),
             ("exact", "--c", "inf"),
             ("exact", "--format", "csv", "--grid", "1:inf:5"),
@@ -684,31 +685,28 @@ class TestShoot:
         assert payload["config"]["m"] == 0.1
 
     def test_bad_bracket_is_numerical_error(self, capsys):
-        code, out, err = run(capsys, "shoot", "--bracket", "0.2:0.3")
+        # above the fold both ends of the derived bracket undershoot
+        code, out, err = run(capsys, "shoot", "--m", "0.19")
         assert code == EXIT_NUMERICAL
         assert out == ""
-        assert err == "invalid bracket: both ends classify as 'undershoot'\n"
-
-    @pytest.mark.parametrize("bracket, lo", ((("--bracket", "0:0.5"), "0"), (("--bracket=-1:0.5",), "-1")))
-    def test_bracket_start_not_above_zero_is_usage_error(self, capsys, bracket, lo):
-        # eta0 = 0 is the false vacuum and eta0 < 0 overshoots at once: no
-        # horizon classifies them, so the bracket is refused before integrating
-        code, out, err = run(capsys, "shoot", *bracket)
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == ("naqlab: bracket needs LO > 0, got %s: eta0 = 0 is the static false vacuum"
-                       " and eta0 < 0 overshoots at once\n" % lo)
+        assert err == "no regular solution: m = 0.19 is at or above the fold m_c = 0.185981376879\n"
 
     def test_short_horizon_is_numerical_error(self, capsys):
-        # m = 1e7 gives the horizon 8e-7; the first probe, from below the
-        # true vacuum 33.6, swings about it so fast that its step underflows
-        # short of 8e-7
+        # m = 1e7 gives the horizon 8e-7, where a probe's step once
+        # underflowed; its bracket is empty, so no probe is integrated
         code, out, err = run(capsys, "shoot", "--m", "1e7")
         assert (code, out) == (EXIT_NUMERICAL, "")
-        assert err == "eta0 = 0.2 reached r = 5.20663e-07 unclassified\n"
+        assert err == "no regular solution: m = 1e+07 is at or above the fold m_c = 0.185981376879\n"
 
-    def test_unclassified_trajectory_is_numerical_error(self, capsys):
-        # LO = acosh(1.02) is the static true vacuum, still there at the horizon 80
-        code, out, err = run(capsys, "shoot", "--bracket", "0.1996681577984152:2")
+    def test_unclassified_trajectory_is_numerical_error(self, capsys, monkeypatch):
+        # acosh(1.02) is the static true vacuum, still there at the horizon 80;
+        # no start in the derived bracket stays there, so a solve is made to
+        # probe it
+        def probing_the_vacuum(p, tol):
+            return shooting._probe(p.eta_vacuum, p, [1e-6])
+
+        monkeypatch.setattr(shooting, "find_regular_eta0", probing_the_vacuum)
+        code, out, err = run(capsys, "shoot")
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert err == "eta0 = 0.1996681577984152 reached r = 80 unclassified\n"
@@ -814,8 +812,8 @@ class TestConfigBlock:
     # every option of each subcommand set away from its default
     CASES = (
         (
-            ("shoot", "--lambda", "2.5", "--m", "0.12", "--bracket", "0.5:2.5", "--tol", "1e-4"),
-            {"lambda_tilde": 2.5, "m": 0.12, "bracket": [0.5, 2.5], "tol": 1e-4},
+            ("shoot", "--lambda", "2.5", "--m", "0.12", "--tol", "1e-4"),
+            {"lambda_tilde": 2.5, "m": 0.12, "tol": 1e-4},
         ),
         (
             ("profile", "--eta0", "0.95", "--lambda", "2", "--m", "0.12",
@@ -884,7 +882,7 @@ class TestDeterminism:
             ("assoc", "--power", "x"),
             ("exact", "--format", "csv", "--grid", "0.1:10:5"),
             ("exact", "--q", "nan"),
-            ("shoot", "--bracket", "0.2:0.3"),
+            ("shoot", "--m", "0.19"),
             ("profile", "--eta0", "0.9", "--grid", "1e-2:5:5"),
             ("profile", "--m", "0.1"),
             ("torsion-check", "--trials", "3"),
@@ -897,7 +895,7 @@ class TestDeterminism:
         assert rounds[0] == rounds[1]
         assert {code for code, _, _ in rounds[0]} == {EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL}
         shoot_help = " ".join(rounds[0][argvs.index(("shoot", "--help"))][1].split())
-        assert "(default %g:%g)" % shooting.DEFAULT_BRACKET in shoot_help
+        assert "--tol TOL" in shoot_help and "--bracket" not in shoot_help
 
 
 class TestOutputPins:
@@ -907,17 +905,17 @@ class TestOutputPins:
 
     CASES = (
         (("shoot", "--lambda", "1", "--m", "0.1"),
-         "5143dabec0a873dabb42b055b8124fa13596cae24384424c4702a547230a7f7f"),
+         "24a15980fcb7eb55c8e4944f3b2c1b0eafc2d130b9dde5e32f920e0a4dc6fcf7"),
         (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"),
-         "20b09d48b4a7eb51bc94cc89e454ef7ba2576738a0ad970fafff595a766059db"),
+         "6b07755f1223b362990876739032a843b1cde915a6942b528cf6d359df8ffd39"),
         (("shoot", "--lambda", "2.5", "--m", "0.07", "--tol", "1e-05"),
-         "bd700d34863d9850371d318d29056da155e3663ac8e410dc69cc008a2a7abf29"),
+         "06f114b63e4a4c2067bbf7295d1fe7390d461391365bc86575f6ee33e1b47457"),
         (("shoot", "--lambda", "0.6", "--m", "0.13", "--tol", "1e-05"),
-         "17ec115d08d94b74ccdbef6625f77e88afd51be6ad590c3654a1d1dba7e00512"),
+         "b1dd65f3eafae96c366e79e4528bda353e037dd11a3010339dc652bd0ecb45c6"),
         (("shoot", "--lambda", "3.2", "--m", "0.12", "--tol", "1e-12"),
-         "57b4f3d74bae2c2bbfb5f67fef72071c5436a706d4412b94c238ba1ae9663d11"),
+         "bfa1879d4eda6d19105e438ba277b0dfc67b481d869da40070765a5779276741"),
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
-         "703366b5e19df353bd7ca0b7e05d901a8cfde901e0295ea9c152d6b1b1613b1a"),
+         "bdb5e4c9d55eedb11cdd06c823fe663f495c14e1a28a498d7cf022307615a902"),
         (("profile", "--eta0", "0.9083"),
          "6818949f6f4c0f1b41d3ab9bda7182cec59154d7e7ea534cb8948a060c6683f6"),
         (("exact",),

@@ -162,6 +162,14 @@ class TestPoleAndSingularPoints:
         with pytest.raises(ValueError, match="^axes must be finite$"):
             Grid((np.array([value]), one, 0.1 * np.arange(5.0), one))
 
+    @pytest.mark.parametrize("axis", (np.array([-1e308, 1e308]), np.array([1e308, -1e308])))
+    def test_grid_rejects_non_finite_spacing(self, axis):
+        # finite coordinates whose difference overflows: refused without
+        # np.diff's overflow warning, so spacing() never returns inf
+        one = np.array([0.0])
+        with pytest.raises(ValueError, match="^axes must have a finite spacing$"):
+            Grid((one, one, axis, one))
+
     def test_grid_rejects_non_uniform_spacing(self):
         one = np.array([0.0])
         with pytest.raises(ValueError, match="^axes must be uniformly spaced$"):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import spectral_oracle
 
-from naqlab import shooting
+from naqlab import cli, shooting
 from naqlab.charge import ChargeModel, exact_fields
-from naqlab.numerics import RkSolution, centered_derivative
+from naqlab.numerics import InvalidBracketError, RkSolution, centered_derivative
 from naqlab.shooting import (
     ClassifierAmbiguityError,
     CouplingParams,
@@ -16,6 +17,19 @@ from naqlab.shooting import (
     integrate_profile,
     ode_rhs,
 )
+
+
+def record_probes(monkeypatch):
+    """The list that every later shooting._probe call appends its Probe to."""
+    probes = []
+    original = shooting._probe
+
+    def recording(*args):
+        probes.append(original(*args))
+        return probes[-1]
+
+    monkeypatch.setattr(shooting, "_probe", recording)
+    return probes
 
 
 class TestPotentialSlope:
@@ -128,15 +142,14 @@ class TestFindRegularEta0:
         assert shot_m01_default.eta0 == pytest.approx(0.9083, abs=5e-4)
 
     def test_reference_work_and_bits(self, params_m01, monkeypatch):
-        # Brent's method needs 10 trajectories at tol 1e-5, all at rtol 1e-6
-        # (bisection needed 21).  At tol 1e-12 its 12 probes take 13
-        # trajectories: the 8 far ones keep their rtol-1e-6 label, the ninth
-        # (|residual| 2.4e-7) is integrated at 1e-6 and again at 1e-12, and
-        # the last 3 only at 1e-12 (bisection needed 44, and 11 probes all at
-        # 1e-12 took 8171 RHS calls).  Each costs 1 + 12 x (attempted DOP853
-        # steps) RHS calls, and the answer's trajectory is one of them.  The
-        # floats are pinned bit for bit so a change of arithmetic order shows
-        # up here.
+        # On the bracket [0.999 eta_E, ETA_FOLD], Brent's method needs 9
+        # trajectories at tol 1e-5, all at rtol 1e-6 (bisection needed 21).
+        # At tol 1e-12 its 11 probes take 12 trajectories: the 7 far ones keep
+        # their rtol-1e-6 label, the eighth (|residual| 5.2e-8) is integrated
+        # at 1e-6 and again at 1e-12, and the last 3 only at 1e-12 (bisection
+        # needed 44).  Each costs 1 + 12 x (attempted DOP853 steps) RHS calls,
+        # and the answer's trajectory is one of them.  The floats are pinned
+        # bit for bit so a change of arithmetic order shows up here.
         calls = {"integrate_profile": 0, "ode_rhs": 0}
 
         def counting(name):
@@ -151,15 +164,15 @@ class TestFindRegularEta0:
         counting("integrate_profile")
         counting("ode_rhs")
         res = find_regular_eta0(params_m01)
-        assert calls == {"integrate_profile": 10, "ode_rhs": 1378}
-        assert res.eta0 == 0.9083388967652375
+        assert calls == {"integrate_profile": 9, "ode_rhs": 1305}
+        assert res.eta0 == 0.9083367276445137
         assert np.asarray(res.trajectory.r).size == 17
         assert res.trajectory.r[-1] == 80.0
 
         calls.update(integrate_profile=0, ode_rhs=0)
         res = find_regular_eta0(params_m01, tol=1e-12)
-        assert calls == {"integrate_profile": 13, "ode_rhs": 5185}
-        assert res.eta0 == 0.908337169770765
+        assert calls == {"integrate_profile": 12, "ode_rhs": 5148}
+        assert res.eta0 == 0.9083371697707662
         assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 1e-12
         assert np.asarray(res.trajectory.r).size == 79
         assert res.trajectory.r[-1] == 80.0
@@ -181,7 +194,7 @@ class TestFindRegularEta0:
     def test_default_tol_holds_against_tight_root(self, lambda_tilde, m):
         # the integration each tol passes down still leaves the answer within
         # a quarter of tol of the lambda_tilde-independent root (at most
-        # 0.173, 0.049 and 0.106 tol measured)
+        # 0.073, 0.012 and 0.111 tol measured)
         p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
         for tol in (1e-5, 1e-8, 1e-12):
             res = find_regular_eta0(p, tol=tol)
@@ -190,15 +203,24 @@ class TestFindRegularEta0:
     def test_refines_with_tolerance(self, shot_m01_default, shot_m01_tight):
         assert abs(shot_m01_default.eta0 - shot_m01_tight.eta0) < 2e-5
 
-    def test_bracket_labels_disagree(self, params_m01):
-        lo, hi = shooting.DEFAULT_BRACKET
+    @staticmethod
+    def bracket(m):
+        """[0.999 eta_E, ETA_FOLD], eta_E = 2 asinh(sqrt(2) m) the start whose potential equals the false vacuum's."""
+        return 0.999 * 2.0 * math.asinh(math.sqrt(2.0) * m), shooting.ETA_FOLD
+
+    def test_bracket_labels_disagree(self, params_m01, monkeypatch):
+        # a solve probes the two ends of the bracket first
+        probes = record_probes(monkeypatch)
+        find_regular_eta0(params_m01)
+        assert (probes[0].eta0, probes[1].eta0) == self.bracket(0.1)
+        lo, hi = self.bracket(0.1)
         assert integrate_profile(lo, params_m01, 80.0).stop == "undershoot"
         assert integrate_profile(hi, params_m01, 80.0).stop == "overshoot"
 
     def test_classifier_monotone_across_bracket(self, params_m01):
         # every scan point below eta0* undershoots, every one above overshoots
         labels = []
-        for eta0 in np.linspace(0.3, 1.9, 9):
+        for eta0 in np.linspace(*self.bracket(0.1), 9):
             traj = integrate_profile(float(eta0), params_m01, 80.0)
             labels.append(traj.stop)
         flips = sum(
@@ -209,7 +231,7 @@ class TestFindRegularEta0:
     def test_second_parameter_point_regression(self):
         # independent coupling point with its own pinned critical value
         p = CouplingParams(lambda_tilde=1.0, m=0.15)
-        res = find_regular_eta0(p, bracket=(1.0, 2.5), tol=1e-10)
+        res = find_regular_eta0(p, tol=1e-10)
         assert res.eta0 == pytest.approx(1.4810965307, abs=1e-8)
 
     # eta_0* does not depend on lambda_tilde: x = sqrt(lambda_tilde) r
@@ -240,23 +262,21 @@ class TestFindRegularEta0:
             traj.r, traj.y, traj.dy, traj.ddy)
         assert res.trajectory.stop == traj.stop
 
-    # (m, bracket): the default bracket up to m = 0.17, the coupling nearest
-    # the fold it reaches, and the lower root near the fold m_c = 0.18598
-    LABEL_SAFETY_CASES = tuple((m, shooting.DEFAULT_BRACKET) for m in (0.025, 0.05, 0.1, 0.15, 0.17)) + (
-        (0.185, (2.1, 2.4)),)
+    # from small m to the lower root near the fold m_c = 0.18598
+    LABEL_SAFETY_CASES = (0.025, 0.05, 0.1, 0.15, 0.17, 0.185)
 
     def test_coarse_labels_agree_with_tight_labels(self):
         # A tight solve keeps the rtol-1e-6 label of every probe whose
         # rtol-1e-6 |residual| is at least 1e-6.  Starts on a half-decade
         # ladder 1e-7 to 1e-1 either side of each root and 8 seeded uniform
-        # ones in the bracket: every such label is the rtol-1e-12 one.  The
-        # two residuals differ by a near-constant offset, largest at the fold;
+        # ones in the solve's bracket: every such label is the rtol-1e-12 one.
+        # The two residuals differ by a near-constant offset, largest at the fold;
         # within 1e-3 of a root the worst is 6.07e-8 (m = 0.185), 16 times
         # below the 1e-6 threshold.
         worst = 0.0
-        for m, bracket in self.LABEL_SAFETY_CASES:
-            p = CouplingParams(lambda_tilde=1.0, m=m)
-            root = find_regular_eta0(p, bracket, tol=1e-12).eta0
+        for m in self.LABEL_SAFETY_CASES:
+            p, bracket = CouplingParams(lambda_tilde=1.0, m=m), self.bracket(m)
+            root = find_regular_eta0(p, tol=1e-12).eta0
             rng = np.random.default_rng(7)
             ladder = [root + side * 10.0 ** (k / 2) for k in range(-14, -1) for side in (-1.0, 1.0)]
             for eta0 in ladder + [float(u) for u in rng.uniform(*bracket, 8)]:
@@ -273,14 +293,7 @@ class TestFindRegularEta0:
         # the answer and the nearest probe with the other label bracket
         # eta_0* within tol; it is returned with its own trajectory and has
         # the smaller |residual|, whose sign follows the label
-        probes = []
-        original = shooting._probe
-
-        def recording(*args):
-            probes.append(original(*args))
-            return probes[-1]
-
-        monkeypatch.setattr(shooting, "_probe", recording)
+        probes = record_probes(monkeypatch)
         res = find_regular_eta0(params_m01, tol=1e-8)
         best = next(p for p in probes if p.eta0 == res.eta0)
         assert best.trajectory is res.trajectory
@@ -290,19 +303,27 @@ class TestFindRegularEta0:
         for p in probes:
             assert (p.residual > 0) == (p.label == "overshoot")
 
-    def test_invalid_bracket_both_undershoot(self, params_m01):
-        from naqlab.numerics import InvalidBracketError
+    def test_invalid_bracket_both_undershoot(self, monkeypatch):
+        # above the fold both ends of the bracket undershoot: no regular solution
+        probes = record_probes(monkeypatch)
+        for m in (shooting.M_FOLD + 1e-6, 0.19, 1.0):
+            del probes[:]
+            with pytest.raises(InvalidBracketError) as info:
+                find_regular_eta0(CouplingParams(lambda_tilde=2.0, m=m))
+            assert str(info.value) == "no regular solution: m = %g is at or above the fold m_c = 0.185981376879" % m
+            assert [(p.eta0, p.label) for p in probes] == [(self.bracket(m)[0], "undershoot"), (shooting.ETA_FOLD, "undershoot")]
 
-        with pytest.raises(InvalidBracketError):
-            find_regular_eta0(params_m01, bracket=(0.2, 0.5))
-
-    @pytest.mark.parametrize("lo", (0.0, -1.0))
-    def test_bracket_start_not_above_zero_refused_before_integrating(self, params_m01, monkeypatch, lo):
+    @pytest.mark.parametrize("m", (1.08, 1e7))
+    def test_no_solution_decided_before_integrating(self, monkeypatch, m):
+        # from m = 1.0701 on, 0.999 eta_E is not below ETA_FOLD: the bracket is
+        # empty and the verdict needs no trajectory (m = 1e7 once ended in a
+        # step underflow)
+        assert self.bracket(m)[0] >= shooting.ETA_FOLD
         calls = []
         monkeypatch.setattr(shooting, "integrate_profile", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="bracket needs LO > 0") as info:
-            find_regular_eta0(params_m01, bracket=(lo, 2.0))
-        assert type(info.value) is ValueError
+        with pytest.raises(InvalidBracketError) as info:
+            find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m))
+        assert str(info.value) == "no regular solution: m = %g is at or above the fold m_c = 0.185981376879" % m
         assert calls == []
 
     @pytest.mark.parametrize("lambda_tilde, m", ((1e-250, 1e-200), (1e-300, 1e-160), (1e300, 1e-310)),
@@ -322,16 +343,88 @@ class TestFindRegularEta0:
 
     def test_ambiguity_when_horizon_too_short(self):
         # a start at the static true vacuum is still there at the horizon
-        p = CouplingParams(lambda_tilde=1.0, m=0.1)
-        with pytest.raises(ClassifierAmbiguityError, match="reached r = 80 unclassified"):
-            find_regular_eta0(p, bracket=(p.eta_vacuum, 2.0))
+        p = CouplingParams(lambda_tilde=4.0, m=0.1)
+        with pytest.raises(ClassifierAmbiguityError, match="^eta0 = 0.1996681577984152 reached r = 40 unclassified$"):
+            shooting._probe(p.eta_vacuum, p, [1e-6])
 
     def test_unclassified_coarse_pass_is_integrated_again(self):
         # the same start, unclassified at rtol 1e-6, undershoots at rtol
-        # 1e-12: a tight solve integrates it again rather than refusing
+        # 1e-12: a tight solve integrates it again rather than refusing, and
+        # its later probes run at rtol 1e-12 only
         p = CouplingParams(lambda_tilde=1.0, m=0.1)
-        res = find_regular_eta0(p, bracket=(p.eta_vacuum, 2.0), tol=1e-12)
-        assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 1e-12
+        rtols = [1e-6, 1e-12]
+        probe = shooting._probe(p.eta_vacuum, p, rtols)
+        tight = shooting._probe(p.eta_vacuum, p, [1e-12])
+        assert rtols == [1e-12]
+        assert tight.label == "undershoot"
+        assert (probe.label, probe.residual) == (tight.label, tight.residual)
+
+
+class TestSpectralOracle:
+    """The oracle's convergence in N and a, and the fold literals against it."""
+
+    GRIDS = ((141, 5.0), (181, 5.0), (141, 6.0), (181, 6.0))
+
+    @pytest.fixture(scope="class")
+    def folds(self):
+        return [spectral_oracle.fold(n, a) for n, a in self.GRIDS]
+
+    def test_fold_converges_in_n_and_a(self, folds):
+        # measured spreads 6.5e-14 in m_c and 2.2e-11 in eta_fold; N = 101 was 7e-12 and 2e-8 off
+        m_c, eta_fold = zip(*folds)
+        assert max(m_c) - min(m_c) <= 2e-13
+        assert max(eta_fold) - min(eta_fold) <= 5e-11
+
+    def test_fold_literals_match_the_oracle(self, folds):
+        m_c, eta_fold = folds[-1]
+        assert abs(shooting.M_FOLD - m_c) <= 1e-9
+        assert abs(shooting.ETA_FOLD - eta_fold) <= 1e-9
+
+    @pytest.mark.parametrize("m", sorted(TestFindRegularEta0.TIGHT_ROOTS))
+    def test_roots_converge_and_match_the_frozen_roots(self, m):
+        # Newton's root on two grids, against the roots frozen from shooting
+        # (at most 4.3e-13 apart and 6.1e-14 from them, measured)
+        coarse, fine = spectral_oracle.regular_eta0(m), spectral_oracle.regular_eta0(m, 181, 6.0)
+        assert abs(coarse - fine) <= 1e-12
+        assert abs(coarse - TestFindRegularEta0.TIGHT_ROOTS[m]) <= 1e-12
+
+
+class TestExistenceInterval:
+    """shoot over the (lambda_tilde, m) plane: lambda_tilde log-uniform in
+    [1e-3, 1e3], m uniform in each range, from a seeded generator."""
+
+    NO_SOLUTION = "no regular solution: m = %g is at or above the fold m_c = 0.185981376879\n"
+
+    @pytest.mark.parametrize("tol", (1e-5, 1e-8))
+    def test_answer_within_tol_of_the_oracle_root(self, tol):
+        # both ends of m in [0.001, m_c - 1e-3] and 10 draws (worst measured
+        # 0.30 and 0.60 tol, at m_c - 1e-3)
+        rng = np.random.default_rng(30)
+        ms = [0.001, shooting.M_FOLD - 1e-3] + rng.uniform(0.001, shooting.M_FOLD - 1e-3, 10).tolist()
+        for m in ms:
+            lambda_tilde = 10.0 ** rng.uniform(-3.0, 3.0)
+            res = find_regular_eta0(CouplingParams(lambda_tilde, m), tol=tol)
+            assert abs(res.eta0 - spectral_oracle.regular_eta0(m)) <= tol, (lambda_tilde, m)
+
+    def test_root_below_the_fold_at_its_edge(self):
+        # at m_c - 1e-6 the two lowest roots are 0.0092 apart and the
+        # residual's slope nearly vanishes: the answer is the lower root, but
+        # 12.8 tol from it at tol 1e-5 (ROADMAP item 3)
+        m = shooting.M_FOLD - 1e-6
+        p = CouplingParams(10.0 ** np.random.default_rng(3).uniform(-3.0, 3.0), m)
+        root = spectral_oracle.regular_eta0(m)
+        for tol in (1e-5, 1e-8):
+            res = find_regular_eta0(p, tol=tol)
+            assert res.eta0 < shooting.ETA_FOLD
+            assert abs(res.eta0 - root) < 0.5 * (shooting.ETA_FOLD - root)
+
+    def test_no_solution_line_above_the_fold(self, capsys):
+        rng = np.random.default_rng(31)
+        ms = [shooting.M_FOLD + 1e-6, 0.3] + rng.uniform(shooting.M_FOLD + 1e-6, 0.3, 4).tolist() + [1.0, 1e7]
+        for m in ms:
+            argv = ["shoot", "--lambda", repr(10.0 ** rng.uniform(-3.0, 3.0)), "--m", repr(m)]
+            code = cli.main(argv)
+            assert (code, *capsys.readouterr()) == (cli.EXIT_NUMERICAL, "", self.NO_SOLUTION % m), argv
 
 
 class TestDecayRate:
