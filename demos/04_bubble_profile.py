@@ -9,6 +9,8 @@ derived field profiles.
 
 import math
 
+import numpy as np
+
 from naqlab import shooting
 
 params = shooting.CouplingParams(lambda_tilde=1.0, m=0.1)
@@ -31,7 +33,10 @@ print()
 print(f"regular starting value eta0* = {result.eta0:.8f}  (reference 0.9083)")
 
 tight = shooting.find_regular_eta0(params, tol=1e-12)
-mu = shooting.decay_rate(tight.trajectory, (20.0, 50.0))
+# a Yukawa tail eta ~ exp(-mu r)/r makes ln(r eta) a line of slope -mu
+r, eta = np.asarray(tight.trajectory.r), np.asarray(tight.trajectory.y)
+window = (r >= 20.0) & (r <= 50.0)
+mu = -np.polyfit(r[window], np.log(r[window] * eta[window]), 1)[0]
 print(f"tail decay rate mu = {mu:.6f}  (expected m sqrt(lambda) = {params.m * math.sqrt(params.lambda_tilde)})")
 
 traj = tight.trajectory

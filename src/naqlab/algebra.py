@@ -98,18 +98,6 @@ class CorrectionSeries:
         ``<core_4> + m^2 <core_2> + m^4``; ``0`` when there are none."""
         return " + ".join(t.render(expectation=True) for t in self.terms) or "0"
 
-    def evaluate_coefficients(self, m_squared: float) -> list[tuple[int, float]]:
-        """Numeric (residual_power, coefficient) pairs; zero terms dropped.
-
-        With m_squared = 0 the whole series collapses (associative limit).
-        """
-        out = []
-        for t in self.terms:
-            coeff = m_squared**t.m2_exponent
-            if coeff != 0.0:
-                out.append((t.residual_power, coeff))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Construction and traversal

@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .numerics import centered_derivative, quad_adaptive
+from .numerics import quad_adaptive
 
 __all__ = [
     "ChargeModel",
@@ -32,7 +32,6 @@ __all__ = [
     "EnergyReport",
     "exact_solution",
     "exact_fields",
-    "gauss_residual",
     "energy_report",
 ]
 
@@ -135,28 +134,6 @@ def exact_fields(r, model: ChargeModel) -> dict:
                 e_r = np.where(tail, sign * np.exp(log_e), e_r)
                 rho = np.where(tail, sign * np.exp(np.log(k) + log_qr2 + log_e), rho)
         return {"r": r, "phi": model.c**2 / math.sqrt(model.G) * np.sinh(x), "E_r": e_r, "rho": rho}
-
-
-def gauss_residual(model: ChargeModel, grid) -> float:
-    """Max relative residual of div E = 4 pi rho on the closed form.
-
-    The divergence (1/r^2) d(r^2 E_r)/dr is taken by centered differences,
-    so the residual is O(h^2); only interior grid points enter.  The grid
-    must be positive (``exact_fields``), 1-D, strictly increasing and at
-    least 3 points long (``centered_derivative``).
-    """
-    import numpy as np
-
-    grid = np.asarray(grid, dtype=float)
-    fields = exact_fields(grid, model)
-    flux = grid**2 * fields["E_r"]
-    div_e = centered_derivative(grid, flux)[1:-1] / grid[1:-1] ** 2
-    source = 4.0 * math.pi * fields["rho"][1:-1]
-    scale = float(np.max(np.abs(source)))
-    diff = np.max(np.abs(div_e - source))
-    if scale == 0.0:
-        return float(diff)
-    return float(diff / scale)
 
 
 def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> EnergyReport:

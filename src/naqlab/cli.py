@@ -8,16 +8,18 @@ exact         closed-form point-charge fields (csv) or energy report (json)
 shoot         solve for the regular starting value eta_0* (Brent's method)
 profile       integrate one trajectory and emit the derived field profiles
 
-Exit codes: 0 success, 1 usage error (a nan or inf value, an ``--output``
-path that cannot be opened, ``shoot`` couplings whose horizon 8/m or
-8/(m sqrt(lambda)) is out of range and a ``profile`` grid ending at or
-below 0 included), 2 numerical failure: ``shoot`` finding no regular
-solution because m is at or above the fold m_c, a ``shoot`` trajectory
-unclassified by its horizon, the ``exact`` quadrature budget
-exhausted, a ``torsion-check`` residual above 1e-10 (its report is still
-written), or a ``profile`` grid outside the trajectory.  Every output embeds
-the resolved configuration (a JSON ``config`` entry, or a ``# config: ...``
-comment line above the CSV header) so runs are self-describing and
+Exit codes: 0 success, 1 usage error (a nan or inf value, an
+``--output`` path that cannot be opened, ``shoot`` couplings whose
+horizon 8/m or 8/(m sqrt(lambda)) is out of range, ``profile`` couplings
+whose default grid end, the horizon 8/(m sqrt(lambda)), is no finite
+float above 1e-3, and a ``profile`` grid ending at or below 0 included),
+2 numerical failure: ``shoot`` finding no regular solution because m is
+at or above the fold m_c, a ``shoot`` trajectory unclassified by its
+horizon, the ``exact`` quadrature budget exhausted, a ``torsion-check``
+residual above 1e-10 (its report is still written), or a ``profile``
+grid outside the trajectory.  Every output embeds the resolved
+configuration (a JSON ``config`` entry, or a ``# config: ...`` comment
+line above the CSV header) so runs are self-describing and
 byte-reproducible.
 
 numpy and orjson are imported only by the functions that build arrays:
@@ -236,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta0", type=_finite_float, required=True, help="starting value eta(0)")
     p.add_argument("--lambda", dest="lambda_tilde", type=_finite_float, default=1.0, help="scaled quartic coupling (default %(default)s)")
     p.add_argument("--m", type=_finite_float, default=0.1, help="mass parameter (default %(default)s)")
-    grid = (1e-3, 80.0, 2000)
-    p.add_argument("--grid", type=_grid_bounds, default=grid, metavar="A:B:N", help="output radial grid (default %g:%g:%d); a negative A needs the --grid=A:B:N form" % grid)
+    p.add_argument("--grid", type=_grid_bounds, metavar="A:B:N", help="output radial grid (default 0.001:8/(m sqrt(lambda)):2000, ending on the horizon of shoot); a negative A needs the --grid=A:B:N form")
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log", help="grid spacing (default %(default)s)")
 
     for p in sub.choices.values():  # after every other option, as usage lines show it
@@ -297,6 +298,10 @@ def _run_shoot(args) -> int:
 
 def _run_profile(args) -> int:
     params = shooting.CouplingParams(lambda_tilde=args.lambda_tilde, m=args.m)
+    if args.grid is None:
+        if not 1e-3 < params.horizon < math.inf:
+            raise ValueError("lambda_tilde = %g, m = %g: the horizon 8/(m sqrt(lambda_tilde)) is no finite float above 1e-3" % (params.lambda_tilde, params.m))
+        args.grid = (1e-3, params.horizon, 2000)
     traj = shooting.integrate_profile(args.eta0, params, r_max=args.grid[1])
     rs = _grid_points(args.grid, args.grid_scale)
     rs = rs[(rs >= traj.r[0]) & (rs <= traj.r[-1])]

@@ -16,7 +16,7 @@ Christoffel symbols and for each of the contorsion's two index products,
 and a (16x4)@(4x1) one for Ricci's Gamma * trace term.
 Every array returned is C-ordered, with bits that do not depend on the
 memory layout of the input.  The symmetry and spacing checks give
-np.allclose's verdicts, decided in one pass for finite input.
+np.allclose's verdicts; an exact match skips np.allclose.
 
 Sign conventions: torsion is minus twice the antisymmetric part of the
 connection, and the contorsion satisfies K_[mu nu]^rho = -T_{mu nu}^rho / 2
@@ -97,28 +97,8 @@ class Grid:
 
 
 def _allclose(a, b, atol, rtol=1e-5, equal_nan=False) -> bool:
-    """``np.allclose(a, b, rtol, atol, equal_nan)``, decided in one pass when
-    every ``|a - b|`` is finite and within tolerance.
-
-    The pass forms ``d = |a - b|``: a finite ``max(d) <= atol`` (an exact
-    match gives 0) accepts at once, since np.isclose's bound ``atol + rtol
-    |b|`` is never below ``atol``; a larger finite ``max(d)`` is tested
-    against that bound elementwise, with the same operands and operation
-    order as np.isclose.  So it accepts only what np.allclose accepts, and
-    any other input (a nan, an inf, or a real mismatch) gets np.allclose's
-    own verdict.  ``|b|`` is formed in C order, the layout of ``d`` for a
-    C-ordered ``a``, so that ``b`` may be a transposed view.
-    """
-    # np.isclose computes in an inexact type, as here
-    b = np.asanyarray(b, dtype=np.result_type(b, 1.0))
-    with np.errstate(invalid="ignore", over="ignore"):
-        d = np.abs(a - b)
-        worst = np.max(d, initial=0.0)
-        if worst <= atol or (
-            worst < np.inf and (d <= atol + rtol * np.abs(b, order="C")).all()
-        ):
-            return True
-    return np.allclose(a, b, rtol=rtol, atol=atol, equal_nan=equal_nan)
+    """``np.allclose``, with an exact match (the common case) accepted first."""
+    return np.array_equal(a, b) or np.allclose(a, b, rtol=rtol, atol=atol, equal_nan=equal_nan)
 
 
 def _core(grid: Grid) -> tuple[slice, ...]:

@@ -36,8 +36,8 @@ from typing import Sequence
 from .numerics import IntegrationBlowUp, InvalidBracketError, RkSolution, brent, rk_integrate
 
 __all__ = [
-    "CouplingParams", "Probe", "ClassifierAmbiguityError", "DecayFitError", "ode_rhs",
-    "integrate_profile", "find_regular_eta0", "derive_fields", "decay_rate", "M_FOLD", "ETA_FOLD",
+    "CouplingParams", "Probe", "ClassifierAmbiguityError", "ode_rhs",
+    "integrate_profile", "find_regular_eta0", "derive_fields", "M_FOLD", "ETA_FOLD",
 ]
 
 # The fold (m_c, eta_fold) where the lowest two branches of regular solutions
@@ -71,6 +71,12 @@ class CouplingParams:
         """True-vacuum field value arccosh(1 + 2 m^2)."""
         return math.acosh(1.0 + 2.0 * self.m_squared)
 
+    @property
+    def horizon(self) -> float:
+        """Eight Yukawa lengths 8/(m sqrt(lambda_tilde)), inf where m sqrt(lambda_tilde) underflows to 0."""
+        mu = self.m * math.sqrt(self.lambda_tilde)
+        return 8.0 / mu if mu > 0 else math.inf
+
 
 @dataclass(frozen=True)
 class Probe:
@@ -92,10 +98,6 @@ class Probe:
 
 class ClassifierAmbiguityError(RuntimeError):
     """A trajectory ended unclassified at the radius the message names."""
-
-
-class DecayFitError(ValueError):
-    """The window does not look like an exponential-over-r tail."""
 
 
 def ode_rhs(x: float, w: float, m_squared: float) -> float:
@@ -279,8 +281,7 @@ def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     vanishes, and at m_c - 1e-6, tol 1e-5 it lay 12.8 tol off.  Couplings
     whose horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite float are refused.
     """
-    mu = p.m * math.sqrt(p.lambda_tilde)
-    if not (0.0 < 8.0 / p.m < math.inf and mu > 0 and 8.0 / mu < math.inf):
+    if not (0.0 < 8.0 / p.m < math.inf and p.horizon < math.inf):
         raise ValueError("lambda_tilde = %g, m = %g: the horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float" % (p.lambda_tilde, p.m))
     rtol = min(_COARSE_RTOL, max(1e-12, 0.1 * tol))
     rtols = [_COARSE_RTOL, rtol] if rtol < _COARSE_RTOL else [rtol]
@@ -316,32 +317,3 @@ def derive_fields(eta: Sequence[float], deta: Sequence[float], p: CouplingParams
         e_scaled * e_scaled + p.lambda_tilde * (phi_scaled * phi_scaled - p.m_squared)
     )
     return phi_scaled, e_scaled, rho_scaled
-
-
-def decay_rate(traj: RkSolution, fit_window: tuple[float, float]) -> float:
-    """Yukawa decay rate mu from a least-squares fit of ln(r eta) vs r.
-
-    For a tail eta ~ exp(-mu r)/r the fit is exact; a window whose max
-    absolute fit residual exceeds 1e-3 is rejected because the
-    samples do not follow the exponential-over-r model there.
-    """
-    import numpy as np
-
-    lo, hi = fit_window
-    if traj.r[-1] < hi:
-        raise ValueError("trajectory does not reach the fit window")
-    r, eta = np.asarray(traj.r), np.asarray(traj.y)
-    mask = (r >= lo) & (r <= hi)
-    r, eta = r[mask], eta[mask]
-    if r.size < 3:
-        raise ValueError("fit window contains fewer than 3 samples")
-    if np.any(eta <= 0):
-        raise ValueError("fit window contains non-positive eta samples")
-    z = np.log(r * eta)
-    slope, intercept = np.polyfit(r, z, 1)
-    resid = np.max(np.abs(z - (slope * r + intercept)))
-    if resid > 1e-3:
-        raise DecayFitError(
-            "fit residual %.3e exceeds 1.000e-03; window is not an exp(-mu r)/r tail" % resid
-        )
-    return float(-slope)

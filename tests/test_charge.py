@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from lab_oracles import gauss_residual
 
 from naqlab.charge import (
     ChargeModel,
     energy_report,
     exact_fields,
     exact_solution,
-    gauss_residual,
 )
 
 UNIT_MODEL = ChargeModel(q=1.0)

@@ -151,6 +151,18 @@ class TestUsageErrors:
         assert err == ("naqlab: %s: the horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float\n"
                        % couplings)
 
+    @pytest.mark.parametrize(
+        "m, lambda_tilde",
+        (("1e-200", "1e-250"), ("1e-160", "1e-300"), ("8000", "1"), ("1e4", "1")),
+        ids=("mu-underflows", "horizon-overflows", "horizon-at-grid-start", "horizon-below-grid-start"),
+    )
+    def test_profile_horizon_out_of_range_names_couplings(self, capsys, m, lambda_tilde):
+        # without --grid, the grid end is the horizon 8/(m sqrt(lambda))
+        code, out, err = run(capsys, "profile", "--eta0", "0", "--m", m, "--lambda", lambda_tilde)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("naqlab: lambda_tilde = %g, m = %g: the horizon 8/(m sqrt(lambda_tilde)) is no finite float above 1e-3\n"
+                       % (float(lambda_tilde), float(m)))
+
     def test_shoot_rmax_is_gone(self, capsys):
         code, out, err = run(capsys, "shoot", "--rmax", "80")
         assert (code, out) == (EXIT_USAGE, "")
@@ -723,9 +735,28 @@ class TestProfile:
         assert len(lines) == 52
 
     def test_help_states_the_default_horizon(self, capsys):
+        # the default grid ends on shoot's horizon 8/(m sqrt(lambda)), which
+        # is 80 only at the default couplings, so no number is stated
         code, out, _ = run(capsys, "profile", "--help")
         assert code == EXIT_OK
-        assert "(default 0.001:80:2000)" in " ".join(out.split())
+        assert "(default 0.001:8/(m sqrt(lambda)):2000, ending on the horizon of shoot)" in " ".join(out.split())
+
+    @pytest.mark.parametrize(
+        "lambda_tilde, m, eta0, rows",
+        ((1.0, 0.1, 0.9083, 1958), (1.0, 0.01, 0.086783, 2000), (100.0, 0.1, 0.9083, 1948)),
+        ids=("default", "m0.01", "lambda100"),
+    )
+    def test_default_grid_ends_on_the_horizon(self, capsys, lambda_tilde, m, eta0, rows):
+        # without --grid the table is, byte for byte, that of --grid
+        # 1e-3:H:2000 with H = 8/(m sqrt(lambda)), the float shoot uses; the
+        # trajectory at lambda 100 undershoots at r = 6.343, short of H = 8
+        argv = ("profile", "--lambda", repr(lambda_tilde), "--m", repr(m), "--eta0", repr(eta0))
+        horizon = 8.0 / (m * math.sqrt(lambda_tilde))
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert run(capsys, *argv, "--grid", "1e-3:%r:2000" % horizon) == (EXIT_OK, out, "")
+        assert json.loads(out.split("\n")[0][len("# config: "):])["grid"] == [1e-3, horizon, 2000]
+        assert len(out.splitlines()) - 2 == rows
 
     @staticmethod
     def repr_profile(points):

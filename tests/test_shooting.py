@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import spectral_oracle
+from lab_oracles import DecayFitError, decay_rate
 
 from naqlab import cli, shooting
 from naqlab.charge import ChargeModel, exact_fields
@@ -10,8 +11,6 @@ from naqlab.numerics import InvalidBracketError, RkSolution, centered_derivative
 from naqlab.shooting import (
     ClassifierAmbiguityError,
     CouplingParams,
-    DecayFitError,
-    decay_rate,
     derive_fields,
     find_regular_eta0,
     integrate_profile,
