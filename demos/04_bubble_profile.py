@@ -16,14 +16,15 @@ from naqlab import shooting
 params = shooting.CouplingParams(lambda_tilde=1.0, m=0.1)
 print(f"true vacuum eta_v = {params.eta_vacuum:.6f}")
 
-# find_regular_eta0 brackets the lowest regular start by [0.999 eta_E, eta_fold]:
-# below eta_E = 2 asinh(sqrt(2) m) the potential lies below the false vacuum's,
-# so every start there undershoots; eta_fold is where the lowest two branches
-# of regular solutions meet, at m_c (no regular solution exists above it)
-lo, hi = 0.999 * 2.0 * math.asinh(math.sqrt(2.0) * params.m), shooting.ETA_FOLD
+# find_regular_eta0 brackets the lowest regular start by
+# [0.999 2Q(0) m, min(eta_fold, (eta_fold/m_c) m)]: eta0*/m rises from 2 Q(0),
+# Q the 3-D cubic NLS ground state, as m -> 0 to eta_fold/m_c at the fold m_c,
+# where the lowest two branches of regular solutions meet (no regular
+# solution exists above it)
+lo, hi = 0.999 * shooting.TWO_Q0 * params.m, min(shooting.ETA_FOLD, shooting.ETA_FOLD / shooting.M_FOLD * params.m)
 print()
-print(f"classifier across the bracket [0.999 eta_E, eta_fold] = [{lo:.4f}, {hi:.4f}]:")
-for eta0 in (lo, 0.7, 0.9, 1.1, 1.5, hi):
+print(f"classifier across the bracket [0.999 2Q(0) m, (eta_fold/m_c) m] = [{lo:.4f}, {hi:.4f}]:")
+for eta0 in (lo, 0.88, 0.9, 0.92, 1.1, hi):
     traj = shooting.integrate_profile(eta0, params, r_max=80.0)
     print(f"  eta0 = {eta0:6.4f}: {traj.stop}")
 print(f"no regular solution for m >= m_c = {shooting.M_FOLD}")

@@ -14,7 +14,8 @@ horizon 8/m or 8/(m sqrt(lambda)) is out of range, ``profile`` couplings
 whose default grid end, the horizon 8/(m sqrt(lambda)), is no finite
 float above 1e-3, and a ``profile`` grid ending at or below 0 included),
 2 numerical failure: ``shoot`` finding no regular solution because m is
-at or above the fold m_c, a ``shoot`` trajectory unclassified by its
+at or above the fold m_c, a ``shoot`` bracket whose ends both overshoot
+(a wrong bound), a ``shoot`` trajectory unclassified by its
 horizon, the ``exact`` quadrature budget exhausted, a ``torsion-check``
 residual above 1e-10 (its report is still written), or a ``profile``
 grid outside the trajectory.  Every output embeds the resolved
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.subcommand](args)
-    except (shooting.ClassifierAmbiguityError, InvalidBracketError, QuadratureBudgetError) as exc:
+    except (shooting.ClassifierAmbiguityError, shooting.BracketBoundError, InvalidBracketError, QuadratureBudgetError) as exc:
         # before ValueError: InvalidBracketError is one
         sys.stderr.write(str(exc) + "\n")
         return EXIT_NUMERICAL

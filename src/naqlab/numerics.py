@@ -401,7 +401,11 @@ def rk_integrate(
 
 
 class InvalidBracketError(ValueError):
-    """Both bracket ends classify the same way."""
+    """Both bracket ends classify the same way, as ``label`` (None where a caller words its own verdict)."""
+
+    def __init__(self, message, label=None):
+        super().__init__(message)
+        self.label = label
 
 
 def _check_bracket(bracket, tol) -> tuple[float, float]:
@@ -428,9 +432,7 @@ def bisect(
     p_lo = predicate(lo)
     p_hi = predicate(hi)
     if p_lo == p_hi:
-        raise InvalidBracketError(
-            "invalid bracket: both ends classify as %r" % (p_lo,)
-        )
+        raise InvalidBracketError("invalid bracket: both ends classify as %r" % (p_lo,), p_lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -464,9 +466,7 @@ def brent(
     a, pa = lo, probe(lo)
     b, pb = hi, probe(hi)
     if pa.label == pb.label:
-        raise InvalidBracketError(
-            "invalid bracket: both ends classify as %r" % (pa.label,)
-        )
+        raise InvalidBracketError("invalid bracket: both ends classify as %r" % (pa.label,), pa.label)
     # b is the best end so far, c the other end of the bracket (its label
     # differs from b's), a the previous b; d is the last step, e the one
     # before it.

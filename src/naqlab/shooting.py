@@ -9,12 +9,13 @@ analogue eta = 0 is a false vacuum and eta = +/- arccosh(1 + 2 m^2) the
 true vacua; a trajectory started at rest either overshoots through zero or
 turns back (undershoots).  A starting value eta_0* whose trajectory decays
 monotonically to zero separates the two; below the fold m_c = 0.18598 the
-lowest lies in a bracket worked out from m, and above it there is none.
-Each probe reads the amplitude of the growing mode at its last sample, a
-signed residual close to linear in eta_0 - eta_0*, and Brent's method on it
-isolates eta_0* in 9 to 11 probes.  Below rtol 1e-6 only the probes near
-the root are integrated at the solve's rtol (see find_regular_eta0).  For
-lambda_tilde = 1, m = 0.1 the regular value is eta_0* = 0.9083.
+lowest lies between 2 Q(0) m and (eta_fold / m_c) m, and above it there is
+none.  Each probe reads the amplitude of the growing mode at its last
+sample, a signed residual close to linear in eta_0 - eta_0*, and Brent's
+method on it isolates eta_0* in 6 to 8 probes at m = 0.1.  Below rtol
+1e-6 only the probes near the root are integrated at the solve's rtol (see
+find_regular_eta0).  For lambda_tilde = 1, m = 0.1 the regular value is
+eta_0* = 0.9083.
 
 The integrator solves for w = x eta in x = sqrt(lambda_tilde) r, where the
 equation w_xx = -x S(w/x) has no 2/r pole and no lambda_tilde.  Each
@@ -37,13 +38,16 @@ from .numerics import IntegrationBlowUp, InvalidBracketError, RkSolution, brent,
 
 __all__ = [
     "CouplingParams", "Probe", "ClassifierAmbiguityError", "ode_rhs",
-    "integrate_profile", "find_regular_eta0", "derive_fields", "M_FOLD", "ETA_FOLD",
+    "integrate_profile", "find_regular_eta0", "derive_fields", "BracketBoundError", "M_FOLD", "ETA_FOLD", "TWO_Q0",
 ]
 
 # The fold (m_c, eta_fold) where the lowest two branches of regular solutions
 # meet, as tests/spectral_oracle.py computes it: none exists for m >= m_c.
 M_FOLD = 0.185981376879
 ETA_FOLD = 2.40192315365
+# eta_0*/m tends to 2 Q(0) as m -> 0, Q the 3-D cubic NLS ground state, as
+# tests/spectral_oracle.py computes it.
+TWO_Q0 = 8.67477535995
 # A solve whose rtol is below 1e-6 labels each probe first at rtol 1e-6, and
 # keeps that label where |residual| >= 1e-6: near the root the two passes'
 # residuals differ by at most 6.1e-8 (see find_regular_eta0).
@@ -98,6 +102,10 @@ class Probe:
 
 class ClassifierAmbiguityError(RuntimeError):
     """A trajectory ended unclassified at the radius the message names."""
+
+
+class BracketBoundError(RuntimeError):
+    """Both ends of a solve's bracket overshoot: a bound is wrong, whatever m is."""
 
 
 def ode_rhs(x: float, w: float, m_squared: float) -> float:
@@ -246,18 +254,22 @@ def _probe(eta0, p, rtols) -> Probe:
 def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     """Brent's method on the probes' growing-mode residual, to the lowest regular eta_0*.
 
-    The bracket is [0.999 eta_E, ETA_FOLD].  A start below eta_E =
-    2 asinh(sqrt(2) m), where V = c (c/4 - m^2), c = cosh(eta) - 1, is the
-    false vacuum's V(0) = 0, undershoots: friction only lowers eta'^2/2 + V.
-    ETA_FOLD lies between the lowest root and the second for every m < m_c.
-    Both ends undershooting, or an empty bracket (m >= 1.0701), is an
-    InvalidBracketError: no regular solution.  The answer, the end with the
+    The bracket is [0.999 TWO_Q0 m, min(ETA_FOLD, ETA_FOLD m / M_FOLD)].
+    eta_0*/m increases with m, from its m -> 0 limit TWO_Q0 = 2 Q(0), Q the
+    3-D cubic NLS ground state, to ETA_FOLD / M_FOLD = 12.915 at the fold
+    (tests recompute both ends and check the rise on 26 couplings), so the
+    low end, 0.1 % below the limit, undershoots; the high end lies above
+    the root and no higher than ETA_FOLD, which lies between the lowest root
+    and the second for every m < m_c, so it overshoots.  Both ends
+    undershooting, or an empty bracket (m >= 0.277163), is an
+    InvalidBracketError: no regular solution.  Both ends overshooting is a
+    BracketBoundError: a bound is wrong.  The answer, the end with the
     smaller |residual| of a final bracket no wider than ``tol`` whose ends
-    classify differently, lies within ``tol`` of the discretized root.
-    Each probe is integrated at lambda_tilde = 1 to eight Yukawa lengths,
-    x = 8/m, at ``rtol = min(1e-6, max(1e-12, 0.1 tol))``, so eta0 is the
-    same float for every lambda_tilde and only the answer's trajectory is
-    rescaled, to end at r = x / sqrt(lambda_tilde).
+    classify differently, lies within ``tol`` of the discretized root.  Each
+    probe is integrated at lambda_tilde = 1 to eight Yukawa lengths, x = 8/m,
+    at ``rtol = min(1e-6, max(1e-12, 0.1 tol))``, so eta0 is the same float
+    for every lambda_tilde and only the answer's trajectory is rescaled, to
+    end at r = x / sqrt(lambda_tilde).
 
     The labels keep the bracket and the residuals only steer it, so a probe
     far from the root needs a correct label, not a tight integration.  Below
@@ -274,24 +286,26 @@ def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     rtol, and its |residual| is below that of any end kept from rtol 1e-6:
     the answer's trajectory is always one at the solve's rtol.
 
-    At m = 0.1 a solve takes 9, 11 and 12 trajectories (1305, 2519 and 5148
+    At m = 0.1 a solve takes 6, 8 and 9 trajectories (978, 2192 and 4821
     RHS calls) at tol 1e-5, 1e-8 and 1e-12.  On the grid lambda_tilde in
-    {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.073,
-    0.012 and 0.111 tol of the root; near the fold the residual's slope
-    vanishes, and at m_c - 1e-6, tol 1e-5 it lay 12.8 tol off.  Couplings
+    {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.049,
+    0.245 and 0.110 tol of the root; near the fold the residual's slope
+    vanishes, and at m_c - 1e-6, tol 1e-5 it lay 12.9 tol off.  Couplings
     whose horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite float are refused.
     """
     if not (0.0 < 8.0 / p.m < math.inf and p.horizon < math.inf):
         raise ValueError("lambda_tilde = %g, m = %g: the horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float" % (p.lambda_tilde, p.m))
     rtol = min(_COARSE_RTOL, max(1e-12, 0.1 * tol))
     rtols = [_COARSE_RTOL, rtol] if rtol < _COARSE_RTOL else [rtol]
-    lo, hi = 0.999 * 2.0 * math.asinh(math.sqrt(2.0) * p.m), ETA_FOLD
+    lo, hi = 0.999 * TWO_Q0 * p.m, min(ETA_FOLD, ETA_FOLD / M_FOLD * p.m)
     no_solution = InvalidBracketError("no regular solution: m = %g is at or above the fold m_c = %.12g" % (p.m, M_FOLD))
     if not lo < hi:
         raise no_solution
     try:
         best = brent(lambda eta0: _probe(eta0, p, rtols), (lo, hi), tol)
-    except InvalidBracketError:  # the low end undershoots, so both ends did
+    except InvalidBracketError as exc:
+        if exc.label != "undershoot":
+            raise BracketBoundError("wrong bracket bound at m = %g: both ends of [%r, %r] classify as %r" % (p.m, lo, hi, exc.label)) from None
         raise no_solution from None
     _to_r(best.trajectory, p.lambda_tilde)
     return best

@@ -20,7 +20,8 @@ integrator (Trefethen, *Spectral Methods in MATLAB*, 2000):
 
 ``fold`` solves the Moore-Spence system F = 0, J v = 0, c.v = 1 for the
 fold (m_c, eta_fold) where the lowest two branches of regular solutions
-meet, seeded from the m = 0.185 root.
+meet, seeded from the m = 0.185 root.  ``two_q0`` solves the m -> 0 limit
+of the profile equation on the same collocation, with no shooting seed.
 """
 
 import math
@@ -133,3 +134,41 @@ def fold(n=141, a=5.0):
             return float(m), grid.eta0(eta)
         small = np.abs(step[:size]).max() <= 1e-9 * np.abs(eta).max()
     raise RuntimeError("the Moore-Spence system did not converge")
+
+
+def two_q0(n=141, a=5.0, radius=16.0):
+    """u(0) = 2 Q(0) of the positive ground state of u'' + (2/x) u' = u - u^3/4,
+    the m -> 0 limit of the profile equation in eta = m u, x = m r; Q is the
+    ground state of the 3-D cubic NLS, Q'' + (2/x) Q' = Q - Q^3 (Sulem &
+    Sulem, *The Nonlinear Schrodinger Equation*, 1999).  The Robin row is
+    u' + (1 + 1/R) u = 0, exact for the tail exp(-x) / x.
+
+    Newton from 8 sech^2(x) diverged on every grid tried, so Petviashvili's
+    iteration u <- M^(3/2) L^(-1) N(u) (Pelinovsky & Stepanyants, SIAM J.
+    Numer. Anal. 42, 2004), with L = 1 - (u'' + (2/x) u'), N(u) = u^3/4 and
+    M = u.Lu / u.N(u), which is 1 at the fixed point, takes exp(-x^2) to
+    within 1e-6 of the ground state, and Newton ends the solve.
+    """
+    grid = Collocation(n, a, radius)
+    lin = np.eye(grid.r.size) - grid.op
+    lin[0] = grid.op[0]
+    lin[0, 0] += 1.0 + 1.0 / radius
+    interior = np.arange(grid.r.size) > 0
+    u = np.exp(-grid.r**2)
+    for _ in range(100):
+        cubic = np.where(interior, 0.25 * u**3, 0.0)
+        step = u - ((u @ lin @ u) / (u @ cubic)) ** 1.5 * np.linalg.solve(lin, cubic)
+        u = u - step
+        if np.abs(step).max() <= 1e-6 * np.abs(u).max():
+            break
+    else:
+        raise RuntimeError("Petviashvili's iteration did not converge")
+    small = False
+    for _ in range(25):
+        jac = lin - np.diag(np.where(interior, 0.75 * u**2, 0.0))
+        step = np.linalg.solve(jac, lin @ u - np.where(interior, 0.25 * u**3, 0.0))
+        u = u - step
+        if small:
+            return grid.eta0(u)
+        small = np.abs(step).max() <= 1e-9 * np.abs(u).max()
+    raise RuntimeError("Newton did not converge on the ground state")

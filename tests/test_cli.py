@@ -703,6 +703,15 @@ class TestShoot:
         assert out == ""
         assert err == "no regular solution: m = 0.19 is at or above the fold m_c = 0.185981376879\n"
 
+    def test_wrong_bracket_bound_is_numerical_error(self, capsys, monkeypatch):
+        # a low end that overshoots, as the high end does, is a bug in the
+        # bracket: one line of its own, never the no-solution line
+        monkeypatch.setattr(shooting, "TWO_Q0", 11.0)
+        code, out, err = run(capsys, "shoot")
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == "wrong bracket bound at m = 0.1: both ends of [%r, %r] classify as 'overshoot'\n" % (
+            0.999 * 11.0 * 0.1, shooting.ETA_FOLD / shooting.M_FOLD * 0.1)
+
     def test_short_horizon_is_numerical_error(self, capsys):
         # m = 1e7 gives the horizon 8e-7, where a probe's step once
         # underflowed; its bracket is empty, so no probe is integrated
@@ -936,17 +945,17 @@ class TestOutputPins:
 
     CASES = (
         (("shoot", "--lambda", "1", "--m", "0.1"),
-         "24a15980fcb7eb55c8e4944f3b2c1b0eafc2d130b9dde5e32f920e0a4dc6fcf7"),
+         "2558de6012070c6925d3a0d527b045dc89d66f4580b4621e7d9eedf6d7968fbe"),
         (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"),
-         "6b07755f1223b362990876739032a843b1cde915a6942b528cf6d359df8ffd39"),
+         "f204a9888bf830caa0ff7579bfac02167cb52d84ac0d75a3461670b1a8311272"),
         (("shoot", "--lambda", "2.5", "--m", "0.07", "--tol", "1e-05"),
-         "06f114b63e4a4c2067bbf7295d1fe7390d461391365bc86575f6ee33e1b47457"),
+         "11693a2621105b4c9c7ee4cae30dd7f0795d9bbbadc707a2f101d078a6d1a652"),
         (("shoot", "--lambda", "0.6", "--m", "0.13", "--tol", "1e-05"),
-         "b1dd65f3eafae96c366e79e4528bda353e037dd11a3010339dc652bd0ecb45c6"),
+         "9150400ae2ebe479e11b5c53791a0d5e001aa8334f1ce7564e0d545813e2fe4a"),
         (("shoot", "--lambda", "3.2", "--m", "0.12", "--tol", "1e-12"),
-         "bfa1879d4eda6d19105e438ba277b0dfc67b481d869da40070765a5779276741"),
+         "2de562112a298aa47c096c973259afd53a722bb56ae4894b091fedd697b1add9"),
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
-         "bdb5e4c9d55eedb11cdd06c823fe663f495c14e1a28a498d7cf022307615a902"),
+         "df0417fd11bbd7fd9a6c98f9402a46b3b936b01a7b783cfb5f6a89b01f41ccbd"),
         (("profile", "--eta0", "0.9083"),
          "6818949f6f4c0f1b41d3ab9bda7182cec59154d7e7ea534cb8948a060c6683f6"),
         (("exact",),

@@ -390,8 +390,9 @@ class TestBisect:
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_invalid_bracket(self):
-        with pytest.raises(InvalidBracketError):
+        with pytest.raises(InvalidBracketError) as info:
             bisect(lambda x: True, (0.0, 1.0), 1e-6)
+        assert info.value.label is True
 
     @pytest.mark.parametrize("tol", (0.0, -1e-6, math.nan))
     def test_tolerance_must_be_positive(self, tol):
@@ -473,8 +474,9 @@ class TestBrent:
         assert math.nextafter(best.x, other.x) == other.x
 
     def test_same_label_ends_raise(self):
-        with pytest.raises(InvalidBracketError, match="both ends classify as 'high'"):
+        with pytest.raises(InvalidBracketError, match="both ends classify as 'high'") as info:
             brent(labelled(lambda x: x - self.ROOT, self.ROOT, []), (0.5, 1.0), 1e-6)
+        assert info.value.label == "high"
         with pytest.raises(ValueError, match="bracket must be ordered"):
             brent(labelled(lambda x: x - self.ROOT, self.ROOT, []), (1.0, 0.5), 1e-6)
 

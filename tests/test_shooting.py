@@ -141,14 +141,15 @@ class TestFindRegularEta0:
         assert shot_m01_default.eta0 == pytest.approx(0.9083, abs=5e-4)
 
     def test_reference_work_and_bits(self, params_m01, monkeypatch):
-        # On the bracket [0.999 eta_E, ETA_FOLD], Brent's method needs 9
-        # trajectories at tol 1e-5, all at rtol 1e-6 (bisection needed 21).
-        # At tol 1e-12 its 11 probes take 12 trajectories: the 7 far ones keep
-        # their rtol-1e-6 label, the eighth (|residual| 5.2e-8) is integrated
-        # at 1e-6 and again at 1e-12, and the last 3 only at 1e-12 (bisection
-        # needed 44).  Each costs 1 + 12 x (attempted DOP853 steps) RHS calls,
-        # and the answer's trajectory is one of them.  The floats are pinned
-        # bit for bit so a change of arithmetic order shows up here.
+        # On the bracket [0.999 TWO_Q0 m, ETA_FOLD m / M_FOLD], Brent's method
+        # needs 6 trajectories at tol 1e-5, all at rtol 1e-6 (bisection needed
+        # 21).  At tol 1e-12 its 8 probes take 9 trajectories: the 4 far ones
+        # keep their rtol-1e-6 label, the fifth (|residual| 4.2e-8) is
+        # integrated at 1e-6 and again at 1e-12, and the last 3 only at 1e-12
+        # (bisection needed 44).  Each costs 1 + 12 x (attempted DOP853
+        # steps) RHS calls, and the answer's trajectory is one of them.  The
+        # floats are pinned bit for bit so a change of arithmetic order shows
+        # up here.
         calls = {"integrate_profile": 0, "ode_rhs": 0}
 
         def counting(name):
@@ -163,15 +164,15 @@ class TestFindRegularEta0:
         counting("integrate_profile")
         counting("ode_rhs")
         res = find_regular_eta0(params_m01)
-        assert calls == {"integrate_profile": 9, "ode_rhs": 1305}
-        assert res.eta0 == 0.9083367276445137
+        assert calls == {"integrate_profile": 6, "ode_rhs": 978}
+        assert res.eta0 == 0.9083368651141887
         assert np.asarray(res.trajectory.r).size == 17
         assert res.trajectory.r[-1] == 80.0
 
         calls.update(integrate_profile=0, ode_rhs=0)
         res = find_regular_eta0(params_m01, tol=1e-12)
-        assert calls == {"integrate_profile": 12, "ode_rhs": 5148}
-        assert res.eta0 == 0.9083371697707662
+        assert calls == {"integrate_profile": 9, "ode_rhs": 4821}
+        assert res.eta0 == 0.9083371697707651
         assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 1e-12
         assert np.asarray(res.trajectory.r).size == 79
         assert res.trajectory.r[-1] == 80.0
@@ -193,7 +194,7 @@ class TestFindRegularEta0:
     def test_default_tol_holds_against_tight_root(self, lambda_tilde, m):
         # the integration each tol passes down still leaves the answer within
         # a quarter of tol of the lambda_tilde-independent root (at most
-        # 0.073, 0.012 and 0.111 tol measured)
+        # 0.049, 0.245 and 0.110 tol measured; 0.245 at m = 0.17, tol 1e-8)
         p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
         for tol in (1e-5, 1e-8, 1e-12):
             res = find_regular_eta0(p, tol=tol)
@@ -204,8 +205,8 @@ class TestFindRegularEta0:
 
     @staticmethod
     def bracket(m):
-        """[0.999 eta_E, ETA_FOLD], eta_E = 2 asinh(sqrt(2) m) the start whose potential equals the false vacuum's."""
-        return 0.999 * 2.0 * math.asinh(math.sqrt(2.0) * m), shooting.ETA_FOLD
+        """[0.999 TWO_Q0 m, min(ETA_FOLD, ETA_FOLD m / M_FOLD)]: eta_0*/m rises from 2 Q(0) at m -> 0 to ETA_FOLD / M_FOLD at the fold."""
+        return 0.999 * shooting.TWO_Q0 * m, min(shooting.ETA_FOLD, shooting.ETA_FOLD / shooting.M_FOLD * m)
 
     def test_bracket_labels_disagree(self, params_m01, monkeypatch):
         # a solve probes the two ends of the bracket first
@@ -305,19 +306,30 @@ class TestFindRegularEta0:
     def test_invalid_bracket_both_undershoot(self, monkeypatch):
         # above the fold both ends of the bracket undershoot: no regular solution
         probes = record_probes(monkeypatch)
-        for m in (shooting.M_FOLD + 1e-6, 0.19, 1.0):
+        for m in (shooting.M_FOLD + 1e-6, 0.19, 0.277):
             del probes[:]
             with pytest.raises(InvalidBracketError) as info:
                 find_regular_eta0(CouplingParams(lambda_tilde=2.0, m=m))
             assert str(info.value) == "no regular solution: m = %g is at or above the fold m_c = 0.185981376879" % m
             assert [(p.eta0, p.label) for p in probes] == [(self.bracket(m)[0], "undershoot"), (shooting.ETA_FOLD, "undershoot")]
 
-    @pytest.mark.parametrize("m", (1.08, 1e7))
+    def test_both_ends_overshooting_is_a_wrong_bound(self, monkeypatch):
+        # a low end above the root overshoots like the high end: a wrong
+        # bound, not a coupling without a regular solution
+        monkeypatch.setattr(shooting, "TWO_Q0", 11.0)
+        probes = record_probes(monkeypatch)
+        with pytest.raises(shooting.BracketBoundError) as info:
+            find_regular_eta0(CouplingParams(lambda_tilde=2.0, m=0.1))
+        lo, hi = self.bracket(0.1)
+        assert str(info.value) == "wrong bracket bound at m = 0.1: both ends of [%r, %r] classify as 'overshoot'" % (lo, hi)
+        assert [(p.eta0, p.label) for p in probes] == [(lo, "overshoot"), (hi, "overshoot")]
+
+    @pytest.mark.parametrize("m", (0.2771631, 0.3, 1.08, 1e7))
     def test_no_solution_decided_before_integrating(self, monkeypatch, m):
-        # from m = 1.0701 on, 0.999 eta_E is not below ETA_FOLD: the bracket is
-        # empty and the verdict needs no trajectory (m = 1e7 once ended in a
-        # step underflow)
-        assert self.bracket(m)[0] >= shooting.ETA_FOLD
+        # from m = 0.277163 on, 0.999 TWO_Q0 m is not below ETA_FOLD: the
+        # bracket is empty and the verdict needs no trajectory (m = 1e7 once
+        # ended in a step underflow)
+        assert self.bracket(0.277163)[0] < shooting.ETA_FOLD <= self.bracket(m)[0]
         calls = []
         monkeypatch.setattr(shooting, "integrate_profile", lambda *args: calls.append(args))
         with pytest.raises(InvalidBracketError) as info:
@@ -379,6 +391,23 @@ class TestSpectralOracle:
         assert abs(shooting.M_FOLD - m_c) <= 1e-9
         assert abs(shooting.ETA_FOLD - eta_fold) <= 1e-9
 
+    def test_two_q0_converges_and_matches_the_literal(self):
+        # the m -> 0 limit of eta_0*/m on the four grids at R = 12 and 16
+        # (measured spread 1.8e-12; bisecting scipy's DOP853 at rtol 1e-13
+        # gives 8.674775359954-5)
+        values = [spectral_oracle.two_q0(n, a, radius) for n, a in self.GRIDS for radius in (12.0, 16.0)]
+        assert max(values) - min(values) <= 1e-11
+        assert abs(shooting.TWO_Q0 - values[-1]) <= 1e-9
+
+    def test_eta0_over_m_rises_between_the_asymptotes(self):
+        # the premise of the solve's bracket: on a geometric grid below the
+        # fold, eta_0*/m increases from just above 2 Q(0) to just below
+        # ETA_FOLD / M_FOLD (measured 8.67481 to 12.6967)
+        ms = [0.001 * 1.25**k for k in range(24)] + [0.185, 0.1859]
+        ratios = [spectral_oracle.regular_eta0(m) / m for m in ms]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
+        assert shooting.TWO_Q0 < ratios[0] and ratios[-1] < shooting.ETA_FOLD / shooting.M_FOLD
+
     @pytest.mark.parametrize("m", sorted(TestFindRegularEta0.TIGHT_ROOTS))
     def test_roots_converge_and_match_the_frozen_roots(self, m):
         # Newton's root on two grids, against the roots frozen from shooting
@@ -397,7 +426,7 @@ class TestExistenceInterval:
     @pytest.mark.parametrize("tol", (1e-5, 1e-8))
     def test_answer_within_tol_of_the_oracle_root(self, tol):
         # both ends of m in [0.001, m_c - 1e-3] and 10 draws (worst measured
-        # 0.30 and 0.60 tol, at m_c - 1e-3)
+        # 0.25 and 0.58 tol, at m_c - 1e-3)
         rng = np.random.default_rng(30)
         ms = [0.001, shooting.M_FOLD - 1e-3] + rng.uniform(0.001, shooting.M_FOLD - 1e-3, 10).tolist()
         for m in ms:
@@ -408,7 +437,7 @@ class TestExistenceInterval:
     def test_root_below_the_fold_at_its_edge(self):
         # at m_c - 1e-6 the two lowest roots are 0.0092 apart and the
         # residual's slope nearly vanishes: the answer is the lower root, but
-        # 12.8 tol from it at tol 1e-5 (ROADMAP item 3)
+        # 12.9 tol from it at tol 1e-5 (ROADMAP item 20)
         m = shooting.M_FOLD - 1e-6
         p = CouplingParams(10.0 ** np.random.default_rng(3).uniform(-3.0, 3.0), m)
         root = spectral_oracle.regular_eta0(m)
