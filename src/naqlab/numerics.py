@@ -1,8 +1,8 @@
 """Deterministic numerical kernels shared by the rest of the package.
 
 Provides globally adaptive Gauss-Kronrod quadrature, adaptive explicit
-Runge-Kutta integration of y'' = f(r, y, y') with the Dormand-Prince
-8(5,3) pair (DOP853), bracketing root-finders on a two-way classifier
+Runge-Kutta integration of y'' = f(r, y) with the Dormand-Prince 8(5,3)
+pair (DOP853) in Nystrom form, bracketing root-finders on a two-way classifier
 (bisection, and Brent's method when each probe also gives a signed
 residual), and numpy's second-order finite differences on possibly
 non-uniform sample points.
@@ -16,10 +16,10 @@ work grows like ``rtol ** (-1/8)``, and at most 10^6 steps are attempted.
 Everything here is a pure function of its inputs; all arithmetic is
 64-bit IEEE-754.  The integrator keeps the state ``(y, y')``, such as the
 shooting problem's ``(w, w_x)``, in scalar Python floats with every
-DOP853 stage written out per component: the state goes to the right-hand
-side as a 2-tuple and y'' comes back as one float, which costs far less
-than numpy's per-call overhead or a loop over components.  Only
-``centered_derivative`` imports numpy, when it is called.
+DOP853 stage written out: y goes to the right-hand side and y'' comes back,
+one float each, which costs far less than numpy's per-call overhead or a
+loop over components.  Only ``centered_derivative`` imports numpy, when it
+is called.
 """
 
 from __future__ import annotations
@@ -188,13 +188,16 @@ _MAX_STEPS = 1_000_000
 class RkSolution:
     """Accepted samples as ``array('d')`` buffers, which ``np.asarray`` reads
     without a copy, all of the same length: radii ``r``, the state ``y`` and
-    ``dy`` = y', and ``ddy`` = y'', the right-hand side at each sample."""
+    ``dy`` = y', and ``ddy`` = y'', the right-hand side at each sample.
+    ``attempted`` counts the steps tried, so ``attempted - (len(r) - 1)``
+    were rejected and the run made 1 + 12 ``attempted`` RHS calls."""
 
     r: array
     y: array
     dy: array
     ddy: array
     stop: object  # what stop_condition returned to halt the run; None at r_end
+    attempted: int
 
 
 class IntegrationBlowUp(RuntimeError):
@@ -207,18 +210,23 @@ class IntegrationBlowUp(RuntimeError):
 
 
 def rk_integrate(
-    rhs: Callable[[float, tuple], float],
+    rhs: Callable[[float, float], float],
     r0: float,
     y0: Sequence[float],
     r_end: float,
     stop_condition: Callable[[float, tuple], object] | None = None,
     rtol: float = 1e-10,
 ) -> RkSolution:
-    """Integrate y'' = rhs(r, (y, y')) from (y, y') = y0 at r0 to ``r_end``.
+    """Integrate y'' = rhs(r, y) from (y, y') = y0 at r0 to ``r_end``.
 
-    ``rhs`` receives the state as a tuple ``(y, y')`` of floats and returns
-    y'' as one float.  The Dormand-Prince 8(5,3) pair has 12 stages; it
-    evaluates its last one at the 8th-order solution and reuses it as the
+    ``rhs`` receives y as one float and returns y'' as one float; it never
+    sees y'.  The Dormand-Prince 8(5,3) pair has 12 stages, stepped in
+    Nystrom form (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.14):
+    stage i evaluates rhs at y + h (c_i y' + h sum_l (A^2)_il k_l), the
+    8th-order y takes the weights b A and y' the weights b, and the y error
+    sums take e5 A and e3 A, each sum adding its terms left to right in
+    stage order; this is the first-order method on (y, y') to rounding.  The
+    last stage is evaluated at the 8th-order solution and reused as the
     first stage of the next step (FSAL), so an integration costs
     1 + 12 x (attempted steps) RHS evaluations.  With the 5th- and
     3rd-order error estimates scaled by
@@ -233,7 +241,7 @@ def rk_integrate(
     retained at every accepted step, in the buffers ``r``, ``y``, ``dy`` and
     ``ddy`` of the returned ``RkSolution``; ``ddy`` is the first evaluation
     and then each accepted FSAL stage, y'' at its sample at no extra cost.
-    ``stop_condition(r, y)`` is checked after each accepted step; a truthy
+    ``stop_condition(r, (y, y'))`` is checked after each accepted step; a truthy
     value halts the integration there (the triggering sample is retained)
     and is returned as ``stop``, which is None when the run reaches ``r_end``.
 
@@ -255,144 +263,107 @@ def rk_integrate(
     if not 0.0 < rtol < math.inf:
         raise ValueError("rtol must be positive and finite, got %r" % (rtol,))
     atol = rtol / 100.0
-    k1u, k1v = v, rhs(r, (u, v))
+    k1v = rhs(r, u)
     rs, us, vs, dvs = array("d", (r,)), array("d", (u,)), array("d", (v,)), array("d", (k1v,))
 
     def _blowup(msg):
-        raise IntegrationBlowUp(msg, RkSolution(rs, us, vs, dvs, None))
+        raise IntegrationBlowUp(msg, RkSolution(rs, us, vs, dvs, None, attempted))
 
     h = (r_end - r) / 100.0
-    nsteps = 0
+    attempted = 0
     stop = None
     while r < r_end:
+        if attempted == _MAX_STEPS:
+            _blowup("step budget exceeded")
         last = h >= r_end - r
         if last:
             h = r_end - r
-        if h < 1e-14 * max(abs(r), 1.0):
+        # abs, max and min are written out as comparisons in this loop, where a
+        # builtin call costs as much as several float operations; h stays
+        # positive, so |h| is h
+        if h < 1e-14 * (r if r > 1.0 else -r if r < -1.0 else 1.0):  # max(|r|, 1)
             _blowup("step underflow at r = %g" % r)
+        attempted += 1
         # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-        # sec. II.10), unrolled over the two components.  Each weighted sum
+        # sec. II.10) in Nystrom form (sec. II.14): y'' = f(r, y) never reads
+        # y', so the stage y' sums v + h sum_j a_ij kj are folded into the y
+        # sums, stage i taking u + h (c_i v + h sum_l (A^2)_il kl), u8 the
+        # weights b A and the y error sums e5 A and e3 A.  Each weighted sum
         # adds its nonzero terms left to right in tableau order: that order
-        # fixes the rounding of every result.  A stage's kNu is the y' it
-        # passes to rhs, and kNv is the y'' that rhs returns.  The FSAL row is
-        # the 8th-order weights: the last stage is y'' at the next sample.
-        k2v = rhs(r + 0.05260015195876773 * h, (
-            u + h * (0.05260015195876773 * k1u),
-            k2u := v + h * (0.05260015195876773 * k1v)))
-        k3v = rhs(r + 0.0789002279381516 * h, (
-            u + h * (0.0197250569845379 * k1u + 0.0591751709536137 * k2u),
-            k3u := v + h * (0.0197250569845379 * k1v + 0.0591751709536137 * k2v)))
-        k4v = rhs(r + 0.1183503419072274 * h, (
-            u + h * (0.02958758547680685 * k1u + 0.08876275643042054 * k3u),
-            k4u := v + h * (0.02958758547680685 * k1v + 0.08876275643042054 * k3v)))
-        k5v = rhs(r + 0.2816496580927726 * h, (
-            u + h * (0.2413651341592667 * k1u + -0.8845494793282861 * k3u
-                     + 0.924834003261792 * k4u),
-            k5u := v + h * (0.2413651341592667 * k1v + -0.8845494793282861 * k3v
-                            + 0.924834003261792 * k4v)))
-        k6v = rhs(r + 0.3333333333333333 * h, (
-            u + h * (0.037037037037037035 * k1u + 0.17082860872947386 * k4u
-                     + 0.12546768756682242 * k5u),
-            k6u := v + h * (0.037037037037037035 * k1v + 0.17082860872947386 * k4v
-                            + 0.12546768756682242 * k5v)))
-        k7v = rhs(r + 0.25 * h, (
-            u + h * (0.037109375 * k1u + 0.17025221101954405 * k4u + 0.06021653898045596 * k5u
-                     + -0.017578125 * k6u),
-            k7u := v + h * (0.037109375 * k1v + 0.17025221101954405 * k4v
-                            + 0.06021653898045596 * k5v + -0.017578125 * k6v)))
-        k8v = rhs(r + 0.3076923076923077 * h, (
-            u + h * (0.03709200011850479 * k1u + 0.17038392571223998 * k4u
-                     + 0.10726203044637328 * k5u + -0.015319437748624402 * k6u
-                     + 0.008273789163814023 * k7u),
-            k8u := v + h * (0.03709200011850479 * k1v + 0.17038392571223998 * k4v
-                            + 0.10726203044637328 * k5v + -0.015319437748624402 * k6v
-                            + 0.008273789163814023 * k7v)))
-        k9v = rhs(r + 0.6512820512820513 * h, (
-            u + h * (0.6241109587160757 * k1u + -3.3608926294469414 * k4u
-                     + -0.868219346841726 * k5u + 27.59209969944671 * k6u
-                     + 20.154067550477894 * k7u + -43.48988418106996 * k8u),
-            k9u := v + h * (0.6241109587160757 * k1v + -3.3608926294469414 * k4v
-                            + -0.868219346841726 * k5v + 27.59209969944671 * k6v
-                            + 20.154067550477894 * k7v + -43.48988418106996 * k8v)))
-        k10v = rhs(r + 0.6 * h, (
-            u + h * (0.47766253643826434 * k1u + -2.4881146199716677 * k4u
-                     + -0.590290826836843 * k5u + 21.230051448181193 * k6u
-                     + 15.279233632882423 * k7u + -33.28821096898486 * k8u
-                     + -0.020331201708508627 * k9u),
-            k10u := v + h * (0.47766253643826434 * k1v + -2.4881146199716677 * k4v
-                             + -0.590290826836843 * k5v + 21.230051448181193 * k6v
-                             + 15.279233632882423 * k7v + -33.28821096898486 * k8v
-                             + -0.020331201708508627 * k9v)))
-        k11v = rhs(r + 0.8571428571428571 * h, (
-            u + h * (-0.9371424300859873 * k1u + 5.186372428844064 * k4u
-                     + 1.0914373489967295 * k5u + -8.149787010746927 * k6u
-                     + -18.52006565999696 * k7u + 22.739487099350505 * k8u
-                     + 2.4936055526796523 * k9u + -3.0467644718982196 * k10u),
-            k11u := v + h * (-0.9371424300859873 * k1v + 5.186372428844064 * k4v
-                             + 1.0914373489967295 * k5v + -8.149787010746927 * k6v
-                             + -18.52006565999696 * k7v + 22.739487099350505 * k8v
-                             + 2.4936055526796523 * k9v + -3.0467644718982196 * k10v)))
-        k12v = rhs(r + h, (
-            u + h * (2.273310147516538 * k1u + -10.53449546673725 * k4u
-                     + -2.0008720582248625 * k5u + -17.9589318631188 * k6u
-                     + 27.94888452941996 * k7u + -2.8589982771350235 * k8u
-                     + -8.87285693353063 * k9u + 12.360567175794303 * k10u
-                     + 0.6433927460157636 * k11u),
-            k12u := v + h * (2.273310147516538 * k1v + -10.53449546673725 * k4v
-                             + -2.0008720582248625 * k5v + -17.9589318631188 * k6v
-                             + 27.94888452941996 * k7v + -2.8589982771350235 * k8v
-                             + -8.87285693353063 * k9v + 12.360567175794303 * k10v
-                             + 0.6433927460157636 * k11v)))
-        u8 = u + h * (0.054293734116568765 * k1u + 4.450312892752409 * k6u
-                      + 1.8915178993145003 * k7u + -5.801203960010585 * k8u
-                      + 0.3111643669578199 * k9u + -0.1521609496625161 * k10u
-                      + 0.20136540080403034 * k11u + 0.04471061572777259 * k12u)
-        v8 = v + h * (0.054293734116568765 * k1v + 4.450312892752409 * k6v
-                      + 1.8915178993145003 * k7v + -5.801203960010585 * k8v
-                      + 0.3111643669578199 * k9v + -0.1521609496625161 * k10v
-                      + 0.20136540080403034 * k11v + 0.04471061572777259 * k12v)
+        # fixes the rounding of every result.  kNv is the y'' that rhs returns
+        # at stage N; the last stage, at the 8th-order solution, is y'' at the
+        # next sample and the first stage of the next step (FSAL).
+        k2v = rhs(r + 0.05260015195876773 * h, u + h * (0.05260015195876773 * v))
+        k3v = rhs(r + 0.0789002279381516 * h, u + h * (0.0789002279381516 * v + h * (
+                0.003112622984346139 * k1v)))
+        k4v = rhs(r + 0.1183503419072274 * h, u + h * (0.1183503419072274 * v + h * (
+                0.0017508504286947032 * k1v + 0.00525255128608411 * k2v)))
+        k5v = rhs(r + 0.2816496580927726 * h, u + h * (0.2816496580927726 * v + h * (
+                0.009915816237971966 * k1v - 0.05234336665618132 * k2v + 0.0820908153700972 * k3v)))
+        k6v = rhs(r + 0.3333333333333333 * h, u + h * (0.3333333333333333 * v + h * (
+                0.03533793130488635 * k1v - 0.09581915952175495 * k3v + 0.11603678377242414 * k4v)))
+        k7v = rhs(r + 0.25 * h, u + h * (0.25 * v + h * (0.018920483189113914 * k1v
+                - 0.03815245266364542 * k3v + 0.05268745617004205 * k4v - 0.00220548669551055 * k5v)))
+        k8v = rhs(r + 0.3076923076923077 * h, u + h * (0.3076923076923077 * v + h * (
+                0.03067021189623757 * k1v - 0.07975482628537982 * k3v + 0.0979912056772412 * k4v
+                - 0.0014238754814449106 * k5v - 0.00014543770014516837 * k6v)))
+        k9v = rhs(r + 0.6512820512820513 * h, u + h * (0.6512820512820513 * v + h * (
+                -0.15229089727622047 * k1v + 0.4696608773351988 * k3v - 0.06814140470279373 * k4v
+                + 0.010711857531715552 * k5v + 0.3119698547460422 * k6v - 0.35982613247286355 * k7v)))
+        k10v = rhs(r + 0.6 * h, u + h * (0.6 * v + h * (-0.110207167223775 * k1v + 0.30128953154727944 * k3v
+                + 0.07865735349516356 * k4v + 0.030838873981239308 * k5v - 0.31960414755130306 * k6v
+                - 0.6851760518136165 * k7v + 0.8842016075650119 * k8v)))
+        k11v = rhs(r + 0.8571428571428571 * h, u + h * (0.8571428571428571 * v + h * (
+                0.3721894995071433 * k1v - 0.5050736261155677 * k3v - 0.4614987464855824 * k4v
+                - 0.06518509348541879 * k5v + 4.098038403866568 * k6v + 3.8922102844072413 * k7v
+                - 7.025278165955342 * k8v + 0.06194438303648047 * k9v)))
+        k12v = rhs(r + h, u + h * (v + h * (-0.7650750098382327 * k1v + 0.8347994820739503 * k3v
+                + 1.755944144193113 * k4v + 0.2325369885955063 * k5v + 11.903719357881833 * k6v
+                - 1.9034949405460448 * k7v - 10.951226401858365 * k8v + 1.3530625395360725 * k9v
+                - 1.9602661600378632 * k10v)))
+        u8 = u + h * (v + h * (0.054293734116568765 * k1v + 2.9668752618349394 * k6v
+            + 1.418638424485876 * k7v - 4.016218126161173 * k8v + 0.10850859975965005 * k9v
+            - 0.06086437986500637 * k10v + 0.028766485829147193 * k11v))
+        v8 = v + h * (0.054293734116568765 * k1v + 4.450312892752409 * k6v + 1.8915178993145003 * k7v
+            - 5.801203960010585 * k8v + 0.3111643669578199 * k9v - 0.1521609496625161 * k10v
+            + 0.20136540080403034 * k11v + 0.04471061572777259 * k12v)
         r8 = r_end if last else r + h  # r + (r_end - r) can fall short of r_end
-        k13v = rhs(r8, (u8, v8))
-        su = atol + rtol * max(abs(u), abs(u8))
-        sv = atol + rtol * max(abs(v), abs(v8))
-        e5u = (0.01312004499419488 * k1u + -1.2251564463762044 * k6u + -0.4957589496572502 * k7u
-               + 1.6643771824549864 * k8u + -0.35032884874997366 * k9u
-               + 0.3341791187130175 * k10u + 0.08192320648511571 * k11u
-               + -0.022355307863886294 * k12u) / su
-        e5v = (0.01312004499419488 * k1v + -1.2251564463762044 * k6v + -0.4957589496572502 * k7v
-               + 1.6643771824549864 * k8v + -0.35032884874997366 * k9v
-               + 0.3341791187130175 * k10v + 0.08192320648511571 * k11v
-               + -0.022355307863886294 * k12v) / sv
-        e3u = (-0.18980075407240762 * k1u + 4.450312892752409 * k6u + 1.8915178993145003 * k7u
-               + -5.801203960010585 * k8u + -0.4226823213237919 * k9u
-               + -0.1521609496625161 * k10u + 0.20136540080403034 * k11u
-               + 0.02265179219836082 * k12u) / su
+        k13v = rhs(r8, u8)
+        au, au8 = (u if u >= 0.0 else -u), (u8 if u8 >= 0.0 else -u8)
+        av, av8 = (v if v >= 0.0 else -v), (v8 if v8 >= 0.0 else -v8)
+        su = atol + rtol * (au8 if au8 > au else au)
+        sv = atol + rtol * (av8 if av8 > av else av)
+        e5u = h * (-0.18865188001798797 * k1v + 0.9962151331241325 * k4v + 0.23599761577747433 * k5v
+            - 2.8546306823509116 * k6v - 4.082808827933705 * k7v + 6.038341535948958 * k8v
+            + 0.39584534789657555 * k9v - 0.5259249995299615 * k10v - 0.014383242914573597 * k11v) / su
+        e5v = (0.01312004499419488 * k1v - 1.2251564463762044 * k6v - 0.4957589496572502 * k7v
+            + 1.6643771824549864 * k8v - 0.35032884874997366 * k9v + 0.3341791187130175 * k10v
+            + 0.08192320648511571 * k11v - 0.022355307863886294 * k12v) / sv
+        e3u = h * (-0.4538545734291735 * k1v + 2.698758502261862 * k4v + 0.6812767760191378 * k5v
+            - 16.885342816594815 * k6v - 13.987876814514605 * k7v + 27.96175549233409 * k8v
+            + 0.3042333850581198 * k9v - 0.3335239499192925 * k10v + 0.014573998784681819 * k11v) / su
         e3v = (-0.18980075407240762 * k1v + 4.450312892752409 * k6v + 1.8915178993145003 * k7v
-               + -5.801203960010585 * k8v + -0.4226823213237919 * k9v
-               + -0.1521609496625161 * k10v + 0.20136540080403034 * k11v
-               + 0.02265179219836082 * k12v) / sv
+            - 5.801203960010585 * k8v - 0.4226823213237919 * k9v - 0.1521609496625161 * k10v
+            + 0.20136540080403034 * k11v + 0.02265179219836082 * k12v) / sv
         # Hairer's norm of the 5th-order estimate, damped by the 3rd-order
         # one.  Both zero is an exact step; a nan (a non-finite trial stage)
         # rejects it, so a diverging solution ends in step underflow.
         n5 = e5u * e5u + e5v * e5v
         den = n5 + 0.01 * (e3u * e3u + e3v * e3v)
-        err = abs(h) * n5 / math.sqrt(2.0 * den) if den != 0.0 else 0.0
+        err = h * n5 / math.sqrt(2.0 * den) if den != 0.0 else 0.0
         if err != err:
             err = math.inf
         if err <= 1.0:
-            r, u, v = r8, u8, v8
-            k1u, k1v = v8, k13v  # FSAL: k13 equals k1 of the next step
+            r, u, v, k1v = r8, u8, v8, k13v  # FSAL: k13 is k1 of the next step
             rs.append(r)
             us.append(u)
             vs.append(v)
             dvs.append(k13v)
             if stop_condition is not None and (stop := stop_condition(r, (u, v))):
                 break
-        h *= min(10.0, max(0.2, 0.9 * err ** -0.125 if err > 0.0 else 10.0))
-        nsteps += 1
-        if nsteps > _MAX_STEPS:
-            _blowup("step budget exceeded")
-    return RkSolution(rs, us, vs, dvs, stop or None)
+        grow = 0.9 * err ** -0.125 if err > 0.0 else 10.0
+        h *= 10.0 if grow > 10.0 else grow if grow > 0.2 else 0.2
+    return RkSolution(rs, us, vs, dvs, stop or None, attempted)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,8 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float 
         raise ValueError("r_max = %r: sqrt(lambda_tilde) r_max is no finite positive float" % (r_max,))
     m_squared = p.m_squared
 
-    def rhs(x, y):
-        return ode_rhs(x, y[0], m_squared)
+    def rhs(x, w):
+        return ode_rhs(x, w, m_squared)
 
     turn = [0.0]  # x w_x - w at the last sample
 
@@ -289,7 +289,7 @@ def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     At m = 0.1 a solve takes 6, 8 and 9 trajectories (978, 2192 and 4821
     RHS calls) at tol 1e-5, 1e-8 and 1e-12.  On the grid lambda_tilde in
     {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.049,
-    0.245 and 0.110 tol of the root; near the fold the residual's slope
+    0.245 and 0.111 tol of the root; near the fold the residual's slope
     vanishes, and at m_c - 1e-6, tol 1e-5 it lay 12.9 tol off.  Couplings
     whose horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite float are refused.
     """

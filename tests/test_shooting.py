@@ -165,14 +165,14 @@ class TestFindRegularEta0:
         counting("ode_rhs")
         res = find_regular_eta0(params_m01)
         assert calls == {"integrate_profile": 6, "ode_rhs": 978}
-        assert res.eta0 == 0.9083368651141887
+        assert res.eta0 == 0.9083368651141874
         assert np.asarray(res.trajectory.r).size == 17
         assert res.trajectory.r[-1] == 80.0
 
         calls.update(integrate_profile=0, ode_rhs=0)
         res = find_regular_eta0(params_m01, tol=1e-12)
         assert calls == {"integrate_profile": 9, "ode_rhs": 4821}
-        assert res.eta0 == 0.9083371697707651
+        assert res.eta0 == 0.908337169770766
         assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 1e-12
         assert np.asarray(res.trajectory.r).size == 79
         assert res.trajectory.r[-1] == 80.0
@@ -194,7 +194,7 @@ class TestFindRegularEta0:
     def test_default_tol_holds_against_tight_root(self, lambda_tilde, m):
         # the integration each tol passes down still leaves the answer within
         # a quarter of tol of the lambda_tilde-independent root (at most
-        # 0.049, 0.245 and 0.110 tol measured; 0.245 at m = 0.17, tol 1e-8)
+        # 0.049, 0.245 and 0.111 tol measured; 0.2449 at m = 0.17, tol 1e-8)
         p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
         for tol in (1e-5, 1e-8, 1e-12):
             res = find_regular_eta0(p, tol=tol)
@@ -353,19 +353,30 @@ class TestFindRegularEta0:
         assert calls == []
 
     def test_ambiguity_when_horizon_too_short(self):
-        # a start at the static true vacuum is still there at the horizon
+        # a start 1e-3 above the false vacuum is still climbing toward the
+        # true one, from below, at the horizon x = 80: at 0.87 eta_vacuum it
+        # is too far from zero for the growing mode to decide, and turns back
+        # (undershoots) only later.  A start at eta_vacuum itself sits on the
+        # vacuum, where the rounding of each step decides its label
         p = CouplingParams(lambda_tilde=4.0, m=0.1)
-        with pytest.raises(ClassifierAmbiguityError, match="^eta0 = 0.1996681577984152 reached r = 40 unclassified$"):
-            shooting._probe(p.eta_vacuum, p, [1e-6])
+        for rtol in (1e-6, 1e-12):
+            with pytest.raises(ClassifierAmbiguityError, match="^eta0 = 0.001 reached r = 40 unclassified$"):
+                shooting._probe(1e-3, p, [rtol])
 
     def test_unclassified_coarse_pass_is_integrated_again(self):
-        # the same start, unclassified at rtol 1e-6, undershoots at rtol
-        # 1e-12: a tight solve integrates it again rather than refusing, and
-        # its later probes run at rtol 1e-12 only
-        p = CouplingParams(lambda_tilde=1.0, m=0.1)
+        # at m = 0.005 a climb from just above 1e-3 first turns back
+        # (undershoots) near the horizon x = 1600: at rtol 1e-12 from eta0 =
+        # 0.00100163804, at rtol 1e-6 only from 0.00100163853.  A start
+        # between, 2e-7 from each, reaches the horizon unclassified at rtol
+        # 1e-6 and undershoots at 1e-12: a tight solve integrates it again
+        # rather than refusing, and its later probes run at rtol 1e-12 only
+        p = CouplingParams(lambda_tilde=1.0, m=0.005)
+        eta0 = 0.0010016383
+        with pytest.raises(ClassifierAmbiguityError, match="^eta0 = 0.0010016383 reached r = 1600 unclassified$"):
+            shooting._probe(eta0, p, [1e-6])
         rtols = [1e-6, 1e-12]
-        probe = shooting._probe(p.eta_vacuum, p, rtols)
-        tight = shooting._probe(p.eta_vacuum, p, [1e-12])
+        probe = shooting._probe(eta0, p, rtols)
+        tight = shooting._probe(eta0, p, [1e-12])
         assert rtols == [1e-12]
         assert tight.label == "undershoot"
         assert (probe.label, probe.residual) == (tight.label, tight.residual)
@@ -460,7 +471,7 @@ class TestDecayRate:
         r = np.linspace(20.0, 60.0, 400)
         eta = 3.0 * np.exp(-0.1 * r) / r
         deta = np.gradient(eta, r)
-        traj = RkSolution(r=r, y=eta, dy=deta, ddy=np.gradient(deta, r), stop="reached_rmax")
+        traj = RkSolution(r=r, y=eta, dy=deta, ddy=np.gradient(deta, r), stop="reached_rmax", attempted=0)
         assert decay_rate(traj, (25.0, 55.0)) == pytest.approx(0.1, abs=1e-6)
 
     def test_regular_solution_decay_matches_mass(self, shot_m01_tight, params_m01):
@@ -486,13 +497,13 @@ class TestDecayRate:
     def test_rejects_non_exponential_window(self):
         r = np.linspace(1.0, 10.0, 100)
         eta = np.full_like(r, 0.5)  # constant field: ln(r eta) is not linear
-        traj = RkSolution(r=r, y=eta, dy=np.zeros_like(r), ddy=np.zeros_like(r), stop="reached_rmax")
+        traj = RkSolution(r=r, y=eta, dy=np.zeros_like(r), ddy=np.zeros_like(r), stop="reached_rmax", attempted=0)
         with pytest.raises(DecayFitError):
             decay_rate(traj, (2.0, 9.0))
 
     def test_rejects_window_beyond_trajectory(self):
         r = np.linspace(1.0, 5.0, 50)
-        traj = RkSolution(r=r, y=np.exp(-r) / r, dy=np.zeros_like(r), ddy=np.zeros_like(r), stop="reached_rmax")
+        traj = RkSolution(r=r, y=np.exp(-r) / r, dy=np.zeros_like(r), ddy=np.zeros_like(r), stop="reached_rmax", attempted=0)
         with pytest.raises(ValueError):
             decay_rate(traj, (2.0, 50.0))
 
