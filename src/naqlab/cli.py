@@ -18,7 +18,9 @@ at or above the fold m_c, a ``shoot`` bracket whose ends both overshoot
 (a wrong bound), a ``shoot`` trajectory unclassified by its
 horizon, the ``exact`` quadrature budget exhausted, a ``torsion-check``
 residual above 1e-10 (its report is still written), or a ``profile``
-grid outside the trajectory.  Every output embeds the resolved
+grid outside the trajectory, whose one stderr line names where and why the
+trajectory stopped: "overshoot", "undershoot", or the integrator's "step
+underflow" or "step budget".  Every output embeds the resolved
 configuration (a JSON ``config`` entry, or a ``# config: ...`` comment
 line above the CSV header) so runs are self-describing and
 byte-reproducible.

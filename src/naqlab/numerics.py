@@ -7,11 +7,13 @@ pair (DOP853) in Nystrom form, bracketing root-finders on a two-way classifier
 residual), and numpy's second-order finite differences on possibly
 non-uniform sample points.
 
-The integrator runs from ``(r0, (y, y'))`` and returns its samples in four
-``array('d')`` buffers ``r``, ``y``, ``dy`` and ``ddy``, with the value that
-stopped it, if any.  Its error scale is one argument, ``rtol`` (default
-1e-10), with ``atol = rtol / 100``; each step costs 12 RHS evaluations, the
-work grows like ``rtol ** (-1/8)``, and at most 10^6 steps are attempted.
+The integrator runs from ``(r0, (y, y'))`` and always returns its samples in
+four ``array('d')`` buffers ``r``, ``y``, ``dy`` and ``ddy``, with why it
+stopped: the value its stop condition returned, "step underflow", "step
+budget", or None at the end of the span.  Its error scale is one argument,
+``rtol`` (default 1e-10), with ``atol = rtol / 100``; each step costs 12 RHS
+evaluations, the work grows like ``rtol ** (-1/8)``, and at most 10^6 steps
+are attempted.
 
 Everything here is a pure function of its inputs; all arithmetic is
 64-bit IEEE-754.  The integrator keeps the state ``(y, y')``, such as the
@@ -37,7 +39,6 @@ __all__ = [
     "QuadratureBudgetError",
     "quad_adaptive",
     "RkSolution",
-    "IntegrationBlowUp",
     "rk_integrate",
     "InvalidBracketError",
     "bisect",
@@ -196,17 +197,8 @@ class RkSolution:
     y: array
     dy: array
     ddy: array
-    stop: object  # what stop_condition returned to halt the run; None at r_end
+    stop: object  # what stop_condition returned, "step underflow" or "step budget"; None at r_end
     attempted: int
-
-
-class IntegrationBlowUp(RuntimeError):
-    """Step underflow or a non-finite state; carries the partial trajectory,
-    whose last sample is the last valid state."""
-
-    def __init__(self, message: str, partial: RkSolution):
-        super().__init__("integration blow-up: " + message)
-        self.partial = partial
 
 
 def rk_integrate(
@@ -244,15 +236,16 @@ def rk_integrate(
     ``stop_condition(r, (y, y'))`` is checked after each accepted step; a truthy
     value halts the integration there (the triggering sample is retained)
     and is returned as ``stop``, which is None when the run reaches ``r_end``.
+    A run that gives up is returned too, its samples ending at the last
+    accepted state, with ``stop`` "step underflow" when the stride falls
+    below 1e-14 max(|r|, 1) (a diverging or non-finite solution ends so)
+    and "step budget" when 10^6 steps have been attempted.
 
     Raises
     ------
     ValueError
         if ``y0`` does not have two components, ``r_end`` does not exceed
         ``r0`` or ``rtol`` is not positive and finite.
-    IntegrationBlowUp
-        on non-finite state or step-size underflow; the exception carries
-        the partial trajectory, which ends at the last valid state.
     """
     if len(y0) != 2:
         raise ValueError("the state must have two components, got %d" % len(y0))
@@ -265,16 +258,13 @@ def rk_integrate(
     atol = rtol / 100.0
     k1v = rhs(r, u)
     rs, us, vs, dvs = array("d", (r,)), array("d", (u,)), array("d", (v,)), array("d", (k1v,))
-
-    def _blowup(msg):
-        raise IntegrationBlowUp(msg, RkSolution(rs, us, vs, dvs, None, attempted))
-
     h = (r_end - r) / 100.0
     attempted = 0
     stop = None
     while r < r_end:
         if attempted == _MAX_STEPS:
-            _blowup("step budget exceeded")
+            stop = "step budget"
+            break
         last = h >= r_end - r
         if last:
             h = r_end - r
@@ -282,7 +272,8 @@ def rk_integrate(
         # builtin call costs as much as several float operations; h stays
         # positive, so |h| is h
         if h < 1e-14 * (r if r > 1.0 else -r if r < -1.0 else 1.0):  # max(|r|, 1)
-            _blowup("step underflow at r = %g" % r)
+            stop = "step underflow"
+            break
         attempted += 1
         # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I,
         # sec. II.10) in Nystrom form (sec. II.14): y'' = f(r, y) never reads

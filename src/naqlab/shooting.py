@@ -25,7 +25,8 @@ positive.  Every probe of a solve runs at lambda_tilde = 1, so eta_0* is
 the same float for every lambda_tilde and only the answer is rescaled to r.
 A trajectory is the integrator's ``numerics.RkSolution`` converted to r:
 its ``y``, ``dy`` and ``ddy`` hold eta, eta' and eta'', and its ``stop``
-is "overshoot", "undershoot", "reached_rmax" or "blow_up".
+is "overshoot", "undershoot", "reached_rmax", or the integrator's "step
+underflow" or "step budget".
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numerics import IntegrationBlowUp, InvalidBracketError, RkSolution, brent, rk_integrate
+from .numerics import InvalidBracketError, RkSolution, brent, rk_integrate
 
 __all__ = [
     "CouplingParams", "Probe", "ClassifierAmbiguityError", "ode_rhs",
@@ -128,12 +129,12 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float 
     Returns the integrator's ``RkSolution`` converted to r: ``y``, ``dy`` and
     ``ddy`` hold eta, eta' and eta'' at the radii ``r``, starting with
     (0, eta0, 0, -lambda_tilde S(eta0) / 3); samples close to r = 0 come
-    from the series eta0 + a x^2 + b x^4.  ``stop`` is one of four
+    from the series eta0 + a x^2 + b x^4.  ``stop`` is one of five
     strings.  "overshoot": eta crosses zero heading negative.  "undershoot":
     eta' turns from negative to positive.  "reached_rmax": neither happened
-    by ``r_max``, which is then the last radius exactly.
-    "blow_up": the integration failed, and the samples end at the last valid
-    state; it is a classification, not a failure.  ``rtol`` is
+    by ``r_max``, which is then the last radius exactly.  "step underflow"
+    and "step budget": the integrator gave up (see ``rk_integrate``), and the
+    samples end at the last accepted state.  ``rtol`` is
     ``rk_integrate``'s: at 1e-11, ``profile``'s default table lies within
     4e-6 of scipy's DOP853 on the eta form at three couplings.
     """
@@ -157,12 +158,8 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float 
         turn[0] = t
         return None
 
-    try:
-        sol = rk_integrate(rhs, 0.0, (0.0, eta0), x_end, stop_condition=stop, rtol=rtol)
-        sol.stop = sol.stop or "reached_rmax"
-    except IntegrationBlowUp as exc:
-        sol = exc.partial
-        sol.stop = "blow_up"
+    sol = rk_integrate(rhs, 0.0, (0.0, eta0), x_end, stop_condition=stop, rtol=rtol)
+    sol.stop = sol.stop or "reached_rmax"
     # w = x eta: eta_x = (w_x - eta) / x and eta_xx = (w_xx - 2 eta_x) / x.  Both cancel near x = 0, where
     # the series eta = eta0 + a x^2 + b x^4, a = -S(eta0) / 6 and b = -S'(eta0) a / 20, is taken instead
     # while scale x^2 <= 3e-4; scale is S'(eta0) with its terms added in absolute value, so it does not
@@ -231,8 +228,6 @@ def _probe(eta0, p, rtols) -> Probe:
         label = None
         if traj.stop in ("overshoot", "undershoot"):
             label = traj.stop
-        elif traj.stop == "blow_up" and eta_f < 0:
-            label = "overshoot"
         elif traj.stop == "reached_rmax" and abs(eta_f) < 0.5 * p.eta_vacuum:
             if growing > 0:
                 label = "undershoot"

@@ -48,6 +48,10 @@ class TestBuildPowerExpression:
         with pytest.raises(ExpressionError):
             build_power_expression(0)
 
+    def test_unknown_constituent_kind_rejected(self):
+        with pytest.raises(ExpressionError, match="^constituent kind must be 'F' or 'B'$"):
+            Constituent("X")
+
 
 class TestNormalize:
     def test_power_two(self):

@@ -80,6 +80,23 @@ class TestUsageErrors:
         assert out == ""
         assert err.endswith("naqlab exact: error: argument --grid: N is not an integer: 'x'\n")
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        (
+            (("exact", "--format", "csv", "--grid", "2:1:5"), "needs A < B"),
+            (("profile", "--eta0", "0", "--grid", "1:1:5"), "needs A < B"),
+            (("exact", "--format", "csv", "--grid", "1:2:1"), "needs N >= 2"),
+        ),
+        ids=" ".join,
+    )
+    def test_grid_bounds_refusal_names_its_reason(self, capsys, argv, reason):
+        # argparse's usage, then one error line
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: naqlab %s " % argv[0])
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "naqlab %s: error: argument --grid: %s" % (argv[0], reason)]
+
     def test_shoot_bracket_is_gone(self, capsys):
         # the bracket is derived from m inside find_regular_eta0
         code, out, err = run(capsys, "shoot", "--bracket", "0.2:2")
@@ -791,7 +808,7 @@ class TestProfile:
 
     def test_grid_ending_on_a_short_span_keeps_its_last_row(self, capsys):
         # the capped last step of this trajectory once rounded to one ulp
-        # short of r_max and ended in a step-underflow blow-up there
+        # short of r_max and ended by step underflow there
         code, out, _ = run(capsys, "profile", "--eta0", "0", "--grid", "1e-3:3.61:50")
         assert code == EXIT_OK
         rows = out.strip().split("\n")[2:]
@@ -847,6 +864,15 @@ class TestProfile:
         )
         assert code == EXIT_NUMERICAL
         assert "grid too short" in err
+
+    @pytest.mark.parametrize("eta0", ("50", "1000", "-1000"))
+    def test_start_the_integrator_gives_up_on_is_numerical_error(self, capsys, eta0):
+        # the first step from these starts underflows at r = 0, so no grid
+        # radius lies inside the trajectory; at |eta0| = 1000 sinh overflows
+        # and the series start takes its infinite slope
+        code, out, err = run(capsys, "profile", "--eta0=" + eta0, "--grid", "1e-3:80:5")
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == "profile: trajectory terminated at r = 0 (step underflow); grid too short\n"
 
 
 class TestConfigBlock:

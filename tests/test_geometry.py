@@ -175,6 +175,33 @@ class TestPoleAndSingularPoints:
         with pytest.raises(ValueError, match="^axes must be uniformly spaced$"):
             Grid((one, one, np.array([0.0, 0.1, 0.3]), one))
 
+    @pytest.mark.parametrize(
+        "axes, text",
+        (
+            ((np.array([0.0]),) * 3, "^need exactly 4 coordinate axes$"),
+            ((np.array([0.0]),) * 3 + (np.zeros((2, 2)),), "^axes must be non-empty 1-D arrays$"),
+        ),
+        ids=("three-axes", "2d-axis"),
+    )
+    def test_grid_rejects_malformed_axes(self, axes, text):
+        with pytest.raises(ValueError, match=text):
+            Grid(axes)
+
+    @pytest.mark.parametrize(
+        "kernel, tail, text",
+        (
+            (christoffel_from_metric, (4, 4), "metric shape"),
+            (ricci_from_connection, (4, 4, 4), "connection shape"),
+        ),
+        ids=("christoffel", "ricci"),
+    )
+    def test_kernel_rejects_samples_of_another_grid(self, kernel, tail, text):
+        grid = theta_grid(5, 0.1)
+        other = theta_grid(6, 0.1)
+        shape = other.shape + tail
+        with pytest.raises(ValueError, match=re.escape("%s %s does not match grid (1, 1, 5, 1)" % (text, shape))):
+            kernel(np.zeros(shape), grid)
+
 
 def reference_partials(values, grid):
     """np.gradient over the whole grid, one-sided end points included."""

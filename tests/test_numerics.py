@@ -10,7 +10,6 @@ import pytest
 
 from naqlab import charge, numerics, shooting
 from naqlab.numerics import (
-    IntegrationBlowUp,
     InvalidBracketError,
     QuadResult,
     QuadratureBudgetError,
@@ -54,6 +53,13 @@ class TestQuadAdaptive:
     def test_semi_infinite_requires_positive_lower(self):
         with pytest.raises(ValueError):
             quad_adaptive(lambda r: 1.0, 0.0, math.inf, 1e-8)
+
+    @pytest.mark.parametrize("a, b", ((1.0, 1.0), (2.0, 1.0)), ids=("empty", "reversed"))
+    def test_interval_must_be_ordered(self, a, b):
+        calls = []
+        with pytest.raises(ValueError, match="^require a < b$"):
+            quad_adaptive(lambda x: calls.append(x) or 1.0, a, b, 1e-8)
+        assert calls == []
 
     def test_nan_at_a_node_is_refined_away(self):
         # nan only at x = 0.5, the centre node of the first panel; its halves
@@ -254,12 +260,11 @@ class TestRkIntegrate:
         assert calls == []
 
     def test_blow_up_reports_last_state(self):
-        # y'' = 2 y^3 from (1, 1) is y = 1/(2 - r), which blows up at r = 2
+        # y'' = 2 y^3 from (1, 1) is y = 1/(2 - r), which blows up at r = 2:
+        # the run is returned, ending on its last accepted state
         rhs = lambda r, y: 2.0 * y ** 3
-        with pytest.raises(IntegrationBlowUp) as err:
-            rk_integrate(rhs, 1.0, (1.0, 1.0), 3.0)
-        partial = err.value.partial
-        assert partial.stop is None
+        partial = rk_integrate(rhs, 1.0, (1.0, 1.0), 3.0)
+        assert partial.stop == "step underflow"
         assert partial.r[0] == 1.0
         assert 1.9 < partial.r[-1] < 2.0001
         assert np.all(np.isfinite(states(partial)))
@@ -271,9 +276,8 @@ class TestRkIntegrate:
         # the error norm is nan there, so each step across r = 10 is rejected
         # and shrinks until it underflows, and no nan sample is accepted
         rhs = lambda r, y: 0.0 if abs(y) <= 10.0 else math.inf
-        with pytest.raises(IntegrationBlowUp, match="step underflow") as err:
-            rk_integrate(rhs, 0.0, (0.0, 1.0), 20.0)
-        partial = err.value.partial
+        partial = rk_integrate(rhs, 0.0, (0.0, 1.0), 20.0)
+        assert partial.stop == "step underflow"
         assert np.all(np.isfinite(states(partial)))
         assert 9.99 < partial.r[-1] <= 10.0
         assert np.diff(partial.r)[-1] < 1e-9 < np.diff(partial.r)[0]
@@ -525,9 +529,9 @@ class TestNystromStep:
         # the budget counts attempted steps; the partial run carries them
         monkeypatch.setattr(numerics, "_MAX_STEPS", 3)
         calls = []
-        with pytest.raises(IntegrationBlowUp, match="step budget exceeded") as err:
-            rk_integrate(lambda r, y: calls.append(r) or duffing(r, y), 0.0, (2.0, 0.0), 20.0)
-        assert err.value.partial.attempted == 3
+        partial = rk_integrate(lambda r, y: calls.append(r) or duffing(r, y), 0.0, (2.0, 0.0), 20.0)
+        assert partial.stop == "step budget"
+        assert partial.attempted == 3
         assert len(calls) == 1 + 12 * 3
 
 
@@ -567,6 +571,15 @@ class TestBisect:
         # 2 bracket-end calls plus one call per halving
         expected = math.ceil(math.log2(8.0 / 1e-6))
         assert calls["n"] == expected + 2
+
+    def test_tol_below_float_spacing_terminates(self):
+        # the bracket closes on 1.0 from below, one halving per bit, until
+        # float64 has no point left between its ends: 1 - 2**-53 and 1.0
+        seen = []
+        root = bisect(lambda x: seen.append(x) or x < 1.0, (0.0, 2.0), 1e-300)
+        assert math.nextafter(1.0, 0.0) <= root <= 1.0
+        assert seen[-1] == math.nextafter(1.0, 0.0)
+        assert len(seen) == 2 + 54
 
 
 Probe = namedtuple("Probe", "x label residual")

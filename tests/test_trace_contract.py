@@ -90,6 +90,20 @@ def test_work_counts_match_the_trajectories(monkeypatch, argv):
     assert counts["numerics.rk_integrate.steps_accepted"] == sum(n - 1 for n in samples)
 
 
+def test_work_counts_match_a_run_that_gives_up():
+    # from eta0 = 50 every step is rejected, and the stride shrinks until it
+    # underflows at x = 0: the integrator returns that run, with its samples
+    # and attempted steps, and the tracer counts it as it counts any other
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traj = shooting.integrate_profile(50.0, shooting.CouplingParams(1, 0.1), 80.0)
+    assert traj.stop == "step underflow"
+    counts = tracer.metrics()
+    assert counts["numerics.rk_integrate.calls"] == 1
+    assert counts["numerics.rk_integrate.steps_accepted"] == len(traj.r) - 1
+    assert counts["shooting.ode_rhs.calls"] == counts["numerics.rk_integrate.rhs_evals"] == 1 + 12 * traj.attempted
+
+
 # perfbench/bench.py imports only these two; the tracer then looks up
 # sys.modules["naqlab.<module>"] for every traced name
 BENCH_IMPORTS = """
