@@ -11,9 +11,9 @@ turns back (undershoots).  A starting value eta_0* whose trajectory decays
 monotonically to zero separates the two; below the fold m_c = 0.18598 the
 lowest lies between 2 Q(0) m and (eta_fold / m_c) m, and above it there is
 none.  Each probe reads the amplitude of the growing mode at its last
-sample, a signed residual close to linear in eta_0 - eta_0*, and Brent's
-method on it isolates eta_0* in 6 to 8 probes at m = 0.1.  Below rtol
-1e-6 only the probes near the root are integrated at the solve's rtol (see
+sample, a signed residual close to linear in eta_0 - eta_0*.  A Chebyshev
+series in t = sqrt(1 - m/m_c) predicts eta_0* to about 1e-10, and Brent's
+method on the residual confirms it in 2 to 4 probes at m = 0.1 (see
 find_regular_eta0).  For lambda_tilde = 1, m = 0.1 the regular value is
 eta_0* = 0.9083.
 
@@ -31,6 +31,7 @@ underflow" or "step budget".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -49,11 +50,12 @@ ETA_FOLD = 2.40192315365
 # eta_0*/m tends to 2 Q(0) as m -> 0, Q the 3-D cubic NLS ground state, as
 # tests/spectral_oracle.py computes it.
 TWO_Q0 = 8.67477535995
-# A solve whose rtol is below 1e-6 labels each probe first at rtol 1e-6, and
-# keeps that label where |residual| >= 1e-6: near the root the two passes'
-# residuals differ by at most 6.1e-8 (see find_regular_eta0).
-_COARSE_RTOL = 1e-6
-_TRUSTED_RESIDUAL = 1e-6
+# Chebyshev coefficients of eta_0*/m in s = 2t - 1, t = sqrt(1 - m/M_FOLD): its interpolant at
+# the 16 Chebyshev-Lobatto nodes in s, where eta_0*/m is TWO_Q0 at t = 1, ETA_FOLD/M_FOLD at t = 0
+# and, at the 14 nodes between, what tests/spectral_oracle.py computes.
+_CURVE = (10.19423528428359, -2.0545047140107395, 0.5796903006840606, -0.06396658276898962, 0.02010612055222746,
+          -0.0015550721518740335, 0.0007511173227863802, -1.7200584180917153e-05, 3.232329116826804e-05, 1.7888354856647008e-06,
+          1.646517107782112e-06, 2.2296967235509632e-07, 9.722182454652284e-08, 1.9407922498733872e-08, 6.826176660960452e-09, 1.5537886829027531e-09)
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,10 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float 
         if w < 0.0:
             return "overshoot"
         t = x * dw - w
-        if turn[0] < 0.0 < t:
-            return "undershoot"
-        turn[0] = t
+        if abs(t) > 1e-9 * w:  # below, rounding noise: static starts on eta_vacuum reach 1.2e-10 w
+            if turn[0] < 0.0 < t:
+                return "undershoot"
+            turn[0] = t
         return None
 
     sol = rk_integrate(rhs, 0.0, (0.0, eta0), x_end, stop_condition=stop, rtol=rtol)
@@ -204,52 +207,42 @@ def _to_r(traj: RkSolution, lambda_tilde: float) -> None:
         traj.ddy[i] *= lambda_tilde
 
 
-def _probe(eta0, p, rtols) -> Probe:
-    """Integrate from eta0 at lambda_tilde = 1 to the horizon x = 8/m and classify
-    its fate, with a signed residual; lambda_tilde only scales the radius an error names.
-
-    ``rtols`` is the solve's list of rtols, ``[1e-6, rtol]`` while its
-    probes are labelled coarsely and ``[rtol]`` after.  A pass at the first
-    is kept when it classifies with |residual| >= 1e-6; otherwise the probe
-    is integrated again at the next, which is then the only one left for
-    this and every later probe of the solve.
-    """
+def _probe(eta0, p, rtol) -> Probe:
+    """Integrate from eta0 at lambda_tilde = 1 to the horizon x = 8/m at ``rtol`` and classify
+    its fate, with a signed residual; lambda_tilde only scales the radius an error names."""
     m = p.m
-    while True:
-        traj = integrate_profile(eta0, CouplingParams(1.0, m), 8.0 / m, rtols[0])
-        x_f, eta_f, deta_f = traj.r[-1], traj.y[-1], traj.dy[-1]
-        # Near-critical trajectories can still be hugging the false vacuum at
-        # the horizon.  There the linearization eta_xx + (2/x) eta_x = m^2 eta
-        # has solutions (A e^{-m x} + B e^{m x})/x, and
-        # g = x eta_x + eta + m x eta = 2 m B e^{m x}: sign(B) decides the
-        # eventual fate, a positive growing mode turns the field back up
-        # (undershoot), a negative one drives it through zero (overshoot).
-        growing = x_f * deta_f + eta_f + m * x_f * eta_f
-        label = None
-        if traj.stop in ("overshoot", "undershoot"):
-            label = traj.stop
-        elif traj.stop == "reached_rmax" and abs(eta_f) < 0.5 * p.eta_vacuum:
-            if growing > 0:
-                label = "undershoot"
-            elif growing < 0:
-                label = "overshoot"
-        # The smallest positive float keeps an underflowed residual from
-        # reading as an exact root.
-        size = max(abs(growing) * math.exp(-m * x_f), math.ulp(0.0))
-        if len(rtols) == 1 or (label is not None and size >= _TRUSTED_RESIDUAL):
-            break
-        del rtols[0]
+    traj = integrate_profile(eta0, CouplingParams(1.0, m), 8.0 / m, rtol)
+    x_f, eta_f, deta_f = traj.r[-1], traj.y[-1], traj.dy[-1]
+    # Near-critical trajectories can still be hugging the false vacuum at
+    # the horizon.  There the linearization eta_xx + (2/x) eta_x = m^2 eta
+    # has solutions (A e^{-m x} + B e^{m x})/x, and
+    # g = x eta_x + eta + m x eta = 2 m B e^{m x}: sign(B) decides the
+    # eventual fate, a positive growing mode turns the field back up
+    # (undershoot), a negative one drives it through zero (overshoot).
+    growing = x_f * deta_f + eta_f + m * x_f * eta_f
+    label = traj.stop if traj.stop in ("overshoot", "undershoot") else None
+    if traj.stop == "reached_rmax" and abs(eta_f) < 0.5 * p.eta_vacuum:
+        label = "undershoot" if growing > 0 else "overshoot" if growing < 0 else None
     if label is None:
         raise ClassifierAmbiguityError("eta0 = %r reached r = %g unclassified" % (eta0, x_f / math.sqrt(p.lambda_tilde)))
-    if label == "undershoot":
-        size = -size
-    return Probe(eta0=eta0, label=label, residual=size, trajectory=traj)
+    # The smallest positive float keeps an underflowed residual from reading as an exact root.
+    size = max(abs(growing) * math.exp(-m * x_f), math.ulp(0.0))
+    return Probe(eta0=eta0, label=label, residual=-size if label == "undershoot" else size, trajectory=traj)
+
+
+def _predicted_root(m: float) -> float:
+    """eta_0* = m C(2t - 1) for m < M_FOLD, t = sqrt(1 - m/M_FOLD), C the series _CURVE, by Clenshaw's recurrence."""
+    s = 2.0 * math.sqrt(1.0 - m / M_FOLD) - 1.0
+    b1 = b2 = 0.0
+    for c in reversed(_CURVE[1:]):
+        b1, b2 = 2.0 * s * b1 - b2 + c, b1
+    return m * (s * b1 - b2 + _CURVE[0])
 
 
 def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     """Brent's method on the probes' growing-mode residual, to the lowest regular eta_0*.
 
-    The bracket is [0.999 TWO_Q0 m, min(ETA_FOLD, ETA_FOLD m / M_FOLD)].
+    The bracket is [lo, hi] = [0.999 TWO_Q0 m, min(ETA_FOLD, ETA_FOLD m / M_FOLD)].
     eta_0*/m increases with m, from its m -> 0 limit TWO_Q0 = 2 Q(0), Q the
     3-D cubic NLS ground state, to ETA_FOLD / M_FOLD = 12.915 at the fold
     (tests recompute both ends and check the rise on 26 couplings), so the
@@ -266,38 +259,45 @@ def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     for every lambda_tilde and only the answer's trajectory is rescaled, to
     end at r = x / sqrt(lambda_tilde).
 
-    The labels keep the bracket and the residuals only steer it, so a probe
-    far from the root needs a correct label, not a tight integration.  Below
-    rtol 1e-6 (tol < 1e-5) each probe is first integrated at rtol 1e-6 and
-    keeps that label and residual when |residual| >= 1e-6.  Otherwise it is
-    integrated again at the solve's rtol, and so is every later probe of the
-    solve, at that rtol only, since Brent's iterates then stay near the
-    root.  Within 1e-3 of the root the two passes' residuals differ by at
-    most 6.1e-8 (m from 0.025 to 0.185), 16 times below the threshold, and
-    no label kept from rtol 1e-6 differed from the rtol-1e-12 one.  The
-    residual changes by at most 0.16 per unit of eta0 (measured for m from
-    0.002 to 0.185), so the end of the final bracket nearer the root reads
-    at most 0.8e-6 + 6.1e-8 at rtol 1e-6 and is integrated at the solve's
-    rtol, and its |residual| is below that of any end kept from rtol 1e-6:
-    the answer's trajectory is always one at the solve's rtol.
+    Below the fold the solve first probes the ends of [max(lo, q - d),
+    min(hi, q + d)], q = ``_predicted_root(m)`` and d = max(0.1 tol, 2e-10),
+    and Brent's method finishes inside them when they classify differently,
+    at once where 2d <= tol.  When both undershoot it runs on [q + d, hi],
+    when both overshoot on [lo, q - d] (on [lo, hi] where that end is lo or
+    hi), and no eta0 is integrated twice; the labels certify the answer
+    wherever the bracket came from.  q lies within 1.2e-10 of eta_0* for m
+    from 0.001 to m_c - 1e-5; nearer the fold eta_0* moves as sqrt(m_c - m),
+    the residual's slope vanishes, and at m_c - 1e-6 both ends classify alike.
 
-    At m = 0.1 a solve takes 6, 8 and 9 trajectories (978, 2192 and 4821
+    At m = 0.1 a solve takes 2, 2 and 4 trajectories (410, 938 and 4036
     RHS calls) at tol 1e-5, 1e-8 and 1e-12.  On the grid lambda_tilde in
-    {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.049,
-    0.245 and 0.111 tol of the root; near the fold the residual's slope
-    vanishes, and at m_c - 1e-6, tol 1e-5 it lay 12.9 tol off.  Couplings
-    whose horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite float are refused.
+    {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.100,
+    0.110 and 0.111 tol of the root; at m_c - 1e-6, tol 1e-5 it lay 13.1
+    tol off.  Couplings whose horizon 8/m or 8/(m sqrt(lambda_tilde)) is no
+    finite float are refused.
     """
     if not (0.0 < 8.0 / p.m < math.inf and p.horizon < math.inf):
         raise ValueError("lambda_tilde = %g, m = %g: the horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float" % (p.lambda_tilde, p.m))
-    rtol = min(_COARSE_RTOL, max(1e-12, 0.1 * tol))
-    rtols = [_COARSE_RTOL, rtol] if rtol < _COARSE_RTOL else [rtol]
+    rtol = min(1e-6, max(1e-12, 0.1 * tol))
     lo, hi = 0.999 * TWO_Q0 * p.m, min(ETA_FOLD, ETA_FOLD / M_FOLD * p.m)
     no_solution = InvalidBracketError("no regular solution: m = %g is at or above the fold m_c = %.12g" % (p.m, M_FOLD))
     if not lo < hi:
         raise no_solution
+    probe = functools.cache(lambda eta0: _probe(eta0, p, rtol))  # no eta0 is integrated twice
+    bracket = lo, hi
+    if p.m < M_FOLD:
+        q, d = _predicted_root(p.m), max(0.1 * tol, 2e-10)
+        a, b = max(lo, q - d), min(hi, q + d)
+        if a < b:
+            label = probe(a).label
+            if label != probe(b).label:
+                bracket = a, b
+            elif label == "undershoot" and b < hi:
+                bracket = b, hi
+            elif label == "overshoot" and lo < a:
+                bracket = lo, a
     try:
-        best = brent(lambda eta0: _probe(eta0, p, rtols), (lo, hi), tol)
+        best = brent(probe, bracket, tol)
     except InvalidBracketError as exc:
         if exc.label != "undershoot":
             raise BracketBoundError("wrong bracket bound at m = %g: both ends of [%r, %r] classify as %r" % (p.m, lo, hi, exc.label)) from None

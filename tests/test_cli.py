@@ -722,8 +722,11 @@ class TestShoot:
 
     def test_wrong_bracket_bound_is_numerical_error(self, capsys, monkeypatch):
         # a low end that overshoots, as the high end does, is a bug in the
-        # bracket: one line of its own, never the no-solution line
+        # bracket: one line of its own, never the no-solution line.  The
+        # prediction 1.2 lies between the two ends, so both ends of the
+        # predicted bracket overshoot and the solve falls back to the low end
         monkeypatch.setattr(shooting, "TWO_Q0", 11.0)
+        monkeypatch.setattr(shooting, "_predicted_root", lambda m: 1.2)
         code, out, err = run(capsys, "shoot")
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err == "wrong bracket bound at m = 0.1: both ends of [%r, %r] classify as 'overshoot'\n" % (
@@ -742,7 +745,7 @@ class TestShoot:
         # decide; no start in the derived bracket does, so a solve is made to
         # probe it
         def probing_a_slow_climb(p, tol):
-            return shooting._probe(1e-3, p, [1e-6])
+            return shooting._probe(1e-3, p, 1e-6)
 
         monkeypatch.setattr(shooting, "find_regular_eta0", probing_a_slow_climb)
         code, out, err = run(capsys, "shoot")
@@ -972,17 +975,17 @@ class TestOutputPins:
 
     CASES = (
         (("shoot", "--lambda", "1", "--m", "0.1"),
-         "b66bc75180faf448a3b659490375faabd53d85f7974f05288c65d5cdaff85b62"),
+         "1adf855df5a2d96834517694bd014c401e59f6a381bcac79caaa60c5b5069a5f"),
         (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"),
-         "dbdbc948ff933e12ef8b74d10739d333447d0ab168c02af728721c3617c960b2"),
+         "6083a9ed7c6fe127af99a247091673812bb1aff496f3a59a39803b4307db0673"),
         (("shoot", "--lambda", "2.5", "--m", "0.07", "--tol", "1e-05"),
-         "9af9281803ae61445f00de107410a2c991de7ffcba7a87772c55de917faf9f6d"),
+         "cfe2aa249b35ee75024df3022c36fcfd74b2145d9da68adbfe38b036ab5a9d34"),
         (("shoot", "--lambda", "0.6", "--m", "0.13", "--tol", "1e-05"),
-         "065a190f169132f63a4659a42899e33f2add0826092f541889f0e595cd2e0779"),
+         "91749bb48938c8c5a2c0aedbbb84af615411b2987bf5c0cf633723329e3053e1"),
         (("shoot", "--lambda", "3.2", "--m", "0.12", "--tol", "1e-12"),
-         "828d09245e49d0a8581816d1486034b365de598906f51925ad32f6cf8742e549"),
+         "2ff6d88fb6abd4626f70b9e917b82a8efeb1216bb358f951fb5d3b94671d67e3"),
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
-         "0e661e08387bbac8e0f04283a91dcdc73a3e150c1d69eb895b4fba41f237f8cf"),
+         "e7d5c9000df9e947d113b48320b14d37aad82288c584126b8cff6a60d73f84e3"),
         (("profile", "--eta0", "0.9083"),
          "cd4c15547787c8decbc9eb71c41f13c6b61a0039f7b476d65a78aeeb4124066b"),
         (("exact",),

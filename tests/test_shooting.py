@@ -98,6 +98,18 @@ class TestIntegrateProfile:
         assert traj.stop == "reached_rmax"
         assert np.abs(traj.y).max() == 0.0
 
+    @pytest.mark.parametrize("rtol", (1e-6, 1e-9, 1e-12))
+    @pytest.mark.parametrize("m", (0.001, 0.01, 0.1, 0.185))
+    def test_start_on_the_true_vacuum_reaches_the_horizon(self, m, rtol):
+        # the trajectory from eta_vacuum is static: x w_x - w stays within
+        # 1.2e-10 w of zero (measured), and rounding flips its sign, which
+        # the turn test, needing more than 1e-9 w, does not read as an
+        # undershoot
+        p = CouplingParams(lambda_tilde=1.0, m=m)
+        traj = integrate_profile(p.eta_vacuum, p, 8.0 / m, rtol)
+        assert (traj.stop, traj.r[-1]) == ("reached_rmax", 8.0 / m)
+        assert np.abs(np.asarray(traj.y) / p.eta_vacuum - 1.0).max() <= 1e-9
+
     def test_monotone_decay_of_regular_solution(self, shot_m01_tight):
         traj = shot_m01_tight.trajectory
         inner = np.asarray(traj.r) < 40.0
@@ -141,15 +153,15 @@ class TestFindRegularEta0:
         assert shot_m01_default.eta0 == pytest.approx(0.9083, abs=5e-4)
 
     def test_reference_work_and_bits(self, params_m01, monkeypatch):
-        # On the bracket [0.999 TWO_Q0 m, ETA_FOLD m / M_FOLD], Brent's method
-        # needs 6 trajectories at tol 1e-5, all at rtol 1e-6 (bisection needed
-        # 21).  At tol 1e-12 its 8 probes take 9 trajectories: the 4 far ones
-        # keep their rtol-1e-6 label, the fifth (|residual| 4.2e-8) is
-        # integrated at 1e-6 and again at 1e-12, and the last 3 only at 1e-12
-        # (bisection needed 44).  Each costs 1 + 12 x (attempted DOP853
-        # steps) RHS calls, and the answer's trajectory is one of them.  The
-        # floats are pinned bit for bit so a change of arithmetic order shows
-        # up here.
+        # The predicted root q lies 6.8e-11 below eta_0*.  At tol 1e-5 the
+        # ends of [q - 1e-6, q + 1e-6] classify differently and the lower one,
+        # with the smaller |residual|, is the answer: 2 trajectories
+        # (bisection on the physical bracket needed 21).  At tol 1e-12 Brent's
+        # method needs 2 more probes inside [q - 2e-10, q + 2e-10]: 4
+        # trajectories (bisection needed 44).  Each costs 1 + 12 x (attempted
+        # DOP853 steps) RHS calls, and the answer's trajectory is one of them.
+        # The floats are pinned bit for bit so a change of arithmetic order
+        # shows up here.
         calls = {"integrate_profile": 0, "ode_rhs": 0}
 
         def counting(name):
@@ -164,15 +176,15 @@ class TestFindRegularEta0:
         counting("integrate_profile")
         counting("ode_rhs")
         res = find_regular_eta0(params_m01)
-        assert calls == {"integrate_profile": 6, "ode_rhs": 978}
-        assert res.eta0 == 0.9083368651141874
+        assert calls == {"integrate_profile": 2, "ode_rhs": 410}
+        assert res.eta0 == 0.9083361697025321
         assert np.asarray(res.trajectory.r).size == 17
         assert res.trajectory.r[-1] == 80.0
 
         calls.update(integrate_profile=0, ode_rhs=0)
         res = find_regular_eta0(params_m01, tol=1e-12)
-        assert calls == {"integrate_profile": 9, "ode_rhs": 4821}
-        assert res.eta0 == 0.908337169770766
+        assert calls == {"integrate_profile": 4, "ode_rhs": 4036}
+        assert res.eta0 == 0.9083371697707663
         assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 1e-12
         assert np.asarray(res.trajectory.r).size == 79
         assert res.trajectory.r[-1] == 80.0
@@ -194,7 +206,8 @@ class TestFindRegularEta0:
     def test_default_tol_holds_against_tight_root(self, lambda_tilde, m):
         # the integration each tol passes down still leaves the answer within
         # a quarter of tol of the lambda_tilde-independent root (at most
-        # 0.049, 0.245 and 0.111 tol measured; 0.2449 at m = 0.17, tol 1e-8)
+        # 0.100, 0.110 and 0.111 tol measured: an answer at an end of the
+        # predicted bracket [q - d, q + d], d = 0.1 tol, lies about d off)
         p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
         for tol in (1e-5, 1e-8, 1e-12):
             res = find_regular_eta0(p, tol=tol)
@@ -209,10 +222,13 @@ class TestFindRegularEta0:
         return 0.999 * shooting.TWO_Q0 * m, min(shooting.ETA_FOLD, shooting.ETA_FOLD / shooting.M_FOLD * m)
 
     def test_bracket_labels_disagree(self, params_m01, monkeypatch):
-        # a solve probes the two ends of the bracket first
+        # a solve probes the two ends of the predicted bracket first, and
+        # at m = 0.1 they classify differently, as the physical bracket's do
         probes = record_probes(monkeypatch)
         find_regular_eta0(params_m01)
-        assert (probes[0].eta0, probes[1].eta0) == self.bracket(0.1)
+        q = shooting._predicted_root(0.1)
+        d = 0.1 * 1e-5
+        assert [(p.eta0, p.label) for p in probes] == [(q - d, "undershoot"), (q + d, "overshoot")]
         lo, hi = self.bracket(0.1)
         assert integrate_profile(lo, params_m01, 80.0).stop == "undershoot"
         assert integrate_profile(hi, params_m01, 80.0).stop == "overshoot"
@@ -254,8 +270,8 @@ class TestFindRegularEta0:
     @pytest.mark.parametrize("tol, rtol", ((1e-8, 1e-9), (1e-12, 1e-12)))
     @pytest.mark.parametrize("m", sorted(TIGHT_ROOTS))
     def test_answer_is_integrated_at_the_solve_rtol(self, m, tol, rtol):
-        # far probes keep a label from rtol 1e-6, but the answer's
-        # trajectory is the one the solve's own rtol gives, sample for sample
+        # every probe, and so the answer's trajectory, is integrated at the
+        # solve's own rtol, sample for sample
         res = find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m), tol=tol)
         traj = integrate_profile(res.eta0, CouplingParams(1.0, m), 8.0 / m, rtol)
         assert (res.trajectory.r, res.trajectory.y, res.trajectory.dy, res.trajectory.ddy) == (
@@ -266,13 +282,12 @@ class TestFindRegularEta0:
     LABEL_SAFETY_CASES = (0.025, 0.05, 0.1, 0.15, 0.17, 0.185)
 
     def test_coarse_labels_agree_with_tight_labels(self):
-        # A tight solve keeps the rtol-1e-6 label of every probe whose
-        # rtol-1e-6 |residual| is at least 1e-6.  Starts on a half-decade
-        # ladder 1e-7 to 1e-1 either side of each root and 8 seeded uniform
-        # ones in the solve's bracket: every such label is the rtol-1e-12 one.
-        # The two residuals differ by a near-constant offset, largest at the fold;
-        # within 1e-3 of a root the worst is 6.07e-8 (m = 0.185), 16 times
-        # below the 1e-6 threshold.
+        # A default solve labels its probes at rtol 1e-6.  Starts on a
+        # half-decade ladder 1e-7 to 1e-1 either side of each root and 8
+        # seeded uniform ones in the solve's bracket: every label with an
+        # rtol-1e-6 |residual| of at least 1e-6 is the rtol-1e-12 one.  The
+        # two residuals differ by a near-constant offset, largest at the fold;
+        # within 1e-3 of a root the worst is 6.07e-8 (m = 0.185).
         worst = 0.0
         for m in self.LABEL_SAFETY_CASES:
             p, bracket = CouplingParams(lambda_tilde=1.0, m=m), self.bracket(m)
@@ -282,7 +297,7 @@ class TestFindRegularEta0:
             for eta0 in ladder + [float(u) for u in rng.uniform(*bracket, 8)]:
                 if not bracket[0] <= eta0 <= bracket[1]:
                     continue
-                coarse, tight = shooting._probe(eta0, p, [1e-6]), shooting._probe(eta0, p, [1e-12])
+                coarse, tight = shooting._probe(eta0, p, 1e-6), shooting._probe(eta0, p, 1e-12)
                 if abs(coarse.residual) >= 1e-6:
                     assert coarse.label == tight.label, (m, eta0)
                 if abs(eta0 - root) <= 1e-3:
@@ -315,14 +330,60 @@ class TestFindRegularEta0:
 
     def test_both_ends_overshooting_is_a_wrong_bound(self, monkeypatch):
         # a low end above the root overshoots like the high end: a wrong
-        # bound, not a coupling without a regular solution
+        # bound, not a coupling without a regular solution.  With a
+        # prediction between the wrong low end and the high end, both ends of
+        # the predicted bracket overshoot, and the fallback [lo, q - d] finds
+        # lo overshooting too, integrating each start once
         monkeypatch.setattr(shooting, "TWO_Q0", 11.0)
+        monkeypatch.setattr(shooting, "_predicted_root", lambda m: 1.2)
         probes = record_probes(monkeypatch)
         with pytest.raises(shooting.BracketBoundError) as info:
             find_regular_eta0(CouplingParams(lambda_tilde=2.0, m=0.1))
         lo, hi = self.bracket(0.1)
+        assert lo < 1.2 < hi
         assert str(info.value) == "wrong bracket bound at m = 0.1: both ends of [%r, %r] classify as 'overshoot'" % (lo, hi)
+        d = 0.1 * 1e-5
+        assert [(p.eta0, p.label) for p in probes] == [(1.2 - d, "overshoot"), (1.2 + d, "overshoot"), (lo, "overshoot")]
+
+    def test_prediction_outside_a_wrong_bracket_is_not_probed(self, monkeypatch):
+        # with the low end above the predicted root by more than d, the
+        # predicted bracket is empty: the solve probes the two bounds and
+        # refuses them as before
+        monkeypatch.setattr(shooting, "TWO_Q0", 11.0)
+        probes = record_probes(monkeypatch)
+        with pytest.raises(shooting.BracketBoundError):
+            find_regular_eta0(CouplingParams(lambda_tilde=2.0, m=0.1))
+        lo, hi = self.bracket(0.1)
+        assert shooting._predicted_root(0.1) + 0.1 * 1e-5 < lo
         assert [(p.eta0, p.label) for p in probes] == [(lo, "overshoot"), (hi, "overshoot")]
+
+    @pytest.mark.parametrize("tol", (1e-5, 1e-8, 1e-12))
+    def test_fallback_integrates_no_start_twice(self, monkeypatch, tol):
+        # at m_c - 1e-6 the residual's slope nearly vanishes and both ends of
+        # the predicted bracket classify alike: the solve goes on in the part
+        # of the physical bracket beyond them, and integrates every start once
+        probes = record_probes(monkeypatch)
+        m = shooting.M_FOLD - 1e-6
+        res = find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m), tol=tol)
+        q, d = shooting._predicted_root(m), max(0.1 * tol, 2e-10)
+        assert [p.eta0 for p in probes[:2]] == [q - d, q + d]
+        assert probes[0].label == probes[1].label
+        assert len({p.eta0 for p in probes}) == len(probes) > 2
+        assert res in probes
+
+    @pytest.mark.parametrize("m", (1e-6, 1e-3, 0.01))
+    def test_prediction_is_clamped_into_the_bracket(self, m):
+        # at m = 1e-6 and tol 1e-5, q - d lies below the low end 0.999 TWO_Q0 m:
+        # the predicted bracket starts at that end, and the answer stays in the
+        # physical bracket and within a quarter of tol of the root (at m = 1e-6
+        # its m -> 0 limit TWO_Q0 m, off by O(m^3); Newton on the oracle's grid
+        # does not converge there)
+        lo, hi = self.bracket(m)
+        root = shooting.TWO_Q0 * m if m < 1e-3 else spectral_oracle.regular_eta0(m)
+        for tol in (1e-5, 1e-8, 1e-12):
+            res = find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m), tol=tol)
+            assert lo <= res.eta0 <= hi, tol
+            assert abs(res.eta0 - root) <= 0.25 * tol, tol
 
     @pytest.mark.parametrize("m", (0.2771631, 0.3, 1.08, 1e7))
     def test_no_solution_decided_before_integrating(self, monkeypatch, m):
@@ -357,29 +418,23 @@ class TestFindRegularEta0:
         # true one, from below, at the horizon x = 80: at 0.87 eta_vacuum it
         # is too far from zero for the growing mode to decide, and turns back
         # (undershoots) only later.  A start at eta_vacuum itself sits on the
-        # vacuum, where the rounding of each step decides its label
+        # vacuum and reaches the horizon there, as unclassified
         p = CouplingParams(lambda_tilde=4.0, m=0.1)
         for rtol in (1e-6, 1e-12):
             with pytest.raises(ClassifierAmbiguityError, match="^eta0 = 0.001 reached r = 40 unclassified$"):
-                shooting._probe(1e-3, p, [rtol])
+                shooting._probe(1e-3, p, rtol)
+            with pytest.raises(ClassifierAmbiguityError) as info:
+                shooting._probe(p.eta_vacuum, p, rtol)
+            assert str(info.value) == "eta0 = %r reached r = 40 unclassified" % p.eta_vacuum
 
-    def test_unclassified_coarse_pass_is_integrated_again(self):
+    def test_tight_solve_near_a_slow_climb_returns_its_root(self):
         # at m = 0.005 a climb from just above 1e-3 first turns back
-        # (undershoots) near the horizon x = 1600: at rtol 1e-12 from eta0 =
-        # 0.00100163804, at rtol 1e-6 only from 0.00100163853.  A start
-        # between, 2e-7 from each, reaches the horizon unclassified at rtol
-        # 1e-6 and undershoots at 1e-12: a tight solve integrates it again
-        # rather than refusing, and its later probes run at rtol 1e-12 only
-        p = CouplingParams(lambda_tilde=1.0, m=0.005)
-        eta0 = 0.0010016383
-        with pytest.raises(ClassifierAmbiguityError, match="^eta0 = 0.0010016383 reached r = 1600 unclassified$"):
-            shooting._probe(eta0, p, [1e-6])
-        rtols = [1e-6, 1e-12]
-        probe = shooting._probe(eta0, p, rtols)
-        tight = shooting._probe(eta0, p, [1e-12])
-        assert rtols == [1e-12]
-        assert tight.label == "undershoot"
-        assert (probe.label, probe.residual) == (tight.label, tight.residual)
+        # (undershoots) near the horizon x = 1600, and at rtol 1e-6 a start
+        # 2e-7 from that threshold reached the horizon unclassified.  A tol-1e-8
+        # solve there probes near its root only, at rtol 1e-9, and returns it
+        m = 0.005
+        res = find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m), tol=1e-8)
+        assert abs(res.eta0 - spectral_oracle.regular_eta0(m)) <= 0.25e-8
 
 
 class TestSpectralOracle:
@@ -418,6 +473,37 @@ class TestSpectralOracle:
         ratios = [spectral_oracle.regular_eta0(m) / m for m in ms]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
         assert shooting.TWO_Q0 < ratios[0] and ratios[-1] < shooting.ETA_FOLD / shooting.M_FOLD
+
+    @staticmethod
+    def curve_m(s):
+        """The m at s = 2t - 1, t = sqrt(1 - m/M_FOLD), the variable of shooting._CURVE."""
+        t = 0.5 * (1.0 + s)
+        return shooting.M_FOLD * (1.0 - t * t)
+
+    def test_curve_literals_match_the_oracle_at_their_nodes(self, folds):
+        # _CURVE interpolates eta_0*/m at the Chebyshev-Lobatto nodes
+        # s = cos(pi k / 15): at the 14 interior ones the series is the
+        # oracle's eta_0* within 1e-10 (4.7e-12 measured), and its end values
+        # eta_0*/m are the fold's eta_fold / m_c at t = 0 (2.8e-11 off in
+        # eta_0*) and 2 Q(0) at t = 1 (3.7e-12 off)
+        for k in range(1, 15):
+            m = self.curve_m(math.cos(math.pi * k / 15))
+            assert abs(shooting._predicted_root(m) - spectral_oracle.regular_eta0(m)) <= 1e-10, k
+        m_c, eta_fold = folds[0]
+        assert abs(shooting._predicted_root(shooting.M_FOLD) / shooting.M_FOLD * m_c - eta_fold) <= 1e-10
+        assert abs(shooting._predicted_root(1e-300) / 1e-300 - spectral_oracle.two_q0()) <= 1e-10
+
+    def test_curve_between_its_nodes(self):
+        # the prediction against the frozen roots, and against the oracle
+        # midway between the nodes (k + 1/2) down to m = 0.001 and up to
+        # m_c - 1.2e-4 (at most 1.01e-10 and 1.15e-10 off measured; the last
+        # midpoint, m_c - 1.4e-6, is 3.0e-10 off, where eta_0* moves as
+        # sqrt(m_c - m))
+        for m, root in TestFindRegularEta0.TIGHT_ROOTS.items():
+            assert abs(shooting._predicted_root(m) - root) <= 1.2e-10, m
+        for k in range(14):
+            m = self.curve_m(math.cos(math.pi * (k + 0.5) / 15))
+            assert abs(shooting._predicted_root(m) - spectral_oracle.regular_eta0(m)) <= 1.2e-10, k
 
     @pytest.mark.parametrize("m", sorted(TestFindRegularEta0.TIGHT_ROOTS))
     def test_roots_converge_and_match_the_frozen_roots(self, m):
