@@ -105,35 +105,40 @@ def exact_fields(r, model: ChargeModel) -> dict:
     """
     import numpy as np
 
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    radii = np.asarray(r, dtype=float)
+    if np.any(radii <= 0):
         raise ValueError("radius must be positive")
     q = model.q
+    columns = np.empty((3, radii.size))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = model.alpha / r
-        cosh, tanh = np.cosh(x), np.tanh(x)
-        k = math.sqrt(model.G) / (4.0 * math.pi * model.c**2)
-        e_r = q / (r * r * cosh)
-        rho = k * tanh / cosh * q * q / r**4
-        # Where r*r, r**4, q*q or cosh leave the float64 range, or q = 0, E_r
-        # and rho are 0, inf or nan; only there (every other value keeps the
-        # bits of the order above) are both taken through q/r instead.
-        fine_e, fine_rho = np.isfinite(e_r) & (e_r != 0.0), np.isfinite(rho) & (rho != 0.0)
-        if not (fine_e.all() and fine_rho.all()):
-            e_alt = q / r / (r * cosh)
-            e_r = np.where(fine_e, e_r, e_alt)
-            rho = np.where(fine_rho, rho, k * tanh * e_alt * (q / r / r))
-            # Past the cosh overflow 1/cosh(x) = 2 exp(-|x|) to float64
-            # precision; in log space E_r and rho underflow to zeros with
-            # the sign of q only where their values do.
-            tail = (cosh == np.inf) & (q != 0.0)
-            if tail.any():
-                log_qr2 = np.log(abs(q)) - 2.0 * np.log(r)
-                log_e = np.log(2.0) + log_qr2 - np.abs(x)
-                sign = math.copysign(1.0, q)
-                e_r = np.where(tail, sign * np.exp(log_e), e_r)
-                rho = np.where(tail, sign * np.exp(np.log(k) + log_qr2 + log_e), rho)
-        return {"r": r, "phi": model.c**2 / math.sqrt(model.G) * np.sinh(x), "E_r": e_r, "rho": rho}
+        for start in range(0, radii.size, 4096):  # beside the columns, only one block's temporaries are held
+            r = radii.reshape(-1)[start:start + 4096]
+            x = model.alpha / r
+            cosh, tanh = np.cosh(x), np.tanh(x)
+            k = math.sqrt(model.G) / (4.0 * math.pi * model.c**2)
+            e_r = q / (r * r * cosh)
+            rho = k * tanh / cosh * q * q / r**4
+            # Where r*r, r**4, q*q or cosh leave the float64 range, or q = 0, E_r
+            # and rho are 0, inf or nan; only there (every other value keeps the
+            # bits of the order above) are both taken through q/r instead.
+            fine_e, fine_rho = np.isfinite(e_r) & (e_r != 0.0), np.isfinite(rho) & (rho != 0.0)
+            if not (fine_e.all() and fine_rho.all()):
+                e_alt = q / r / (r * cosh)
+                e_r = np.where(fine_e, e_r, e_alt)
+                rho = np.where(fine_rho, rho, k * tanh * e_alt * (q / r / r))
+                # Past the cosh overflow 1/cosh(x) = 2 exp(-|x|) to float64
+                # precision; in log space E_r and rho underflow to zeros with
+                # the sign of q only where their values do.
+                tail = (cosh == np.inf) & (q != 0.0)
+                if tail.any():
+                    log_qr2 = np.log(abs(q)) - 2.0 * np.log(r)
+                    log_e = np.log(2.0) + log_qr2 - np.abs(x)
+                    sign = math.copysign(1.0, q)
+                    e_r = np.where(tail, sign * np.exp(log_e), e_r)
+                    rho = np.where(tail, sign * np.exp(np.log(k) + log_qr2 + log_e), rho)
+            columns[:, start:start + 4096] = model.c**2 / math.sqrt(model.G) * np.sinh(x), e_r, rho
+    phi, e_r, rho = (column.reshape(radii.shape) for column in columns)
+    return {"r": radii, "phi": phi, "E_r": e_r, "rho": rho}
 
 
 def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> EnergyReport:

@@ -11,11 +11,11 @@ turns back (undershoots).  A starting value eta_0* whose trajectory decays
 monotonically to zero separates the two; below the fold m_c = 0.18598 the
 lowest lies between 2 Q(0) m and (eta_fold / m_c) m, and above it there is
 none.  Each probe reads the amplitude of the growing mode at its last
-sample, a signed residual close to linear in eta_0 - eta_0*.  A Chebyshev
-series in t = sqrt(1 - m/m_c) predicts eta_0* to about 1e-10, and Brent's
-method on the residual confirms it in 2 to 4 probes at m = 0.1 (see
-find_regular_eta0).  For lambda_tilde = 1, m = 0.1 the regular value is
-eta_0* = 0.9083.
+sample, a signed residual close to linear in eta_0 - eta_0*.  Chebyshev
+series in t = sqrt(1 - m/m_c) predict eta_0* to 1e-10 and the residual's
+slope there, and Brent's method confirms the root or a Newton step from it
+in 2 or 3 probes at m = 0.1 (see find_regular_eta0).  For lambda_tilde = 1,
+m = 0.1 the regular value is eta_0* = 0.9083.
 
 The integrator solves for w = x eta in x = sqrt(lambda_tilde) r, where the
 equation w_xx = -x S(w/x) has no 2/r pole and no lambda_tilde.  Each
@@ -56,6 +56,12 @@ TWO_Q0 = 8.67477535995
 _CURVE = (10.19423528428359, -2.0545047140107395, 0.5796903006840606, -0.06396658276898962, 0.02010612055222746,
           -0.0015550721518740335, 0.0007511173227863802, -1.7200584180917153e-05, 3.232329116826804e-05, 1.7888354856647008e-06,
           1.646517107782112e-06, 2.2296967235509632e-07, 9.722182454652284e-08, 1.9407922498733872e-08, 6.826176660960452e-09, 1.5537886829027531e-09)
+# Chebyshev coefficients of s/t in 2t - 1, s = d residual / d eta0 at eta_0*, which vanishes like t at the fold (s/t runs
+# from 0.158 to 0.238): 12 terms of the interpolant at 16 Gauss-Chebyshev nodes of scipy's DOP853 on the eta form and its
+# variational equation, at tests/spectral_oracle.py's roots.
+_SLOPE = (0.20864666551488883, -0.040644564731920636, -0.01017347780501424, 0.0007649253455114247, -0.0001970453928244317,
+          -3.504742046004858e-05, -1.520264455320353e-05, -1.924450134895006e-06, -5.472317989585473e-07, -9.642160806247468e-08,
+          -3.177477470375778e-08, -5.70613661529662e-09)
 
 
 @dataclass(frozen=True)
@@ -230,13 +236,23 @@ def _probe(eta0, p, rtol) -> Probe:
     return Probe(eta0=eta0, label=label, residual=-size if label == "undershoot" else size, trajectory=traj)
 
 
-def _predicted_root(m: float) -> float:
-    """eta_0* = m C(2t - 1) for m < M_FOLD, t = sqrt(1 - m/M_FOLD), C the series _CURVE, by Clenshaw's recurrence."""
+def _chebyshev(coefficients: tuple, m: float) -> float:
+    """C(2t - 1) for m < M_FOLD, t = sqrt(1 - m/M_FOLD), C the Chebyshev series of ``coefficients``, by Clenshaw's recurrence."""
     s = 2.0 * math.sqrt(1.0 - m / M_FOLD) - 1.0
     b1 = b2 = 0.0
-    for c in reversed(_CURVE[1:]):
+    for c in reversed(coefficients[1:]):
         b1, b2 = 2.0 * s * b1 - b2 + c, b1
-    return m * (s * b1 - b2 + _CURVE[0])
+    return s * b1 - b2 + coefficients[0]
+
+
+def _predicted_root(m: float) -> float:
+    """eta_0* = m C(2t - 1), C the series _CURVE."""
+    return m * _chebyshev(_CURVE, m)
+
+
+def _predicted_slope(m: float) -> float:
+    """The residual's slope d residual / d eta0 at eta_0*, t S(2t - 1), S the series _SLOPE."""
+    return math.sqrt(1.0 - m / M_FOLD) * _chebyshev(_SLOPE, m)
 
 
 def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
@@ -259,20 +275,22 @@ def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     for every lambda_tilde and only the answer's trajectory is rescaled, to
     end at r = x / sqrt(lambda_tilde).
 
-    Below the fold the solve first probes the ends of [max(lo, q - d),
-    min(hi, q + d)], q = ``_predicted_root(m)`` and d = max(0.1 tol, 2e-10),
-    and Brent's method finishes inside them when they classify differently,
-    at once where 2d <= tol.  When both undershoot it runs on [q + d, hi],
-    when both overshoot on [lo, q - d] (on [lo, hi] where that end is lo or
-    hi), and no eta0 is integrated twice; the labels certify the answer
-    wherever the bracket came from.  q lies within 1.2e-10 of eta_0* for m
-    from 0.001 to m_c - 1e-5; nearer the fold eta_0* moves as sqrt(m_c - m),
-    the residual's slope vanishes, and at m_c - 1e-6 both ends classify alike.
+    Below the fold the solve first probes the ends of [max(lo, x - d),
+    min(hi, x + d)], x = q = ``_predicted_root(m)``, d = max(0.1 tol, 2e-10);
+    where 2d > tol it first probes q and x is the Newton step q - residual(q)
+    / ``_predicted_slope(m)``, d = 0.1 tol (q and x clamped into [lo, hi]).
+    When the pair classifies differently Brent's method finishes inside it,
+    at once where 2d <= tol; when alike, between the highest undershooting
+    start probed below hi (else lo) and the lowest overshooting one above
+    that (else hi).  No eta0 is integrated twice, and the labels certify the
+    answer.  q lies within 1.2e-10 of eta_0*, and the slope within 4e-7 of
+    its own, for m from 0.001 to m_c - 1e-5; nearer the fold the slope
+    vanishes, and at m_c - 1e-6 the pair classifies alike.
 
-    At m = 0.1 a solve takes 2, 2 and 4 trajectories (410, 938 and 4036
+    At m = 0.1 a solve takes 2, 2 and 3 trajectories (410, 938 and 3027
     RHS calls) at tol 1e-5, 1e-8 and 1e-12.  On the grid lambda_tilde in
     {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.100,
-    0.110 and 0.111 tol of the root; at m_c - 1e-6, tol 1e-5 it lay 13.1
+    0.110 and 0.101 tol of the root; at m_c - 1e-6, tol 1e-5 it lay 13.1
     tol off.  Couplings whose horizon 8/m or 8/(m sqrt(lambda_tilde)) is no
     finite float are refused.
     """
@@ -286,16 +304,18 @@ def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     probe = functools.cache(lambda eta0: _probe(eta0, p, rtol))  # no eta0 is integrated twice
     bracket = lo, hi
     if p.m < M_FOLD:
-        q, d = _predicted_root(p.m), max(0.1 * tol, 2e-10)
-        a, b = max(lo, q - d), min(hi, q + d)
+        x, d = _predicted_root(p.m), max(0.1 * tol, 2e-10)
+        known = [probe(min(hi, max(lo, x)))] if 2.0 * d > tol else []  # a pair wider than tol: one Newton step from q
+        if known:
+            x, d = min(hi, max(lo, x - known[0].residual / _predicted_slope(p.m))), 0.1 * tol
+        a, b = max(lo, x - d), min(hi, x + d)
         if a < b:
-            label = probe(a).label
-            if label != probe(b).label:
+            known += probe(a), probe(b)
+            if known[-2].label != known[-1].label:
                 bracket = a, b
-            elif label == "undershoot" and b < hi:
-                bracket = b, hi
-            elif label == "overshoot" and lo < a:
-                bracket = lo, a
+            else:  # the root lies beyond the pair: narrow [lo, hi] by every label known
+                a = max((k.eta0 for k in known if k.label == "undershoot" and k.eta0 < hi), default=lo)
+                bracket = a, min((k.eta0 for k in known if k.label == "overshoot" and k.eta0 > a), default=hi)
     try:
         best = brent(probe, bracket, tol)
     except InvalidBracketError as exc:

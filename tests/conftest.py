@@ -60,3 +60,36 @@ def eta_form_dop853():
         return ref.sol
 
     return solve
+
+
+@pytest.fixture(scope="session")
+def eta_form_slope():
+    """``slope(eta0, m)``: d residual / d eta0 of shooting._probe at lambda_tilde
+    = 1, from scipy's DOP853 at rtol 1e-13 on the eta form and its variational
+    equation zeta'' = -(2/r) zeta' - S'(eta) zeta, zeta = d eta / d eta0, both
+    from the series start at r = 1e-6 that ``eta_form_dop853`` takes (zeta =
+    1 + a' r^2, a' = -S'(eta0) / 6).  The residual is -g exp(-m x_f), g = x_f
+    eta' + eta + m x_f eta at the horizon x_f = 8/m, so the slope is
+    -exp(-m x_f) (x_f zeta' + zeta + m x_f zeta)."""
+    pytest.importorskip("scipy")
+    from scipy.integrate import solve_ivp
+
+    def slope(eta0, m):
+        p = shooting.CouplingParams(1.0, m)
+
+        def ds(eta):  # S'(eta)
+            s = math.sinh(0.5 * eta)
+            return math.cosh(eta) * (s * s - m * m) + 0.5 * math.sinh(eta) ** 2
+
+        def rhs(r, y):
+            return y[1], _eta_form_rhs(r, y[0], y[1], p), y[3], -2.0 / r * y[3] - ds(y[0]) * y[2]
+
+        eps, x_f = 1e-6, 8.0 / m
+        a, b = _eta_form_rhs(1.0, eta0, 0.0, p) / 6.0, -ds(eta0) / 6.0
+        sol = solve_ivp(rhs, (eps, x_f), (eta0 + a * eps * eps, 2.0 * a * eps, 1.0 + b * eps * eps, 2.0 * b * eps),
+                        method="DOP853", rtol=1e-13, atol=1e-15)
+        assert sol.success
+        zeta, dzeta = sol.y[2, -1], sol.y[3, -1]
+        return -math.exp(-m * x_f) * (x_f * dzeta + zeta + m * x_f * zeta)
+
+    return slope

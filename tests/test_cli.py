@@ -977,15 +977,15 @@ class TestOutputPins:
         (("shoot", "--lambda", "1", "--m", "0.1"),
          "1adf855df5a2d96834517694bd014c401e59f6a381bcac79caaa60c5b5069a5f"),
         (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"),
-         "6083a9ed7c6fe127af99a247091673812bb1aff496f3a59a39803b4307db0673"),
+         "0cb82879da198b968033fa8597e740138bcd1f7a92ac1ba5a892de079abe8514"),
         (("shoot", "--lambda", "2.5", "--m", "0.07", "--tol", "1e-05"),
          "cfe2aa249b35ee75024df3022c36fcfd74b2145d9da68adbfe38b036ab5a9d34"),
         (("shoot", "--lambda", "0.6", "--m", "0.13", "--tol", "1e-05"),
          "91749bb48938c8c5a2c0aedbbb84af615411b2987bf5c0cf633723329e3053e1"),
         (("shoot", "--lambda", "3.2", "--m", "0.12", "--tol", "1e-12"),
-         "2ff6d88fb6abd4626f70b9e917b82a8efeb1216bb358f951fb5d3b94671d67e3"),
+         "45df28881f040565037caa75269f6a65e29187231835400806b419910fb9aa1a"),
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
-         "e7d5c9000df9e947d113b48320b14d37aad82288c584126b8cff6a60d73f84e3"),
+         "920da8616c317592cd4f8d2dc242f2fc3e5fdf00deb7e9ff27bbc7acab7d645f"),
         (("profile", "--eta0", "0.9083"),
          "cd4c15547787c8decbc9eb71c41f13c6b61a0039f7b476d65a78aeeb4124066b"),
         (("exact",),

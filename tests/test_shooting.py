@@ -156,12 +156,15 @@ class TestFindRegularEta0:
         # The predicted root q lies 6.8e-11 below eta_0*.  At tol 1e-5 the
         # ends of [q - 1e-6, q + 1e-6] classify differently and the lower one,
         # with the smaller |residual|, is the answer: 2 trajectories
-        # (bisection on the physical bracket needed 21).  At tol 1e-12 Brent's
-        # method needs 2 more probes inside [q - 2e-10, q + 2e-10]: 4
-        # trajectories (bisection needed 44).  Each costs 1 + 12 x (attempted
-        # DOP853 steps) RHS calls, and the answer's trajectory is one of them.
-        # The floats are pinned bit for bit so a change of arithmetic order
-        # shows up here.
+        # (bisection on the physical bracket needed 21).  At tol 1e-12 the
+        # solve probes q, takes one Newton step on the predicted slope to x,
+        # about 1e-16 from the sign change of the rtol-1e-12 residual, and
+        # the ends of [x - 1e-13, x + 1e-13] classify differently: 3
+        # trajectories (4 when Brent's method ran in [q - 2e-10, q + 2e-10],
+        # and bisection needed 44).  Each costs 1 + 12 x (attempted DOP853
+        # steps) RHS calls, and the answer's trajectory is one of them.  The
+        # floats are pinned bit for bit so a change of arithmetic order shows
+        # up here.
         calls = {"integrate_profile": 0, "ode_rhs": 0}
 
         def counting(name):
@@ -183,8 +186,8 @@ class TestFindRegularEta0:
 
         calls.update(integrate_profile=0, ode_rhs=0)
         res = find_regular_eta0(params_m01, tol=1e-12)
-        assert calls == {"integrate_profile": 4, "ode_rhs": 4036}
-        assert res.eta0 == 0.9083371697707663
+        assert calls == {"integrate_profile": 3, "ode_rhs": 3027}
+        assert res.eta0 == 0.9083371697706657
         assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 1e-12
         assert np.asarray(res.trajectory.r).size == 79
         assert res.trajectory.r[-1] == 80.0
@@ -206,8 +209,8 @@ class TestFindRegularEta0:
     def test_default_tol_holds_against_tight_root(self, lambda_tilde, m):
         # the integration each tol passes down still leaves the answer within
         # a quarter of tol of the lambda_tilde-independent root (at most
-        # 0.100, 0.110 and 0.111 tol measured: an answer at an end of the
-        # predicted bracket [q - d, q + d], d = 0.1 tol, lies about d off)
+        # 0.100, 0.110 and 0.101 tol measured: an answer at an end of the
+        # predicted pair [x - d, x + d], d = 0.1 tol, lies about d off)
         p = CouplingParams(lambda_tilde=lambda_tilde, m=m)
         for tol in (1e-5, 1e-8, 1e-12):
             res = find_regular_eta0(p, tol=tol)
@@ -359,17 +362,63 @@ class TestFindRegularEta0:
 
     @pytest.mark.parametrize("tol", (1e-5, 1e-8, 1e-12))
     def test_fallback_integrates_no_start_twice(self, monkeypatch, tol):
-        # at m_c - 1e-6 the residual's slope nearly vanishes and both ends of
-        # the predicted bracket classify alike: the solve goes on in the part
-        # of the physical bracket beyond them, and integrates every start once
+        # at m_c - 1e-6 the residual's slope nearly vanishes (5.5e-4) and both
+        # ends of the pair around the prediction classify alike: the solve goes
+        # on in the part of the physical bracket that the labels known so far
+        # leave, and integrates every start once.  At tol 1e-12 the pair is
+        # centred one Newton step from q, at x = q + 3.1e-10, and q, x - d and
+        # x + d all undershoot
         probes = record_probes(monkeypatch)
         m = shooting.M_FOLD - 1e-6
         res = find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m), tol=tol)
-        q, d = shooting._predicted_root(m), max(0.1 * tol, 2e-10)
-        assert [p.eta0 for p in probes[:2]] == [q - d, q + d]
-        assert probes[0].label == probes[1].label
-        assert len({p.eta0 for p in probes}) == len(probes) > 2
+        x, d = shooting._predicted_root(m), max(0.1 * tol, 2e-10)
+        pair = probes
+        if tol < 4e-10:
+            assert probes[0].eta0 == x
+            lo, hi = self.bracket(m)
+            x, d = x - probes[0].residual / shooting._predicted_slope(m), 0.1 * tol
+            assert lo < x < hi
+            pair = probes[1:]
+        assert [p.eta0 for p in pair[:2]] == [x - d, x + d]
+        assert pair[0].label == pair[1].label
+        assert len({p.eta0 for p in probes}) == len(probes) and len(pair) > 2
         assert res in probes
+
+    @pytest.mark.parametrize("tol, centred", ((5e-10, False), (4e-10, False), (3e-10, True), (1e-12, True)))
+    def test_newton_step_only_where_the_pair_is_wider_than_tol(self, params_m01, monkeypatch, tol, centred):
+        # The pair q -+ d, d = max(0.1 tol, 2e-10), is wider than tol below tol
+        # 4e-10: there the solve probes q, steps to x = q - residual(q) / s(m)
+        # and probes x -+ 0.1 tol, whose labels differ at m = 0.1: 3
+        # trajectories.  From tol 4e-10 on it probes the pair first, as it did
+        # before the step existed; at 4e-10 the pair's float width exceeds tol
+        # by rounding and Brent's method bisects it once, at 5e-10 it is done
+        probes = record_probes(monkeypatch)
+        res = find_regular_eta0(params_m01, tol=tol)
+        q = shooting._predicted_root(0.1)
+        if centred:
+            x = q - probes[0].residual / shooting._predicted_slope(0.1)
+            pair = [(x - 0.1 * tol, "undershoot"), (x + 0.1 * tol, "overshoot")]
+            assert [(p.eta0, p.label) for p in probes] == [(q, "undershoot")] + pair
+        else:
+            assert [(p.eta0, p.label) for p in probes[:2]] == [(q - 2e-10, "undershoot"), (q + 2e-10, "overshoot")]
+            assert len(probes) == (3 if tol == 4e-10 else 2)
+        assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= tol
+
+    def test_newton_centre_is_clamped_into_the_bracket(self, params_m01, monkeypatch):
+        # with a slope 1e-30 the Newton step from q (an undershoot) leaves the
+        # bracket: the pair is centred on hi, both of its ends overshoot, and
+        # the solve goes on in [q, hi - d], each start integrated once and none
+        # outside [lo, hi]
+        monkeypatch.setattr(shooting, "_predicted_slope", lambda m: 1e-30)
+        probes = record_probes(monkeypatch)
+        tol = 1e-12
+        res = find_regular_eta0(params_m01, tol=tol)
+        lo, hi = self.bracket(0.1)
+        q, d = shooting._predicted_root(0.1), 0.1 * tol
+        assert [(p.eta0, p.label) for p in probes[:3]] == [(q, "undershoot"), (hi - d, "overshoot"), (hi, "overshoot")]
+        assert len({p.eta0 for p in probes}) == len(probes)
+        assert all(q <= p.eta0 <= hi for p in probes)
+        assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 0.25 * tol
 
     @pytest.mark.parametrize("m", (1e-6, 1e-3, 0.01))
     def test_prediction_is_clamped_into_the_bracket(self, m):
@@ -512,6 +561,36 @@ class TestSpectralOracle:
         coarse, fine = spectral_oracle.regular_eta0(m), spectral_oracle.regular_eta0(m, 181, 6.0)
         assert abs(coarse - fine) <= 1e-12
         assert abs(coarse - TestFindRegularEta0.TIGHT_ROOTS[m]) <= 1e-12
+
+
+class TestSlopeSeries:
+    """shooting._SLOPE, the residual's slope s = d residual / d eta0 at eta_0*
+    as t times a Chebyshev series in 2t - 1, t = sqrt(1 - m/M_FOLD)."""
+
+    @staticmethod
+    def slope_m(k):
+        """The m at 2t - 1 = cos(pi k / 32): a node of _SLOPE for odd k, midway between two for even k."""
+        return TestSpectralOracle.curve_m(math.cos(math.pi * k / 32))
+
+    def test_series_against_the_variational_equation(self, eta_form_slope):
+        # scipy's DOP853 on the eta form and its variational equation, from
+        # the oracle's root, at the 16 nodes and the 15 points midway between
+        # them (at most 4.5e-8 relative measured, at m_c - 1.7e-5)
+        for k in range(1, 32):
+            m = self.slope_m(k)
+            s = eta_form_slope(spectral_oracle.regular_eta0(m), m)
+            assert abs(shooting._predicted_slope(m) / s - 1.0) <= 1e-5, (k, m)
+
+    @pytest.mark.parametrize("m", sorted(TestFindRegularEta0.TIGHT_ROOTS)
+                             + [shooting.M_FOLD - gap for gap in (1e-3, 1e-4, 1e-5)])
+    def test_series_against_central_differences_of_probes(self, m):
+        # numpy alone: central differences of _probe's residual at rtol 1e-12,
+        # 1e-7 either side of the root (at most 3.9e-7 relative measured, at
+        # m_c - 1e-4, where s = 5.5e-3)
+        root = TestFindRegularEta0.TIGHT_ROOTS.get(m) or spectral_oracle.regular_eta0(m)
+        p, delta = CouplingParams(1.0, m), 1e-7
+        s = (shooting._probe(root + delta, p, 1e-12).residual - shooting._probe(root - delta, p, 1e-12).residual) / (2 * delta)
+        assert abs(shooting._predicted_slope(m) / s - 1.0) <= 1e-6
 
 
 class TestExistenceInterval:
