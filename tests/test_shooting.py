@@ -160,11 +160,10 @@ class TestFindRegularEta0:
         # solve probes q, takes one Newton step on the predicted slope to x,
         # about 1e-16 from the sign change of the rtol-1e-12 residual, and
         # the ends of [x - 1e-13, x + 1e-13] classify differently: 3
-        # trajectories (4 when Brent's method ran in [q - 2e-10, q + 2e-10],
-        # and bisection needed 44).  Each costs 1 + 12 x (attempted DOP853
-        # steps) RHS calls, and the answer's trajectory is one of them.  The
-        # floats are pinned bit for bit so a change of arithmetic order shows
-        # up here.
+        # trajectories (bisection needed 44).  Each costs 1 + 12 x (attempted
+        # DOP853 steps) RHS calls, and the answer's trajectory is one of them.
+        # The floats are pinned bit for bit so a change of arithmetic order
+        # shows up here.
         calls = {"integrate_profile": 0, "ode_rhs": 0}
 
         def counting(name):
