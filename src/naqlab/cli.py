@@ -8,22 +8,21 @@ exact         closed-form point-charge fields (csv) or energy report (json)
 shoot         solve for the regular starting value eta_0* (Brent's method)
 profile       integrate one trajectory and emit the derived field profiles
 
-Exit codes: 0 success, 1 usage error (a nan or inf value, an
-``--output`` path that cannot be opened, ``shoot`` couplings whose
-horizon 8/m or 8/(m sqrt(lambda)) is out of range, ``profile`` couplings
-whose default grid end, the horizon 8/(m sqrt(lambda)), is no finite
-float above 1e-3, and a ``profile`` grid ending at or below 0 included),
-2 numerical failure: ``shoot`` finding no regular solution because m is
-at or above the fold m_c, a ``shoot`` bracket whose ends both overshoot
-(a wrong bound), a ``shoot`` trajectory unclassified by its
-horizon, the ``exact`` quadrature budget exhausted, a ``torsion-check``
-residual above 1e-10 (its report is still written), or a ``profile``
-grid outside the trajectory, whose one stderr line names where and why the
+Exit codes: 0 success, 1 usage error (a nan or inf value, an ``--output``
+path that cannot be opened, a ``shoot --tol`` not above 0, ``shoot``
+couplings whose horizon 8/m or 8/(m sqrt(lambda)) is out of range,
+``profile`` couplings whose default grid end, the horizon 8/(m
+sqrt(lambda)), is no finite float above 1e-3, and a ``profile`` grid ending
+at or below 0 included), 2 numerical failure: ``shoot`` finding no regular
+solution because m is at or above the fold m_c, a ``shoot`` bracket whose
+ends both overshoot (a wrong bound), a ``shoot`` trajectory unclassified by
+its horizon, the ``exact`` quadrature budget exhausted, a ``torsion-check``
+residual above 1e-10 (its report is still written), or a ``profile`` grid
+outside the trajectory, whose one stderr line names where and why the
 trajectory stopped: "overshoot", "undershoot", or the integrator's "step
 underflow" or "step budget".  Every output embeds the resolved
-configuration (a JSON ``config`` entry, or a ``# config: ...`` comment
-line above the CSV header) so runs are self-describing and
-byte-reproducible.
+configuration (a JSON ``config`` entry, or a ``# config: ...`` comment line
+above the CSV header) so runs are self-describing and byte-reproducible.
 
 numpy and orjson are imported only by the functions that build arrays:
 ``assoc``, ``shoot`` and ``exact --format json`` run without them.
@@ -107,33 +106,9 @@ def _config(args) -> dict:
 
 def _csv_blocks(config: dict, header: str, columns: tuple):
     """``# config:`` line, header and one row per radius, yielded block by
-    block; each value in the shortest decimal form that round-trips its
-    64-bit float, as ``repr`` writes it.
-
-    orjson finds the same shortest digits as ``repr`` (Ryu), in another
-    layout.  Each block of rows is dumped as one flat list, nan and +inf as
-    ``0.0`` and -inf as ``-0.0`` (only in a block that holds them), and its
-    bytes get these edits:
-
-    - ``+`` after the ``e`` of a positive exponent: ``1e16`` -> ``1e+16``;
-    - ``0`` before the digit of a one-digit negative exponent: ``1e-7`` ->
-      ``1e-07``;
-    - the band 1e-5 <= |x| < 1e-4 moved to exponent form: ``0.0000dr`` ->
-      ``d.re-05`` and ``0.0000d`` -> ``de-05``;
-    - the last three bytes of each stand-in zero overwritten by ``nan`` or
-      ``inf``;
-    - the comma before each row's first value and the closing ``]`` turned
-      into newlines, and the opening ``[`` dropped.
-
-    One scan for ``,`` bounds the values; each value's class, read from the
-    floats, places its edit back from its end.  An edit that keeps the
-    length writes its bytes in place; one that changes it writes a marker
-    byte orjson never writes, which one single-byte ``bytes.replace`` per
-    class expands: ``E`` -> ``e+``, ``M`` -> ``-0``, a band value's
-    terminator ``B`` -> ``e-05,`` or ``N`` -> ``e-05`` and a newline, and
-    NUL -> nothing.  No array as long as the text holds more than one byte
-    per entry, and no more than one block of text is held at a time.
-    """
+    block; each value in the shortest decimal digits that round-trip its
+    64-bit float, as orjson writes them (Ryu's, the digits ``repr`` picks),
+    and nan, inf and -inf as ``nan``, ``inf`` and ``-inf``."""
     import numpy as np
 
     yield "# config: " + json.dumps(config, sort_keys=True) + "\n" + header + "\n"
@@ -142,14 +117,14 @@ def _csv_blocks(config: dict, header: str, columns: tuple):
 
 
 def _csv_rows(block) -> str:
-    """The rows of one block, edited as ``_csv_blocks`` lists; the arrays of
-    a block are freed before the next block is dumped."""
+    """The rows of one block: orjson dumps the block as one flat list, nan
+    and inf as ``0.0`` and -inf as ``-0.0``; the comma that ends each row
+    and the closing ``]`` become newlines, the opening ``[`` is dropped, and
+    ``nan`` or ``inf`` overwrites the last three bytes of each stand-in."""
     import numpy as np
     import orjson
 
     values = block.ravel()
-    mag = np.abs(values)
-    band = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4))
     special = np.flatnonzero(~np.isfinite(values))
     dumped = np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=-0.0) if special.size else values
     text = bytearray(orjson.dumps(dumped, option=orjson.OPT_SERIALIZE_NUMPY))
@@ -157,26 +132,9 @@ def _csv_rows(block) -> str:
     buf[[0, -1]] = ord(",")  # with "[" and "]" read as commas, value k lies between bounds k and k + 1
     bounds = np.flatnonzero(buf == ord(","))
     buf[bounds[block.shape[1]::block.shape[1]]] = ord("\n")
-    # exponents, back from each value's end (the float 1eK is the least whose
-    # digits print eK): "e" -> "E" in e16 to e99 and e100 to e308, "-" -> "M" in e-9 to e-5
-    for lo, hi, back, marker in ((1e16, 1e100, 3, "E"), (1e100, np.inf, 4, "E"), (1e-9, 1e-5, 2, "M")):
-        buf[bounds[np.flatnonzero((mag >= lo) & (mag < hi)) + 1] - back] = ord(marker)
-    if band.size:
-        # d over the first "0", NUL over "0000d" (and the "." if r is empty), "B" or "N" over the end
-        lead = bounds[band] + 1 + (values[band] < 0)
-        end = bounds[band + 1]
-        buf[lead] = buf[lead + 6]
-        buf[lead[:, None] + (2, 3, 4, 5, 6)] = 0
-        buf[lead[end - lead == 7] + 1] = 0
-        buf[end] = np.where(buf[end] == ord(","), ord("B"), ord("N"))
     if special.size:
-        # "nan" or "inf" over the last three bytes of the stand-in zero
         words = np.frombuffer(b"infnan", np.uint8).reshape(2, 3)
         buf[bounds[special + 1, None] - (3, 2, 1)] = words[np.isnan(values[special]).astype(int)]
-    del buf, bounds, mag  # the text is the only row-length buffer from here on
-    for marker, expansion in ((b"E", b"e+"), (b"M", b"-0"), (b"B", b"e-05,"), (b"N", b"e-05\n"), (b"\0", b"")):
-        if marker in text:
-            text = text.replace(marker, expansion)
     return str(memoryview(text)[1:], "ascii")
 
 

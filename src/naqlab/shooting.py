@@ -276,9 +276,11 @@ def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     end at r = x / sqrt(lambda_tilde).
 
     Below the fold the solve first probes the ends of [max(lo, x - d),
-    min(hi, x + d)], x = q = ``_predicted_root(m)``, d = max(0.1 tol, 2e-10);
-    where 2d > tol it first probes q and x is the Newton step q - residual(q)
-    / ``_predicted_slope(m)``, d = 0.1 tol (q and x clamped into [lo, hi]).
+    min(hi, max(x + d, x'))], x = q = ``_predicted_root(m)``, d = max(0.1
+    tol, 2e-10), and x' the float after x, so that a d below the float
+    spacing of x keeps a pair; where 2d > tol it first probes q and x is the
+    Newton step q - residual(q) / ``_predicted_slope(m)``, d = 0.1 tol (q
+    and x clamped into [lo, hi]).
     When the pair classifies differently Brent's method finishes inside it,
     at once where 2d <= tol; when alike, between the highest undershooting
     start probed below hi (else lo) and the lowest overshooting one above
@@ -291,9 +293,11 @@ def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     RHS calls) at tol 1e-5, 1e-8 and 1e-12.  On the grid lambda_tilde in
     {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.100,
     0.110 and 0.101 tol of the root; at m_c - 1e-6, tol 1e-5 it lay 13.1
-    tol off.  Couplings whose horizon 8/m or 8/(m sqrt(lambda_tilde)) is no
-    finite float are refused.
+    tol off.  A tol not above 0, and couplings whose horizon 8/m or
+    8/(m sqrt(lambda_tilde)) is no finite float, are refused before any probe.
     """
+    if not tol > 0:
+        raise ValueError("tol = %r: must be positive" % tol)
     if not (0.0 < 8.0 / p.m < math.inf and p.horizon < math.inf):
         raise ValueError("lambda_tilde = %g, m = %g: the horizon 8/m or 8/(m sqrt(lambda_tilde)) is no finite positive float" % (p.lambda_tilde, p.m))
     rtol = min(1e-6, max(1e-12, 0.1 * tol))
@@ -308,7 +312,7 @@ def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
         known = [probe(min(hi, max(lo, x)))] if 2.0 * d > tol else []  # a pair wider than tol: one Newton step from q
         if known:
             x, d = min(hi, max(lo, x - known[0].residual / _predicted_slope(p.m))), 0.1 * tol
-        a, b = max(lo, x - d), min(hi, x + d)
+        a, b = max(lo, x - d), min(hi, max(x + d, math.nextafter(x, hi)))
         if a < b:
             known += probe(a), probe(b)
             if known[-2].label != known[-1].label:

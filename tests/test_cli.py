@@ -12,6 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from naqlab import algebra, cli, shooting
@@ -22,11 +23,19 @@ from naqlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 MULTI_BLOCK_ROWS = 2 * cli._CSV_BLOCK + 3
 
 
-def repr_table(config, header, columns):
-    """The CSV text of the former writer: one ``repr`` per value, row by row."""
+def per_value(v):
+    """One CSV field as written alone: orjson's shortest round-trip digits
+    for a finite float, ``repr``'s ``nan``, ``inf`` and ``-inf`` otherwise."""
+    v = float(v)
+    return orjson.dumps(v).decode() if math.isfinite(v) else repr(v)
+
+
+def per_value_table(config, header, columns):
+    """The CSV text written one value at a time, row by row, each value by
+    ``per_value``."""
     rows = ["# config: " + json.dumps(config, sort_keys=True), header]
     for row in zip(*(np.asarray(col).tolist() for col in columns)):
-        rows.append(",".join(repr(float(v)) for v in row))
+        rows.append(",".join(per_value(v) for v in row))
     return "\n".join(rows) + "\n"
 
 
@@ -379,12 +388,13 @@ class TestExact:
             "grid_scale": "log", "tol": 1e-10, "format": "csv",
         }
         columns = [fields[k] for k in ("r", "phi", "E_r", "rho")]
-        assert_same_text(out, repr_table(config, "r,phi,E_r,rho", columns))
+        assert_same_text(out, per_value_table(config, "r,phi,E_r,rho", columns))
 
     def test_csv_tables_reach_every_layout(self, capsys):
-        # the tables above hold each value class whose layout the writer
-        # rewrites or splices: +-inf, zeros, subnormals, exponents of one
-        # negative digit, the band [1e-5, 1e-4) and exponents of +16 and up
+        # the tables above hold each value class the writer overwrites
+        # (+-inf) or whose layout orjson and repr differ on (exponents of one
+        # negative digit, the band [1e-5, 1e-4) and exponents of +16 and up),
+        # and zeros and subnormals
         values = []
         for argv in (("--grid", "1e-4:1e-2:300"), ("--q", "-1", "--grid", "1e-4:1e-2:300"),
                      ("--grid", "1e-2:1e3:400")):
@@ -467,9 +477,9 @@ class TestExact:
 
 
 class TestCsvWriter:
-    """The CSV writer (``cli._csv_blocks``, joined) against the repr writer,
-    byte for byte, on float64 values of every class; a change in orjson's
-    number layout fails here."""
+    """The CSV writer (``cli._csv_blocks``, joined) against the same values
+    written one at a time (``per_value``), byte for byte, on float64 values
+    of every class."""
 
     @staticmethod
     def random_bits():
@@ -492,23 +502,28 @@ class TestCsvWriter:
         table = self.random_bits()
         assert np.isnan(table).sum() > 6
         columns = tuple(table)
-        assert_same_text(csv_text({"seed": 1}, "a,b,c,d,e", columns), repr_table({"seed": 1}, "a,b,c,d,e", columns))
+        assert_same_text(csv_text({"seed": 1}, "a,b,c,d,e", columns), per_value_table({"seed": 1}, "a,b,c,d,e", columns))
 
     def test_layout_boundaries(self):
         values = self.layout_boundaries()
         columns = (values, values[::-1], np.roll(values, 7))
-        assert_same_text(csv_text({}, "x,y,z", columns), repr_table({}, "x,y,z", columns))
+        assert_same_text(csv_text({}, "x,y,z", columns), per_value_table({}, "x,y,z", columns))
 
-    def test_orjson_writes_no_marker_byte(self):
-        # The writer expands its marker bytes (E, M, B, N and NUL) by
-        # bytes.replace, so they must never come from orjson itself: its numpy
-        # output holds only these bytes, and a failure names any other.
-        import orjson
-
-        stand_ins = np.nan_to_num(self.random_bits(), nan=0.0, posinf=0.0, neginf=-0.0)
-        for values in (stand_ins.ravel(), self.layout_boundaries()):
-            text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-            assert sorted(set(text) - set("0123456789.-e,[]")) == []
+    def test_every_value_parses_back_bit_for_bit(self):
+        # float() of each field is the float64 written, sign of zero included:
+        # subnormals, zeros, the last integers before and at 1e16, both edges
+        # of [1e-5, 1e-4), exponents e-5 to e-9 and e+-308, nan and +-inf,
+        # and the neighbours of each point where a layout changes
+        classes = [0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 2.2250738585072014e-308,
+                   9999999999999998.0, -9999999999999998.0, 1e16, -1e16,
+                   1e-5, np.nextafter(1e-5, 0.0), -1e-5, 1e-4, np.nextafter(1e-4, 0.0), -1e-4,
+                   1.5e-5, -9.5e-5, 2.5e-6, -1e-7, 3e-8, 1e-9, np.nextafter(1e-9, 0.0),
+                   1e308, -1.7976931348623157e308, 1e-308, -1e-308, np.nan, np.inf, -np.inf]
+        values = np.concatenate((classes, self.layout_boundaries()))
+        table = np.column_stack((values, values[::-1]))
+        text = csv_text({}, "a,b", tuple(table.T))
+        parsed = np.array([[float(f) for f in line.split(",")] for line in text.splitlines()[2:]])
+        assert np.array_equal(parsed.view(np.uint64), table.view(np.uint64))
 
     # one value of each layout class: zeros, subnormals, one- and two-digit
     # negative exponents, the band [1e-5, 1e-4), plain decimals, +-inf, nan
@@ -522,22 +537,22 @@ class TestCsvWriter:
         values = np.resize(np.array(self.SPECIALS), (ncol, 3 * len(self.SPECIALS) + 1))
         columns = tuple(np.roll(values[k], k) for k in range(ncol))
         header = ",".join("c%d" % k for k in range(ncol))
-        assert_same_text(csv_text({"n": ncol}, header, columns), repr_table({"n": ncol}, header, columns))
+        assert_same_text(csv_text({"n": ncol}, header, columns), per_value_table({"n": ncol}, header, columns))
 
     @pytest.mark.parametrize("last", (1e-7, -3e-9, 2e-6, 1e16, 1.5e-5, np.inf, np.nan, 0.0))
     def test_last_value_of_the_table(self, last):
         # the last value of a block has no comma after it, only the end of the list
         for rows in (1, 5, cli._CSV_BLOCK, cli._CSV_BLOCK + 1):
             columns = (np.linspace(1.0, 2.0, rows), np.full(rows, last))
-            assert_same_text(csv_text({}, "a,b", columns), repr_table({}, "a,b", columns))
-            assert_same_text(csv_text({}, "b", columns[1:]), repr_table({}, "b", columns[1:]))
+            assert_same_text(csv_text({}, "a,b", columns), per_value_table({}, "a,b", columns))
+            assert_same_text(csv_text({}, "b", columns[1:]), per_value_table({}, "b", columns[1:]))
 
     @pytest.mark.parametrize("rows", (cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1))
     def test_rows_around_one_block(self, rows):
         values = np.resize(np.array(self.SPECIALS), 3 * rows).reshape(3, rows)
         columns = (values[0], values[1][::-1], values[2] * 1e-3)
         text = csv_text({}, "x,y,z", columns)
-        assert_same_text(text, repr_table({}, "x,y,z", columns))
+        assert_same_text(text, per_value_table({}, "x,y,z", columns))
         assert text.count("\n") == rows + 2
 
     @pytest.mark.parametrize(
@@ -547,16 +562,15 @@ class TestCsvWriter:
         ids=("none", "one", "two", "only-band", "only-nan-inf", "only-e+", "only-e-0", "no-edit"),
     )
     def test_blocks_with_few_insertions(self, values):
-        # A block runs only the edits its values need: nan_to_num and the
-        # nan/inf words only with a nan or inf, the band rewrite only with a
-        # band value, and a marker's bytes.replace only where that marker was
-        # written.  Each block here holds one edit class, or none; as one
-        # column every band value ends its row, as two columns half of them
-        # end before a comma.
+        # A block runs nan_to_num and the nan/inf overwrite only with a nan
+        # or inf.  Each block here holds one class of value whose layout
+        # orjson and repr differ on, or nan and inf, or none; as one column
+        # each value ends its row, as two columns half of them end before a
+        # comma.
         column = np.array(values)
         for columns in ((column,), (column, column[::-1])):
             header = ",".join("ab"[:len(columns)])
-            assert_same_text(csv_text({}, header, columns), repr_table({}, header, columns))
+            assert_same_text(csv_text({}, header, columns), per_value_table({}, header, columns))
 
     def test_no_rows(self):
         columns = (np.zeros(0), np.zeros(0))
@@ -579,8 +593,8 @@ class TestCsvStreaming:
 
     def test_peak_memory_is_the_columns_and_one_block(self, monkeypatch, tmp_path):
         # Counted from the return of exact_fields: the column arrays and the
-        # working set of one block.  Measured on 5e4 rows (4.09 MB of text):
-        # 4.5 MB, against 9.8 MB when the blocks were joined and then written.
+        # working set of one block.  Measured on 5e4 rows (4.07 MB of text):
+        # 2.7 MB, against 9.8 MB when the blocks were joined and then written.
         fields = cli.exact_fields
 
         def then_reset_peak(*args):
@@ -789,8 +803,8 @@ class TestProfile:
         assert len(out.splitlines()) - 2 == rows
 
     @staticmethod
-    def repr_profile(points):
-        # the table the former row-by-row writer produced, rebuilt here
+    def per_value_profile(points):
+        # the table written one value at a time, rebuilt here
         params = shooting.CouplingParams(lambda_tilde=1.0, m=0.1)
         traj = shooting.integrate_profile(0.9083, params, r_max=40.0)
         rs = np.geomspace(1e-2, 40.0, points)
@@ -801,13 +815,13 @@ class TestProfile:
             "m": 0.1, "grid": [1e-2, 40.0, points], "grid_scale": "log",
         }
         columns = (rs, eta, deta) + shooting.derive_fields(eta, deta, params)
-        return repr_table(config, "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns)
+        return per_value_table(config, "r,eta,deta_dr,phi_scaled,E_scaled,rho_scaled", columns)
 
     def test_csv_bytes_match_per_element_rows(self, capsys):
         for points in (50, MULTI_BLOCK_ROWS):
             code, out, _ = run(capsys, "profile", "--eta0", "0.9083", "--grid", "1e-2:40:%d" % points)
             assert code == EXIT_OK
-            assert_same_text(out, self.repr_profile(points))
+            assert_same_text(out, self.per_value_profile(points))
 
     def test_grid_ending_on_a_short_span_keeps_its_last_row(self, capsys):
         # the capped last step of this trajectory once rounded to one ulp
@@ -987,7 +1001,7 @@ class TestOutputPins:
         (("shoot", "--lambda", "1", "--m", "0.06", "--tol", "1e-12"),
          "920da8616c317592cd4f8d2dc242f2fc3e5fdf00deb7e9ff27bbc7acab7d645f"),
         (("profile", "--eta0", "0.9083"),
-         "cd4c15547787c8decbc9eb71c41f13c6b61a0039f7b476d65a78aeeb4124066b"),
+         "d3a9c59b32df28835cf7e6973b4854a3e9f35f9466c3b96e656aa3cb8c568ddd"),
         (("exact",),
          "598bbf156cb2e7c069be4913461cbdf587cdfbeb1f9b330e44ac7ddc75d4d101"),
         (("exact", "--q", "2", "--G", "0.5", "--c", "1.5", "--rmin", "0.01"),
@@ -998,7 +1012,7 @@ class TestOutputPins:
          "ff58b94bd7ac16c15b91806f3901b1c6cbd325f4f69d9aaf542066a7312c3028"),
         (("exact", "--format", "csv", "--grid", "0.1:10:30", "--grid-scale", "linear",
           "--q", "2", "--G", "0.5", "--c", "1.5"),
-         "fcc6740c97edfa0ea53a679f68b6d6b05239784417cf750f352d83c9d01b91ed"),
+         "2f93bdaaf1c0a146864c0df28639dea8e29ea7c87ca972045d8e4a0c70035bdd"),
     )
 
     @pytest.mark.parametrize("argv, digest", CASES, ids=[" ".join(argv) for argv, _ in CASES])

@@ -461,6 +461,37 @@ class TestFindRegularEta0:
                                    " is no finite positive float" % (lambda_tilde, m))
         assert calls == []
 
+    @pytest.mark.parametrize("m", (0.1, 0.19, 0.3))
+    @pytest.mark.parametrize("tol", (0.0, -1.0))
+    def test_nonpositive_tol_refused_before_any_probe(self, monkeypatch, capsys, m, tol):
+        # below the fold, above it with a bracket and above it with an empty
+        # one: the same usage error, before a probe or a verdict on m
+        probes = record_probes(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            find_regular_eta0(CouplingParams(lambda_tilde=1.0, m=m), tol=tol)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "tol = %r: must be positive" % tol
+        assert probes == []
+        assert cli.main(["shoot", "--m", repr(m), "--tol", repr(tol)]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", "naqlab: tol = %r: must be positive\n" % tol)
+        assert probes == []
+
+    @pytest.mark.parametrize("tol", (1e-17, 5e-324))
+    def test_tol_below_the_float_spacing_keeps_the_newton_pair(self, params_m01, monkeypatch, tol):
+        # 0.1 tol is less than half the float spacing of the Newton centre x,
+        # so x -+ 0.1 tol rounds onto x; the pair is x and the float after it,
+        # whose labels differ at m = 0.1: 3 trajectories, where Brent's method
+        # on the whole bracket [lo, hi] took 13
+        probes = record_probes(monkeypatch)
+        res = find_regular_eta0(params_m01, tol=tol)
+        q = shooting._predicted_root(0.1)
+        x = q - probes[0].residual / shooting._predicted_slope(0.1)
+        pair = [(x, "overshoot"), (math.nextafter(x, math.inf), "undershoot")]
+        assert [(p.eta0, p.label) for p in probes] == [(q, "undershoot")] + pair
+        assert res in probes[1:]
+        # the root of the rtol-1e-12 probes, 1.1e-13 from the frozen one
+        assert abs(res.eta0 - self.TIGHT_ROOTS[0.1]) <= 2e-13
+
     def test_ambiguity_when_horizon_too_short(self):
         # a start 1e-3 above the false vacuum is still climbing toward the
         # true one, from below, at the horizon x = 80: at 0.87 eta_vacuum it
