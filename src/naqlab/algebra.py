@@ -18,7 +18,7 @@ corrections, without the residual power-1 terms (<phi> = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, NamedTuple, Union
 
 __all__ = [
@@ -41,27 +41,24 @@ class ExpressionError(ValueError):
     """Structurally invalid expression for the requested operation."""
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(namedtuple("Constituent", "kind constituent_index")):
     """A single nonassociative factor: kind "F" (f^i) or "B" (b_i)."""
 
-    kind: str
-    constituent_index: str = "i"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("F", "B"):
+    def __new__(cls, kind: str, constituent_index: str = "i"):
+        if kind not in ("F", "B"):
             raise ExpressionError("constituent kind must be 'F' or 'B'")
+        return tuple.__new__(cls, (kind, constituent_index))
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """The state marker |psi>; always the rightmost leaf."""
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "Expression"
-    right: "Expression"
+class Product(NamedTuple):
+    left: Expression
+    right: Expression
 
 
 Expression = Union[Constituent, State, Product]
@@ -87,8 +84,7 @@ class SeriesTerm(NamedTuple):
         return " ".join(factors)
 
 
-@dataclass(frozen=True)
-class CorrectionSeries:
+class CorrectionSeries(NamedTuple):
     """Terms of an n-th power: its corrections, or its vacuum expectation."""
 
     terms: tuple[SeriesTerm, ...]

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .numerics import quad_adaptive
 
@@ -35,8 +36,7 @@ __all__ = [
     "energy_report",
 ]
 
-@dataclass(frozen=True)
-class ChargeModel:
+class ChargeModel(namedtuple("ChargeModel", "q G c")):
     """A point charge q in units with Newton constant G and speed of light c.
 
     G and c default to 1.0 (geometrized units).  Refused with ValueError:
@@ -44,23 +44,21 @@ class ChargeModel:
     the float64 range; alpha = q sqrt(G)/c^2 not finite, or 0 for q != 0.
     """
 
-    q: float
-    G: float = 1.0
-    c: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.G > 0 and self.c > 0):
+    def __new__(cls, q: float, G: float = 1.0, c: float = 1.0):
+        if not (G > 0 and c > 0):
             raise ValueError("G and c must be strictly positive")
         # c**2 raises OverflowError past c ~ 1.3e154 and is 0 below c ~ 1.5e-162;
         # the scales c^2/sqrt(G) of phi and sqrt(G)/c^2 of rho must be finite,
         # and alpha may underflow to 0 only when q is 0.
-        root_g, c2 = math.sqrt(self.G), self.c * self.c
+        root_g, c2 = math.sqrt(G), c * c
         if not (0.0 < c2 < math.inf and c2 / root_g < math.inf and root_g / c2 < math.inf):
-            raise ValueError("G = %r, c = %r: c^2 or c^2/sqrt(G) is out of float64 range"
-                             % (self.G, self.c))
-        if not math.isfinite(self.alpha) or (self.alpha == 0.0) != (self.q == 0.0):
-            raise ValueError("q = %r: alpha = q sqrt(G)/c^2 = %r is out of float64 range"
-                             % (self.q, self.alpha))
+            raise ValueError("G = %r, c = %r: c^2 or c^2/sqrt(G) is out of float64 range" % (G, c))
+        self = tuple.__new__(cls, (q, G, c))
+        if not math.isfinite(self.alpha) or (self.alpha == 0.0) != (q == 0.0):
+            raise ValueError("q = %r: alpha = q sqrt(G)/c^2 = %r is out of float64 range" % (q, self.alpha))
+        return self
 
     @property
     def alpha(self) -> float:
@@ -74,16 +72,14 @@ class ChargeModel:
         return q_root_g / c2
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     r: float
     phi: float
     E_r: float
     rho: float
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     field_energy: float
     self_energy: float
     closed_form_field_energy: float
@@ -195,7 +191,7 @@ def energy_report(model: ChargeModel, r_min: float, tol: float = 1e-10) -> Energ
     else:
         closed_self = prefactor * (cap - math.tanh(cap))
     report = EnergyReport(field_energy, self_energy, closed_field, closed_self)
-    for name, value in vars(report).items():
+    for name, value in report._asdict().items():
         if not math.isfinite(value):
             raise ValueError("q = %r, r_min = %r: %s is out of float64 range" % (q, r_min, name))
     return report

@@ -25,7 +25,8 @@ and K_{mu nu rho} = -K_{mu rho nu}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,20 +57,19 @@ class GridTooSmallError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(namedtuple("Grid", "axes")):
     """Rectangular grid over the 4 coordinates.
 
     Each axis is a uniformly spaced 1-D coordinate array; an axis of size 1
     marks a coordinate the sampled fields do not depend on.
     """
 
-    axes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.axes) != 4:
+    def __new__(cls, axes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]):
+        if len(axes) != 4:
             raise ValueError("need exactly 4 coordinate axes")
-        for ax in self.axes:
+        for ax in axes:
             if ax.ndim != 1 or ax.size < 1:
                 raise ValueError("axes must be non-empty 1-D arrays")
             if not np.isfinite(ax).all():
@@ -83,6 +83,7 @@ class Grid:
                     raise ValueError("axes must not repeat a coordinate")
                 if not _allclose(d, d[0], rtol=1e-12, atol=0):
                     raise ValueError("axes must be uniformly spaced")
+        return tuple.__new__(cls, (axes,))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -261,8 +262,7 @@ def torsion_from_connection(conn: np.ndarray) -> np.ndarray:
     return np.swapaxes(conn, -3, -2) - conn
 
 
-@dataclass(frozen=True)
-class ContorsionTensor:
+class ContorsionTensor(NamedTuple):
     """Contorsion in mixed form K_{mu nu}^rho and all-lower form K_{mu nu rho}."""
 
     mixed: np.ndarray

@@ -29,8 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 _Record = TypeVar("_Record")
 
@@ -73,8 +72,7 @@ _GK15 = (
 )
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Value, a posteriori absolute error estimate, and evaluation count."""
 
     value: float
@@ -185,8 +183,7 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -
 _MAX_STEPS = 1_000_000
 
 
-@dataclass
-class RkSolution:
+class RkSolution(NamedTuple):
     """Accepted samples as ``array('d')`` buffers, which ``np.asarray`` reads
     without a copy, all of the same length: radii ``r``, the state ``y`` and
     ``dy`` = y', and ``ddy`` = y'', the right-hand side at each sample.

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from .numerics import InvalidBracketError, RkSolution, brent, rk_integrate
 
@@ -64,16 +64,15 @@ _SLOPE = (0.20864666551488883, -0.040644564731920636, -0.01017347780501424, 0.00
           -3.177477470375778e-08, -5.70613661529662e-09)
 
 
-@dataclass(frozen=True)
-class CouplingParams:
+class CouplingParams(namedtuple("CouplingParams", "lambda_tilde m")):
     """Scaled quartic coupling and mass parameter of the correction potential."""
 
-    lambda_tilde: float
-    m: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.lambda_tilde > 0 and self.m > 0):
+    def __new__(cls, lambda_tilde: float, m: float):
+        if not (lambda_tilde > 0 and m > 0):
             raise ValueError("lambda_tilde and m must be strictly positive")
+        return tuple.__new__(cls, (lambda_tilde, m))
 
     @property
     def m_squared(self) -> float:
@@ -91,8 +90,7 @@ class CouplingParams:
         return 8.0 / mu if mu > 0 else math.inf
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     """One classified trajectory from eta0.
 
     ``label`` is "overshoot" or "undershoot".  ``residual`` is
@@ -168,7 +166,7 @@ def integrate_profile(eta0: float, p: CouplingParams, r_max: float, rtol: float 
         return None
 
     sol = rk_integrate(rhs, 0.0, (0.0, eta0), x_end, stop_condition=stop, rtol=rtol)
-    sol.stop = sol.stop or "reached_rmax"
+    sol = sol._replace(stop=sol.stop or "reached_rmax")
     # w = x eta: eta_x = (w_x - eta) / x and eta_xx = (w_xx - 2 eta_x) / x.  Both cancel near x = 0, where
     # the series eta = eta0 + a x^2 + b x^4, a = -S(eta0) / 6 and b = -S'(eta0) a / 20, is taken instead
     # while scale x^2 <= 3e-4; scale is S'(eta0) with its terms added in absolute value, so it does not
@@ -206,11 +204,11 @@ def _to_r(traj: RkSolution, lambda_tilde: float) -> None:
     eta' = sqrt(lambda_tilde) eta_x, eta'' = lambda_tilde eta_xx; none moves at lambda_tilde = 1."""
     if lambda_tilde == 1.0:
         return
-    root = math.sqrt(lambda_tilde)
-    for i in range(len(traj.r)):
-        traj.r[i] /= root
-        traj.dy[i] *= root
-        traj.ddy[i] *= lambda_tilde
+    root, r, dy, ddy = math.sqrt(lambda_tilde), traj.r, traj.dy, traj.ddy
+    for i in range(len(r)):
+        r[i] /= root
+        dy[i] *= root
+        ddy[i] *= lambda_tilde
 
 
 def _probe(eta0, p, rtol) -> Probe:
@@ -293,7 +291,11 @@ def find_regular_eta0(p: CouplingParams, tol: float = 1e-5) -> Probe:
     RHS calls) at tol 1e-5, 1e-8 and 1e-12.  On the grid lambda_tilde in
     {0.5, 1, 4}, m in {0.05, 0.1, 0.15, 0.17} the answer lay within 0.100,
     0.110 and 0.101 tol of the root; at m_c - 1e-6, tol 1e-5 it lay 13.1
-    tol off.  A tol not above 0, and couplings whose horizon 8/m or
+    tol off.  The probes resolve eta0 no finer than about 2e-15: at m = 0.1
+    and rtol 1e-12 the labels of the floats from 0.9083371697707656 to
+    0.908337169770767 alternate, so for a smaller tol "within tol of the
+    discretized root" names no single root.  Such a tol is still accepted.
+    A tol not above 0, and couplings whose horizon 8/m or
     8/(m sqrt(lambda_tilde)) is no finite float, are refused before any probe.
     """
     if not tol > 0:

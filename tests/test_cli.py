@@ -681,14 +681,16 @@ class TestCsvStreaming:
 
 
 class TestColdStart:
-    """Which commands import numpy and orjson, in a fresh interpreter."""
+    """Which commands import numpy and orjson, in a fresh interpreter; none
+    imports dataclasses, and only those that import numpy (which imports it)
+    may import inspect."""
 
     SCRIPT = (
         "import sys\n"
         "from naqlab import cli\n"
         "cli.build_parser()\n"
         "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "sys.stderr.write(' '.join(m for m in ('numpy', 'orjson') if m in sys.modules))\n"
+        "sys.stderr.write(' '.join(m for m in ('numpy', 'orjson', 'dataclasses', 'inspect') if m in sys.modules))\n"
         "sys.exit(code)\n"
     )
 
@@ -711,7 +713,9 @@ class TestColdStart:
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, *argv], env=env, capture_output=True, text=True, timeout=120
         )
-        assert (proc.returncode, proc.stderr) == (EXIT_OK, loaded)
+        names = proc.stderr.split(" ")
+        assert (proc.returncode, " ".join(m for m in names if m != "inspect")) == (EXIT_OK, loaded)
+        assert "inspect" not in names or "numpy" in names
         if argv:
             assert proc.stdout == run(capsys, *argv)[1]
         digest = dict(TestOutputPins.CASES).get(argv)
