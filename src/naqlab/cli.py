@@ -26,26 +26,24 @@ above the CSV header) so runs are self-describing and byte-reproducible.
 
 numpy and orjson are imported only by the functions that build arrays:
 ``assoc``, ``shoot`` and ``exact --format json`` run without them.
-``import naqlab.cli`` loads ``algebra``, ``charge``, ``numerics`` and
-``shooting``; their records are named tuples, so it imports neither
-``dataclasses`` nor ``inspect``.  In a fresh interpreter with no bytecode
-cache, it and ``build_parser()`` take 68 ms, 40 ms of them the
-interpreter's start-up (medians of 40 runs; Python 3.11.7, 2 shared vCPUs).
+``import naqlab.cli`` runs no other naqlab module: ``_lazy`` puts each in
+``sys.modules`` through ``importlib.util.LazyLoader``, to run on its first
+attribute access.  In a fresh interpreter with no bytecode cache, it and
+``build_parser()`` take 53 ms, 42 ms of them the interpreter's start-up
+(medians of 40 runs; Python 3.11.7, 2 shared vCPUs).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import math
 import os
 import stat
 import sys
-
-from . import algebra, shooting
-from .charge import ChargeModel, energy_report, exact_fields
-from .numerics import InvalidBracketError, QuadratureBudgetError
+import types
 
 DEFAULT_SEED = 20240901
 
@@ -55,6 +53,21 @@ EXIT_NUMERICAL = 2
 
 # Rows of a CSV table formatted per orjson call; bounds the memory of a long table.
 _CSV_BLOCK = 4096
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """``naqlab.<name>``, run on its first attribute access: the module that
+    ``sys.modules`` holds, or else one registered there by ``LazyLoader``."""
+    fullname = __package__ + "." + name
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+    return sys.modules[fullname]
+
+
+algebra, charge, geometry, numerics, shooting = map(_lazy, ("algebra", "charge", "geometry", "numerics", "shooting"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,8 +236,6 @@ def _run_assoc(args) -> int:
 
 
 def _run_torsion_check(args) -> int:
-    from . import geometry
-
     residuals = geometry.random_identity_suite(args.seed, args.trials)
     worst = max(residuals.values())
     payload = {"config": _config(args), "residuals": residuals, "max_residual": worst}
@@ -233,14 +244,14 @@ def _run_torsion_check(args) -> int:
 
 
 def _run_exact(args) -> int:
-    model = ChargeModel(q=args.q, G=args.G, c=args.c)
+    model = charge.ChargeModel(q=args.q, G=args.G, c=args.c)
     if args.format == "csv":
         rs = _grid_points(args.grid, args.grid_scale)
-        fields = exact_fields(rs, model)
+        fields = charge.exact_fields(rs, model)
         columns = (fields["r"], fields["phi"], fields["E_r"], fields["rho"])
         _emit(_csv_blocks(_config(args), "r,phi,E_r,rho", columns), args.output)
         return EXIT_OK
-    report = energy_report(model, r_min=args.rmin, tol=args.tol)
+    report = charge.energy_report(model, r_min=args.rmin, tol=args.tol)
     _emit((_json_dumps({"config": _config(args), **report._asdict()}),), args.output)
     return EXIT_OK
 
@@ -304,6 +315,18 @@ def _resample(traj, rs) -> tuple:
     return hermite(eta, deta), hermite(deta, ddeta)
 
 
+def _numerical_errors() -> tuple:
+    """The exception classes that exit 2, of ``numerics`` and ``shooting``
+    where each has run: one that has not run raised none, and naming its
+    classes would run it."""
+    errors = ()
+    if type(numerics) is types.ModuleType:
+        errors += numerics.InvalidBracketError, numerics.QuadratureBudgetError
+    if type(shooting) is types.ModuleType:
+        errors += shooting.ClassifierAmbiguityError, shooting.BracketBoundError
+    return errors
+
+
 _DISPATCH = {
     "assoc": _run_assoc,
     "torsion-check": _run_torsion_check,
@@ -321,7 +344,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.subcommand](args)
-    except (shooting.ClassifierAmbiguityError, shooting.BracketBoundError, InvalidBracketError, QuadratureBudgetError) as exc:
+    except _numerical_errors() as exc:
         # before ValueError: InvalidBracketError is one
         sys.stderr.write(str(exc) + "\n")
         return EXIT_NUMERICAL

@@ -15,7 +15,7 @@ import numpy as np
 import orjson
 import pytest
 
-from naqlab import algebra, cli, shooting
+from naqlab import algebra, charge, cli, shooting
 from naqlab.charge import ChargeModel, exact_fields
 from naqlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
@@ -595,14 +595,14 @@ class TestCsvStreaming:
         # Counted from the return of exact_fields: the column arrays and the
         # working set of one block.  Measured on 5e4 rows (4.07 MB of text):
         # 2.7 MB, against 9.8 MB when the blocks were joined and then written.
-        fields = cli.exact_fields
+        fields = charge.exact_fields
 
         def then_reset_peak(*args):
             out = fields(*args)
             tracemalloc.reset_peak()
             return out
 
-        monkeypatch.setattr(cli, "exact_fields", then_reset_peak)
+        monkeypatch.setattr(charge, "exact_fields", then_reset_peak)
         path = tmp_path / "table.csv"
 
         def write_peak(rows):
@@ -681,46 +681,81 @@ class TestCsvStreaming:
 
 
 class TestColdStart:
-    """Which commands import numpy and orjson, in a fresh interpreter; none
-    imports dataclasses, and only those that import numpy (which imports it)
-    may import inspect."""
+    """Which commands import numpy and orjson, and which naqlab modules they
+    run, in a fresh interpreter; none imports dataclasses, and only those
+    that import numpy (which imports it) may import inspect.  ``cli`` runs a
+    module on its first attribute access, and a module counts as run when
+    ``cli`` holds the one in ``sys.modules`` and it is a plain module, which
+    the lazy one becomes when it runs; asking its type runs nothing."""
 
     SCRIPT = (
-        "import sys\n"
+        "import sys, types\n"
         "from naqlab import cli\n"
         "cli.build_parser()\n"
         "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "sys.stderr.write(' '.join(m for m in ('numpy', 'orjson', 'dataclasses', 'inspect') if m in sys.modules))\n"
+        "loaded = [m for m in ('numpy', 'orjson', 'dataclasses', 'inspect') if m in sys.modules]\n"
+        "ran = [m for m in ('algebra', 'charge', 'geometry', 'numerics', 'shooting')\n"
+        "       if (mod := getattr(cli, m, None)) is sys.modules.get('naqlab.' + m) and type(mod) is types.ModuleType]\n"
+        "sys.stderr.write(' '.join(loaded) + '; ran ' + ' '.join(ran))\n"
         "sys.exit(code)\n"
     )
 
     CASES = (
-        ((), ""),
-        (("assoc", "--power", "8"), ""),
-        (("exact",), ""),
-        (("shoot", "--lambda", "1", "--m", "0.1"), ""),
-        (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"), ""),
-        (("profile", "--eta0", "0.9083"), "numpy orjson"),
+        ((), "", ""),
+        (("assoc", "--power", "8"), "", "algebra"),
+        (("exact",), "", "charge numerics"),
+        (("shoot", "--lambda", "1", "--m", "0.1"), "", "numerics shooting"),
+        (("shoot", "--lambda", "1", "--m", "0.15", "--tol", "1e-12"), "", "numerics shooting"),
+        (("profile", "--eta0", "0.9083"), "numpy orjson", "numerics shooting"),
         (("exact", "--format", "csv", "--grid", "0.1:10:30", "--grid-scale", "linear",
-          "--q", "2", "--G", "0.5", "--c", "1.5"), "numpy orjson"),
-        (("torsion-check", "--trials", "50"), "numpy"),
+          "--q", "2", "--G", "0.5", "--c", "1.5"), "numpy orjson", "charge numerics"),
+        (("torsion-check", "--trials", "50"), "numpy", "geometry"),
     )
 
-    @pytest.mark.parametrize("argv, loaded", CASES, ids=[" ".join(argv) or "build_parser" for argv, _ in CASES])
-    def test_loaded_modules_and_bytes(self, capsys, argv, loaded):
+    def spawn(self, script, *argv):
+        """(exit code, stdout, stderr before the report, imported modules
+        but inspect, naqlab modules run) of ``script`` in a fresh interpreter."""
         src = Path(cli.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, *argv], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
         )
-        names = proc.stderr.split(" ")
-        assert (proc.returncode, " ".join(m for m in names if m != "inspect")) == (EXIT_OK, loaded)
+        cut = proc.stderr.rfind("\n") + 1
+        names, ran = proc.stderr[cut:].split("; ran ")
+        names = names.split(" ")
         assert "inspect" not in names or "numpy" in names
+        return proc.returncode, proc.stdout, proc.stderr[:cut], " ".join(m for m in names if m != "inspect"), ran
+
+    @pytest.mark.parametrize("argv, loaded, ran", CASES, ids=[" ".join(argv) or "build_parser" for argv, _, _ in CASES])
+    def test_loaded_modules_and_bytes(self, capsys, argv, loaded, ran):
+        code, out, err, *modules = self.spawn(self.SCRIPT, *argv)
+        assert (code, err, modules) == (EXIT_OK, "", [loaded, ran])
         if argv:
-            assert proc.stdout == run(capsys, *argv)[1]
+            assert out == run(capsys, *argv)[1]
         digest = dict(TestOutputPins.CASES).get(argv)
         if digest is not None:
-            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, loaded, ran", (
+        (("assoc", "--power", "2"), "", "algebra"),
+        (("exact",), "", "charge numerics"),
+        (("torsion-check", "--trials", "5"), "numpy", "geometry"),
+    ), ids=("assoc", "exact", "torsion-check"))
+    def test_usage_error_runs_only_the_subcommand_module(self, argv, loaded, ran):
+        # main names the exception classes of numerics and shooting only
+        # once each has run; none of these runs shooting, and only exact
+        # (whose charge imports numerics) runs numerics
+        assert self.spawn(self.SCRIPT, *argv, "--output", "/nonexistent/x") == (
+            EXIT_USAGE, "", "naqlab: cannot write /nonexistent/x: %s\n" % os.strerror(errno.ENOENT), loaded, ran)
+
+    def test_module_imported_first_is_the_one_cli_runs(self):
+        # a second copy of shooting would raise exception classes that main
+        # does not catch
+        script = "import naqlab.shooting\n" + self.SCRIPT
+        assert self.spawn(script)[3:] == ("", "numerics shooting")
+        assert self.spawn(script, "shoot", "--m", "0.19") == (
+            EXIT_NUMERICAL, "", "no regular solution: m = 0.19 is at or above the fold m_c = 0.185981376879\n",
+            "", "numerics shooting")
 
 
 class TestShoot:

@@ -121,8 +121,9 @@ with tracing.Tracer().installed():
 
 
 def test_bench_imports_load_every_traced_module():
-    # cli imports charge, shooting, numerics and algebra at module level, so
-    # a fresh `from naqlab import cli, geometry` is enough for --trace 1
+    # importing cli puts every naqlab module in sys.modules, each to run on
+    # its first attribute access, which the tracer's lookups make; so a
+    # fresh `from naqlab import cli, geometry` is enough for --trace 1
     src = TRACING.parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", BENCH_IMPORTS, str(TRACING)],
